@@ -10,26 +10,30 @@ from __future__ import annotations
 
 import csv
 import logging
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analytic import augmented_mi_analytic
-from .involved import determine_involved
-from .kde import KdeConfig, invmi_kde_augmented_mi, naive_kde_augmented_mi
+from .involved import (
+    analytic_calculator,
+    determine_involved,
+    invmi,
+    kde_calculator,
+    mismc_calculator,
+)
+from .kde import KdeConfig
 from .mi import (
     ALL_METHODS,
     METHOD_ANALYTIC,
     METHOD_INVMI_KDE,
+    METHOD_MISMC,
     METHOD_NAIVE_KDE,
     MiEstimate,
 )
 from .scenario import SlamScenario, generate_scenario
-from .smc import SampleBudget, mismc_estimate
-from .state import marginalize_gaussian, sample_particles
+from .smc import SampleBudget
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +43,17 @@ CSV_HEADER = (
 )
 
 _METHOD_INDEX = {m: i for i, m in enumerate(ALL_METHODS)}
+
+# Per method: the calculator for (particle count, KDE config), and whether
+# it runs on the involved marginal through invmi or on the full prior.  The
+# mismc calculator samples the prior particles itself, which is input
+# preparation, outside the estimator's elapsed time.
+_METHODS = {
+    METHOD_ANALYTIC: (lambda n, cfg: analytic_calculator(), False),
+    METHOD_NAIVE_KDE: (kde_calculator, False),
+    METHOD_INVMI_KDE: (kde_calculator, True),
+    METHOD_MISMC: (lambda n, cfg: mismc_calculator(SampleBudget(n1=n, n4=n)), True),
+}
 
 
 @dataclass(frozen=True)
@@ -77,37 +92,17 @@ def evaluate_method(
 ) -> MiEstimate:
     """Run one estimator once on one scenario action.
 
-    The integer seed fully determines the result; the analytic method
-    ignores it.
+    The integer seed fully determines the result and labels the estimate;
+    the analytic method ignores it otherwise.
     """
-    if method not in ALL_METHODS:
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
+    make_calc, reduce = _METHODS[method]
+    calc = make_calc(n_particles, kde_cfg)
     action = scenario.action(action_id)
-    prior = scenario.prior
-    if method == METHOD_ANALYTIC:
-        start = time.perf_counter()
-        value = augmented_mi_analytic(prior, action).value
-        return MiEstimate(
-            value=value,
-            method=METHOD_ANALYTIC,
-            elapsed=time.perf_counter() - start,
-            sample_counts={"dim": prior.dim},
-            seed=seed,
-        )
-    if method == METHOD_NAIVE_KDE:
-        return naive_kde_augmented_mi(prior, action, n_particles, kde_cfg, seed)
-    involved = determine_involved(prior.layout, action)
-    if method == METHOD_INVMI_KDE:
-        return invmi_kde_augmented_mi(
-            prior, action, involved.blocks, n_particles, kde_cfg, seed
-        )
-    # mismc: sample the involved-marginal prior at the budget size, then
-    # estimate; particle sampling is input preparation, not estimator time.
-    rng = np.random.default_rng(seed)
-    reduced = marginalize_gaussian(prior, involved.blocks)
-    particles = sample_particles(reduced, n_particles, rng)
-    budget = SampleBudget(n1=n_particles, n4=n_particles)
-    return mismc_estimate(particles, action, budget, rng)
+    if reduce:
+        return invmi(scenario.prior, action, calc, seed)
+    return calc(scenario.prior, action, seed)
 
 
 def result_row(

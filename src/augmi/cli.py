@@ -44,18 +44,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _method_tag(name: str) -> str:
+    """One method name, dashes or underscores, as its ``ALL_METHODS`` tag."""
+    tag = name.strip().replace("-", "_")
+    if tag not in ALL_METHODS:
+        raise UsageError(
+            f"unknown method {name.strip()!r}; choose from "
+            + ",".join(m.replace("_", "-") for m in ALL_METHODS)
+        )
+    return tag
+
+
 def _parse_methods(text: str) -> list[str]:
-    methods = []
-    for name in text.split(","):
-        tag = name.strip().replace("-", "_")
-        if not tag:
-            continue
-        if tag not in ALL_METHODS:
-            raise UsageError(
-                f"unknown method {name.strip()!r}; choose from "
-                + ",".join(m.replace("_", "-") for m in ALL_METHODS)
-            )
-        methods.append(tag)
+    methods = [_method_tag(name) for name in text.split(",") if name.strip()]
     if not methods:
         raise UsageError("--methods must name at least one method")
     return methods
@@ -201,10 +202,8 @@ def _cmd_scenario_generate(args) -> int:
 
 
 def _cmd_mi_eval(args) -> int:
+    method = _method_tag(args.method)
     scenario = load_scenario(args.scenario)
-    method = args.method.replace("-", "_")
-    if method not in ALL_METHODS:
-        raise UsageError(f"unknown method {args.method!r}")
     est = evaluate_method(scenario, args.action, method, args.particles, args.seed)
     row = result_row(est, scenario, args.action, 0, args.particles, args.seed)
     print(CSV_HEADER)

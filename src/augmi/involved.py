@@ -5,20 +5,24 @@ calculator.
 The subset determination is exact syntactic dependency analysis on the
 declared model footprints, never a geometric heuristic; a calculator is an
 opaque callable ``(belief, action, rng) -> MiEstimate`` so KDE, SMC, and the
-analytic oracle all plug in the same way.
+analytic oracle all plug in the same way.  The three stock calculators below
+are the only code that turns a belief and an action into an estimate: the
+bench runner and the planner backends call them, with or without
+:func:`invmi` in front.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Union
 
 import numpy as np
 
 from .analytic import augmented_mi_analytic
-from .kde import KdeConfig, invmi_kde_augmented_mi
+from .kde import KdeConfig, invmi_kde_augmented_mi, naive_kde_augmented_mi
 from .mi import METHOD_ANALYTIC, MiEstimate
+from .smc import SampleBudget, mismc_estimate
 from .state import (
     Action,
     GaussianDensity,
@@ -28,6 +32,7 @@ from .state import (
     marginalize_gaussian,
     marginalize_particles,
     prior_footprint,
+    sample_particles,
 )
 
 SOURCE_EXACT = "exact_footprint"
@@ -35,7 +40,9 @@ SOURCE_UNION = "union_over_actions"
 SOURCE_USER = "user_supplied"
 
 Belief = Union[WeightedParticleSet, GaussianDensity]
-MiCalculator = Callable[[Belief, Action, np.random.Generator], MiEstimate]
+# ``rng`` is a Generator or an integer seed; an integer becomes the estimate's
+# seed label.
+MiCalculator = Callable[[Belief, Action, Union[np.random.Generator, int]], MiEstimate]
 
 
 class CalculatorError(RuntimeError):
@@ -106,9 +113,9 @@ def invmi(
 
     The result equals the full-state value for any calculator that respects
     the models' footprints; the point is that the calculator only ever sees
-    a d-dimensional problem.
+    a d-dimensional problem.  ``rng`` reaches the calculator as given, so an
+    integer seed labels the estimate.
     """
-    rng, _ = ensure_rng(rng)
     inv = determine_involved(prior_belief.layout, action)
     if isinstance(prior_belief, WeightedParticleSet):
         reduced: Belief = marginalize_particles(prior_belief, inv.blocks)
@@ -131,9 +138,10 @@ def invmi(
 def analytic_calculator() -> MiCalculator:
     """Calculator wrapping the closed-form Gaussian oracle."""
 
-    def calc(belief: Belief, action: Action, rng: np.random.Generator) -> MiEstimate:
+    def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
         if not isinstance(belief, GaussianDensity):
             raise TypeError("analytic calculator needs a GaussianDensity belief")
+        _rng, seed = ensure_rng(rng)
         start = time.perf_counter()
         result = augmented_mi_analytic(belief, action, subset=None)
         return MiEstimate(
@@ -141,6 +149,7 @@ def analytic_calculator() -> MiCalculator:
             method=METHOD_ANALYTIC,
             elapsed=time.perf_counter() - start,
             sample_counts={"dim": belief.dim},
+            seed=seed,
         )
 
     return calc
@@ -148,31 +157,37 @@ def analytic_calculator() -> MiCalculator:
 
 def kde_calculator(n: int, cfg: KdeConfig | None = None, z_draws: int = 1) -> MiCalculator:
     """Calculator running the re-substitution KDE pipeline on the belief it
-    receives (already marginalized by :func:`invmi`)."""
+    receives.
 
-    def calc(belief: Belief, action: Action, rng: np.random.Generator) -> MiEstimate:
+    A belief already marginalized onto the action's footprint (as
+    :func:`invmi` hands it over) runs the involved-subset pipeline; a wider
+    belief was not reduced and runs the naive full-state pipeline.
+    """
+
+    def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
         if not isinstance(belief, GaussianDensity):
             raise TypeError("KDE calculator needs a GaussianDensity belief")
-        return invmi_kde_augmented_mi(
-            belief, action, set(belief.layout.ids), n, cfg, rng, z_draws=z_draws
-        )
+        if prior_footprint(belief.layout, action) == set(belief.layout.ids):
+            return invmi_kde_augmented_mi(
+                belief, action, belief.layout.ids, n, cfg, rng, z_draws=z_draws
+            )
+        return naive_kde_augmented_mi(belief, action, n, cfg, rng, z_draws=z_draws)
 
     return calc
 
 
-def mismc_calculator(budget) -> MiCalculator:
+def mismc_calculator(budget: SampleBudget) -> MiCalculator:
     """Calculator running the sequential Monte Carlo estimator.
 
     Accepts a particle belief directly, or a Gaussian belief from which it
-    draws the budget's prior particles first.
+    draws the budget's prior particles first (input preparation, outside
+    the estimate's elapsed time).
     """
 
-    def calc(belief: Belief, action: Action, rng: np.random.Generator) -> MiEstimate:
-        from .smc import mismc_estimate
-        from .state import sample_particles
-
+    def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
+        rng, seed = ensure_rng(rng)
         if isinstance(belief, GaussianDensity):
             belief = sample_particles(belief, budget.n1, rng)
-        return mismc_estimate(belief, action, budget, rng)
+        return replace(mismc_estimate(belief, action, budget, rng), seed=seed)
 
     return calc

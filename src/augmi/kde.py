@@ -175,28 +175,46 @@ def resubstitution_entropy(samples: WeightedParticleSet, cfg: KdeConfig) -> floa
 def _kde_augmented_mi(
     prior: GaussianDensity,
     action: Action,
+    involved: Iterable[str] | None,
     n: int,
-    cfg: KdeConfig,
-    rng: np.random.Generator,
+    cfg: KdeConfig | None,
+    rng: np.random.Generator | int,
     z_draws: int,
-) -> tuple[float, dict[str, int]]:
-    """Shared core of the naive and involved-subset KDE pipelines.
+) -> MiEstimate:
+    """Shared body of the naive (``involved=None``) and involved-subset KDE
+    pipelines.
 
     Draws n prior samples for the prior entropy, then for each of
     ``z_draws`` sampled observation sequences draws n samples from the true
     posterior (conditional Gaussian) and re-substitutes; the posterior
     entropy is the average over draws.  RNG consumption depends only on the
-    belief handed in, so a fully-involved reduced run replays a full-state
-    run bit for bit.
+    belief the KDE runs on, so a fully-involved reduced run replays a
+    full-state run bit for bit.
     """
+    if n < 2:
+        raise ValueError("need n >= 2 samples for data-driven KDE entropy")
+    cfg = cfg or KdeConfig()
+    rng, seed = ensure_rng(rng)
+    counts = {"n": n, "z_draws": z_draws, "clamp_events": 0}
+    start = time.perf_counter()
+    if involved is not None:
+        involved = set(involved)
+        missing = prior_footprint(prior.layout, action) - involved
+        if missing:
+            raise FootprintError(
+                f"involved set misses prior blocks {sorted(missing)} read by "
+                f"action {action.id!r}"
+            )
+        if involved != set(prior.layout.ids):
+            prior = marginalize_gaussian(prior, involved)
+        counts["involved_dim"] = prior.dim
+
     joint = joint_state_observation(prior, action)
     obs_ids = observation_block_ids(action)
     if not obs_ids:
         raise ValueError(f"action {action.id!r} has no observations to condition on")
     state_idx = joint.layout.indices(set(prior.layout.ids) | set(action.new_ids))
     obs_idx = joint.layout.indices(obs_ids)
-
-    counts = {"n": n, "z_draws": z_draws, "clamp_events": 0}
     uniform = np.full(n, 1.0 / n)
 
     # Prior entropy from n fresh prior samples.
@@ -222,7 +240,13 @@ def _kde_augmented_mi(
         counts["clamp_events"] += clamps
         h_post += h_i / z_draws
 
-    return h_prior - h_post, counts
+    return MiEstimate(
+        value=h_prior - h_post,
+        method=METHOD_NAIVE_KDE if involved is None else METHOD_INVMI_KDE,
+        elapsed=time.perf_counter() - start,
+        sample_counts=counts,
+        seed=seed,
+    )
 
 
 def naive_kde_augmented_mi(
@@ -238,19 +262,7 @@ def naive_kde_augmented_mi(
     This is the baseline whose variance and cost grow with the full state
     dimension D; it exists to be beaten.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 samples for data-driven KDE entropy")
-    cfg = cfg or KdeConfig()
-    rng, seed = ensure_rng(rng)
-    start = time.perf_counter()
-    value, counts = _kde_augmented_mi(prior, action, n, cfg, rng, z_draws)
-    return MiEstimate(
-        value=value,
-        method=METHOD_NAIVE_KDE,
-        elapsed=time.perf_counter() - start,
-        sample_counts=counts,
-        seed=seed,
-    )
+    return _kde_augmented_mi(prior, action, None, n, cfg, rng, z_draws)
 
 
 def invmi_kde_augmented_mi(
@@ -268,29 +280,4 @@ def invmi_kde_augmented_mi(
     over ``involved`` (which must cover the action's prior footprint), so
     the KDE works in d dimensions instead of D.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 samples for data-driven KDE entropy")
-    cfg = cfg or KdeConfig()
-    rng, seed = ensure_rng(rng)
-    involved = set(involved)
-    missing = prior_footprint(prior.layout, action) - involved
-    if missing:
-        raise FootprintError(
-            f"involved set misses prior blocks {sorted(missing)} read by "
-            f"action {action.id!r}"
-        )
-    start = time.perf_counter()
-    reduced = (
-        prior
-        if involved == set(prior.layout.ids)
-        else marginalize_gaussian(prior, involved)
-    )
-    value, counts = _kde_augmented_mi(reduced, action, n, cfg, rng, z_draws)
-    counts["involved_dim"] = reduced.dim
-    return MiEstimate(
-        value=value,
-        method=METHOD_INVMI_KDE,
-        elapsed=time.perf_counter() - start,
-        sample_counts=counts,
-        seed=seed,
-    )
+    return _kde_augmented_mi(prior, action, involved, n, cfg, rng, z_draws)

@@ -32,14 +32,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic import (
-    augmented_mi_analytic,
     condition_gaussian,
     joint_state_observation,
     observation_block_ids,
 )
-from .involved import determine_involved
+from .involved import analytic_calculator, determine_involved, mismc_calculator
 from .linalg import cholesky_psd
-from .smc import SampleBudget, mismc_estimate
+from .smc import SampleBudget
 from .state import (
     Action,
     GaussianDensity,
@@ -47,7 +46,6 @@ from .state import (
     compose_actions,
     ensure_rng,
     marginalize_gaussian,
-    sample_particles,
 )
 
 REWARD_INVOLVED_IG = "involved_ig"
@@ -123,7 +121,7 @@ class AnalyticMiBackend:
     def __call__(
         self, belief: GaussianDensity, action: Action, rng: np.random.Generator
     ) -> float:
-        return augmented_mi_analytic(belief, action, subset=None).value
+        return analytic_calculator()(belief, action, rng).value
 
 
 class SmcMiBackend:
@@ -141,8 +139,7 @@ class SmcMiBackend:
     def __call__(
         self, belief: GaussianDensity, action: Action, rng: np.random.Generator
     ) -> float:
-        particles = sample_particles(belief, self.budget.n1, rng)
-        return mismc_estimate(particles, action, self.budget, rng).value
+        return mismc_calculator(self.budget)(belief, action, rng).value
 
 
 def consecutive_mi(
@@ -186,7 +183,8 @@ def _plan_involved_union(
     Candidates at the same step must agree on the (id, dim) of the new
     blocks they create, otherwise deeper actions would be ill-defined.
     """
-    involved: list = []
+    prior_ids = set(layout.ids)
+    union: set[str] = set()
     extended = layout
     for t, step in enumerate(steps):
         new_decl: dict[str, int] = {}
@@ -196,43 +194,64 @@ def _plan_involved_union(
                     raise ValueError(
                         f"step {t}: candidates disagree on dim of new block {new_id!r}"
                     )
-            inv = determine_involved(extended, action)
-            involved.append(
-                frozenset(b for b in inv.blocks if b in set(layout.ids))
-            )
+            union |= determine_involved(extended, action).blocks & prior_ids
         extended = extended.concat(sorted(new_decl.items()))
-    union: set[str] = set()
-    for blocks in involved:
-        union |= blocks
     if not union:
         raise ValueError("no candidate action touches the prior state")
     return frozenset(union)
 
 
-def _propagate(
-    belief: GaussianDensity, action: Action, z: np.ndarray | None
-) -> tuple[GaussianDensity, np.ndarray]:
-    """Posterior over (belief blocks, new blocks) given one observation draw.
+def _root(
+    prior: GaussianDensity,
+    steps: list[list[Action]],
+    mi_backend: MiBackend,
+    obs_samples: int,
+    rng: np.random.Generator | int,
+) -> tuple[GaussianDensity, bool, int, Callable[[tuple[int, ...]], np.random.Generator]]:
+    """Root set-up shared by the solver and the direct evaluation.
 
-    ``z = None`` conditions at the predictive mean, which leaves the
-    covariance (hence any linear-Gaussian information value) unchanged.
+    Returns the prior marginalized onto the plan's involved union, whether
+    the backend is exact, the observation branch count per action node, and
+    ``node_rng``, which derives a node's generator from its tree path.
+    """
+    rng, _ = ensure_rng(rng)
+    involved = _plan_involved_union(prior.layout, steps)
+    root_belief = (
+        prior
+        if involved == set(prior.layout.ids)
+        else marginalize_gaussian(prior, involved)
+    )
+    exact = bool(getattr(mi_backend, "exact", False))
+    branches = 1 if exact else max(1, int(obs_samples))
+    root_entropy = [int(v) for v in rng.integers(0, 2**63, size=2)]
+
+    def node_rng(path_key: tuple[int, ...]) -> np.random.Generator:
+        ss = np.random.SeedSequence(entropy=root_entropy, spawn_key=path_key)
+        return np.random.Generator(np.random.PCG64(ss))
+
+    return root_belief, exact, branches, node_rng
+
+
+def _branch(
+    belief: GaussianDensity, action: Action, rng: np.random.Generator | None
+) -> tuple[GaussianDensity, np.ndarray | None]:
+    """Child belief over (belief blocks, new blocks) after one observation
+    draw, and the drawn observation.
+
+    ``rng = None`` conditions at the predictive mean and returns no
+    observation; that leaves the covariance (hence any linear-Gaussian
+    information value) unchanged.
     """
     joint = joint_state_observation(belief, action)
     obs_ids = observation_block_ids(action)
     if not obs_ids:
         raise ValueError(f"action {action.id!r} has no observations")
     obs_idx = joint.layout.indices(obs_ids)
-    z_value = joint.mean[obs_idx] if z is None else z
-    return condition_gaussian(joint, obs_ids, z_value), z_value
-
-
-def _sample_observation(
-    belief: GaussianDensity, action: Action, rng: np.random.Generator
-) -> np.ndarray:
-    joint = joint_state_observation(belief, action)
-    obs_idx = joint.layout.indices(observation_block_ids(action))
+    if rng is None:
+        return condition_gaussian(joint, obs_ids, joint.mean[obs_idx]), None
     cov = joint.covariance[np.ix_(obs_idx, obs_idx)]
-    return joint.mean[obs_idx] + cholesky_psd(cov) @ rng.standard_normal(obs_idx.size)
+    z = joint.mean[obs_idx] + cholesky_psd(cov) @ rng.standard_normal(obs_idx.size)
+    return condition_gaussian(joint, obs_ids, z), z
 
 
 def solve(
@@ -254,21 +273,10 @@ def solve(
     """
     if reward_mode not in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
         raise ValueError(f"unknown reward mode {reward_mode!r}")
-    rng, _ = ensure_rng(rng)
     steps = _steps_argument(actions, horizon)
-    involved = _plan_involved_union(prior.layout, steps)
-    root_belief = (
-        prior
-        if involved == set(prior.layout.ids)
-        else marginalize_gaussian(prior, involved)
+    root_belief, exact, branches, node_rng = _root(
+        prior, steps, mi_backend, obs_samples, rng
     )
-    exact = bool(getattr(mi_backend, "exact", False))
-    branches = 1 if exact else max(1, int(obs_samples))
-    root_entropy = tuple(int(v) for v in rng.integers(0, 2**63, size=2))
-
-    def node_rng(path_key: tuple[int, ...]) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=list(root_entropy), spawn_key=path_key)
-        return np.random.Generator(np.random.PCG64(ss))
 
     def expand(
         belief: GaussianDensity,
@@ -321,15 +329,9 @@ def solve(
             future = 0.0
             pairs: list[tuple[np.ndarray | None, BeliefNode]] = []
             for branch in range(branches):
-                if exact:
-                    child_belief, _zv = _propagate(belief, action, None)
-                    z_rec: np.ndarray | None = None
-                else:
-                    z = _sample_observation(
-                        belief, action, node_rng(a_key + (2, branch))
-                    )
-                    child_belief, _zv = _propagate(belief, action, z)
-                    z_rec = z
+                child_belief, z_rec = _branch(
+                    belief, action, None if exact else node_rng(a_key + (2, branch))
+                )
                 child_hist = History(
                     actions=history.actions + (action.id,),
                     observations=history.observations
@@ -386,20 +388,9 @@ def sequential_mi_direct(
     if horizon < 1 or horizon > len(seq):
         raise ValueError(f"horizon {horizon} out of range 1..{len(seq)}")
     seq = seq[:horizon]
-    rng, _ = ensure_rng(rng)
-    involved = _plan_involved_union(prior.layout, [[a] for a in seq])
-    belief0 = (
-        prior
-        if involved == set(prior.layout.ids)
-        else marginalize_gaussian(prior, involved)
+    belief0, exact, branches, node_rng = _root(
+        prior, [[a] for a in seq], mi_backend, obs_samples, rng
     )
-    exact = bool(getattr(mi_backend, "exact", False))
-    branches = 1 if exact else max(1, int(obs_samples))
-    root_entropy = tuple(int(v) for v in rng.integers(0, 2**63, size=2))
-
-    def node_rng(path_key: tuple[int, ...]) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=list(root_entropy), spawn_key=path_key)
-        return np.random.Generator(np.random.PCG64(ss))
 
     def recurse(belief: GaussianDensity, i: int, path_key: tuple[int, ...]) -> float:
         if i == horizon:
@@ -408,11 +399,9 @@ def sequential_mi_direct(
         increment = float(mi_backend(belief, action, node_rng(path_key + (0,))))
         future = 0.0
         for branch in range(branches):
-            if exact:
-                child, _zv = _propagate(belief, action, None)
-            else:
-                z = _sample_observation(belief, action, node_rng(path_key + (1, branch)))
-                child, _zv = _propagate(belief, action, z)
+            child, _z = _branch(
+                belief, action, None if exact else node_rng(path_key + (1, branch))
+            )
             future += recurse(child, i + 1, path_key + (2, branch)) / branches
         return increment + future
 

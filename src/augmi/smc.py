@@ -17,9 +17,11 @@ and returns ``sum1 + sum2 - sum3``.
 
 Determinism contract: every outer particle draws its noise from a
 counter-based stream keyed by (run root, particle index), so an incremental
-run that consumes the particles in two installments reproduces a single
-batch run bit for bit, and independent particles may be processed in any
-schedule.
+run that consumes the particles in installments draws exactly the noise of a
+single batch run, and independent particles may be processed in any
+schedule.  The installments' sums add in another order, so the estimates
+agree to 1e-12 (acceptance criterion 8), not bit for bit; bitwise agreement
+is ROADMAP item 5.
 """
 
 from __future__ import annotations
@@ -326,9 +328,10 @@ def mismc_update(
 ) -> MismcAccumulator:
     """Consume the next ``additional_n1`` prior particles.
 
-    The returned accumulator's ``estimate`` equals what a batch run over all
-    particles consumed so far would produce, because each particle's noise
-    comes from its own (root, index) stream.
+    The returned accumulator's ``estimate`` matches, to 1e-12, what a batch
+    run over all particles consumed so far would produce, because each
+    particle's noise comes from its own (root, index) stream; the sums add in
+    another order, so the match is not bit for bit.
     """
     if additional_n1 < 0:
         raise ValueError("additional_n1 must be >= 0")

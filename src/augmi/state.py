@@ -505,33 +505,76 @@ def _bind_columns(
     return np.concatenate(cols) if cols else np.empty(0, dtype=int)
 
 
-class SequentialTransition:
-    """The product of an action's transition models, bound to a belief layout.
+class _SequentialModels:
+    """An action's transition or observation models, bound to a belief layout.
 
-    Vectorized over particle batches: rows of ``x`` are belief states, rows
-    of ``new`` are the stacked new blocks created by the action's steps.
+    Each model reads columns of a work array whose rows are
+    ``[belief state | stacked new blocks]`` and fills its own slice of an
+    output array; the two subclasses differ only in where that output lives.
     """
 
-    def __init__(self, layout: StateLayout, action: Action):
+    def __init__(
+        self,
+        layout: StateLayout,
+        action: Action,
+        models: Iterable[tuple[int, LinearGaussianModel]],
+    ):
         action.validate_against(layout)
         self.layout = layout
         self.action = action
-        self.new_dim = action.new_dim_total
-        self._steps: list[_BoundModel] = []
+        self._models: list[_BoundModel] = []
         cursor = 0
-        for step, model in enumerate(action.transitions):
-            cols = _bind_columns(layout, action, model.inputs, upto_step=step)
+        for upto_step, model in models:
+            cols = _bind_columns(layout, action, model.inputs, upto_step=upto_step)
             out = slice(cursor, cursor + model.output_dim)
-            self._steps.append(_BoundModel(model, cols, out))
+            self._models.append(_BoundModel(model, cols, out))
             cursor += model.output_dim
 
     def _work(self, x: np.ndarray, new: np.ndarray | None = None) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        work = np.empty((x.shape[0], self.layout.total_dim + self.new_dim))
-        work[:, : self.layout.total_dim] = x
+        base = self.layout.total_dim
+        work = np.empty((x.shape[0], base + self.action.new_dim_total))
+        work[:, :base] = x
         if new is not None:
-            work[:, self.layout.total_dim :] = new
+            work[:, base:] = new
         return work
+
+    def _sample(self, work: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill each model's slice of ``out`` from standard-normal innovations;
+        returns the summed log density of each row's samples."""
+        logpdf = np.zeros(work.shape[0])
+        for bound in self._models:
+            mean = work[:, bound.cols] @ bound.model.matrix.T
+            eps = noise[:, bound.out_slice]
+            out[:, bound.out_slice] = mean + eps @ bound.model.noise_chol.T
+            logpdf -= 0.5 * np.einsum("ij,ij->i", eps, eps) + bound.model._log_norm
+        return logpdf
+
+    def _log_density(self, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Row-wise summed log density of the model outputs in ``out``."""
+        logpdf = np.zeros(work.shape[0])
+        for bound in self._models:
+            mean = work[:, bound.cols] @ bound.model.matrix.T
+            resid = out[:, bound.out_slice] - mean
+            white = scipy.linalg.solve_triangular(
+                bound.model.noise_chol, resid.T, lower=True
+            )
+            logpdf -= 0.5 * np.einsum("ij,ij->j", white, white) + bound.model._log_norm
+        return logpdf
+
+
+class SequentialTransition(_SequentialModels):
+    """The product of an action's transition models, bound to a belief layout.
+
+    Vectorized over particle batches: rows of ``x`` are belief states, rows
+    of ``new`` are the stacked new blocks created by the action's steps.
+    Step ``k`` writes its new block into the work array, where later steps
+    read it.
+    """
+
+    def __init__(self, layout: StateLayout, action: Action):
+        super().__init__(layout, action, enumerate(action.transitions))
+        self.new_dim = action.new_dim_total
 
     def sample_with_noise(
         self, x: np.ndarray, noise: np.ndarray
@@ -542,16 +585,9 @@ class SequentialTransition:
         transition density of row ``i``'s own samples.
         """
         work = self._work(x)
-        base = self.layout.total_dim
-        logpdf = np.zeros(work.shape[0])
-        for bound in self._steps:
-            mean = work[:, bound.cols] @ bound.model.matrix.T
-            eps = noise[:, bound.out_slice]
-            work[:, base + bound.out_slice.start : base + bound.out_slice.stop] = (
-                mean + eps @ bound.model.noise_chol.T
-            )
-            logpdf -= 0.5 * np.einsum("ij,ij->i", eps, eps) + bound.model._log_norm
-        return work[:, base:].copy(), logpdf
+        new = work[:, self.layout.total_dim :]
+        logpdf = self._sample(work, noise, new)
+        return new.copy(), logpdf
 
     def sample(
         self, x: np.ndarray, rng: np.random.Generator
@@ -563,39 +599,16 @@ class SequentialTransition:
 
     def log_density(self, x: np.ndarray, new: np.ndarray) -> np.ndarray:
         """Row-wise summed log density of ``new`` given ``x``."""
-        work = self._work(x, np.atleast_2d(np.asarray(new, dtype=float)))
-        base = self.layout.total_dim
-        logpdf = np.zeros(work.shape[0])
-        for bound in self._steps:
-            mean = work[:, bound.cols] @ bound.model.matrix.T
-            resid = work[:, base + bound.out_slice.start : base + bound.out_slice.stop] - mean
-            white = scipy.linalg.solve_triangular(
-                bound.model.noise_chol, resid.T, lower=True
-            )
-            logpdf -= 0.5 * np.einsum("ij,ij->j", white, white) + bound.model._log_norm
-        return logpdf
+        work = self._work(x, new)
+        return self._log_density(work, work[:, self.layout.total_dim :])
 
 
-class SequentialObservation:
+class SequentialObservation(_SequentialModels):
     """The product of an action's observation models, bound to a belief layout."""
 
     def __init__(self, layout: StateLayout, action: Action):
-        action.validate_against(layout)
-        self.layout = layout
-        self.action = action
+        super().__init__(layout, action, action.observations)
         self.obs_dim = action.obs_dim_total
-        self._models: list[_BoundModel] = []
-        cursor = 0
-        for step, model in action.observations:
-            cols = _bind_columns(layout, action, model.inputs, upto_step=step)
-            out = slice(cursor, cursor + model.output_dim)
-            self._models.append(_BoundModel(model, cols, out))
-            cursor += model.output_dim
-
-    def _work(self, x: np.ndarray, new: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        new = np.atleast_2d(np.asarray(new, dtype=float))
-        return np.concatenate([x, new], axis=1)
 
     def sample_with_noise(
         self, x: np.ndarray, new: np.ndarray, noise: np.ndarray
@@ -603,12 +616,7 @@ class SequentialObservation:
         """Generate observations from given innovations; returns ``(z, logpdf)``."""
         work = self._work(x, new)
         z = np.empty((work.shape[0], self.obs_dim))
-        logpdf = np.zeros(work.shape[0])
-        for bound in self._models:
-            mean = work[:, bound.cols] @ bound.model.matrix.T
-            eps = noise[:, bound.out_slice]
-            z[:, bound.out_slice] = mean + eps @ bound.model.noise_chol.T
-            logpdf -= 0.5 * np.einsum("ij,ij->i", eps, eps) + bound.model._log_norm
+        logpdf = self._sample(work, noise, z)
         return z, logpdf
 
     def sample(
@@ -621,16 +629,7 @@ class SequentialObservation:
     def log_density(self, x: np.ndarray, new: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Row-wise summed log density of ``z`` given ``(x, new)``."""
         work = self._work(x, new)
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        logpdf = np.zeros(work.shape[0])
-        for bound in self._models:
-            mean = work[:, bound.cols] @ bound.model.matrix.T
-            resid = z[:, bound.out_slice] - mean
-            white = scipy.linalg.solve_triangular(
-                bound.model.noise_chol, resid.T, lower=True
-            )
-            logpdf -= 0.5 * np.einsum("ij,ij->j", white, white) + bound.model._log_norm
-        return logpdf
+        return self._log_density(work, np.atleast_2d(np.asarray(z, dtype=float)))
 
     def grid_evaluator(self, x: np.ndarray, new: np.ndarray) -> "ObservationGridEvaluator":
         """Precompute whitened model means for repeated pairwise evaluation

@@ -4,12 +4,20 @@ import pytest
 from augmi import (
     CSV_HEADER,
     ResultRow,
+    SampleBudget,
+    augmented_mi_analytic,
+    determine_involved,
     emit_csv,
     evaluate_method,
     generate_scenario,
+    invmi_kde_augmented_mi,
+    marginalize_gaussian,
+    mismc_estimate,
+    naive_kde_augmented_mi,
     read_csv,
     run_actions_experiment,
     run_dimension_sweep,
+    sample_particles,
 )
 from augmi.bench import format_row, zero_elapsed
 
@@ -36,6 +44,34 @@ class TestEvaluateMethod:
     def test_unknown_method(self, small_scenario):
         with pytest.raises(ValueError, match="unknown method"):
             evaluate_method(small_scenario, "a1", "magic", 50, seed=1)
+
+    def test_matches_direct_pipelines(self, small_scenario):
+        """The method table adds nothing: each method's value is bit for bit
+        the one its pipeline gives when called directly."""
+        prior, n = small_scenario.prior, 80
+
+        def mismc_direct(action, blocks, seed):
+            rng = np.random.default_rng(seed)
+            particles = sample_particles(marginalize_gaussian(prior, blocks), n, rng)
+            return mismc_estimate(particles, action, SampleBudget(n1=n, n4=n), rng)
+
+        for action in small_scenario.actions:
+            blocks = determine_involved(prior.layout, action).blocks
+            for seed in (5, 6):
+                direct = {
+                    "analytic": augmented_mi_analytic(prior, action),
+                    "naive_kde": naive_kde_augmented_mi(prior, action, n, None, seed),
+                    "invmi_kde": invmi_kde_augmented_mi(prior, action, blocks, n, None, seed),
+                    "mismc": mismc_direct(action, blocks, seed),
+                }
+                for method, reference in direct.items():
+                    est = evaluate_method(small_scenario, action.id, method, n, seed)
+                    assert est.method == method
+                    assert est.value == reference.value
+
+    def test_int_seed_labels_estimate(self, small_scenario):
+        for method in ("analytic", "naive_kde", "invmi_kde", "mismc"):
+            assert evaluate_method(small_scenario, "a1", method, 60, seed=41).seed == 41
 
 
 class TestActionsExperiment:

@@ -61,6 +61,18 @@ class TestMiEval:
         assert proc.returncode == 2
         assert "no action" in proc.stderr
 
+    def test_method_is_one_known_name(self, tmp_path):
+        out = tmp_path / "scenario.json"
+        run_cli("scenario", "generate", "--dim", "24", "--actions", "1",
+                "--seed", "3", "--out", str(out))
+        for method in ("magic", "mismc,analytic"):
+            proc = run_cli(
+                "mi", "eval", "--scenario", str(out), "--action", "a1",
+                "--method", method, "--particles", "60", "--seed", "5",
+            )
+            assert proc.returncode == 1
+            assert "choose from analytic,naive-kde,invmi-kde,mismc" in proc.stderr
+
     def test_missing_scenario_file(self, tmp_path):
         proc = run_cli(
             "mi", "eval", "--scenario", str(tmp_path / "nope.json"),

@@ -3,9 +3,11 @@ import pytest
 
 from augmi import (
     Action,
+    AnalyticMiBackend,
     InvolvedSet,
     LinearGaussianModel,
     SampleBudget,
+    SmcMiBackend,
     UnknownBlockError,
     analytic_calculator,
     augmented_mi_analytic,
@@ -169,3 +171,33 @@ class TestInvmiDispatch:
 
         with pytest.raises(CalculatorError, match=r"involved set \['x'\]"):
             invmi(prior, action, broken, np.random.default_rng(0))
+
+    def test_int_seed_labels_estimate(self):
+        scenario = generate_scenario(30, 1, seed=11)
+        action = scenario.actions[0]
+        for calc in (
+            analytic_calculator(),
+            kde_calculator(100),
+            mismc_calculator(SampleBudget(n1=100)),
+        ):
+            assert invmi(scenario.prior, action, calc, rng=1234).seed == 1234
+            labelled = invmi(scenario.prior, action, calc, rng=np.random.default_rng(1234))
+            assert labelled.seed == -1
+
+    def test_planner_backends_return_calculator_value(self):
+        scenario = generate_scenario(30, 2, seed=12)
+        budget = SampleBudget(n1=120)
+        for action in scenario.actions:
+            exact = AnalyticMiBackend()(scenario.prior, action, np.random.default_rng(5))
+            assert exact == analytic_calculator()(
+                scenario.prior, action, np.random.default_rng(5)
+            ).value
+            smc = SmcMiBackend(budget)(scenario.prior, action, np.random.default_rng(6))
+            assert smc == mismc_calculator(budget)(
+                scenario.prior, action, np.random.default_rng(6)
+            ).value
+            # The backend adds nothing to the pipeline it replaced: sample the
+            # budget's particles from the belief, then estimate.
+            rng = np.random.default_rng(6)
+            particles = sample_particles(scenario.prior, budget.n1, rng)
+            assert smc == mismc_estimate(particles, action, budget, rng).value
