@@ -182,6 +182,19 @@ def _validate_subset(
     return subset
 
 
+def _reduced_joint(
+    prior: GaussianDensity, action: Action, subset: Iterable[str] | None
+) -> tuple[GaussianDensity, GaussianDensity]:
+    """The prior marginalized onto a validated ``subset``, and its joint with
+    the action's new blocks and observations."""
+    subset = _validate_subset(prior, action, subset)
+    reduced = (
+        prior if len(subset) == len(prior.layout.blocks)
+        else marginalize_gaussian(prior, subset)
+    )
+    return reduced, joint_state_observation(reduced, action)
+
+
 def augmented_mi_analytic(
     prior: GaussianDensity, action: Action, subset: Iterable[str] | None = None
 ) -> AugmentedMiResult:
@@ -192,12 +205,7 @@ def augmented_mi_analytic(
     (``None`` means the full state).  With that hypothesis satisfied the
     result is independent of the subset choice.
     """
-    subset = _validate_subset(prior, action, subset)
-    reduced = (
-        prior if len(subset) == len(prior.layout.blocks)
-        else marginalize_gaussian(prior, subset)
-    )
-    joint = joint_state_observation(reduced, action)
+    reduced, joint = _reduced_joint(prior, action, subset)
     state_ids = set(reduced.layout.ids) | set(action.new_ids)
     obs_ids = set(observation_block_ids(action))
 
@@ -240,12 +248,7 @@ def superposition_mi_analytic(
     :func:`augmented_mi_analytic` to numerical precision.  This is the
     identity the sequential Monte Carlo estimator targets term by term.
     """
-    subset = _validate_subset(prior, action, involved)
-    reduced = (
-        prior if len(subset) == len(prior.layout.blocks)
-        else marginalize_gaussian(prior, subset)
-    )
-    joint = joint_state_observation(reduced, action)
+    reduced, joint = _reduced_joint(prior, action, involved)
     inv_ids = set(reduced.layout.ids)
     new_ids = set(action.new_ids)
     obs_ids = set(observation_block_ids(action))

@@ -138,6 +138,29 @@ def _ordered_methods(methods: Iterable[str]) -> list[str]:
     return [m for m in ALL_METHODS if m in methods]
 
 
+def _run_trials(
+    rows: list[ResultRow], failures: list[str] | None, label: str, scenario: SlamScenario,
+    action_id: str, method: str, n_particles: int, trials: int, seed: int, seed_key: tuple,
+) -> None:
+    """Append one row per trial of ``method`` on one action.
+
+    The analytic method is deterministic and runs once (trial 0); trial
+    seeds derive from ``seed_key + (trial,)``.  An estimator failure is
+    logged and recorded in ``failures`` under ``label``, and the run
+    continues.
+    """
+    for trial in range(1 if method == METHOD_ANALYTIC else trials):
+        trial_seed = _trial_seed(seed, (*seed_key, trial))
+        try:
+            est = evaluate_method(scenario, action_id, method, n_particles, trial_seed)
+            rows.append(result_row(est, scenario, action_id, trial, n_particles, trial_seed))
+        except Exception as exc:  # noqa: BLE001 - record and continue
+            message = f"{label}/trial {trial}: {exc}"
+            log.warning("estimator failure: %s", message)
+            if failures is not None:
+                failures.append(message)
+
+
 def run_actions_experiment(
     scenario: SlamScenario,
     methods: Iterable[str],
@@ -157,23 +180,10 @@ def run_actions_experiment(
     for method in _ordered_methods(methods):
         m_idx = _METHOD_INDEX[method]
         for a_idx, action in enumerate(scenario.actions):
-            n_trials = 1 if method == METHOD_ANALYTIC else trials
-            for trial in range(n_trials):
-                trial_seed = _trial_seed(seed, (m_idx, a_idx, trial))
-                try:
-                    est = evaluate_method(
-                        scenario, action.id, method, n_particles, trial_seed
-                    )
-                    rows.append(
-                        result_row(
-                            est, scenario, action.id, trial, n_particles, trial_seed
-                        )
-                    )
-                except Exception as exc:  # noqa: BLE001 - record and continue
-                    message = f"{method}/{action.id}/trial {trial}: {exc}"
-                    log.warning("estimator failure: %s", message)
-                    if failures is not None:
-                        failures.append(message)
+            _run_trials(
+                rows, failures, f"{method}/{action.id}", scenario, action.id, method,
+                n_particles, trials, seed, (m_idx, a_idx),
+            )
     return rows
 
 
@@ -205,24 +215,10 @@ def run_dimension_sweep(
         )
         action = scenario.actions[0]
         for method in _ordered_methods(methods):
-            m_idx = _METHOD_INDEX[method]
-            n_trials = 1 if method == METHOD_ANALYTIC else trials
-            for trial in range(n_trials):
-                trial_seed = _trial_seed(seed, (dim, m_idx, 0, trial))
-                try:
-                    est = evaluate_method(
-                        scenario, action.id, method, n_particles, trial_seed
-                    )
-                    rows.append(
-                        result_row(
-                            est, scenario, action.id, trial, n_particles, trial_seed
-                        )
-                    )
-                except Exception as exc:  # noqa: BLE001 - record and continue
-                    message = f"dim {dim}/{method}/trial {trial}: {exc}"
-                    log.warning("estimator failure: %s", message)
-                    if failures is not None:
-                        failures.append(message)
+            _run_trials(
+                rows, failures, f"dim {dim}/{method}", scenario, action.id, method,
+                n_particles, trials, seed, (dim, _METHOD_INDEX[method], 0),
+            )
     return rows
 
 

@@ -161,12 +161,7 @@ def _cmd_bench_actions(args) -> int:
         seed=args.seed,
         failures=failures,
     )
-    if args.zero_elapsed:
-        rows = zero_elapsed(rows)
-    emit_csv(rows, args.out)
-    for message in failures:
-        print(f"estimator failure: {message}", file=sys.stderr)
-    return EXIT_RUNTIME if failures else EXIT_OK
+    return _finish_bench(args, rows, failures)
 
 
 def _cmd_bench_dims(args) -> int:
@@ -181,6 +176,12 @@ def _cmd_bench_dims(args) -> int:
         correlation_strength=args.correlation,
         failures=failures,
     )
+    return _finish_bench(args, rows, failures)
+
+
+def _finish_bench(args, rows, failures: list[str]) -> int:
+    """Write a bench run's CSV, report its estimator failures, and pick the
+    exit code."""
     if args.zero_elapsed:
         rows = zero_elapsed(rows)
     emit_csv(rows, args.out)

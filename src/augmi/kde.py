@@ -14,7 +14,6 @@ noise in isolation, not part of either estimation method.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -25,23 +24,19 @@ from .analytic import FootprintError, joint_state_observation, observation_block
 from .linalg import cholesky_psd, conditional_parts
 from .mi import METHOD_INVMI_KDE, METHOD_NAIVE_KDE, MiEstimate
 from .state import (
+    LOG_TWO_PI,
     Action,
     GaussianDensity,
     WeightedParticleSet,
+    _log_kernel_sum,
     ensure_rng,
     marginalize_gaussian,
     prior_footprint,
 )
 
-LOG_TWO_PI = math.log(2.0 * math.pi)
-
 # Log densities are clamped here to keep -inf out of the sums; clamp events
 # are counted and surfaced in the estimate's sample_counts.
 LOG_DENSITY_FLOOR = -700.0
-
-# Query blocks are sized in grid cells so a block stays cache-resident
-# through the whole whiten/exp/reduce pipeline.
-_CHUNK_CELLS = 250_000
 
 
 class BandwidthError(ValueError):
@@ -99,45 +94,13 @@ def bandwidth_vector(
 
 
 def _log_mixture(
-    queries: np.ndarray,
-    particles: np.ndarray,
-    weights: np.ndarray,
-    bandwidth: np.ndarray,
+    queries: np.ndarray, particles: np.ndarray, weights: np.ndarray, bandwidth: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Log KDE density at each query row; returns (values, clamp count).
-
-    Distances are accumulated through whitened Gram products in query
-    chunks, with an in-place log-sum-exp (this runs over N^2 pairs, so
-    temporaries are the cost that matters at N = 10^4).
-    """
-    d = particles.shape[1]
-    scaled = particles / bandwidth
-    log_norm = -0.5 * d * LOG_TWO_PI - float(np.sum(np.log(bandwidth)))
-    with np.errstate(divide="ignore"):  # zero weights contribute nothing
-        col_term = 0.5 * np.einsum("ij,ij->i", scaled, scaled) - np.log(weights)
-
-    n_queries = queries.shape[0]
-    out = np.empty(n_queries)
-    clamps = 0
-    rows = min(max(1, _CHUNK_CELLS // particles.shape[0]), max(1, n_queries))
-    buffer = np.empty((rows, particles.shape[0]))
-    for start in range(0, n_queries, rows):
-        chunk = queries[start : start + rows] / bandwidth
-        sq_q = np.einsum("ij,ij->i", chunk, chunk)
-        # log(w_i K(q - x_i)) (+ log_norm later) == cross - 0.5|q|^2 - col_term
-        a = np.matmul(chunk, scaled.T, out=buffer[: chunk.shape[0]])
-        a -= 0.5 * sq_q[:, None]
-        a -= col_term[None, :]
-        amax = a.max(axis=1)
-        a -= amax[:, None]
-        np.exp(a, out=a)
-        vals = np.log(a.sum(axis=1))
-        vals += amax
-        vals += log_norm
-        low = vals < LOG_DENSITY_FLOOR
-        clamps += int(np.count_nonzero(low))
-        out[start : start + rows] = np.where(low, LOG_DENSITY_FLOOR, vals)
-    return out, clamps
+    """Log KDE density at each query row; returns (values, clamp count)."""
+    log_norm = 0.5 * particles.shape[1] * LOG_TWO_PI + float(np.sum(np.log(bandwidth)))
+    vals = _log_kernel_sum(queries / bandwidth, particles / bandwidth, weights, log_norm)
+    low = vals < LOG_DENSITY_FLOOR
+    return np.where(low, LOG_DENSITY_FLOOR, vals), int(np.count_nonzero(low))
 
 
 def kde_log_density(

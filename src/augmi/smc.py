@@ -10,10 +10,12 @@ observation models and averaging log model densities:
 
     sum1  weights x mean log F_T   at sampled new blocks
     sum2  weights x mean log F_Z   at sampled observations
-    sum3  weights x mean log eta^{-1}(z), the sampled observations' marginal
+    sum3  weights x mean log eta(z), the sampled observations' marginal
           likelihood under the prior, estimated from a second particle pass
 
-and returns ``sum1 + sum2 - sum3``.
+and returns ``sum1 + sum2 - sum3``.  log eta is computed in log space, so it
+stays accurate however far in the tail a sampled z lands; rows where eta is
+below 1e-300 are counted as ``eta_floor_events``.
 
 Determinism contract: every outer particle draws its noise from a
 counter-based stream keyed by (run root, particle index), so an incremental
@@ -26,6 +28,7 @@ is ROADMAP item 5.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -41,10 +44,10 @@ from .state import (
     ensure_rng,
 )
 
-# Marginal observation likelihoods are floored here before the log; floor
-# events indicate the sampled z landed where the prior-predictive mass is
-# numerically zero and are reported, not hidden.
-ETA_FLOOR = 1e-300
+# Log marginal likelihoods below this count as floor events: the sampled z
+# landed where the prior-predictive mass is numerically zero.  The values are
+# kept as computed; the count is reported, not hidden.
+_LOG_ETA_FLOOR = math.log(1e-300)
 
 _NORMALIZER_KEY = 0
 
@@ -154,14 +157,11 @@ class _NormalizerSamples:
         )
         self.evaluator = observation.grid_evaluator(x_rep, new)
 
-    def eta_inverse(self, z: np.ndarray) -> tuple[np.ndarray, int]:
-        """Marginal likelihood estimate per row of ``z``; floored positive."""
-        eta = self.evaluator.mixture_likelihood(z, self.weights_rep)
-        low = eta < ETA_FLOOR
-        floors = int(np.count_nonzero(low))
-        if floors:
-            eta = np.where(low, ETA_FLOOR, eta)
-        return eta, floors
+    def log_eta(self, z: np.ndarray) -> tuple[np.ndarray, int]:
+        """Log marginal likelihood estimate per row of ``z``, and the number
+        of rows below the floor."""
+        log_eta = self.evaluator.mixture_likelihood(z, self.weights_rep)
+        return log_eta, int(np.count_nonzero(log_eta < _LOG_ETA_FLOOR))
 
 
 def estimate_normalizer(
@@ -176,8 +176,9 @@ def estimate_normalizer(
     """Estimate the observation's marginal likelihood under the prior.
 
     Returns ``sum_l w_l (1/n5) sum_m F_Z(z | x_l, new_lm)`` with the new
-    blocks sampled from the transition models; strictly positive after
-    flooring.
+    blocks sampled from the transition models.  The sum is taken in log
+    space and exponentiated at the end, so the result is 0.0 when eta
+    underflows a float (log eta below about -745).
     """
     rng, _ = ensure_rng(rng)
     if n4 < 1 or n5 < 1:
@@ -189,8 +190,8 @@ def estimate_normalizer(
     z = np.asarray(z, dtype=float).ravel()
     if z.shape != (observation.obs_dim,):
         raise ValueError(f"z has shape {z.shape}, expected ({observation.obs_dim},)")
-    eta, _floors = samples.eta_inverse(z[None, :])
-    return float(eta[0])
+    log_eta, _floors = samples.log_eta(z[None, :])
+    return float(np.exp(log_eta[0]))
 
 
 class MismcContext:
@@ -369,8 +370,7 @@ def mismc_update(
     new_rep2 = np.repeat(new, n3, axis=0)
     z, log_fz = obs.sample_with_noise(x_rep2, new_rep2, noise_o)
 
-    eta, floors = context.normalizer.eta_inverse(z)
-    log_eta = np.log(eta)
+    log_eta, floors = context.normalizer.log_eta(z)
 
     sum1 = float(w @ log_ft.reshape(additional_n1, n2).mean(axis=1))
     sum2 = float(w @ log_fz.reshape(additional_n1, n2 * n3).mean(axis=1))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from augmi import (
     Action,
@@ -110,14 +111,23 @@ class TestEstimateNormalizer:
         values = np.array(values)
         assert abs(values.mean() - expected) < 3.0 * values.std(ddof=1)
 
-    def test_strictly_positive_after_flooring(self, chain):
+    def test_log_value_exact_far_in_the_tail(self, chain):
+        # At z = 1e6, eta underflows any float (log eta is about -5e11); the
+        # log-space sum must still agree with a dense log-sum-exp.
         prior, action = chain
         trans, obs = evaluators(prior, action)
-        pset = sample_particles(prior, 50, np.random.default_rng(0))
-        eta = estimate_normalizer(
-            pset, trans, obs, np.array([1e6]), 50, 1, np.random.default_rng(1)
+        rng = np.random.default_rng(0)
+        pset = sample_particles(prior, 50, rng)
+        new, _ = trans.sample(pset.particles, rng)
+        z = np.array([[1e6]])
+        log_eta = obs.grid_evaluator(pset.particles, new).mixture_likelihood(
+            z, pset.weights
         )
-        assert eta > 0.0
+        dense = logsumexp(
+            obs.log_density_grid(pset.particles, new, z) + np.log(pset.weights), axis=1
+        )
+        assert log_eta[0] < -4e11
+        np.testing.assert_allclose(log_eta, dense, rtol=1e-12)
 
 
 class TestMismcEstimate:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from augmi import (
     Action,
@@ -21,6 +24,7 @@ from augmi import (
     prior_footprint,
     sample_particles,
 )
+from augmi.state import LOG_TWO_PI, _log_kernel_sum
 from conftest import STD_NORMAL_LOGPDF_MODE, make_chain_1d, random_spd
 
 
@@ -412,6 +416,64 @@ class TestSequentialModels:
         z = rng.standard_normal((17, 2)) * 2.0
         weights = rng.uniform(0.1, 1.0, 64)
         evaluator = obs.grid_evaluator(x, new)
-        fast = evaluator.mixture_likelihood(z, weights)
+        fast = np.exp(evaluator.mixture_likelihood(z, weights))
         plain = np.exp(evaluator.log_density_grid(z)) @ weights
         np.testing.assert_allclose(fast, plain, rtol=1e-12)
+
+
+def _dense_log_kernel_sum(queries, centers, weights, log_norm):
+    sq = ((queries[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(divide="ignore"):
+        return logsumexp(-0.5 * sq + np.log(weights), axis=1) - log_norm
+
+
+class TestLogKernelSum:
+    """The one Gaussian kernel sum behind the KDE and the SMC normalizer,
+    against a dense log-sum-exp over all pairs."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        n_queries=st.integers(1, 12),
+        n_centers=st.integers(1, 12),
+        log_scale=st.floats(-6.0, 6.0),
+        zero_weights=st.integers(0, 11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # pinned branches: the factored linear sum; log-sum-exp from the Gram
+    # product; and rows where the Gram product alone misses 1e-12 relative,
+    # redone from direct differences
+    @example(dim=2, n_queries=5, n_centers=7, log_scale=0.0, zero_weights=2, seed=1)
+    @example(dim=3, n_queries=5, n_centers=7, log_scale=3.0, zero_weights=2, seed=1)
+    @example(dim=1, n_queries=12, n_centers=12, log_scale=3.0, zero_weights=2, seed=25)
+    def test_matches_dense_reference(
+        self, dim, n_queries, n_centers, log_scale, zero_weights, seed
+    ):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        centers = scale * rng.standard_normal((n_centers, dim))
+        queries = scale * rng.standard_normal((n_queries, dim))
+        weights = rng.uniform(0.1, 1.0, n_centers)
+        weights[: min(zero_weights, n_centers - 1)] = 0.0
+        weights /= weights.sum()
+        # a normalized mixture of unit Gaussians: every value is below
+        # -log_norm, so a relative tolerance is meaningful
+        log_norm = 0.5 * dim * LOG_TWO_PI
+        np.testing.assert_allclose(
+            _log_kernel_sum(queries, centers, weights, log_norm),
+            _dense_log_kernel_sum(queries, centers, weights, log_norm),
+            rtol=1e-12,
+        )
+
+    def test_underflowing_row_leaves_the_factored_path(self):
+        # Every exponent is within the factored path's bound, but the only
+        # weighted center is 40 units away: exp(-800) underflows to 0.0.
+        centers = np.array([[-20.0], [20.0]])
+        queries = np.array([[-20.0], [20.0]])
+        weights = np.array([0.0, 1.0])
+        log_norm = 0.5 * LOG_TWO_PI
+        got = _log_kernel_sum(queries, centers, weights, log_norm)
+        np.testing.assert_allclose(got, [-800.0 - log_norm, -log_norm], rtol=1e-12)
+        np.testing.assert_allclose(
+            got, _dense_log_kernel_sum(queries, centers, weights, log_norm), rtol=1e-12
+        )
