@@ -139,8 +139,16 @@ def _ordered_methods(methods: Iterable[str]) -> list[str]:
 
 
 def _run_trials(
-    rows: list[ResultRow], failures: list[str] | None, label: str, scenario: SlamScenario,
-    action_id: str, method: str, n_particles: int, trials: int, seed: int, seed_key: tuple,
+    rows: list[ResultRow],
+    failures: list[str] | None,
+    label: str,
+    scenario: SlamScenario,
+    action_id: str,
+    method: str,
+    n_particles: int,
+    trials: int,
+    seed: int,
+    seed_key: tuple,
 ) -> None:
     """Append one row per trial of ``method`` on one action.
 

@@ -94,7 +94,10 @@ def bandwidth_vector(
 
 
 def _log_mixture(
-    queries: np.ndarray, particles: np.ndarray, weights: np.ndarray, bandwidth: np.ndarray
+    queries: np.ndarray,
+    particles: np.ndarray,
+    weights: np.ndarray,
+    bandwidth: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Log KDE density at each query row; returns (values, clamp count)."""
     log_norm = 0.5 * particles.shape[1] * LOG_TWO_PI + float(np.sum(np.log(bandwidth)))

@@ -437,17 +437,19 @@ class TestLogKernelSum:
         n_queries=st.integers(1, 12),
         n_centers=st.integers(1, 12),
         log_scale=st.floats(-6.0, 6.0),
+        log_norm=st.floats(-300.0, 300.0),
         zero_weights=st.integers(0, 11),
         seed=st.integers(0, 2**32 - 1),
     )
-    # pinned branches: the factored linear sum; log-sum-exp from the Gram
-    # product; and rows where the Gram product alone misses 1e-12 relative,
-    # redone from direct differences
-    @example(dim=2, n_queries=5, n_centers=7, log_scale=0.0, zero_weights=2, seed=1)
-    @example(dim=3, n_queries=5, n_centers=7, log_scale=3.0, zero_weights=2, seed=1)
-    @example(dim=1, n_queries=12, n_centers=12, log_scale=3.0, zero_weights=2, seed=25)
+    # pinned branches: the factored linear sum, and log-sum-exp
+    @example(
+        dim=2, n_queries=5, n_centers=7, log_scale=0.0, log_norm=1.8, zero_weights=2, seed=1
+    )
+    @example(
+        dim=3, n_queries=5, n_centers=7, log_scale=3.0, log_norm=2.8, zero_weights=2, seed=1
+    )
     def test_matches_dense_reference(
-        self, dim, n_queries, n_centers, log_scale, zero_weights, seed
+        self, dim, n_queries, n_centers, log_scale, log_norm, zero_weights, seed
     ):
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
@@ -456,13 +458,13 @@ class TestLogKernelSum:
         weights = rng.uniform(0.1, 1.0, n_centers)
         weights[: min(zero_weights, n_centers - 1)] = 0.0
         weights /= weights.sum()
-        # a normalized mixture of unit Gaussians: every value is below
-        # -log_norm, so a relative tolerance is meaningful
-        log_norm = 0.5 * dim * LOG_TWO_PI
+        # subtracting log_norm rounds at its own magnitude, so the tolerance
+        # is relative to the larger of the value and log_norm
         np.testing.assert_allclose(
             _log_kernel_sum(queries, centers, weights, log_norm),
             _dense_log_kernel_sum(queries, centers, weights, log_norm),
             rtol=1e-12,
+            atol=1e-12 * max(1.0, abs(log_norm)),
         )
 
     def test_underflowing_row_leaves_the_factored_path(self):
@@ -474,6 +476,30 @@ class TestLogKernelSum:
         log_norm = 0.5 * LOG_TWO_PI
         got = _log_kernel_sum(queries, centers, weights, log_norm)
         np.testing.assert_allclose(got, [-800.0 - log_norm, -log_norm], rtol=1e-12)
+        np.testing.assert_allclose(
+            got, _dense_log_kernel_sum(queries, centers, weights, log_norm), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "center, query, weights, log_norm",
+        [
+            # q . c = 728 overflows exp; |q|^2/2 + log_norm = 92 alone does not
+            # bound it when log_norm is negative
+            (26.0, 28.0, [0.5, 0.5], -300.0),
+            # the same overflow, times a zero weight
+            (26.0, 28.0, [1.0, 0.0], -300.0),
+            # the sum exp(-731) is subnormal, and exp(-row) = exp(300) would
+            # lift it past the 1e-300 check with its lost digits
+            (23.15, 20.0, [1.0, 0.0], -500.0),
+        ],
+    )
+    def test_negative_log_norm_stays_exact(self, center, query, weights, log_norm):
+        # a KDE's log_norm is negative for small bandwidths
+        centers = np.array([[-center], [center]])
+        queries = np.array([[query]])
+        weights = np.array(weights)
+        got = _log_kernel_sum(queries, centers, weights, log_norm)
+        assert np.all(np.isfinite(got))
         np.testing.assert_allclose(
             got, _dense_log_kernel_sum(queries, centers, weights, log_norm), rtol=1e-12
         )
