@@ -298,18 +298,14 @@ def _particle_noise(
     """
     stride = _uniform_stride(per_particle)
     key = np.array(root, dtype=np.uint64)
-    n = indices.size
-    first = int(indices[0]) if n else 0
-    if n and np.array_equal(indices, np.arange(first, first + n)):
+    uniforms = np.empty((indices.size, stride))
+    # one generator per maximal run of consecutive indices, whose windows
+    # are adjacent in the stream
+    starts = np.flatnonzero(np.diff(indices, prepend=indices[:1] - 2) != 1)
+    for lo, hi in zip(starts, np.append(starts[1:], indices.size)):
         bit_gen = np.random.Philox(key=key)
-        bit_gen.advance(first * (stride // _PHILOX_BLOCK))
-        uniforms = np.random.Generator(bit_gen).random((n, stride))
-    else:
-        uniforms = np.empty((n, stride))
-        for row, index in enumerate(indices):
-            bit_gen = np.random.Philox(key=key)
-            bit_gen.advance(int(index) * (stride // _PHILOX_BLOCK))
-            uniforms[row] = np.random.Generator(bit_gen).random(stride)
+        bit_gen.advance(int(indices[lo]) * (stride // _PHILOX_BLOCK))
+        uniforms[lo:hi] = np.random.Generator(bit_gen).random((hi - lo, stride))
     return _box_muller(uniforms)[:, :per_particle]
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +29,23 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 # that a block stays cache-resident through its matmul, exponential, and
 # weight reduction (the grid pass is memory-bound otherwise).
 _CHUNK_CELLS = 250_000
+
+# The 1-D kernel sum's Hermite expansion: boxes sqrt(2) wide in whitened
+# units (1 wide in units of the kernel's sqrt(2) length), the expansion order
+# per box, the distance, in the same units, within which a query sums a box,
+# and the most boxes that distance reaches.
+_HERMITE_BOX = math.sqrt(2.0)
+_HERMITE_ORDER = 24
+_HERMITE_CUTOFF = 7.0
+_HERMITE_WINDOW = 2 * int(_HERMITE_CUTOFF) + 1
+# A row keeps its expansion when the certified error is at most this share
+# of its value.
+_HERMITE_REL_BOUND = 1e-13
+# (row, box) pairs per query chunk: the temporaries stay a few hundred kB.
+_HERMITE_PAIRS = 16_384
+# Cramer's inequality: |H_n(u)| exp(-u^2 / 2) <= 1.0865 sqrt(2^n n!).
+_CRAMER = 1.0865
+_EPS = float(np.finfo(float).eps)
 
 
 class UnknownBlockError(KeyError):
@@ -659,7 +676,9 @@ class ObservationGridEvaluator:
     This is the hot loop of the marginal-likelihood estimate, so the batch
     side (every model's mean, whitened by its noise factor and laid side by
     side) is computed once; queries are whitened the same way and summed by
-    :func:`_log_kernel_sum`.
+    :func:`_log_kernel_sum`.  A 1-D observation takes its Hermite expansion,
+    which costs a bounded amount per query however many particles the batch
+    has; wider observations sum the dense query-by-batch grid.
     """
 
     def __init__(self, seq_obs: SequentialObservation, x: np.ndarray, new: np.ndarray):
@@ -705,26 +724,43 @@ def _log_kernel_sum(
     """``log sum_l w_l exp(-|q_m - c_l|^2 / 2) - log_norm`` per query row.
 
     Queries (m x d) and centers (n x d) are whitened; zero weights drop
-    their centers.  Both sides are centered on the centers' mean, which
-    changes no distance.  A query row whose terms ``|q|^2 / 2`` and
+    their centers.
+
+    At d = 1 each row takes a Hermite expansion (:func:`_hermite_kernel_sum`)
+    over at most 15 boxes of centers, and keeps it when its certified error
+    is at most 1e-13 of its value; other rows take the log-sum-exp below.
+    Each row's arithmetic is its own, so a row gives the same bits alone or
+    in any batch.
+
+    At d >= 2 both sides are centered on the centers' mean, which changes no
+    distance.  A query row whose terms ``|q|^2 / 2`` and
     ``row = |q|^2 / 2 + log_norm``, with the centers' largest
     ``col = |c|^2 / 2``, keep every exponent below 600 in magnitude takes
     the factored linear path ``exp(-row_m) sum_l exp(q_m . c_l) w_l
     exp(-col_l)``.  Other rows, and rows whose sum underflows 1e-300, take
-    a max-shifted log-sum-exp over direct differences.  That costs about
-    as much as the factored path on a 10^4 x 10^4 grid at d = 1, and 5x to
-    18x as much on 300 x 300 grids at d = 2 to 150.
+    a max-shifted log-sum-exp over direct differences
+    (:func:`_log_sum_exp_rows`), exact to rounding at any scale.  That costs
+    5x to 18x as much as the factored path on 300 x 300 grids at d = 2 to
+    150.
     """
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)
+    n_queries = queries.shape[0]
+    rows = min(max(1, _CHUNK_CELLS // centers.shape[0]), max(1, n_queries))
+    if centers.shape[1] == 1:
+        out, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
+        out -= log_norm
+        if exact.any():
+            rows = min(rows, int(np.count_nonzero(exact)))
+            buffer = np.empty((rows, centers.shape[0]))
+            out[exact] = _log_sum_exp_rows(queries[exact], centers, log_w, log_norm, buffer)
+        return out
     shift = centers.mean(axis=0)
     centers = centers - shift
     col = 0.5 * np.einsum("ij,ij->i", centers, centers)
     max_col = float(col.max())
     w_scaled = weights * np.exp(-col)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    n_queries = queries.shape[0]
     out = np.empty(n_queries)
-    rows = min(max(1, _CHUNK_CELLS // centers.shape[0]), max(1, n_queries))
     buffer = np.empty((rows, centers.shape[0]))
     for start in range(0, n_queries, rows):
         block = queries[start : start + rows] - shift
@@ -743,15 +779,116 @@ def _log_kernel_sum(
                 vals[fast] = np.log(linear)
             slow[fast] = (total < 1e-300) | (linear < 1e-300)
         if slow.any():
-            grid = buffer[: np.count_nonzero(slow)]
-            _squared_distances(block[slow], centers, out=grid)
-            grid *= -0.5
-            grid += log_w
-            peak = grid.max(axis=1)
-            grid -= peak[:, None]
-            # terms below exp(-700) of the peak add nothing to the sum, and
-            # exp is several times slower on inputs that underflow
-            np.maximum(grid, -700.0, out=grid)
-            np.exp(grid, out=grid)
-            vals[slow] = np.log(grid.sum(axis=1)) + peak - log_norm
+            vals[slow] = _log_sum_exp_rows(block[slow], centers, log_w, log_norm, buffer)
     return out
+
+
+def _log_sum_exp_rows(
+    queries: np.ndarray,
+    centers: np.ndarray,
+    log_w: np.ndarray,
+    log_norm: float,
+    buffer: np.ndarray,
+) -> np.ndarray:
+    """The kernel sum by max-shifted log-sum-exp over direct differences,
+    in blocks of ``buffer``'s rows."""
+    out = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], buffer.shape[0]):
+        block = queries[start : start + buffer.shape[0]]
+        grid = _squared_distances(block, centers, out=buffer[: block.shape[0]])
+        grid *= -0.5
+        grid += log_w
+        peak = grid.max(axis=1)
+        grid -= peak[:, None]
+        # terms below exp(-700) of the peak add nothing to the sum, and
+        # exp is several times slower on inputs that underflow
+        np.maximum(grid, -700.0, out=grid)
+        np.exp(grid, out=grid)
+        out[start : start + block.shape[0]] = np.log(grid.sum(axis=1)) + peak - log_norm
+    return out
+
+
+def _hermite_kernel_sum(
+    queries: np.ndarray,
+    centers: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``log sum_l w_l exp(-(q_m - c_l)^2 / 2)`` per 1-D query by Hermite
+    expansion (the fast Gauss transform, Greengard & Strain 1991), and a
+    mask of the rows whose result must be recomputed exactly.
+
+    In units ``t = x / sqrt(2)`` the kernel is ``exp(-(t - s)^2)``.  Centers
+    are binned in boxes 1 wide, so each lies within 1/2 of its box center
+    ``a``, and ``exp(-(t - s)^2) = sum_n (s - a)^n / n! h_n(t - a)`` with
+    ``h_n(u) = H_n(u) exp(-u^2)``.  Each box keeps its first
+    ``_HERMITE_ORDER`` moments; a query sums the boxes whose centers lie
+    within ``_HERMITE_CUTOFF`` of it.  A row's certified error adds the
+    truncation bound from Cramer's inequality over those boxes, the dropped
+    boxes' weight times ``exp(-(cutoff - 1/2)^2)``, and ``order * eps`` times
+    the sum of the terms' magnitudes.  A row is kept when that is at most
+    ``_HERMITE_REL_BOUND`` of its sum and the sum is at least 1e-300.
+    """
+    keep = weights > 0
+    labels, box = np.unique(np.rint(centers[keep] / _HERMITE_BOX), return_inverse=True)
+    n_boxes = labels.size
+    # box centers in whitened units, then an empty box that pads the windows
+    box_x = np.append(labels * _HERMITE_BOX, 0.0)
+    # differences first: they are exact near the box center at any scale
+    offset = (centers[keep] - box_x[box]) / _HERMITE_BOX
+    moments = np.zeros((_HERMITE_ORDER, n_boxes + 1))
+    term = weights[keep]
+    for n in range(_HERMITE_ORDER):
+        moments[n, :n_boxes] = np.bincount(box, weights=term)
+        term = term * offset / (n + 1)
+    box_w = moments[0]
+    total_w = float(box_w.sum())
+    # a center's terms from order p on add up to at most
+    # _CRAMER exp(-u^2 / 2) sum_{n >= p} rho^n / sqrt(n!), rho = sqrt(2) |s - a|;
+    # the largest rho is 1 / sqrt(2) up to rounding
+    rho = math.sqrt(2.0) * float(np.abs(offset).max(initial=0.0))
+    p = _HERMITE_ORDER
+    trunc = (
+        _CRAMER * rho**p / math.sqrt(math.factorial(p)) / (1.0 - rho / math.sqrt(p + 1))
+        if rho < 1.0
+        else math.inf
+    )
+    drop = math.exp(-((_HERMITE_CUTOFF - 0.5) ** 2))
+    first = np.searchsorted(box_x[:n_boxes], queries - _HERMITE_CUTOFF * _HERMITE_BOX)
+    # fewer boxes than a window holds all fit in one from any first box
+    slots = np.arange(max(1, min(_HERMITE_WINDOW, n_boxes)))[:, None]
+    total = np.empty(queries.shape[0])
+    bound = np.empty(queries.shape[0])
+    rows = _HERMITE_PAIRS // slots.size
+    for start in range(0, queries.shape[0], rows):
+        stop = start + rows
+        # (slot, row) arrays; slots past the last box read the empty one
+        idx = np.minimum(first[start:stop] + slots, n_boxes)
+        u = (queries[start:stop] - box_x[idx]) / _HERMITE_BOX
+        outside = ~(np.abs(u) <= _HERMITE_CUTOFF)
+        idx[outside] = n_boxes
+        u[outside] = 0.0
+        g = np.exp(-0.5 * u * u)
+        two_u = 2.0 * u
+        h, h_prev = g * g, np.zeros_like(u)
+        acc, mag = np.zeros_like(u), np.zeros_like(u)
+        for n in range(p):
+            term = np.take(moments[n], idx)
+            term *= h
+            acc += term
+            mag += np.abs(term, out=term)
+            # h_{n+1} = 2u h_n - 2n h_{n-1}
+            h_prev *= -2.0 * n
+            h_prev += two_u * h
+            h, h_prev = h_prev, h
+        w_in = np.take(box_w, idx)
+        # slots are summed one at a time, so a row's bits do not depend on
+        # how many rows share its chunk
+        total[start:stop] = reduce(np.add, acc)
+        bound[start:stop] = (
+            trunc * reduce(np.add, w_in * g)
+            + drop * np.maximum(total_w - reduce(np.add, w_in), 0.0)
+            + p * _EPS * reduce(np.add, mag)
+        )
+    exact = ~((bound <= _HERMITE_REL_BOUND * total) & (total >= 1e-300))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(total), exact

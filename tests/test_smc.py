@@ -21,7 +21,14 @@ from augmi import (
     mismc_update,
     sample_particles,
 )
-from augmi.smc import BudgetError, ContextMismatchError
+from augmi.smc import (
+    _PHILOX_BLOCK,
+    BudgetError,
+    ContextMismatchError,
+    _box_muller,
+    _particle_noise,
+    _uniform_stride,
+)
 from conftest import CHAIN_MI
 
 
@@ -291,6 +298,35 @@ class TestAnytime:
         acc = mismc_update(ctx_a.empty_accumulator(), 30, ctx_a)
         with pytest.raises(ContextMismatchError):
             mismc_update(acc, 30, ctx_b)
+
+
+class TestParticleNoise:
+    @staticmethod
+    def window(root, index, per_particle):
+        """One index's innovations from its own generator."""
+        stride = _uniform_stride(per_particle)
+        bit_gen = np.random.Philox(key=np.array(root, dtype=np.uint64))
+        bit_gen.advance(index * (stride // _PHILOX_BLOCK))
+        uniforms = np.random.Generator(bit_gen).random((1, stride))
+        return _box_muller(uniforms)[0, :per_particle]
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [0, 1, 2, 3, 4],
+            [7, 8, 9, 3, 4, 12],
+            [5, 5, 5, 6, 6],
+            [9, 8, 7, 6, 5, 4],
+            [3],
+            [],
+        ],
+    )
+    def test_rows_equal_per_index_windows(self, indices):
+        root, per_particle = (123, 456), 6
+        got = _particle_noise(root, np.array(indices, dtype=int), per_particle)
+        assert got.shape == (len(indices), per_particle)
+        for row, index in zip(got, indices):
+            assert np.array_equal(row, self.window(root, index, per_particle))
 
 
 class TestWeightInvariance:

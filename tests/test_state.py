@@ -24,7 +24,13 @@ from augmi import (
     prior_footprint,
     sample_particles,
 )
-from augmi.state import LOG_TWO_PI, _log_kernel_sum
+from augmi.state import (
+    _HERMITE_PAIRS,
+    _HERMITE_WINDOW,
+    LOG_TWO_PI,
+    _hermite_kernel_sum,
+    _log_kernel_sum,
+)
 from conftest import STD_NORMAL_LOGPDF_MODE, make_chain_1d, random_spd
 
 
@@ -466,6 +472,104 @@ class TestLogKernelSum:
             rtol=1e-12,
             atol=1e-12 * max(1.0, abs(log_norm)),
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_queries=st.integers(1, 40),
+        n_centers=st.integers(1, 3000),
+        log_scale=st.floats(-6.0, 6.0),
+        log_norm=st.floats(-300.0, 300.0),
+        zero_weights=st.integers(0, 11),
+        near=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # pinned: a few boxes; more boxes than one window reaches; queries between
+    # sparse centers, a few of which fall back to log-sum-exp; queries near
+    # centers at whitened scale 1e6
+    @example(
+        n_queries=30, n_centers=400, log_scale=0.0, log_norm=0.9, zero_weights=3, near=0.5, seed=2
+    )
+    @example(
+        n_queries=30, n_centers=3000, log_scale=1.5, log_norm=-40.0, zero_weights=0, near=0.5, seed=3
+    )
+    @example(
+        n_queries=30, n_centers=20, log_scale=1.0, log_norm=0.0, zero_weights=0, near=0.0, seed=4
+    )
+    @example(
+        n_queries=30, n_centers=2000, log_scale=6.0, log_norm=250.0, zero_weights=5, near=1.0, seed=5
+    )
+    def test_one_dimension_matches_dense_reference(
+        self, n_queries, n_centers, log_scale, log_norm, zero_weights, near, seed
+    ):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        centers = scale * rng.standard_normal((n_centers, 1))
+        # a share of the queries lands within a few units of a center, where
+        # the expansion, not the fallback, has to be accurate at any scale
+        queries = 1.7 * scale * rng.standard_normal((n_queries, 1))
+        close = rng.uniform(size=n_queries) < near
+        queries[close] = centers[rng.integers(0, n_centers, np.count_nonzero(close))]
+        queries[close] += 3.0 * rng.standard_normal((np.count_nonzero(close), 1))
+        weights = rng.uniform(0.1, 1.0, n_centers)
+        weights[: min(zero_weights, n_centers - 1)] = 0.0
+        weights /= weights.sum()
+        np.testing.assert_allclose(
+            _log_kernel_sum(queries, centers, weights, log_norm),
+            _dense_log_kernel_sum(queries, centers, weights, log_norm),
+            rtol=1e-12,
+            atol=1e-12 * max(1.0, abs(log_norm)),
+        )
+
+    def test_one_dimension_certifies_near_rows_and_falls_back_in_the_tail(self):
+        # centers span 40 boxes, more than one window reaches; the first query
+        # sits among them, the second 10 whitened units past the last one
+        rng = np.random.default_rng(6)
+        centers = np.sort(rng.uniform(-28.0, 28.0, 500))[:, None]
+        weights = np.full(500, 1.0 / 500)
+        queries = np.array([[0.3], [centers[-1, 0] + 10.0]])
+        _log_sums, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
+        assert exact.tolist() == [False, True]
+        np.testing.assert_allclose(
+            _log_kernel_sum(queries, centers, weights, 0.9),
+            _dense_log_kernel_sum(queries, centers, weights, 0.9),
+            rtol=1e-12,
+        )
+
+    def test_one_dimension_counts_the_boxes_past_the_cutoff(self):
+        # the query's own box holds weight 1e-12; the rest sits in a box just
+        # past the cutoff, 6.51 kernel lengths (sqrt(2) whitened units) away,
+        # and adds 4e-7 of the sum
+        queries = np.array([[0.01 * math.sqrt(2.0)]])
+        centers = np.array([[0.0], [-6.51 * math.sqrt(2.0)]])
+        weights = np.array([1e-12, 1.0])
+        _log_sums, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
+        assert exact.tolist() == [True]
+        np.testing.assert_allclose(
+            _log_kernel_sum(queries, centers, weights, 0.9),
+            _dense_log_kernel_sum(queries, centers, weights, 0.9),
+            rtol=1e-12,
+        )
+
+    def test_one_dimension_rows_are_batch_independent(self):
+        rng = np.random.default_rng(7)
+        centers = 4.0 * rng.standard_normal((3000, 1))
+        weights = rng.uniform(0.1, 1.0, 3000)
+        weights /= weights.sum()
+        # more rows than one chunk holds, with tail rows that fall back
+        chunk = _HERMITE_PAIRS // _HERMITE_WINDOW
+        queries = 3.0 * rng.standard_normal((chunk + 40, 1))
+        queries[-3:] = [[40.0], [-45.0], [60.0]]
+        batch = _log_kernel_sum(queries, centers, weights, 0.9)
+        _log_sums, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
+        assert exact[-3:].all() and not exact[: chunk + 1].any()
+        # about one row in eight would differ if slots were summed in an
+        # order that depends on the chunk's row count
+        rows = [*range(0, chunk + 40, 5), chunk - 1, chunk, chunk + 1, chunk + 37, chunk + 39]
+        for row in rows:
+            alone = _log_kernel_sum(queries[row : row + 1], centers, weights, 0.9)
+            assert alone.tobytes() == batch[row : row + 1].tobytes()
+        straddle = _log_kernel_sum(queries[chunk - 5 : chunk + 5], centers, weights, 0.9)
+        assert straddle.tobytes() == batch[chunk - 5 : chunk + 5].tobytes()
 
     def test_underflowing_row_leaves_the_factored_path(self):
         # Every exponent is within the factored path's bound, but the only
