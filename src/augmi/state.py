@@ -836,10 +836,10 @@ def _hermite_kernel_sum(
     # differences first: they are exact near the box center at any scale
     offset = (centers[keep] - box_x[box]) / _HERMITE_BOX
     moments = np.zeros((_HERMITE_ORDER, n_boxes + 1))
-    term = weights[keep]
+    power = weights[keep]
     for n in range(_HERMITE_ORDER):
-        moments[n, :n_boxes] = np.bincount(box, weights=term)
-        term = term * offset / (n + 1)
+        moments[n, :n_boxes] = np.bincount(box, weights=power)
+        power = power * offset / (n + 1)
     box_w = moments[0]
     total_w = float(box_w.sum())
     # a center's terms from order p on add up to at most
