@@ -17,10 +17,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import conditional_parts, log_det_psd
+from .linalg import cholesky_psd, conditional_parts, log_det_psd
 from .state import (
     Action,
     GaussianDensity,
+    _bind_inputs,
     marginalize_gaussian,
     prior_footprint,
 )
@@ -74,7 +75,7 @@ def joint_state_observation(prior: GaussianDensity, action: Action) -> GaussianD
     is ``M mu_u``, the cross covariance against everything existing is
     ``M S[u, :]``, and the marginal covariance is ``M S[u,u] M' + noise``.
     """
-    action.validate_against(prior.layout)
+    bound = _bind_inputs(prior.layout, action)
     dim0 = prior.dim
     total = dim0 + action.new_dim_total + action.obs_dim_total
 
@@ -82,17 +83,8 @@ def joint_state_observation(prior: GaussianDensity, action: Action) -> GaussianD
     cov = np.zeros((total, total))
     mean[:dim0] = prior.mean
     cov[:dim0, :dim0] = prior.covariance
-
-    offsets: dict[str, tuple[int, int]] = {
-        b.id: (b.offset, b.dim) for b in prior.layout.blocks
-    }
     cursor = dim0
-
-    def append(block_id: str, model, input_ids: tuple[str, ...]) -> None:
-        nonlocal cursor
-        cols = np.concatenate(
-            [np.arange(offsets[i][0], offsets[i][0] + offsets[i][1]) for i in input_ids]
-        ) if input_ids else np.empty(0, dtype=int)
+    for model, cols in bound:
         out = slice(cursor, cursor + model.output_dim)
         mean[out] = model.matrix @ mean[cols]
         cross = model.matrix @ cov[np.ix_(cols, np.arange(cursor))]
@@ -101,21 +93,10 @@ def joint_state_observation(prior: GaussianDensity, action: Action) -> GaussianD
         cov[out, out] = (
             model.matrix @ cov[np.ix_(cols, cols)] @ model.matrix.T + model.noise_cov
         )
-        offsets[block_id] = (cursor, model.output_dim)
         cursor += model.output_dim
 
-    for new_id, model in zip(action.new_ids, action.transitions):
-        append(new_id, model, model.inputs)
-    for j, (_step, model) in enumerate(action.observations, 1):
-        append(f"{action.id}:z{j}", model, model.inputs)
-
-    layout = prior.layout.concat(
-        [(nid, m.output_dim) for nid, m in zip(action.new_ids, action.transitions)]
-        + [
-            (f"{action.id}:z{j}", m.output_dim)
-            for j, (_s, m) in enumerate(action.observations, 1)
-        ]
-    )
+    ids = action.new_ids + observation_block_ids(action)
+    layout = prior.layout.concat((i, model.output_dim) for i, (model, _cols) in zip(ids, bound))
     return GaussianDensity(layout=layout, mean=mean, covariance=cov)
 
 
@@ -151,6 +132,28 @@ def condition_gaussian(
     )
 
 
+def _condition_on_draw(
+    joint: GaussianDensity, action: Action, rng: np.random.Generator | None
+) -> tuple[GaussianDensity, np.ndarray | None]:
+    """The belief over a :func:`joint_state_observation` joint's state blocks
+    (prior and new) given one draw ``z`` of the action's observations from
+    the joint's predictive, and ``z``.
+
+    ``rng = None`` conditions at the predictive mean and returns no ``z``;
+    that leaves the covariance, hence any linear-Gaussian information
+    value, unchanged.
+    """
+    obs_ids = observation_block_ids(action)
+    if not obs_ids:
+        raise ValueError(f"action {action.id!r} has no observations to condition on")
+    obs_idx = joint.layout.indices(obs_ids)
+    if rng is None:
+        return condition_gaussian(joint, obs_ids, joint.mean[obs_idx]), None
+    z_chol = cholesky_psd(joint.covariance[np.ix_(obs_idx, obs_idx)])
+    z = joint.mean[obs_idx] + z_chol @ rng.standard_normal(obs_idx.size)
+    return condition_gaussian(joint, obs_ids, z), z
+
+
 def _conditional_entropy(density: GaussianDensity, of: set[str], given: set[str]) -> float:
     """H[of | given] for jointly Gaussian blocks, via the Schur complement."""
     if not given:
@@ -163,36 +166,27 @@ def _conditional_entropy(density: GaussianDensity, of: set[str], given: set[str]
     return entropy_from_cov(schur)
 
 
-def _validate_subset(
-    prior: GaussianDensity, action: Action, subset: Iterable[str] | None
-) -> set[str]:
-    footprint = prior_footprint(prior.layout, action)
-    if subset is None:
-        return set(prior.layout.ids)
-    subset = set(subset)
-    unknown = subset - set(prior.layout.ids)
-    if unknown:
-        raise FootprintError(f"subset contains unknown blocks {sorted(unknown)}")
-    missing = footprint - subset
-    if missing:
-        raise FootprintError(
-            f"subset misses involved prior blocks {sorted(missing)}; mutual "
-            "information over it would be wrong, not approximate"
-        )
-    return subset
-
-
 def _reduced_joint(
     prior: GaussianDensity, action: Action, subset: Iterable[str] | None
 ) -> tuple[GaussianDensity, GaussianDensity]:
-    """The prior marginalized onto a validated ``subset``, and its joint with
-    the action's new blocks and observations."""
-    subset = _validate_subset(prior, action, subset)
-    reduced = (
-        prior if len(subset) == len(prior.layout.blocks)
-        else marginalize_gaussian(prior, subset)
-    )
-    return reduced, joint_state_observation(reduced, action)
+    """The prior marginalized onto ``subset`` (``None`` keeps it whole), and its
+    joint with the action's new blocks and observations.  A subset naming an
+    unknown block or missing part of the footprint raises FootprintError."""
+    subset = None if subset is None else set(subset)
+    # the whole prior needs no footprint check; the joint validates the action
+    if subset is not None and subset != set(prior.layout.ids):
+        footprint = prior_footprint(prior.layout, action)
+        unknown = subset - set(prior.layout.ids)
+        if unknown:
+            raise FootprintError(f"subset contains unknown blocks {sorted(unknown)}")
+        missing = footprint - subset
+        if missing:
+            raise FootprintError(
+                f"subset misses involved prior blocks {sorted(missing)}; mutual "
+                "information over it would be wrong, not approximate"
+            )
+        prior = marginalize_gaussian(prior, subset)
+    return prior, joint_state_observation(prior, action)
 
 
 def augmented_mi_analytic(

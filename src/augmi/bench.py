@@ -154,8 +154,8 @@ def _run_trials(
 
     The analytic method is deterministic and runs once (trial 0); trial
     seeds derive from ``seed_key + (trial,)``.  An estimator failure is
-    logged and recorded in ``failures`` under ``label``, and the run
-    continues.
+    recorded in ``failures`` under ``label``, or logged when ``failures`` is
+    None, and the run continues.
     """
     for trial in range(1 if method == METHOD_ANALYTIC else trials):
         trial_seed = _trial_seed(seed, (*seed_key, trial))
@@ -164,8 +164,9 @@ def _run_trials(
             rows.append(result_row(est, scenario, action_id, trial, n_particles, trial_seed))
         except Exception as exc:  # noqa: BLE001 - record and continue
             message = f"{label}/trial {trial}: {exc}"
-            log.warning("estimator failure: %s", message)
-            if failures is not None:
+            if failures is None:
+                log.warning("estimator failure: %s", message)
+            else:
                 failures.append(message)
 
 
@@ -181,8 +182,8 @@ def run_actions_experiment(
 
     The analytic method is deterministic and runs once per action (trial 0);
     sampling methods run ``trials`` times with derived per-trial seeds.
-    Estimator failures are logged and recorded in ``failures``; the run
-    continues.
+    Estimator failures are recorded in ``failures`` (logged when it is
+    None); the run continues.
     """
     rows: list[ResultRow] = []
     for method in _ordered_methods(methods):

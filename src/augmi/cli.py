@@ -141,6 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    for name in ("particles", "trials"):
+        if getattr(args, name) < 1:
+            raise UsageError(f"--{name} must be at least 1, got {getattr(args, name)}")
+
+
 def _load_or_generate(args) -> "SlamScenario":
     if bool(args.scenario) == bool(args.generate):
         raise UsageError("provide exactly one of --scenario or --generate")
@@ -151,6 +157,7 @@ def _load_or_generate(args) -> "SlamScenario":
 
 
 def _cmd_bench_actions(args) -> int:
+    _check_counts(args)
     scenario = _load_or_generate(args)
     failures: list[str] = []
     rows = run_actions_experiment(
@@ -165,7 +172,10 @@ def _cmd_bench_actions(args) -> int:
 
 
 def _cmd_bench_dims(args) -> int:
+    _check_counts(args)
     dims = [int(v) for v in args.dims.split(",") if v.strip()]
+    if not dims:
+        raise UsageError("--dims must name at least one dimension")
     failures: list[str] = []
     rows = run_dimension_sweep(
         dims,

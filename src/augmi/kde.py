@@ -20,18 +20,16 @@ from typing import Iterable
 
 import numpy as np
 
-from .analytic import FootprintError, joint_state_observation, observation_block_ids
-from .linalg import cholesky_psd, conditional_parts
+from .analytic import _condition_on_draw, _reduced_joint
 from .mi import METHOD_INVMI_KDE, METHOD_NAIVE_KDE, MiEstimate
 from .state import (
     LOG_TWO_PI,
     Action,
     GaussianDensity,
     WeightedParticleSet,
+    _draws,
     _log_kernel_sum,
     ensure_rng,
-    marginalize_gaussian,
-    prior_footprint,
 )
 
 # Log densities are clamped here to keep -inf out of the sums; clamp events
@@ -163,46 +161,20 @@ def _kde_augmented_mi(
     rng, seed = ensure_rng(rng)
     counts = {"n": n, "z_draws": z_draws, "clamp_events": 0}
     start = time.perf_counter()
+    prior, joint = _reduced_joint(prior, action, involved)
     if involved is not None:
-        involved = set(involved)
-        missing = prior_footprint(prior.layout, action) - involved
-        if missing:
-            raise FootprintError(
-                f"involved set misses prior blocks {sorted(missing)} read by "
-                f"action {action.id!r}"
-            )
-        if involved != set(prior.layout.ids):
-            prior = marginalize_gaussian(prior, involved)
         counts["involved_dim"] = prior.dim
 
-    joint = joint_state_observation(prior, action)
-    obs_ids = observation_block_ids(action)
-    if not obs_ids:
-        raise ValueError(f"action {action.id!r} has no observations to condition on")
-    state_idx = joint.layout.indices(set(prior.layout.ids) | set(action.new_ids))
-    obs_idx = joint.layout.indices(obs_ids)
-    uniform = np.full(n, 1.0 / n)
-
     # Prior entropy from n fresh prior samples.
-    prior_chol = cholesky_psd(prior.covariance)
-    xs = prior.mean + rng.standard_normal((n, prior.dim)) @ prior_chol.T
-    h_prior, clamps = _resubstitution(xs, uniform, cfg)
+    uniform = np.full(n, 1.0 / n)
+    h_prior, clamps = _resubstitution(_draws(prior, n, rng), uniform, cfg)
     counts["clamp_events"] += clamps
 
     # Posterior term: condition the joint per sampled observation sequence.
-    mean_z = joint.mean[obs_idx]
-    cov_z = joint.covariance[np.ix_(obs_idx, obs_idx)]
-    z_chol = cholesky_psd(cov_z)
-    gain, schur = conditional_parts(joint.covariance, state_idx, obs_idx)
-    post_chol = cholesky_psd(schur)
-    mean_state = joint.mean[state_idx]
-
     h_post = 0.0
     for _ in range(z_draws):
-        z = mean_z + z_chol @ rng.standard_normal(obs_idx.size)
-        mu = mean_state + gain @ (z - mean_z)
-        ys = mu + rng.standard_normal((n, state_idx.size)) @ post_chol.T
-        h_i, clamps = _resubstitution(ys, uniform, cfg)
+        posterior, _z = _condition_on_draw(joint, action, rng)
+        h_i, clamps = _resubstitution(_draws(posterior, n, rng), uniform, cfg)
         counts["clamp_events"] += clamps
         h_post += h_i / z_draws
 

@@ -31,13 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import (
-    condition_gaussian,
-    joint_state_observation,
-    observation_block_ids,
-)
+from .analytic import _condition_on_draw, joint_state_observation
 from .involved import analytic_calculator, determine_involved, mismc_calculator
-from .linalg import cholesky_psd
 from .smc import SampleBudget
 from .state import (
     Action,
@@ -232,28 +227,6 @@ def _root(
     return root_belief, exact, branches, node_rng
 
 
-def _branch(
-    belief: GaussianDensity, action: Action, rng: np.random.Generator | None
-) -> tuple[GaussianDensity, np.ndarray | None]:
-    """Child belief over (belief blocks, new blocks) after one observation
-    draw, and the drawn observation.
-
-    ``rng = None`` conditions at the predictive mean and returns no
-    observation; that leaves the covariance (hence any linear-Gaussian
-    information value) unchanged.
-    """
-    joint = joint_state_observation(belief, action)
-    obs_ids = observation_block_ids(action)
-    if not obs_ids:
-        raise ValueError(f"action {action.id!r} has no observations")
-    obs_idx = joint.layout.indices(obs_ids)
-    if rng is None:
-        return condition_gaussian(joint, obs_ids, joint.mean[obs_idx]), None
-    cov = joint.covariance[np.ix_(obs_idx, obs_idx)]
-    z = joint.mean[obs_idx] + cholesky_psd(cov) @ rng.standard_normal(obs_idx.size)
-    return condition_gaussian(joint, obs_ids, z), z
-
-
 def solve(
     prior: GaussianDensity,
     actions: Sequence[Action] | Sequence[Sequence[Action]],
@@ -328,9 +301,10 @@ def solve(
 
             future = 0.0
             pairs: list[tuple[np.ndarray | None, BeliefNode]] = []
+            joint = joint_state_observation(belief, action)
             for branch in range(branches):
-                child_belief, z_rec = _branch(
-                    belief, action, None if exact else node_rng(a_key + (2, branch))
+                child_belief, z_rec = _condition_on_draw(
+                    joint, action, None if exact else node_rng(a_key + (2, branch))
                 )
                 child_hist = History(
                     actions=history.actions + (action.id,),
@@ -398,9 +372,10 @@ def sequential_mi_direct(
         action = seq[i]
         increment = float(mi_backend(belief, action, node_rng(path_key + (0,))))
         future = 0.0
+        joint = joint_state_observation(belief, action)
         for branch in range(branches):
-            child, _z = _branch(
-                belief, action, None if exact else node_rng(path_key + (1, branch))
+            child, _z = _condition_on_draw(
+                joint, action, None if exact else node_rng(path_key + (1, branch))
             )
             future += recurse(child, i + 1, path_key + (2, branch)) / branches
         return increment + future

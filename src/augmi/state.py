@@ -71,6 +71,11 @@ def ensure_rng(rng: np.random.Generator | int) -> tuple[np.random.Generator, int
     raise TypeError(f"expected numpy Generator or int seed, got {type(rng).__name__}")
 
 
+def _span_indices(spans: Iterable[tuple[int, int]]) -> np.ndarray:
+    """The flat indices of ``(start, dim)`` spans, in order."""
+    return np.array([i for start, dim in spans for i in range(start, start + dim)], dtype=int)
+
+
 @dataclass(frozen=True)
 class VariableBlock:
     """One named block of a flat state vector."""
@@ -123,11 +128,11 @@ class StateLayout:
             offset += dim
         return StateLayout(tuple(blocks))
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return sum(b.dim for b in self.blocks)
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.blocks)
 
@@ -146,8 +151,7 @@ class StateLayout:
         unknown = keep - set(self.ids)
         if unknown:
             raise UnknownBlockError(f"unknown block ids {sorted(unknown)}")
-        cols = [np.arange(b.offset, b.offset + b.dim) for b in self.blocks if b.id in keep]
-        return np.concatenate(cols) if cols else np.empty(0, dtype=int)
+        return _span_indices((b.offset, b.dim) for b in self.blocks if b.id in keep)
 
     def sublayout(self, keep: Iterable[str]) -> "StateLayout":
         """Layout over the kept blocks, preserving their original order."""
@@ -342,40 +346,58 @@ class Action:
 
     def validate_against(self, layout: StateLayout) -> None:
         """Check that every model input resolves and dims line up."""
-        known: dict[str, int] = {b.id: b.dim for b in layout.blocks}
-        for new_id in self.new_ids:
-            if new_id in known:
-                raise ValueError(
-                    f"action {self.id!r}: new block id {new_id!r} collides with the layout"
-                )
-        available = dict(known)
-        for step, (new_id, model) in enumerate(zip(self.new_ids, self.transitions), 1):
-            _check_model_inputs(self.id, f"transition {step}", model, available)
-            available[new_id] = model.output_dim
-        visible: dict[str, int] = dict(known)
-        for step, (new_id, model) in enumerate(zip(self.new_ids, self.transitions), 1):
-            visible[new_id] = model.output_dim
-            for obs_step, obs_model in self.observations:
-                if obs_step == step:
-                    _check_model_inputs(self.id, f"observation@{obs_step}", obs_model, visible)
+        _bind_inputs(layout, self)
 
 
-def _check_model_inputs(
-    action_id: str, where: str, model: LinearGaussianModel, available: dict[str, int]
-) -> None:
-    total = 0
-    for block_id in model.inputs:
-        if block_id not in available:
-            raise UnknownBlockError(
-                f"action {action_id!r} {where}: input block {block_id!r} does not "
-                "resolve to a prior block or an earlier new block"
+def _bind_inputs(
+    layout: StateLayout, action: Action
+) -> list[tuple[LinearGaussianModel, np.ndarray]]:
+    """Each transition's model, then each observation's, in declaration
+    order, with its input columns into ``[layout coords | new coords]``.
+
+    A transition reads prior blocks and the new blocks of earlier steps; an
+    observation also reads its own step's.  Every transition is checked
+    before any observation, and observations in step order.
+    """
+    spans = {b.id: (b.offset, b.dim) for b in layout.blocks}
+    new_spans: dict[str, tuple[int, int, int]] = {}
+    cursor = layout.total_dim
+    for step, (new_id, model) in enumerate(zip(action.new_ids, action.transitions), 1):
+        if new_id in spans:
+            raise ValueError(
+                f"action {action.id!r}: new block id {new_id!r} collides with the layout"
             )
-        total += available[block_id]
-    if total != model.input_dim:
-        raise ValueError(
-            f"action {action_id!r} {where}: matrix has {model.input_dim} columns "
-            f"but inputs {model.inputs} total dim {total}"
-        )
+        new_spans[new_id] = (step, cursor, model.output_dim)
+        cursor += model.output_dim
+
+    def columns(where: str, model: LinearGaussianModel, steps_done: int) -> np.ndarray:
+        found = []
+        for block_id in model.inputs:
+            if block_id in spans:
+                found.append(spans[block_id])
+            elif block_id in new_spans and new_spans[block_id][0] <= steps_done:
+                found.append(new_spans[block_id][1:])
+            else:
+                raise UnknownBlockError(
+                    f"action {action.id!r} {where}: input block {block_id!r} does not "
+                    "resolve to a prior block or an earlier new block"
+                )
+        total = sum(dim for _start, dim in found)
+        if total != model.input_dim:
+            raise ValueError(
+                f"action {action.id!r} {where}: matrix has {model.input_dim} columns "
+                f"but inputs {model.inputs} total dim {total}"
+            )
+        return _span_indices(found)
+
+    bound = [
+        (model, columns(f"transition {step}", model, step - 1))
+        for step, model in enumerate(action.transitions, 1)
+    ]
+    observed = {}
+    for j, (step, model) in sorted(enumerate(action.observations), key=lambda o: o[1][0]):
+        observed[j] = (model, columns(f"observation@{step}", model, step))
+    return bound + [observed[j] for j in range(len(observed))]
 
 
 def prior_footprint(layout: StateLayout, action: Action) -> frozenset[str]:
@@ -457,13 +479,16 @@ def sample_particles(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng, _ = ensure_rng(rng)
-    normals = rng.standard_normal((n, density.dim))
-    particles = density.mean + normals @ density._chol.T
     return WeightedParticleSet(
         layout=density.layout,
-        particles=particles,
+        particles=_draws(density, n, rng),
         weights=np.full(n, 1.0 / n),
     )
+
+
+def _draws(density: GaussianDensity, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` i.i.d. draws from ``density``, one per row."""
+    return density.mean + rng.standard_normal((n, density.dim)) @ density._chol.T
 
 
 def log_density(
@@ -490,38 +515,6 @@ def log_density(
 # ---------------------------------------------------------------------------
 
 
-class _BoundModel:
-    """A model with its input columns resolved against an extended layout."""
-
-    __slots__ = ("model", "cols", "out_slice")
-
-    def __init__(self, model: LinearGaussianModel, cols: np.ndarray, out_slice: slice):
-        self.model = model
-        self.cols = cols
-        self.out_slice = out_slice
-
-
-def _bind_columns(
-    layout: StateLayout, action: Action, inputs: tuple[str, ...], upto_step: int
-) -> np.ndarray:
-    """Column indices (declaration order) into [layout coords | new coords]."""
-    base = layout.total_dim
-    new_offsets: dict[str, tuple[int, int]] = {}
-    cursor = 0
-    for new_id, dim in zip(action.new_ids[:upto_step], action.new_dims[:upto_step]):
-        new_offsets[new_id] = (base + cursor, dim)
-        cursor += dim
-    cols: list[np.ndarray] = []
-    for block_id in inputs:
-        if block_id in new_offsets:
-            start, dim = new_offsets[block_id]
-            cols.append(np.arange(start, start + dim))
-        else:
-            block = layout.block(block_id)
-            cols.append(np.arange(block.offset, block.offset + block.dim))
-    return np.concatenate(cols) if cols else np.empty(0, dtype=int)
-
-
 class _SequentialModels:
     """An action's transition or observation models, bound to a belief layout.
 
@@ -534,19 +527,17 @@ class _SequentialModels:
         self,
         layout: StateLayout,
         action: Action,
-        models: Iterable[tuple[int, LinearGaussianModel]],
+        bound: Iterable[tuple[LinearGaussianModel, np.ndarray]],
     ):
-        action.validate_against(layout)
         self.layout = layout
         self.action = action
-        self._models: list[_BoundModel] = []
+        # (model, input columns, output slice) per model
+        self._models: list[tuple[LinearGaussianModel, np.ndarray, slice]] = []
         cursor = 0
-        for upto_step, model in models:
-            cols = _bind_columns(layout, action, model.inputs, upto_step=upto_step)
-            out = slice(cursor, cursor + model.output_dim)
-            self._models.append(_BoundModel(model, cols, out))
+        for model, cols in bound:
+            self._models.append((model, cols, slice(cursor, cursor + model.output_dim)))
             cursor += model.output_dim
-        self._log_norm = sum(bound.model._log_norm for bound in self._models)
+        self._log_norm = sum(model._log_norm for model, _cols, _out in self._models)
 
     def _work(self, x: np.ndarray, new: np.ndarray | None = None) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -561,26 +552,26 @@ class _SequentialModels:
         """Fill each model's slice of ``out`` from standard-normal innovations;
         returns the summed log density of each row's samples."""
         logpdf = np.zeros(work.shape[0])
-        for bound in self._models:
-            mean = work[:, bound.cols] @ bound.model.matrix.T
-            eps = noise[:, bound.out_slice]
-            out[:, bound.out_slice] = mean + eps @ bound.model.noise_chol.T
-            logpdf -= 0.5 * np.einsum("ij,ij->i", eps, eps) + bound.model._log_norm
+        for model, cols, part in self._models:
+            mean = work[:, cols] @ model.matrix.T
+            eps = noise[:, part]
+            out[:, part] = mean + eps @ model.noise_chol.T
+            logpdf -= 0.5 * np.einsum("ij,ij->i", eps, eps) + model._log_norm
         return logpdf
 
     def _means(self, work: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill each model's slice of ``out`` with its mean given ``work``."""
-        for bound in self._models:
-            out[:, bound.out_slice] = work[:, bound.cols] @ bound.model.matrix.T
+        for model, cols, part in self._models:
+            out[:, part] = work[:, cols] @ model.matrix.T
         return out
 
     def _whiten(self, y: np.ndarray) -> np.ndarray:
         """Each model's slice of ``y`` in units of its noise factor."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         out = np.empty_like(y)
-        for bound in self._models:
-            out[:, bound.out_slice] = scipy.linalg.solve_triangular(
-                bound.model.noise_chol, y[:, bound.out_slice].T, lower=True
+        for model, _cols, part in self._models:
+            out[:, part] = scipy.linalg.solve_triangular(
+                model.noise_chol, y[:, part].T, lower=True
             ).T
         return out
 
@@ -600,7 +591,7 @@ class SequentialTransition(_SequentialModels):
     """
 
     def __init__(self, layout: StateLayout, action: Action):
-        super().__init__(layout, action, enumerate(action.transitions))
+        super().__init__(layout, action, _bind_inputs(layout, action)[: len(action.transitions)])
         self.new_dim = action.new_dim_total
 
     def sample_with_noise(
@@ -634,7 +625,7 @@ class SequentialObservation(_SequentialModels):
     """The product of an action's observation models, bound to a belief layout."""
 
     def __init__(self, layout: StateLayout, action: Action):
-        super().__init__(layout, action, action.observations)
+        super().__init__(layout, action, _bind_inputs(layout, action)[len(action.transitions) :])
         self.obs_dim = action.obs_dim_total
 
     def sample_with_noise(

@@ -1,7 +1,10 @@
 import subprocess
 import sys
 
+import pytest
+
 from augmi import load_scenario, read_csv
+from augmi.cli import main
 
 
 def run_cli(*args):
@@ -129,3 +132,33 @@ class TestBench:
             )
             assert proc.returncode == 0, proc.stderr
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_each_estimator_failure_reported_once(self, tmp_path):
+        proc = run_cli(
+            "bench", "actions", "--generate", "D=20,actions=2",
+            "--methods", "naive-kde", "--particles", "1", "--trials", "1",
+            "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert proc.returncode == 2
+        lines = [line for line in proc.stderr.splitlines() if "estimator failure" in line]
+        assert len(lines) == 2  # one trial on each of two actions
+        assert len(set(lines)) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("actions", "--generate", "D=20,actions=1", "--methods", "analytic,mismc",
+             "--trials", "0"),
+            ("actions", "--generate", "D=20,actions=1", "--methods", "mismc",
+             "--trials", "-3", "--particles", "-4"),
+            ("actions", "--generate", "D=20,actions=1", "--methods", "mismc",
+             "--particles", "0"),
+            ("dims", "--dims", "", "--methods", "mismc"),
+            ("dims", "--dims", "10", "--methods", "mismc", "--trials", "0"),
+        ],
+    )
+    def test_degenerate_counts_are_usage_errors(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert main(["bench", *args, "--seed", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --")
+        assert not out.exists()

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import multivariate_normal
 
 from augmi import (
     Action,
     FootprintError,
     GaussianDensity,
     LinearGaussianModel,
+    SequentialObservation,
+    SequentialTransition,
     StateLayout,
     augmented_mi_analytic,
     condition_gaussian,
@@ -16,6 +21,8 @@ from augmi import (
     marginalize_gaussian,
     mi_analytic,
     observation_block_ids,
+    prior_footprint,
+    sample_particles,
     superposition_mi_analytic,
 )
 from conftest import CHAIN_MI, GAUSS_ENTROPY_1D, make_chain_1d, random_instance, random_spd
@@ -242,3 +249,86 @@ class TestMiDecompositionAndConditioning:
         conditional = condition_gaussian(joint, {"z"}, [5.0])
         np.testing.assert_allclose(conditional.mean, [0.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(conditional.covariance, np.diag([1.0, 2.0]), atol=1e-12)
+
+
+@st.composite
+def multi_step_instances(draw):
+    """A prior over 1-5 random blocks and a 1- to 3-step action.
+
+    Transition k reads prior blocks and the new blocks of steps before k;
+    an observation taken after step k reads prior blocks and the new blocks
+    of steps up to k.  Observations are declared in random step order.
+    """
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    layout = StateLayout.from_dims((f"b{i}", d) for i, d in enumerate(dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prior = GaussianDensity(
+        layout=layout,
+        mean=rng.standard_normal(layout.total_dim),
+        covariance=random_spd(rng, layout.total_dim),
+    )
+    block_dims = dict(zip(layout.ids, dims))
+
+    def model(readable: list[str]) -> LinearGaussianModel:
+        inputs = draw(st.lists(st.sampled_from(readable), min_size=1, max_size=3, unique=True))
+        out_dim = draw(st.integers(1, 2))
+        return LinearGaussianModel(
+            inputs=tuple(inputs),
+            output_dim=out_dim,
+            matrix=rng.standard_normal((out_dim, sum(block_dims[i] for i in inputs))),
+            noise_cov=random_spd(rng, out_dim, scale=float(rng.uniform(0.3, 1.2))),
+        )
+
+    n_steps = draw(st.integers(1, 3))
+    new_ids = [f"m:x{k}" for k in range(1, n_steps + 1)]
+    transitions, observations = [], []
+    for k, new_id in enumerate(new_ids):
+        transitions.append(model(list(layout.ids) + new_ids[:k]))
+        block_dims[new_id] = transitions[-1].output_dim
+        fewest = 1 if k == n_steps - 1 and not observations else 0
+        for _ in range(draw(st.integers(fewest, 2))):
+            observations.append((k + 1, model(list(layout.ids) + new_ids[: k + 1])))
+    action = Action(
+        id="m",
+        transitions=tuple(transitions),
+        observations=tuple(draw(st.permutations(observations))),
+        new_ids=tuple(new_ids),
+    )
+    return prior, action
+
+
+class TestMultiStepActions:
+    """The analytic joint and the vectorized sequential models bind a
+    multi-step action's inputs the same way."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(instance=multi_step_instances())
+    def test_footprint_subset_equals_full_state(self, instance):
+        prior, action = instance
+        full = augmented_mi_analytic(prior, action).value
+        footprint = prior_footprint(prior.layout, action)
+        reduced = augmented_mi_analytic(prior, action, subset=footprint).value
+        assert reduced == pytest.approx(full, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(instance=multi_step_instances())
+    def test_sequential_densities_equal_joint_conditionals(self, instance):
+        prior, action = instance
+        x = sample_particles(prior, 3, 0).particles
+        transition = SequentialTransition(prior.layout, action)
+        observation = SequentialObservation(prior.layout, action)
+        rng = np.random.default_rng(1)
+        new, _ = transition.sample(x, rng)
+        z, _ = observation.sample(x, new, rng)
+        joint = joint_state_observation(prior, action)
+        state_ids = prior.layout.ids + action.new_ids
+        states = marginalize_gaussian(joint, state_ids)
+        got_new = transition.log_density(x, new)
+        got_z = observation.log_density(x, new, z)
+        for i in range(x.shape[0]):
+            given_x = condition_gaussian(states, prior.layout.ids, x[i])
+            given_state = condition_gaussian(joint, state_ids, np.concatenate([x[i], new[i]]))
+            expect_new = multivariate_normal(given_x.mean, given_x.covariance).logpdf(new[i])
+            expect_z = multivariate_normal(given_state.mean, given_state.covariance).logpdf(z[i])
+            assert got_new[i] == pytest.approx(expect_new, rel=1e-9, abs=1e-9)
+            assert got_z[i] == pytest.approx(expect_z, rel=1e-9, abs=1e-9)
