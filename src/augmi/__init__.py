@@ -57,7 +57,6 @@ from .mi import (
 from .planner import (
     AnalyticMiBackend,
     BeliefNode,
-    History,
     ObjectiveValue,
     REWARD_CONSECUTIVE_MI,
     REWARD_INVOLVED_IG,

@@ -142,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args) -> None:
+    """Reject a count option below 1; a command checks only the counts it has."""
     for name in ("particles", "trials"):
-        if getattr(args, name) < 1:
+        if getattr(args, name, 1) < 1:
             raise UsageError(f"--{name} must be at least 1, got {getattr(args, name)}")
 
 
@@ -213,6 +214,7 @@ def _cmd_scenario_generate(args) -> int:
 
 
 def _cmd_mi_eval(args) -> int:
+    _check_counts(args)
     method = _method_tag(args.method)
     scenario = load_scenario(args.scenario)
     est = evaluate_method(scenario, args.action, method, args.particles, args.seed)

@@ -157,6 +157,8 @@ def _kde_augmented_mi(
     """
     if n < 2:
         raise ValueError("need n >= 2 samples for data-driven KDE entropy")
+    if z_draws < 1:
+        raise ValueError(f"need z_draws >= 1 observation draws, got {z_draws}")
     cfg = cfg or KdeConfig()
     rng, seed = ensure_rng(rng)
     counts = {"n": n, "z_draws": z_draws, "clamp_events": 0}

@@ -1,20 +1,24 @@
 """Open-loop belief-tree solver with involved-subset information rewards.
 
 The solver maximizes the expected sum of information rewards over action
-sequences by sparse sampling: each action node draws a few observation
-sequences, propagates the node belief per draw, and backs values up with the
-Bellman recursion (expectations as sample means, max over actions).
+sequences by sparse sampling: each action node has a few observation
+branches, and values are backed up with the Bellman recursion (expectations
+as sample means, max over actions).
 
-Two equivalent reward formulations are provided:
+Two equivalent reward formulations are provided, and the tree holds only
+what its formulation reads:
 
 ``involved_ig``
     The node at depth t carries the information gained about the involved
-    prior state since the root, evaluated on the composed action path.
+    prior state since the root, evaluated from the root belief on the
+    composed action path.  A node keeps that composed prefix instead of a
+    belief; its observation branches differ only in the seed of the reward.
 
 ``consecutive_mi``
     Each edge carries the one-step augmented MI of its action from the
     parent's belief, and node rewards accumulate those increments, so a
-    child's reward is its parent's plus the connecting edge's MI.
+    child's reward is its parent's plus the connecting edge's MI.  Each
+    observation branch draws an observation and conditions the belief on it.
 
 For linear-Gaussian models the information quantities do not depend on the
 realized observation values, so the analytic backend skips observation
@@ -53,28 +57,6 @@ class PlannerError(RuntimeError):
     """Estimation failed at a tree node; the message carries the node path."""
 
 
-@dataclass(frozen=True)
-class History:
-    """Actions taken and observations received along a tree path.
-
-    ``exclude_last_observation`` marks the half-step state in which the last
-    action has been taken but its observation not yet received.
-    """
-
-    actions: tuple[str, ...] = ()
-    observations: tuple[np.ndarray, ...] = ()
-    exclude_last_observation: bool = False
-
-    def __post_init__(self):
-        expected = len(self.actions) - (1 if self.exclude_last_observation else 0)
-        if len(self.observations) != max(expected, 0):
-            raise ValueError(
-                f"history with {len(self.actions)} actions and "
-                f"exclude_last={self.exclude_last_observation} needs "
-                f"{max(expected, 0)} observations, got {len(self.observations)}"
-            )
-
-
 @dataclass
 class BeliefNode:
     """One node of the search tree.
@@ -82,14 +64,15 @@ class BeliefNode:
     ``accumulated_reward`` is the consecutive-MI running sum in
     ``consecutive_mi`` mode and the node's own sequential information gain in
     ``involved_ig`` mode.  ``children[action_id]`` lists
-    ``(observation, child)`` pairs; the observation is ``None`` on the
-    deterministic analytic path.
+    ``(observation, child)`` pairs, so a node's actions and observations are
+    its path from the root.  Below the root, ``belief`` and the observation
+    are ``None`` in ``involved_ig`` mode, which reads neither; the
+    observation is also ``None`` on the deterministic analytic path.
     """
 
-    belief: GaussianDensity
+    belief: GaussianDensity | None
     depth: int
     accumulated_reward: float
-    history: History
     children: dict[str, list[tuple[np.ndarray | None, "BeliefNode"]]] = field(
         default_factory=dict
     )
@@ -123,7 +106,9 @@ class SmcMiBackend:
     """One-step augmented MI via the SMC estimator.
 
     Draws the budget's prior particles from the node belief, then runs the
-    estimator; stochastic, so the solver branches on sampled observations.
+    estimator.  It is stochastic, so the solver branches: on sampled
+    observations in ``consecutive_mi`` mode, and on the reward's seed alone in
+    ``involved_ig`` mode.
     """
 
     exact = False
@@ -184,6 +169,10 @@ def _plan_involved_union(
     for t, step in enumerate(steps):
         new_decl: dict[str, int] = {}
         for action in step:
+            # Checked up front: involved_ig mode never conditions on a draw,
+            # and both modes must reject such an action alike.
+            if not action.observations:
+                raise ValueError(f"step {t}: action {action.id!r} has no observations")
             for new_id, dim in zip(action.new_ids, action.new_dims):
                 if new_decl.setdefault(new_id, dim) != dim:
                     raise ValueError(
@@ -250,96 +239,86 @@ def solve(
     root_belief, exact, branches, node_rng = _root(
         prior, steps, mi_backend, obs_samples, rng
     )
+    involved_ig = reward_mode == REWARD_INVOLVED_IG
+
+    def reward(
+        belief: GaussianDensity,
+        action: Action,
+        key: tuple[int, ...],
+        path: tuple[str, ...],
+    ) -> float:
+        try:
+            return float(mi_backend(belief, action, node_rng(key)))
+        except Exception as exc:
+            raise PlannerError(
+                f"backend failed at depth {len(path)} on action {action.id!r} "
+                f"(path {list(path)}): {exc}"
+            ) from exc
 
     def expand(
-        belief: GaussianDensity,
-        depth: int,
+        belief: GaussianDensity | None,
+        prefix: Action | None,
         acc_reward: float,
-        path_actions: tuple[Action, ...],
-        history: History,
-        path_key: tuple[int, ...],
+        path: tuple[str, ...],
+        key: tuple[int, ...],
     ) -> tuple[float, tuple[str, ...], BeliefNode]:
-        if reward_mode == REWARD_INVOLVED_IG:
-            if depth == 0:
-                node_reward = 0.0
-            else:
-                composed = compose_actions(path_actions)
-                try:
-                    node_reward = float(
-                        mi_backend(root_belief, composed, node_rng(path_key + (0,)))
-                    )
-                except Exception as exc:
-                    raise PlannerError(
-                        f"backend failed at depth {depth} after actions "
-                        f"{[a.id for a in path_actions]}: {exc}"
-                    ) from exc
-        else:
-            node_reward = acc_reward
-        node = BeliefNode(
-            belief=belief, depth=depth, accumulated_reward=node_reward, history=history
+        depth = len(path)
+        # Below the root an involved_ig node is rewarded on its composed
+        # prefix; every other node carries the consecutive-MI running sum.
+        node_reward = (
+            acc_reward
+            if prefix is None
+            else reward(root_belief, prefix, key + (0,), path)
         )
+        node = BeliefNode(belief=belief, depth=depth, accumulated_reward=node_reward)
         if depth == horizon:
-            terminal = node_reward if reward_mode == REWARD_INVOLVED_IG else 0.0
-            return terminal, (), node
+            return (node_reward if involved_ig else 0.0), (), node
 
         best_value = -np.inf
         best_action: str | None = None
         best_tail: tuple[str, ...] = ()
         for a_index, action in enumerate(sorted(steps[depth], key=lambda a: a.id)):
-            a_key = path_key + (1, a_index)
-            if reward_mode == REWARD_CONSECUTIVE_MI:
-                try:
-                    edge = float(mi_backend(belief, action, node_rng(a_key + (0,))))
-                except Exception as exc:
-                    raise PlannerError(
-                        f"backend failed at depth {depth} on action {action.id!r} "
-                        f"(path {[a.id for a in path_actions]}): {exc}"
-                    ) from exc
-                acc_child = acc_reward + edge
-            else:
+            a_key = key + (1, a_index)
+            if involved_ig:
+                child_prefix = action if prefix is None else compose_actions((prefix, action))
                 acc_child = 0.0
+                draws = [(None, None)] * branches
+            else:
+                child_prefix = None
+                acc_child = acc_reward + reward(belief, action, a_key + (0,), path)
+                joint = joint_state_observation(belief, action)
+                draws = [
+                    _condition_on_draw(
+                        joint, action, None if exact else node_rng(a_key + (2, branch))
+                    )
+                    for branch in range(branches)
+                ]
 
             future = 0.0
             pairs: list[tuple[np.ndarray | None, BeliefNode]] = []
-            joint = joint_state_observation(belief, action)
-            for branch in range(branches):
-                child_belief, z_rec = _condition_on_draw(
-                    joint, action, None if exact else node_rng(a_key + (2, branch))
-                )
-                child_hist = History(
-                    actions=history.actions + (action.id,),
-                    observations=history.observations
-                    + ((z_rec,) if z_rec is not None else (np.empty(0),)),
-                )
+            for branch, (child_belief, z) in enumerate(draws):
                 value, tail, child = expand(
                     child_belief,
-                    depth + 1,
+                    child_prefix,
                     acc_child,
-                    path_actions + (action,),
-                    child_hist,
+                    path + (action.id,),
                     a_key + (3, branch),
                 )
                 future += value / branches
-                pairs.append((z_rec, child))
+                pairs.append((z, child))
             node.children[action.id] = pairs
 
-            if reward_mode == REWARD_CONSECUTIVE_MI:
-                candidate = acc_child + future
-            else:
-                candidate = future
-            candidate += step_reward
+            candidate = (future if involved_ig else acc_child + future) + step_reward
             # Actions iterate in id order, so strict > keeps the lowest id on ties.
             if candidate > best_value:
                 best_value = candidate
                 best_action = action.id
                 best_tail = tail
 
-        total = best_value if reward_mode == REWARD_CONSECUTIVE_MI else node_reward + best_value
+        total = node_reward + best_value if involved_ig else best_value
         return total, (best_action,) + best_tail, node
 
-    value, sequence, root = expand(
-        root_belief, 0, 0.0, (), History(), ()
-    )
+    value, sequence, root = expand(root_belief, None, 0.0, (), ())
     return ObjectiveValue(value=float(value), best_sequence=sequence, root=root)
 
 

@@ -76,6 +76,19 @@ class TestMiEval:
             assert proc.returncode == 1
             assert "choose from analytic,naive-kde,invmi-kde,mismc" in proc.stderr
 
+    @pytest.mark.parametrize(("method", "particles"), [("analytic", "0"), ("mismc", "-5")])
+    def test_degenerate_particles_are_usage_errors(self, tmp_path, capsys, method, particles):
+        out = tmp_path / "scenario.json"
+        assert main(["scenario", "generate", "--dim", "24", "--actions", "1",
+                     "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["mi", "eval", "--scenario", str(out), "--action", "a1",
+                     "--method", method, "--particles", particles, "--seed", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("usage error: --particles")
+        assert captured.out == ""
+
     def test_missing_scenario_file(self, tmp_path):
         proc = run_cli(
             "mi", "eval", "--scenario", str(tmp_path / "nope.json"),

@@ -10,6 +10,7 @@ from augmi import (
     StateLayout,
     WeightedParticleSet,
     invmi_kde_augmented_mi,
+    kde_calculator,
     kde_log_density,
     naive_kde_augmented_mi,
     resubstitution_entropy,
@@ -234,6 +235,16 @@ class TestKdeMiPipelines:
         est = invmi_kde_augmented_mi(prior, action, {"x"}, 300, rng=1, z_draws=4)
         assert np.isfinite(est.value)
         assert est.sample_counts["z_draws"] == 4
+
+    @pytest.mark.parametrize("z_draws", [0, -2])
+    def test_no_observation_draws_rejected(self, chain, z_draws):
+        prior, action = chain
+        with pytest.raises(ValueError, match="z_draws"):
+            naive_kde_augmented_mi(prior, action, 300, rng=1, z_draws=z_draws)
+        with pytest.raises(ValueError, match="z_draws"):
+            invmi_kde_augmented_mi(prior, action, {"x"}, 300, rng=1, z_draws=z_draws)
+        with pytest.raises(ValueError, match="z_draws"):
+            kde_calculator(300, z_draws=z_draws)(prior, action, 1)
 
     def test_seed_recorded(self, chain):
         prior, action = chain

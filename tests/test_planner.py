@@ -1,7 +1,11 @@
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
 from augmi import (
+    Action,
     AnalyticMiBackend,
     REWARD_CONSECUTIVE_MI,
     REWARD_INVOLVED_IG,
@@ -16,18 +20,11 @@ from augmi import (
     sequential_mi_direct,
     solve,
 )
-from augmi.planner import History, PlannerError
+import augmi.planner as planner
+from augmi.planner import PlannerError
 from conftest import CHAIN_MI, make_chain_1d, random_plan_instance
 
 BACKEND = AnalyticMiBackend()
-
-
-class TestHistory:
-    def test_length_rules(self):
-        History(actions=("a",), observations=(np.zeros(1),))
-        History(actions=("a",), observations=(), exclude_last_observation=True)
-        with pytest.raises(ValueError, match="needs"):
-            History(actions=("a", "b"), observations=())
 
 
 class TestSolveSingleStep:
@@ -201,6 +198,63 @@ class TestSampledObservationBranching:
             solve(prior, [action], 1, REWARD_CONSECUTIVE_MI, Broken(), rng=0)
 
 
+class TestInvolvedIgTree:
+    """involved_ig rewards come from the root belief on the composed path,
+    so its tree holds prefixes and seeds, not conditioned beliefs."""
+
+    def test_conditions_no_belief_and_composes_pairs(self, monkeypatch):
+        prior, steps = random_plan_instance(np.random.default_rng(5), horizon=3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("involved_ig must not build or condition a belief")
+
+        composed_lengths = []
+
+        def recording_compose(actions, *args, **kwargs):
+            composed_lengths.append(len(actions))
+            return compose_actions(actions, *args, **kwargs)
+
+        monkeypatch.setattr(planner, "joint_state_observation", forbidden)
+        monkeypatch.setattr(planner, "_condition_on_draw", forbidden)
+        monkeypatch.setattr(planner, "compose_actions", recording_compose)
+        backend = SmcMiBackend(SampleBudget(n1=80))
+        result = solve(prior, steps, 3, REWARD_INVOLVED_IG, backend, obs_samples=2, rng=9)
+        assert np.isfinite(result.value)
+        assert composed_lengths and set(composed_lengths) == {2}
+        first = result.root.children[result.best_sequence[0]]
+        assert len(first) == 2
+        assert all(z is None and child.belief is None for z, child in first)
+
+    def test_backend_sees_each_composed_prefix(self):
+        prior, steps = random_plan_instance(np.random.default_rng(6), horizon=3)
+        obs_samples = 2
+        smc = SmcMiBackend(SampleBudget(n1=60))
+        seen = []
+
+        class Recording:
+            exact = False
+
+            def __call__(self, belief, action, rng):
+                seen.append((belief, action))
+                return smc(belief, action, rng)
+
+        solve(prior, steps, 3, REWARD_INVOLVED_IG, Recording(), obs_samples=obs_samples, rng=4)
+        expected = {}
+        for depth in (1, 2, 3):
+            for path in itertools.product(*steps[:depth]):
+                # One call per tree node on the path: obs_samples branches per edge.
+                expected[compose_actions(path).id] = (path, obs_samples**depth)
+        counts = collections.Counter(action.id for _belief, action in seen)
+        assert counts == {key: n for key, (_path, n) in expected.items()}
+        assert len({id(belief) for belief, _action in seen}) == 1
+        for _belief, action in seen:
+            full = compose_actions(expected[action.id][0])
+            assert action.new_ids == full.new_ids
+            assert [s for s, _m in action.observations] == [s for s, _m in full.observations]
+            assert all(a is b for a, b in zip(action.transitions, full.transitions))
+            assert all(a is b for (_s, a), (_t, b) in zip(action.observations, full.observations))
+
+
 class TestValidation:
     def test_horizon_positive(self, chain):
         prior, action = chain
@@ -211,6 +265,13 @@ class TestValidation:
         prior, action = chain
         with pytest.raises(ValueError, match="reward mode"):
             solve(prior, [action], 1, "whatever", BACKEND, rng=0)
+
+    def test_action_without_observations_rejected_in_both_modes(self, chain):
+        prior, action = chain
+        blind = Action(id="t", transitions=action.transitions)
+        for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
+            with pytest.raises(ValueError, match="no observations"):
+                solve(prior, [action, blind], 1, mode, BACKEND, rng=0)
 
     def test_step_count_must_match_horizon(self, chain):
         prior, action = chain
