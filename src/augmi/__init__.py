@@ -36,7 +36,6 @@ from .involved import (
     invmi,
     kde_calculator,
     mismc_calculator,
-    union_involved,
 )
 from .kde import (
     BandwidthError,
@@ -61,7 +60,6 @@ from .planner import (
     REWARD_CONSECUTIVE_MI,
     REWARD_INVOLVED_IG,
     SmcMiBackend,
-    consecutive_mi,
     sequential_mi_direct,
     solve,
 )
@@ -80,7 +78,6 @@ from .smc import (
     MismcAccumulator,
     MismcContext,
     SampleBudget,
-    estimate_normalizer,
     mismc_context,
     mismc_estimate,
     mismc_update,

@@ -23,7 +23,7 @@ from .involved import (
     kde_calculator,
     mismc_calculator,
 )
-from .kde import KdeConfig
+from .kde import KdeConfig, naive_kde_augmented_mi
 from .mi import (
     ALL_METHODS,
     METHOD_ANALYTIC,
@@ -47,10 +47,17 @@ _METHOD_INDEX = {m: i for i, m in enumerate(ALL_METHODS)}
 # Per method: the calculator for (particle count, KDE config), and whether
 # it runs on the involved marginal through invmi or on the full prior.  The
 # mismc calculator samples the prior particles itself, which is input
-# preparation, outside the estimator's elapsed time.
+# preparation, outside the estimator's elapsed time.  naive_kde calls its
+# pipeline directly: kde_calculator would run the involved pipeline on a
+# prior that is already the action's footprint.
 _METHODS = {
     METHOD_ANALYTIC: (lambda n, cfg: analytic_calculator(), False),
-    METHOD_NAIVE_KDE: (kde_calculator, False),
+    METHOD_NAIVE_KDE: (
+        lambda n, cfg: lambda belief, action, rng: naive_kde_augmented_mi(
+            belief, action, n, cfg, rng
+        ),
+        False,
+    ),
     METHOD_INVMI_KDE: (kde_calculator, True),
     METHOD_MISMC: (lambda n, cfg: mismc_calculator(SampleBudget(n1=n, n4=n)), True),
 }

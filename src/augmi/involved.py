@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -35,10 +35,6 @@ from .state import (
     sample_particles,
 )
 
-SOURCE_EXACT = "exact_footprint"
-SOURCE_UNION = "union_over_actions"
-SOURCE_USER = "user_supplied"
-
 Belief = Union[WeightedParticleSet, GaussianDensity]
 # ``rng`` is a Generator or an integer seed; an integer becomes the estimate's
 # seed label.
@@ -55,7 +51,6 @@ class InvolvedSet:
 
     layout: StateLayout
     blocks: frozenset[str]
-    source: str = SOURCE_USER
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", frozenset(self.blocks))
@@ -64,16 +59,10 @@ class InvolvedSet:
         unknown = self.blocks - set(self.layout.ids)
         if unknown:
             raise ValueError(f"involved set references unknown blocks {sorted(unknown)}")
-        if self.source not in (SOURCE_EXACT, SOURCE_UNION, SOURCE_USER):
-            raise ValueError(f"unknown source tag {self.source!r}")
 
     @property
     def dim(self) -> int:
         return sum(self.layout.block(b).dim for b in self.blocks)
-
-    def ordered(self) -> tuple[str, ...]:
-        """Block ids in layout order (deterministic)."""
-        return tuple(b.id for b in self.layout.blocks if b.id in self.blocks)
 
 
 def determine_involved(layout: StateLayout, action: Action) -> InvolvedSet:
@@ -82,24 +71,7 @@ def determine_involved(layout: StateLayout, action: Action) -> InvolvedSet:
     New blocks the action creates are inherently involved but excluded here;
     the set is a subset of the prior by definition.
     """
-    return InvolvedSet(
-        layout=layout,
-        blocks=prior_footprint(layout, action),
-        source=SOURCE_EXACT,
-    )
-
-
-def union_involved(sets: Iterable[InvolvedSet]) -> InvolvedSet:
-    """Union of per-action involved sets, for one-time marginalization."""
-    sets = list(sets)
-    if not sets:
-        raise ValueError("need at least one involved set")
-    layout = sets[0].layout
-    for inv in sets[1:]:
-        if inv.layout != layout:
-            raise ValueError("involved sets disagree on the state layout")
-    blocks = frozenset().union(*(inv.blocks for inv in sets))
-    return InvolvedSet(layout=layout, blocks=blocks, source=SOURCE_UNION)
+    return InvolvedSet(layout=layout, blocks=prior_footprint(layout, action))
 
 
 def invmi(

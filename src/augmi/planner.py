@@ -30,6 +30,7 @@ front.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -42,6 +43,7 @@ from .state import (
     Action,
     GaussianDensity,
     StateLayout,
+    _derived_rng,
     compose_actions,
     ensure_rng,
     marginalize_gaussian,
@@ -122,17 +124,6 @@ class SmcMiBackend:
         return mismc_calculator(self.budget)(belief, action, rng).value
 
 
-def consecutive_mi(
-    belief_at_t: GaussianDensity,
-    action: Action,
-    mi_backend: MiBackend,
-    rng: np.random.Generator | int,
-) -> float:
-    """One-step augmented MI of ``action`` from the node belief."""
-    rng, _ = ensure_rng(rng)
-    return float(mi_backend(belief_at_t, action, rng))
-
-
 def _steps_argument(
     actions: Sequence[Action] | Sequence[Sequence[Action]], horizon: int
 ) -> list[list[Action]]:
@@ -197,7 +188,10 @@ def _root(
     Returns the prior marginalized onto the plan's involved union, whether
     the backend is exact, the observation branch count per action node, and
     ``node_rng``, which derives a node's generator from its tree path.
+    ``obs_samples`` below 1 raises ``ValueError`` whatever the backend.
     """
+    if obs_samples < 1:
+        raise ValueError(f"obs_samples must be >= 1, got {obs_samples}")
     rng, _ = ensure_rng(rng)
     involved = _plan_involved_union(prior.layout, steps)
     root_belief = (
@@ -206,14 +200,9 @@ def _root(
         else marginalize_gaussian(prior, involved)
     )
     exact = bool(getattr(mi_backend, "exact", False))
-    branches = 1 if exact else max(1, int(obs_samples))
+    branches = 1 if exact else int(obs_samples)
     root_entropy = [int(v) for v in rng.integers(0, 2**63, size=2)]
-
-    def node_rng(path_key: tuple[int, ...]) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=root_entropy, spawn_key=path_key)
-        return np.random.Generator(np.random.PCG64(ss))
-
-    return root_belief, exact, branches, node_rng
+    return root_belief, exact, branches, functools.partial(_derived_rng, root_entropy)
 
 
 def solve(

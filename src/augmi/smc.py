@@ -12,6 +12,7 @@ observation models and averaging log model densities:
     sum2  weights x mean log F_Z   at sampled observations
     sum3  weights x mean log eta(z), the sampled observations' marginal
           likelihood under the prior, estimated from a second particle pass
+          that :class:`MismcContext` draws once per run
 
 and returns ``sum1 + sum2 - sum3``.  log eta is computed in log space, so it
 stays accurate however far in the tail a sampled z lands; rows where eta is
@@ -41,6 +42,7 @@ from .state import (
     SequentialObservation,
     SequentialTransition,
     WeightedParticleSet,
+    _derived_rng,
     ensure_rng,
 )
 
@@ -117,86 +119,20 @@ class MismcAccumulator:
         return self.sum1 + self.sum2 - self.sum3
 
 
-class _NormalizerSamples:
-    """The second particle pass: propagated samples the marginal observation
-    likelihood is averaged over.
-
-    Drawn once per run and reused for every sampled observation, as a
-    particle filter would reuse its weighted set.  When ``n4`` equals the
-    prior size the set is the prior itself with its weights and the
-    transition noise is keyed per particle index (so the whole estimator is
-    invariant to particle replication); otherwise ``n4`` particles are drawn
-    weight-proportionally and averaged uniformly.
-    """
-
-    def __init__(
-        self,
-        prior: WeightedParticleSet,
-        transition: SequentialTransition,
-        observation: SequentialObservation,
-        n4: int,
-        n5: int,
-        norm_root: tuple[int, ...],
-        stream_indices: np.ndarray,
-    ):
-        if n4 == prior.n:
-            x = prior.particles
-            w = np.asarray(prior.weights)
-            indices = stream_indices
-        else:
-            sel_rng = _derived_rng(norm_root, (_NORMALIZER_KEY,))
-            sel = sel_rng.choice(prior.n, size=n4, p=prior.weights)
-            x = prior.particles[sel]
-            w = np.full(n4, 1.0 / n4)
-            indices = np.arange(n4)
-        noise = _particle_noise(norm_root, indices, n5 * transition.new_dim)
-        x_rep = np.repeat(x, n5, axis=0)
-        self.weights_rep = np.repeat(w / n5, n5)
-        new, _logp = transition.sample_with_noise(
-            x_rep, noise.reshape(n4 * n5, transition.new_dim)
-        )
-        self.evaluator = observation.grid_evaluator(x_rep, new)
-
-    def log_eta(self, z: np.ndarray) -> tuple[np.ndarray, int]:
-        """Log marginal likelihood estimate per row of ``z``, and the number
-        of rows below the floor."""
-        log_eta = self.evaluator.mixture_likelihood(z, self.weights_rep)
-        return log_eta, int(np.count_nonzero(log_eta < _LOG_ETA_FLOOR))
-
-
-def estimate_normalizer(
-    prior: WeightedParticleSet,
-    transition: SequentialTransition,
-    observation: SequentialObservation,
-    z: np.ndarray,
-    n4: int,
-    n5: int,
-    rng: np.random.Generator | int,
-) -> float:
-    """Estimate the observation's marginal likelihood under the prior.
-
-    Returns ``sum_l w_l (1/n5) sum_m F_Z(z | x_l, new_lm)`` with the new
-    blocks sampled from the transition models.  The sum is taken in log
-    space and exponentiated at the end, so the result is 0.0 when eta
-    underflows a float (log eta below about -745).
-    """
-    rng, _ = ensure_rng(rng)
-    if n4 < 1 or n5 < 1:
-        raise BudgetError("n4 and n5 must be >= 1")
-    norm_root = tuple(int(v) for v in rng.integers(0, 2**63, size=2))
-    samples = _NormalizerSamples(
-        prior, transition, observation, n4, n5, norm_root, np.arange(prior.n)
-    )
-    z = np.asarray(z, dtype=float).ravel()
-    if z.shape != (observation.obs_dim,):
-        raise ValueError(f"z has shape {z.shape}, expected ({observation.obs_dim},)")
-    log_eta, _floors = samples.log_eta(z[None, :])
-    return float(np.exp(log_eta[0]))
-
-
 class MismcContext:
     """Everything an estimator run needs: prior, compiled models, budget,
-    the run's RNG root, and the shared normalizer samples."""
+    the run's RNG root, and the normalizer pass.
+
+    The normalizer pass is the second particle set that log eta(z) is
+    averaged over, drawn once per run and reused for every sampled
+    observation, as a particle filter would reuse its weighted set:
+    ``normalizer`` holds its propagated batch and ``normalizer_weights`` its
+    weights.  When ``n4`` equals the prior size the set is the prior itself
+    with its weights, and the transition noise is keyed per particle stream
+    index, so the whole estimator is invariant to particle replication;
+    otherwise ``n4`` particles are drawn weight-proportionally and averaged
+    uniformly.  Each set member is propagated ``n5`` times.
+    """
 
     def __init__(
         self,
@@ -229,15 +165,19 @@ class MismcContext:
         self.stream_indices = stream_indices
         # Two independent stream keys: outer-particle noise and normalizer.
         self.root = tuple(int(v) for v in rng.integers(0, 2**63, size=4))
-        self.normalizer = _NormalizerSamples(
-            prior,
-            self.transition,
-            self.observation,
-            budget.n4,
-            budget.n5,
-            self.root[2:],
-            stream_indices,
-        )
+        norm_root = self.root[2:]
+        n4, n5, new_dim = budget.n4, budget.n5, self.transition.new_dim
+        if n4 == prior.n:
+            x, w, indices = prior.particles, np.asarray(prior.weights), stream_indices
+        else:
+            sel_rng = _derived_rng(norm_root, (_NORMALIZER_KEY,))
+            sel = sel_rng.choice(prior.n, size=n4, p=prior.weights)
+            x, w, indices = prior.particles[sel], np.full(n4, 1.0 / n4), np.arange(n4)
+        noise = _particle_noise(norm_root, indices, n5 * new_dim)
+        x_rep = np.repeat(x, n5, axis=0)
+        new, _logp = self.transition.sample_with_noise(x_rep, noise.reshape(n4 * n5, new_dim))
+        self.normalizer = self.observation.grid_evaluator(x_rep, new)
+        self.normalizer_weights = np.repeat(w / n5, n5)
 
     def empty_accumulator(self) -> MismcAccumulator:
         return MismcAccumulator(rng_state=self.root)
@@ -261,11 +201,6 @@ class MismcContext:
             sample_counts=counts,
             seed=self.seed,
         )
-
-
-def _derived_rng(root: tuple[int, ...], spawn_key: tuple[int, ...]) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=list(root), spawn_key=spawn_key)
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _uniform_stride(per_particle: int) -> int:
@@ -366,7 +301,8 @@ def mismc_update(
     new_rep2 = np.repeat(new, n3, axis=0)
     z, log_fz = obs.sample_with_noise(x_rep2, new_rep2, noise_o)
 
-    log_eta, floors = context.normalizer.log_eta(z)
+    log_eta = context.normalizer.mixture_likelihood(z, context.normalizer_weights)
+    floors = int(np.count_nonzero(log_eta < _LOG_ETA_FLOOR))
 
     sum1 = float(w @ log_ft.reshape(additional_n1, n2).mean(axis=1))
     sum2 = float(w @ log_fz.reshape(additional_n1, n2 * n3).mean(axis=1))

@@ -71,6 +71,12 @@ def ensure_rng(rng: np.random.Generator | int) -> tuple[np.random.Generator, int
     raise TypeError(f"expected numpy Generator or int seed, got {type(rng).__name__}")
 
 
+def _derived_rng(root: Sequence[int], spawn_key: tuple[int, ...]) -> np.random.Generator:
+    """The generator of one keyed child stream of an entropy root."""
+    ss = np.random.SeedSequence(entropy=list(root), spawn_key=spawn_key)
+    return np.random.Generator(np.random.PCG64(ss))
+
+
 def _span_indices(spans: Iterable[tuple[int, int]]) -> np.ndarray:
     """The flat indices of ``(start, dim)`` spans, in order."""
     return np.array([i for start, dim in spans for i in range(start, start + dim)], dtype=int)
@@ -213,9 +219,9 @@ class WeightedParticleSet:
 class GaussianDensity:
     """Gaussian belief with a block layout.
 
-    The covariance must be symmetric to 1e-10 relative tolerance; positive
-    definiteness is enforced lazily by the jitter policy when a
-    factorization is actually needed.
+    The mean and covariance must be finite and the covariance symmetric to
+    1e-10 relative tolerance; positive definiteness is enforced lazily by
+    the jitter policy when a factorization is actually needed.
     """
 
     layout: StateLayout
@@ -230,8 +236,12 @@ class GaussianDensity:
             raise ValueError(f"mean has shape {mean.shape}, expected ({dim},)")
         if cov.shape != (dim, dim):
             raise ValueError(f"covariance has shape {cov.shape}, expected ({dim}, {dim})")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > 1e-10 * scale:
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
+        scale = float(np.abs(cov).max())
+        if not math.isfinite(scale):
+            raise ValueError("covariance must be finite")
+        if np.abs(cov - cov.T).max() > 1e-10 * max(1.0, scale):
             raise ValueError("covariance is not symmetric (relative tolerance 1e-10)")
         object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "covariance", _frozen_array(0.5 * (cov + cov.T)))
@@ -272,7 +282,12 @@ class LinearGaussianModel:
             )
         if noise.shape != (self.output_dim, self.output_dim):
             raise ValueError("noise_cov shape must be (output_dim, output_dim)")
-        if np.abs(noise - noise.T).max() > 1e-10 * max(1.0, float(np.abs(noise).max())):
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix must be finite")
+        scale = float(np.abs(noise).max())
+        if not math.isfinite(scale):
+            raise ValueError("noise_cov must be finite")
+        if np.abs(noise - noise.T).max() > 1e-10 * max(1.0, scale):
             raise ValueError("noise_cov is not symmetric")
         object.__setattr__(self, "matrix", _frozen_array(matrix))
         object.__setattr__(self, "noise_cov", _frozen_array(0.5 * (noise + noise.T)))
@@ -607,14 +622,6 @@ class SequentialTransition(_SequentialModels):
         logpdf = self._sample(work, noise, new)
         return new.copy(), logpdf
 
-    def sample(
-        self, x: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw one new-block stack per row of ``x``; returns ``(new, logpdf)``."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        noise = rng.standard_normal((x.shape[0], self.new_dim))
-        return self.sample_with_noise(x, noise)
-
     def log_density(self, x: np.ndarray, new: np.ndarray) -> np.ndarray:
         """Row-wise summed log density of ``new`` given ``x``."""
         work = self._work(x, new)
@@ -637,13 +644,6 @@ class SequentialObservation(_SequentialModels):
         logpdf = self._sample(work, noise, z)
         return z, logpdf
 
-    def sample(
-        self, x: np.ndarray, new: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        noise = rng.standard_normal((x.shape[0], self.obs_dim))
-        return self.sample_with_noise(x, new, noise)
-
     def log_density(self, x: np.ndarray, new: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Row-wise summed log density of ``z`` given ``(x, new)``."""
         work = self._work(x, new)
@@ -653,12 +653,6 @@ class SequentialObservation(_SequentialModels):
         """Precompute whitened model means for repeated pairwise evaluation
         against the fixed batch ``(x, new)``."""
         return ObservationGridEvaluator(self, x, new)
-
-    def log_density_grid(
-        self, x: np.ndarray, new: np.ndarray, z: np.ndarray
-    ) -> np.ndarray:
-        """Pairwise log densities: entry ``[m, l]`` is log F_Z(z[m] | x[l], new[l])."""
-        return self.grid_evaluator(x, new).log_density_grid(z)
 
 
 class ObservationGridEvaluator:
@@ -681,6 +675,8 @@ class ObservationGridEvaluator:
         self._centers = seq_obs._whiten(means)
 
     def log_density_grid(self, z: np.ndarray) -> np.ndarray:
+        """Pairwise log densities: entry ``[m, l]`` is log F_Z(z[m] | batch[l]),
+        the dense reference the kernel sum is checked against."""
         sq = _squared_distances(self._seq_obs._whiten(z), self._centers)
         return -0.5 * sq - self._seq_obs._log_norm
 

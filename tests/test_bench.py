@@ -3,8 +3,13 @@ import pytest
 
 from augmi import (
     CSV_HEADER,
+    Action,
+    GaussianDensity,
+    LinearGaussianModel,
     ResultRow,
     SampleBudget,
+    SlamScenario,
+    StateLayout,
     augmented_mi_analytic,
     determine_involved,
     emit_csv,
@@ -75,6 +80,38 @@ class TestEvaluateMethod:
 
 
 class TestActionsExperiment:
+    def test_naive_kde_rows_on_a_footprint_prior(self):
+        # The prior is exactly the action's footprint, so a reduced and an
+        # unreduced prior look alike; each method must still write its own rows.
+        layout = StateLayout.from_dims([("x", 2)])
+        prior = GaussianDensity(layout=layout, mean=np.zeros(2), covariance=np.eye(2))
+        action = Action(
+            id="a",
+            transitions=(
+                LinearGaussianModel(
+                    inputs=("x",), output_dim=2, matrix=np.eye(2), noise_cov=np.eye(2)
+                ),
+            ),
+            observations=(
+                (
+                    1,
+                    LinearGaussianModel(
+                        inputs=("a:x1",), output_dim=2, matrix=np.eye(2), noise_cov=np.eye(2)
+                    ),
+                ),
+            ),
+        )
+        scenario = SlamScenario(
+            layout=layout, prior=prior, actions=(action,), sensing_range=25.0, seed=0
+        )
+        rows = run_actions_experiment(scenario, {"naive_kde", "invmi_kde"}, 50, trials=2, seed=1)
+        assert [row.method for row in rows].count("naive_kde") == 2
+        assert [row.method for row in rows].count("invmi_kde") == 2
+        for row in rows:
+            if row.method == "naive_kde":
+                direct = naive_kde_augmented_mi(prior, action, 50, None, row.seed)
+                assert row.mi_estimate == direct.value
+
     def test_analytic_only_zero_variance(self, small_scenario):
         rows = run_actions_experiment(small_scenario, {"analytic"}, 50, trials=7, seed=1)
         assert len(rows) == 2  # one per action, deterministic

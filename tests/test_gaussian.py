@@ -318,8 +318,12 @@ class TestMultiStepActions:
         transition = SequentialTransition(prior.layout, action)
         observation = SequentialObservation(prior.layout, action)
         rng = np.random.default_rng(1)
-        new, _ = transition.sample(x, rng)
-        z, _ = observation.sample(x, new, rng)
+        new, _ = transition.sample_with_noise(
+            x, rng.standard_normal((x.shape[0], transition.new_dim))
+        )
+        z, _ = observation.sample_with_noise(
+            x, new, rng.standard_normal((x.shape[0], observation.obs_dim))
+        )
         joint = joint_state_observation(prior, action)
         state_ids = prior.layout.ids + action.new_ids
         states = marginalize_gaussian(joint, state_ids)

@@ -19,9 +19,8 @@ from augmi import (
     mismc_calculator,
     mismc_estimate,
     sample_particles,
-    union_involved,
 )
-from augmi.involved import SOURCE_EXACT, SOURCE_UNION, CalculatorError
+from augmi.involved import CalculatorError
 from conftest import random_instance
 
 
@@ -30,7 +29,6 @@ class TestDetermineInvolved:
         scenario = generate_scenario(60, 2, seed=1)
         for action in scenario.actions:
             inv = determine_involved(scenario.layout, action)
-            assert inv.source == SOURCE_EXACT
             pose_blocks = [b for b in inv.blocks if b.startswith("p")]
             landmark_blocks = [b for b in inv.blocks if b.startswith("l")]
             assert len(pose_blocks) == 1 and len(landmark_blocks) == 1
@@ -75,42 +73,7 @@ class TestDetermineInvolved:
             determine_involved(prior.layout, bad)
 
 
-class TestUnionInvolved:
-    def test_simple_union(self):
-        scenario = generate_scenario(30, 2, seed=5)
-        sets = [determine_involved(scenario.layout, a) for a in scenario.actions]
-        merged = union_involved(sets)
-        assert merged.source == SOURCE_UNION
-        assert merged.blocks == sets[0].blocks | sets[1].blocks
-
-    def test_idempotent(self):
-        scenario = generate_scenario(30, 1, seed=5)
-        inv = determine_involved(scenario.layout, scenario.actions[0])
-        assert union_involved([inv, inv]).blocks == inv.blocks
-
-    def test_four_action_scenario_union(self):
-        # enumeration oracle: one pose + at most four landmarks
-        scenario = generate_scenario(150, 4, seed=42)
-        sets = [determine_involved(scenario.layout, a) for a in scenario.actions]
-        merged = union_involved(sets)
-        by_hand = set()
-        for action in scenario.actions:
-            for model in action.transitions:
-                by_hand.update(set(model.inputs) & set(scenario.layout.ids))
-            for _step, model in action.observations:
-                by_hand.update(set(model.inputs) & set(scenario.layout.ids))
-        assert merged.blocks == by_hand
-        assert len([b for b in merged.blocks if b.startswith("p")]) == 1
-        assert len([b for b in merged.blocks if b.startswith("l")]) <= 4
-
-    def test_layout_mismatch(self):
-        s1 = generate_scenario(30, 1, seed=1)
-        s2 = generate_scenario(40, 1, seed=1)
-        i1 = determine_involved(s1.layout, s1.actions[0])
-        i2 = determine_involved(s2.layout, s2.actions[0])
-        with pytest.raises(ValueError, match="layout"):
-            union_involved([i1, i2])
-
+class TestInvolvedSet:
     def test_involved_set_validation(self):
         scenario = generate_scenario(30, 1, seed=2)
         with pytest.raises(ValueError, match="non-empty"):

@@ -13,7 +13,6 @@ from augmi import (
     SmcMiBackend,
     augmented_mi_analytic,
     compose_actions,
-    consecutive_mi,
     determine_involved,
     generate_scenario,
     marginalize_gaussian,
@@ -83,14 +82,13 @@ class TestRewardModeEquivalence:
         def walk(node):
             for action_id, pairs in node.children.items():
                 for _z, child in pairs:
-                    edge = consecutive_mi(
+                    edge = BACKEND(
                         node.belief,
                         next(
                             a
                             for a in steps[node.depth]
                             if a.id == action_id
                         ),
-                        BACKEND,
                         np.random.default_rng(0),
                     )
                     assert child.accumulated_reward == pytest.approx(
@@ -104,7 +102,7 @@ class TestRewardModeEquivalence:
 class TestConsecutiveMi:
     def test_chain_step(self, chain):
         prior, action = chain
-        value = consecutive_mi(prior, action, BACKEND, np.random.default_rng(0))
+        value = BACKEND(prior, action, np.random.default_rng(0))
         assert value == pytest.approx(CHAIN_MI, abs=1e-12)
 
     def test_uninformative_step(self):
@@ -115,7 +113,7 @@ class TestConsecutiveMi:
             inputs=(), output_dim=1, matrix=np.zeros((1, 0)), noise_cov=[[0.4]]
         )
         blind = Action(id="a", transitions=action.transitions, observations=((1, free_obs),))
-        value = consecutive_mi(prior, blind, BACKEND, np.random.default_rng(0))
+        value = BACKEND(prior, blind, np.random.default_rng(0))
         joint = joint_state_observation(prior, Action(id="t", transitions=action.transitions))
         h_new_given_x = gaussian_entropy(joint) - gaussian_entropy(prior)
         assert value == pytest.approx(-h_new_given_x, abs=1e-9)
@@ -125,7 +123,7 @@ class TestConsecutiveMi:
         backend = SmcMiBackend(SampleBudget(n1=1500))
         values = np.array(
             [
-                consecutive_mi(prior, action, backend, np.random.default_rng(100 + i))
+                backend(prior, action, np.random.default_rng(100 + i))
                 for i in range(15)
             ]
         )
@@ -277,3 +275,17 @@ class TestValidation:
         prior, action = chain
         with pytest.raises(ValueError, match="horizon"):
             solve(prior, [[action], [action]], 3, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+
+    @pytest.mark.parametrize("obs_samples", [0, -3])
+    def test_obs_samples_below_one_rejected(self, chain, obs_samples):
+        prior, action = chain
+        for backend in (BACKEND, SmcMiBackend(SampleBudget(n1=50))):
+            with pytest.raises(ValueError, match="obs_samples"):
+                solve(
+                    prior, [action], 1, REWARD_CONSECUTIVE_MI, backend,
+                    obs_samples=obs_samples, rng=0,
+                )
+            with pytest.raises(ValueError, match="obs_samples"):
+                sequential_mi_direct(
+                    prior, [action], 1, backend, obs_samples=obs_samples, rng=0
+                )

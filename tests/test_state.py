@@ -235,6 +235,29 @@ class TestGaussianDensityValidation:
         with pytest.raises(ValueError, match="mean"):
             GaussianDensity(layout=layout, mean=np.zeros(3), covariance=np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_mean_and_covariance(self, bad):
+        layout = StateLayout.from_dims([("a", 2), ("b", 2)])
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GaussianDensity(layout=layout, mean=[bad, 0.0, 0.0, 0.0], covariance=np.eye(4))
+        cov = np.eye(4)
+        cov[1, 2] = cov[2, 1] = bad
+        with pytest.raises(ValueError, match="covariance must be finite"):
+            GaussianDensity(layout=layout, mean=np.zeros(4), covariance=cov)
+
+
+class TestLinearGaussianModelValidation:
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_nonfinite_matrix_and_noise(self, bad):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            LinearGaussianModel(
+                inputs=("x",), output_dim=1, matrix=[[bad]], noise_cov=[[1.0]]
+            )
+        with pytest.raises(ValueError, match="noise_cov must be finite"):
+            LinearGaussianModel(
+                inputs=("x",), output_dim=1, matrix=[[1.0]], noise_cov=[[bad]]
+            )
+
 
 class TestLogDensity:
     def test_standard_normal_at_mode(self):
@@ -372,9 +395,9 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((40, 4))
-        new, logp_t = trans.sample(x, rng)
+        new, logp_t = trans.sample_with_noise(x, rng.standard_normal((40, 2)))
         np.testing.assert_allclose(logp_t, trans.log_density(x, new), atol=1e-10)
-        z, logp_o = obs.sample(x, new, rng)
+        z, logp_o = obs.sample_with_noise(x, new, rng.standard_normal((40, 2)))
         np.testing.assert_allclose(logp_o, obs.log_density(x, new, z), atol=1e-10)
 
     def test_logpdf_matches_scalar_op(self):
@@ -383,8 +406,8 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 4))
-        new, _ = trans.sample(x, rng)
-        z, _ = obs.sample(x, new, rng)
+        new, _ = trans.sample_with_noise(x, rng.standard_normal((5, 2)))
+        z, _ = obs.sample_with_noise(x, new, rng.standard_normal((5, 2)))
         t_model = action.transitions[0]
         o_model = action.observations[0][1]
         for i in range(5):
@@ -403,9 +426,9 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((30, 4))
-        new, _ = trans.sample(x, rng)
+        new, _ = trans.sample_with_noise(x, rng.standard_normal((30, 2)))
         z = rng.standard_normal((11, 2))
-        grid = obs.log_density_grid(x, new, z)
+        grid = obs.grid_evaluator(x, new).log_density_grid(z)
         assert grid.shape == (11, 30)
         for m in (0, 5, 10):
             row = obs.log_density(x, new, np.repeat(z[m : m + 1], 30, axis=0))
@@ -418,7 +441,7 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((64, 4))
-        new, _ = trans.sample(x, rng)
+        new, _ = trans.sample_with_noise(x, rng.standard_normal((64, 2)))
         z = rng.standard_normal((17, 2)) * 2.0
         weights = rng.uniform(0.1, 1.0, 64)
         evaluator = obs.grid_evaluator(x, new)
