@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .involved import (
+    MiCalculator,
     analytic_calculator,
     determine_involved,
     invmi,
@@ -34,6 +35,7 @@ from .mi import (
 )
 from .scenario import SlamScenario, generate_scenario
 from .smc import SampleBudget
+from .state import Action, GaussianDensity
 
 log = logging.getLogger(__name__)
 
@@ -44,20 +46,25 @@ CSV_HEADER = (
 
 _METHOD_INDEX = {m: i for i, m in enumerate(ALL_METHODS)}
 
+
+def _naive_kde_calculator(n: int, cfg: KdeConfig | None) -> MiCalculator:
+    """Calculator running the naive full-state KDE pipeline."""
+
+    def calc(
+        belief: GaussianDensity, action: Action, rng: np.random.Generator | int
+    ) -> MiEstimate:
+        return naive_kde_augmented_mi(belief, action, n, cfg, rng)
+
+    return calc
+
+
 # Per method: the calculator for (particle count, KDE config), and whether
 # it runs on the involved marginal through invmi or on the full prior.  The
 # mismc calculator samples the prior particles itself, which is input
-# preparation, outside the estimator's elapsed time.  naive_kde calls its
-# pipeline directly: kde_calculator would run the involved pipeline on a
-# prior that is already the action's footprint.
+# preparation, outside the estimator's elapsed time.
 _METHODS = {
     METHOD_ANALYTIC: (lambda n, cfg: analytic_calculator(), False),
-    METHOD_NAIVE_KDE: (
-        lambda n, cfg: lambda belief, action, rng: naive_kde_augmented_mi(
-            belief, action, n, cfg, rng
-        ),
-        False,
-    ),
+    METHOD_NAIVE_KDE: (_naive_kde_calculator, False),
     METHOD_INVMI_KDE: (kde_calculator, True),
     METHOD_MISMC: (lambda n, cfg: mismc_calculator(SampleBudget(n1=n, n4=n)), True),
 }

@@ -20,7 +20,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .analytic import augmented_mi_analytic
-from .kde import KdeConfig, invmi_kde_augmented_mi, naive_kde_augmented_mi
+from .kde import KdeConfig, invmi_kde_augmented_mi
 from .mi import METHOD_ANALYTIC, MiEstimate
 from .smc import SampleBudget, mismc_estimate
 from .state import (
@@ -128,22 +128,16 @@ def analytic_calculator() -> MiCalculator:
 
 
 def kde_calculator(n: int, cfg: KdeConfig | None = None, z_draws: int = 1) -> MiCalculator:
-    """Calculator running the re-substitution KDE pipeline on the belief it
-    receives.
-
-    A belief already marginalized onto the action's footprint (as
-    :func:`invmi` hands it over) runs the involved-subset pipeline; a wider
-    belief was not reduced and runs the naive full-state pipeline.
-    """
+    """Calculator running the involved-subset KDE pipeline over every block
+    of the belief it receives, which :func:`invmi` has marginalized onto the
+    action's footprint."""
 
     def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
         if not isinstance(belief, GaussianDensity):
             raise TypeError("KDE calculator needs a GaussianDensity belief")
-        if prior_footprint(belief.layout, action) == set(belief.layout.ids):
-            return invmi_kde_augmented_mi(
-                belief, action, belief.layout.ids, n, cfg, rng, z_draws=z_draws
-            )
-        return naive_kde_augmented_mi(belief, action, n, cfg, rng, z_draws=z_draws)
+        return invmi_kde_augmented_mi(
+            belief, action, belief.layout.ids, n, cfg, rng, z_draws=z_draws
+        )
 
     return calc
 

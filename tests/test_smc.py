@@ -8,8 +8,6 @@ from augmi import (
     Action,
     LinearGaussianModel,
     SampleBudget,
-    SequentialObservation,
-    SequentialTransition,
     WeightedParticleSet,
     gaussian_entropy,
     joint_state_observation,
@@ -31,20 +29,10 @@ from augmi.smc import (
 from conftest import CHAIN_MI
 
 
-def evaluators(prior, action):
-    return (
-        SequentialTransition(prior.layout, action),
-        SequentialObservation(prior.layout, action),
-    )
-
-
-def normalizer_eta(pset, trans, obs, z, rng):
-    """eta(z) by the estimator's normalizer path: one propagated new block
-    per particle, averaged with the particle weights."""
-    noise = rng.standard_normal((pset.n, trans.new_dim))
-    new, _ = trans.sample_with_noise(pset.particles, noise)
-    evaluator = obs.grid_evaluator(pset.particles, new)
-    return math.exp(evaluator.mixture_likelihood(z[None, :], pset.weights)[0])
+def normalizer_eta(pset, action, z, rng):
+    """eta(z) from the normalizer pass an estimator context builds."""
+    ctx = mismc_context(pset, action, SampleBudget(n1=pset.n), rng)
+    return math.exp(ctx.normalizer.mixture_likelihood(z[None, :], ctx.normalizer_weights)[0])
 
 
 class TestSampleBudget:
@@ -79,9 +67,8 @@ class TestEstimateNormalizer:
         )
         layout = prior.layout
         pset = WeightedParticleSet(layout=layout, particles=[[0.4]], weights=[1.0])
-        trans, obs = evaluators(prior, tight)
         z = np.array([1.1])
-        eta = normalizer_eta(pset, trans, obs, z, np.random.default_rng(0))
+        eta = normalizer_eta(pset, tight, z, np.random.default_rng(0))
         obs_model = tight.observations[0][1]
         expected = math.exp(log_density(obs_model, [0.4], z))
         assert eta == pytest.approx(expected, rel=1e-8)
@@ -101,9 +88,8 @@ class TestEstimateNormalizer:
         pset = WeightedParticleSet(
             layout=prior.layout, particles=particles, weights=np.full(3, 1 / 3)
         )
-        trans, obs = evaluators(prior, tight)
         z = np.array([0.3])
-        eta = normalizer_eta(pset, trans, obs, z, np.random.default_rng(1))
+        eta = normalizer_eta(pset, tight, z, np.random.default_rng(1))
         obs_model = tight.observations[0][1]
         expected = np.mean(
             [math.exp(log_density(obs_model, p, z)) for p in particles]
@@ -113,14 +99,13 @@ class TestEstimateNormalizer:
     def test_chain_matches_marginal_likelihood(self, chain):
         # Gaussian marginal-likelihood oracle: z ~ N(0, 3) under the chain
         prior, action = chain
-        trans, obs = evaluators(prior, action)
         z = np.array([0.7])
         expected = math.exp(-0.5 * z[0] ** 2 / 3.0) / math.sqrt(2 * math.pi * 3.0)
         values = []
         for i in range(15):
             rng = np.random.default_rng(200 + i)
             pset = sample_particles(prior, 10_000, rng)
-            values.append(normalizer_eta(pset, trans, obs, z, rng))
+            values.append(normalizer_eta(pset, action, z, rng))
         values = np.array(values)
         assert abs(values.mean() - expected) < 3.0 * values.std(ddof=1)
 
@@ -128,14 +113,14 @@ class TestEstimateNormalizer:
         # At z = 1e6, eta underflows any float (log eta is about -5e11); the
         # log-space sum must still agree with a dense log-sum-exp.
         prior, action = chain
-        trans, obs = evaluators(prior, action)
         rng = np.random.default_rng(0)
         pset = sample_particles(prior, 50, rng)
-        new, _ = trans.sample_with_noise(pset.particles, rng.standard_normal((50, 1)))
+        ctx = mismc_context(pset, action, SampleBudget(n1=50), rng)
         z = np.array([[1e6]])
-        evaluator = obs.grid_evaluator(pset.particles, new)
-        log_eta = evaluator.mixture_likelihood(z, pset.weights)
-        dense = logsumexp(evaluator.log_density_grid(z) + np.log(pset.weights), axis=1)
+        log_eta = ctx.normalizer.mixture_likelihood(z, ctx.normalizer_weights)
+        dense = logsumexp(
+            ctx.normalizer.log_density_grid(z) + np.log(ctx.normalizer_weights), axis=1
+        )
         assert log_eta[0] < -4e11
         np.testing.assert_allclose(log_eta, dense, rtol=1e-12)
 
