@@ -24,7 +24,7 @@ from .involved import (
     kde_calculator,
     mismc_calculator,
 )
-from .kde import KdeConfig, naive_kde_augmented_mi
+from .kde import naive_kde_augmented_mi
 from .mi import (
     ALL_METHODS,
     METHOD_ANALYTIC,
@@ -47,26 +47,26 @@ CSV_HEADER = (
 _METHOD_INDEX = {m: i for i, m in enumerate(ALL_METHODS)}
 
 
-def _naive_kde_calculator(n: int, cfg: KdeConfig | None) -> MiCalculator:
+def _naive_kde_calculator(n: int) -> MiCalculator:
     """Calculator running the naive full-state KDE pipeline."""
 
     def calc(
         belief: GaussianDensity, action: Action, rng: np.random.Generator | int
     ) -> MiEstimate:
-        return naive_kde_augmented_mi(belief, action, n, cfg, rng)
+        return naive_kde_augmented_mi(belief, action, n, rng=rng)
 
     return calc
 
 
-# Per method: the calculator for (particle count, KDE config), and whether
+# Per method: the calculator for a particle count, and whether
 # it runs on the involved marginal through invmi or on the full prior.  The
 # mismc calculator samples the prior particles itself, which is input
 # preparation, outside the estimator's elapsed time.
 _METHODS = {
-    METHOD_ANALYTIC: (lambda n, cfg: analytic_calculator(), False),
+    METHOD_ANALYTIC: (lambda n: analytic_calculator(), False),
     METHOD_NAIVE_KDE: (_naive_kde_calculator, False),
     METHOD_INVMI_KDE: (kde_calculator, True),
-    METHOD_MISMC: (lambda n, cfg: mismc_calculator(SampleBudget(n1=n, n4=n)), True),
+    METHOD_MISMC: (lambda n: mismc_calculator(SampleBudget(n1=n, n4=n)), True),
 }
 
 
@@ -102,7 +102,6 @@ def evaluate_method(
     method: str,
     n_particles: int,
     seed: int,
-    kde_cfg: KdeConfig | None = None,
 ) -> MiEstimate:
     """Run one estimator once on one scenario action.
 
@@ -112,7 +111,7 @@ def evaluate_method(
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
     make_calc, reduce = _METHODS[method]
-    calc = make_calc(n_particles, kde_cfg)
+    calc = make_calc(n_particles)
     action = scenario.action(action_id)
     if reduce:
         return invmi(scenario.prior, action, calc, seed)

@@ -21,17 +21,16 @@ below 1e-300 are counted as ``eta_floor_events``.
 Determinism contract: every outer particle draws its noise from a
 counter-based stream keyed by (run root, particle index), so an incremental
 run that consumes the particles in installments draws exactly the noise of a
-single batch run, and independent particles may be processed in any
-schedule.  The installments' sums add in another order, so the estimates
-agree to 1e-12 (acceptance criterion 8), not bit for bit; bitwise agreement
-is ROADMAP item 5.
+single batch run.  The accumulator keeps each particle's three terms in index
+order and every update sums them once over all particles consumed, so any
+installment schedule reproduces the batch estimate bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -104,6 +103,9 @@ class MismcAccumulator:
 
     ``estimate`` is ``sum1 + sum2 - sum3`` at every checkpoint; feeding more
     particles through :func:`mismc_update` refines it without restarting.
+    ``terms`` holds one column per consumed particle, in index order: its
+    mean log F_T, mean log F_Z and mean log eta; each sum is the prior
+    weights' dot product with one row.
     """
 
     sum1: float = 0.0
@@ -113,6 +115,7 @@ class MismcAccumulator:
     rng_state: tuple[int, ...] = ()
     eta_floor_events: int = 0
     elapsed_ns: int = 0
+    terms: np.ndarray = field(default_factory=lambda: np.empty((3, 0)), compare=False)
 
     @property
     def estimate(self) -> float:
@@ -121,7 +124,8 @@ class MismcAccumulator:
 
 class MismcContext:
     """Everything an estimator run needs: prior, compiled models, budget,
-    the run's RNG root, and the normalizer pass.
+    the run's RNG root, the normalizer pass, and ``elapsed_ns``, the time
+    the build took.
 
     The normalizer pass is the second particle set that log eta(z) is
     averaged over, drawn once per run and reused for every sampled
@@ -142,6 +146,7 @@ class MismcContext:
         rng: np.random.Generator | int,
         stream_indices: np.ndarray | None = None,
     ):
+        start_ns = time.perf_counter_ns()
         rng, seed = ensure_rng(rng)
         if budget.n1 != prior.n:
             raise BudgetError(
@@ -174,16 +179,19 @@ class MismcContext:
             sel = sel_rng.choice(prior.n, size=n4, p=prior.weights)
             x, w, indices = prior.particles[sel], np.full(n4, 1.0 / n4), np.arange(n4)
         noise = _particle_noise(norm_root, indices, n5 * new_dim)
-        x_rep = np.repeat(x, n5, axis=0)
-        new, _logp = self.transition.sample_with_noise(x_rep, noise.reshape(n4 * n5, new_dim))
-        self.normalizer = self.observation.grid_evaluator(x_rep, new)
+        states, _logp = self.transition.sample_with_noise(
+            np.repeat(x, n5, axis=0), noise.reshape(n4 * n5, new_dim)
+        )
+        self.normalizer = self.observation.grid_evaluator(states)
         self.normalizer_weights = np.repeat(w / n5, n5)
+        self.elapsed_ns = time.perf_counter_ns() - start_ns
 
     def empty_accumulator(self) -> MismcAccumulator:
         return MismcAccumulator(rng_state=self.root)
 
     def result(self, acc: MismcAccumulator) -> MiEstimate:
-        """Package a finished (or partial) accumulation as an estimate."""
+        """Package a finished (or partial) accumulation as an estimate; its
+        elapsed time is the context build plus every update so far."""
         counts: Mapping[str, int] = {
             "n1": acc.consumed,
             "n2": self.budget.n2,
@@ -197,7 +205,7 @@ class MismcContext:
         return MiEstimate(
             value=acc.estimate,
             method=METHOD_MISMC,
-            elapsed=acc.elapsed_ns / 1e9,
+            elapsed=(self.elapsed_ns + acc.elapsed_ns) / 1e9,
             sample_counts=counts,
             seed=self.seed,
         )
@@ -260,10 +268,10 @@ def mismc_update(
 ) -> MismcAccumulator:
     """Consume the next ``additional_n1`` prior particles.
 
-    The returned accumulator's ``estimate`` matches, to 1e-12, what a batch
-    run over all particles consumed so far would produce, because each
-    particle's noise comes from its own (root, index) stream; the sums add in
-    another order, so the match is not bit for bit.
+    The returned accumulator's ``estimate`` is bit for bit what a batch run
+    over all particles consumed so far would produce: each particle's noise
+    comes from its own (root, index) stream, its terms are appended to
+    ``terms``, and the sums are taken once over all of them in index order.
     """
     if additional_n1 < 0:
         raise ValueError("additional_n1 must be >= 0")
@@ -285,7 +293,6 @@ def mismc_update(
     lo, hi = acc.consumed, acc.consumed + additional_n1
 
     x = context.prior.particles[lo:hi]
-    w = context.prior.weights[lo:hi]
     per_particle = n2 * trans.new_dim + n2 * n3 * obs.obs_dim
     noise = _particle_noise(
         context.root[:2], context.stream_indices[lo:hi], per_particle
@@ -295,25 +302,22 @@ def mismc_update(
     noise_t = noise[:, :split].reshape(additional_n1 * n2, trans.new_dim)
     noise_o = noise[:, split:].reshape(additional_n1 * n2 * n3, obs.obs_dim)
 
-    x_rep = np.repeat(x, n2, axis=0)
-    new, log_ft = trans.sample_with_noise(x_rep, noise_t)
-    x_rep2 = np.repeat(x_rep, n3, axis=0)
-    new_rep2 = np.repeat(new, n3, axis=0)
-    z, log_fz = obs.sample_with_noise(x_rep2, new_rep2, noise_o)
+    states, log_ft = trans.sample_with_noise(np.repeat(x, n2, axis=0), noise_t)
+    z, log_fz = obs.sample_with_noise(np.repeat(states, n3, axis=0), noise_o)
 
     log_eta = context.normalizer.mixture_likelihood(z, context.normalizer_weights)
     floors = int(np.count_nonzero(log_eta < _LOG_ETA_FLOOR))
 
-    sum1 = float(w @ log_ft.reshape(additional_n1, n2).mean(axis=1))
-    sum2 = float(w @ log_fz.reshape(additional_n1, n2 * n3).mean(axis=1))
-    sum3 = float(w @ log_eta.reshape(additional_n1, n2 * n3).mean(axis=1))
-
+    new_terms = [v.reshape(additional_n1, -1).mean(axis=1) for v in (log_ft, log_fz, log_eta)]
+    terms = np.concatenate([acc.terms, new_terms], axis=1)
+    sum1, sum2, sum3 = (float(context.prior.weights[:hi] @ row) for row in terms)
     return replace(
         acc,
-        sum1=acc.sum1 + sum1,
-        sum2=acc.sum2 + sum2,
-        sum3=acc.sum3 + sum3,
+        sum1=sum1,
+        sum2=sum2,
+        sum3=sum3,
         consumed=hi,
+        terms=terms,
         eta_floor_events=acc.eta_floor_events + floors,
         elapsed_ns=acc.elapsed_ns + (time.perf_counter_ns() - start_ns),
     )
@@ -331,9 +335,5 @@ def mismc_estimate(
     ``prior`` should be the involved-marginal belief; the full belief works
     too, the models simply ignore coordinates outside their footprints.
     """
-    start_ns = time.perf_counter_ns()
     context = mismc_context(prior, action, budget, rng, stream_indices)
-    acc = mismc_update(context.empty_accumulator(), budget.n1, context)
-    total_ns = time.perf_counter_ns() - start_ns
-    acc = replace(acc, elapsed_ns=total_ns)
-    return context.result(acc)
+    return context.result(mismc_update(context.empty_accumulator(), budget.n1, context))

@@ -196,6 +196,10 @@ class WeightedParticleSet:
             )
         if weights.shape[0] != particles.shape[0]:
             raise ValueError("one weight per particle required")
+        if not np.isfinite(particles).all():
+            raise ValueError("particle set has non-finite particles")
+        if not np.isfinite(weights).all():
+            raise ValueError("particle set has non-finite weights")
         if np.any(weights < 0.0):
             raise ValueError("weights must be non-negative")
         total = weights.sum()
@@ -533,19 +537,16 @@ def log_density(
 class _SequentialModels:
     """An action's transition or observation models, bound to a belief layout.
 
-    Each model reads columns of a work array whose rows are
-    ``[belief state | stacked new blocks]`` and fills its own slice of an
+    Every model reads columns of an augmented state array whose rows are
+    ``[belief state | stacked new blocks]``, which the transition builds
+    once and the observation reads as given, and fills its own slice of an
     output array; the two subclasses differ only in where that output lives.
     """
 
     def __init__(
-        self,
-        layout: StateLayout,
-        action: Action,
-        bound: Iterable[tuple[LinearGaussianModel, np.ndarray]],
+        self, layout: StateLayout, bound: Iterable[tuple[LinearGaussianModel, np.ndarray]]
     ):
         self.layout = layout
-        self.action = action
         # (model, input columns, output slice) per model
         self._models: list[tuple[LinearGaussianModel, np.ndarray, slice]] = []
         cursor = 0
@@ -554,30 +555,21 @@ class _SequentialModels:
             cursor += model.output_dim
         self._log_norm = sum(model._log_norm for model, _cols, _out in self._models)
 
-    def _work(self, x: np.ndarray, new: np.ndarray | None = None) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        base = self.layout.total_dim
-        work = np.empty((x.shape[0], base + self.action.new_dim_total))
-        work[:, :base] = x
-        if new is not None:
-            work[:, base:] = new
-        return work
-
-    def _sample(self, work: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _sample(self, states: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill each model's slice of ``out`` from standard-normal innovations;
         returns the summed log density of each row's samples."""
-        logpdf = np.zeros(work.shape[0])
+        logpdf = np.zeros(states.shape[0])
         for model, cols, part in self._models:
-            mean = work[:, cols] @ model.matrix.T
+            mean = states[:, cols] @ model.matrix.T
             eps = noise[:, part]
             out[:, part] = mean + eps @ model.noise_chol.T
             logpdf -= 0.5 * np.einsum("ij,ij->i", eps, eps) + model._log_norm
         return logpdf
 
-    def _means(self, work: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill each model's slice of ``out`` with its mean given ``work``."""
+    def _means(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill each model's slice of ``out`` with its mean given ``states``."""
         for model, cols, part in self._models:
-            out[:, part] = work[:, cols] @ model.matrix.T
+            out[:, part] = states[:, cols] @ model.matrix.T
         return out
 
     def _whiten(self, y: np.ndarray) -> np.ndarray:
@@ -590,23 +582,22 @@ class _SequentialModels:
             ).T
         return out
 
-    def _log_density(self, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _log_density(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Row-wise summed log density of the model outputs in ``out``."""
-        white = self._whiten(out - self._means(work, np.empty_like(out)))
+        white = self._whiten(out - self._means(states, np.empty_like(out)))
         return -0.5 * np.einsum("ij,ij->i", white, white) - self._log_norm
 
 
 class SequentialTransition(_SequentialModels):
     """The product of an action's transition models, bound to a belief layout.
 
-    Vectorized over particle batches: rows of ``x`` are belief states, rows
-    of ``new`` are the stacked new blocks created by the action's steps.
-    Step ``k`` writes its new block into the work array, where later steps
-    read it.
+    Vectorized over particle batches: rows of ``x`` are belief states.  Step
+    ``k`` writes its new block into the augmented state row, where later
+    steps read it.
     """
 
     def __init__(self, layout: StateLayout, action: Action):
-        super().__init__(layout, action, _bind_inputs(layout, action)[: len(action.transitions)])
+        super().__init__(layout, _bind_inputs(layout, action)[: len(action.transitions)])
         self.new_dim = action.new_dim_total
 
     def sample_with_noise(
@@ -614,45 +605,47 @@ class SequentialTransition(_SequentialModels):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Propagate given standard-normal innovations.
 
-        Returns ``(new, logpdf)`` where ``logpdf[i]`` is the summed log
-        transition density of row ``i``'s own samples.
+        Returns ``(states, logpdf)``: ``states`` holds the augmented rows
+        ``[x | new blocks]`` and ``logpdf[i]`` the summed log transition
+        density of row ``i``'s own samples.
         """
-        work = self._work(x)
-        new = work[:, self.layout.total_dim :]
-        logpdf = self._sample(work, noise, new)
-        return new.copy(), logpdf
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        base = self.layout.total_dim
+        states = np.empty((x.shape[0], base + self.new_dim))
+        states[:, :base] = x
+        logpdf = self._sample(states, noise, states[:, base:])
+        return states, logpdf
 
-    def log_density(self, x: np.ndarray, new: np.ndarray) -> np.ndarray:
-        """Row-wise summed log density of ``new`` given ``x``."""
-        work = self._work(x, new)
-        return self._log_density(work, work[:, self.layout.total_dim :])
+    def log_density(self, states: np.ndarray) -> np.ndarray:
+        """Row-wise summed log density of each augmented row's new blocks
+        given its belief state."""
+        return self._log_density(states, states[:, self.layout.total_dim :])
 
 
 class SequentialObservation(_SequentialModels):
-    """The product of an action's observation models, bound to a belief layout."""
+    """The product of an action's observation models, bound to a belief
+    layout; it reads the augmented states a transition returns."""
 
     def __init__(self, layout: StateLayout, action: Action):
-        super().__init__(layout, action, _bind_inputs(layout, action)[len(action.transitions) :])
+        super().__init__(layout, _bind_inputs(layout, action)[len(action.transitions) :])
         self.obs_dim = action.obs_dim_total
 
     def sample_with_noise(
-        self, x: np.ndarray, new: np.ndarray, noise: np.ndarray
+        self, states: np.ndarray, noise: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Generate observations from given innovations; returns ``(z, logpdf)``."""
-        work = self._work(x, new)
-        z = np.empty((work.shape[0], self.obs_dim))
-        logpdf = self._sample(work, noise, z)
+        z = np.empty((states.shape[0], self.obs_dim))
+        logpdf = self._sample(states, noise, z)
         return z, logpdf
 
-    def log_density(self, x: np.ndarray, new: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Row-wise summed log density of ``z`` given ``(x, new)``."""
-        work = self._work(x, new)
-        return self._log_density(work, np.atleast_2d(np.asarray(z, dtype=float)))
+    def log_density(self, states: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Row-wise summed log density of ``z`` given the augmented states."""
+        return self._log_density(states, np.atleast_2d(np.asarray(z, dtype=float)))
 
-    def grid_evaluator(self, x: np.ndarray, new: np.ndarray) -> "ObservationGridEvaluator":
+    def grid_evaluator(self, states: np.ndarray) -> "ObservationGridEvaluator":
         """Precompute whitened model means for repeated pairwise evaluation
-        against the fixed batch ``(x, new)``."""
-        return ObservationGridEvaluator(self, x, new)
+        against the fixed batch of augmented states."""
+        return ObservationGridEvaluator(self, states)
 
 
 class ObservationGridEvaluator:
@@ -666,12 +659,11 @@ class ObservationGridEvaluator:
     has; wider observations sum the dense query-by-batch grid.
     """
 
-    def __init__(self, seq_obs: SequentialObservation, x: np.ndarray, new: np.ndarray):
-        work = seq_obs._work(x, new)
-        self.count = work.shape[0]
+    def __init__(self, seq_obs: SequentialObservation, states: np.ndarray):
+        self.count = states.shape[0]
         self.obs_dim = seq_obs.obs_dim
         self._seq_obs = seq_obs
-        means = seq_obs._means(work, np.empty((self.count, self.obs_dim)))
+        means = seq_obs._means(states, np.empty((self.count, self.obs_dim)))
         self._centers = seq_obs._whiten(means)
 
     def log_density_grid(self, z: np.ndarray) -> np.ndarray:

@@ -142,11 +142,11 @@ class TestActionsExperiment:
         real = bench.evaluate_method
         calls = {"n": 0}
 
-        def flaky(scenario, action_id, method, n, seed, kde_cfg=None):
+        def flaky(scenario, action_id, method, n, seed):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise RuntimeError("synthetic failure")
-            return real(scenario, action_id, method, n, seed, kde_cfg)
+            return real(scenario, action_id, method, n, seed)
 
         monkeypatch.setattr(bench, "evaluate_method", flaky)
         failures = []

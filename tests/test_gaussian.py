@@ -318,20 +318,21 @@ class TestMultiStepActions:
         transition = SequentialTransition(prior.layout, action)
         observation = SequentialObservation(prior.layout, action)
         rng = np.random.default_rng(1)
-        new, _ = transition.sample_with_noise(
+        states, _ = transition.sample_with_noise(
             x, rng.standard_normal((x.shape[0], transition.new_dim))
         )
+        new = states[:, x.shape[1] :]
         z, _ = observation.sample_with_noise(
-            x, new, rng.standard_normal((x.shape[0], observation.obs_dim))
+            states, rng.standard_normal((x.shape[0], observation.obs_dim))
         )
         joint = joint_state_observation(prior, action)
         state_ids = prior.layout.ids + action.new_ids
-        states = marginalize_gaussian(joint, state_ids)
-        got_new = transition.log_density(x, new)
-        got_z = observation.log_density(x, new, z)
+        state_marginal = marginalize_gaussian(joint, state_ids)
+        got_new = transition.log_density(states)
+        got_z = observation.log_density(states, z)
         for i in range(x.shape[0]):
-            given_x = condition_gaussian(states, prior.layout.ids, x[i])
-            given_state = condition_gaussian(joint, state_ids, np.concatenate([x[i], new[i]]))
+            given_x = condition_gaussian(state_marginal, prior.layout.ids, x[i])
+            given_state = condition_gaussian(joint, state_ids, states[i])
             expect_new = multivariate_normal(given_x.mean, given_x.covariance).logpdf(new[i])
             expect_z = multivariate_normal(given_state.mean, given_state.covariance).logpdf(z[i])
             assert got_new[i] == pytest.approx(expect_new, rel=1e-9, abs=1e-9)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from augmi import (
@@ -26,7 +28,7 @@ from augmi.smc import (
     _particle_noise,
     _uniform_stride,
 )
-from conftest import CHAIN_MI
+from conftest import CHAIN_MI, make_chain_1d
 
 
 def normalizer_eta(pset, action, z, rng):
@@ -256,6 +258,53 @@ class TestAnytime:
         acc = mismc_update(acc, 200, ctx)
         assert abs(acc.estimate - batch.value) < 1e-12
         assert ctx.result(acc).value == acc.estimate
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n1=st.integers(1, 40),
+        budget=st.fixed_dictionaries(
+            {
+                "n2": st.integers(1, 3),
+                "n3": st.integers(1, 3),
+                "n4": st.integers(1, 60),
+                "n5": st.integers(1, 3),
+            }
+        ),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+        stream_span=st.one_of(st.none(), st.integers(1, 80)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        n1=30,
+        budget={"n2": 2, "n3": 3, "n4": 17, "n5": 2},
+        cuts=[0.1, 0.5, 0.5, 0.9],
+        stream_span=12,
+        seed=1,
+    )
+    def test_incremental_is_batch_bit_for_bit(self, n1, budget, cuts, stream_span, seed):
+        # installments at arbitrary split points (empty ones included), over
+        # arbitrary, possibly repeated and non-contiguous stream indices
+        prior, action = make_chain_1d()
+        rng = np.random.default_rng(seed)
+        pset = WeightedParticleSet(
+            layout=prior.layout,
+            particles=sample_particles(prior, n1, rng).particles,
+            weights=rng.uniform(0.1, 1.0, n1),
+        )
+        streams = None if stream_span is None else rng.integers(0, stream_span, n1)
+        budget = SampleBudget(n1=n1, **budget)
+        batch = mismc_estimate(pset, action, budget, seed, streams)
+        ctx = mismc_context(pset, action, budget, seed, streams)
+        acc = ctx.empty_accumulator()
+        bounds = sorted(round(c * n1) for c in cuts) + [n1]
+        for lo, hi in zip([0] + bounds[:-1], bounds):
+            acc = mismc_update(acc, hi - lo, ctx)
+        got = ctx.result(acc)
+        assert got.value == batch.value
+        assert got.sample_counts == batch.sample_counts
+        whole = mismc_update(ctx.empty_accumulator(), n1, ctx)
+        assert (acc.sum1, acc.sum2, acc.sum3) == (whole.sum1, whole.sum2, whole.sum3)
+        assert np.array_equal(acc.terms, whole.terms)
 
     def test_estimate_identity_at_every_checkpoint(self, chain):
         prior, action = chain

@@ -209,6 +209,18 @@ class TestWeightedParticleSet:
         with pytest.raises(ValueError, match="non-negative"):
             WeightedParticleSet(layout=layout, particles=[[0.0], [1.0]], weights=[1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_nonfinite_particles_and_weights(self, bad):
+        layout = StateLayout.from_dims([("a", 1)])
+        with pytest.raises(ValueError, match="particle set has non-finite particles"):
+            WeightedParticleSet(
+                layout=layout, particles=[[0.0], [bad], [2.0]], weights=[1.0, 1.0, 1.0]
+            )
+        with pytest.raises(ValueError, match="particle set has non-finite weights"):
+            WeightedParticleSet(
+                layout=layout, particles=[[0.0], [1.0], [2.0]], weights=[1.0, bad, 1.0]
+            )
+
     def test_arrays_immutable(self):
         layout = StateLayout.from_dims([("a", 1)])
         pset = WeightedParticleSet(layout=layout, particles=[[0.0]], weights=[1.0])
@@ -395,10 +407,11 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((40, 4))
-        new, logp_t = trans.sample_with_noise(x, rng.standard_normal((40, 2)))
-        np.testing.assert_allclose(logp_t, trans.log_density(x, new), atol=1e-10)
-        z, logp_o = obs.sample_with_noise(x, new, rng.standard_normal((40, 2)))
-        np.testing.assert_allclose(logp_o, obs.log_density(x, new, z), atol=1e-10)
+        states, logp_t = trans.sample_with_noise(x, rng.standard_normal((40, 2)))
+        np.testing.assert_array_equal(states[:, :4], x)
+        np.testing.assert_allclose(logp_t, trans.log_density(states), atol=1e-10)
+        z, logp_o = obs.sample_with_noise(states, rng.standard_normal((40, 2)))
+        np.testing.assert_allclose(logp_o, obs.log_density(states, z), atol=1e-10)
 
     def test_logpdf_matches_scalar_op(self):
         layout, action = self._instance()
@@ -406,19 +419,20 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 4))
-        new, _ = trans.sample_with_noise(x, rng.standard_normal((5, 2)))
-        z, _ = obs.sample_with_noise(x, new, rng.standard_normal((5, 2)))
+        states, _ = trans.sample_with_noise(x, rng.standard_normal((5, 2)))
+        new = states[:, 4:]
+        z, _ = obs.sample_with_noise(states, rng.standard_normal((5, 2)))
         t_model = action.transitions[0]
         o_model = action.observations[0][1]
         for i in range(5):
             expect_t = log_density(t_model, x[i, :2], new[i])
-            assert trans.log_density(x[i : i + 1], new[i : i + 1])[0] == pytest.approx(
+            assert trans.log_density(states[i : i + 1])[0] == pytest.approx(
                 expect_t, abs=1e-10
             )
             expect_o = log_density(o_model, np.concatenate([new[i], x[i, 2:]]), z[i])
-            assert obs.log_density(
-                x[i : i + 1], new[i : i + 1], z[i : i + 1]
-            )[0] == pytest.approx(expect_o, abs=1e-10)
+            assert obs.log_density(states[i : i + 1], z[i : i + 1])[0] == pytest.approx(
+                expect_o, abs=1e-10
+            )
 
     def test_grid_matches_rowwise(self):
         layout, action = self._instance()
@@ -426,12 +440,12 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((30, 4))
-        new, _ = trans.sample_with_noise(x, rng.standard_normal((30, 2)))
+        states, _ = trans.sample_with_noise(x, rng.standard_normal((30, 2)))
         z = rng.standard_normal((11, 2))
-        grid = obs.grid_evaluator(x, new).log_density_grid(z)
+        grid = obs.grid_evaluator(states).log_density_grid(z)
         assert grid.shape == (11, 30)
         for m in (0, 5, 10):
-            row = obs.log_density(x, new, np.repeat(z[m : m + 1], 30, axis=0))
+            row = obs.log_density(states, np.repeat(z[m : m + 1], 30, axis=0))
             np.testing.assert_allclose(grid[m], row, atol=1e-9)
 
     def test_mixture_likelihood_paths_agree(self):
@@ -441,10 +455,10 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((64, 4))
-        new, _ = trans.sample_with_noise(x, rng.standard_normal((64, 2)))
+        states, _ = trans.sample_with_noise(x, rng.standard_normal((64, 2)))
         z = rng.standard_normal((17, 2)) * 2.0
         weights = rng.uniform(0.1, 1.0, 64)
-        evaluator = obs.grid_evaluator(x, new)
+        evaluator = obs.grid_evaluator(states)
         fast = np.exp(evaluator.mixture_likelihood(z, weights))
         plain = np.exp(evaluator.log_density_grid(z)) @ weights
         np.testing.assert_allclose(fast, plain, rtol=1e-12)
