@@ -1,24 +1,28 @@
 """Open-loop belief-tree solver with involved-subset information rewards.
 
 The solver maximizes the expected sum of information rewards over action
-sequences by sparse sampling: each action node has a few observation
-branches, and values are backed up with the Bellman recursion (expectations
-as sample means, max over actions).
+sequences.  Values are backed up with the Bellman recursion: expectations
+as sample means, max over actions.
 
 Two equivalent reward formulations are provided, and the tree holds only
-what its formulation reads:
+what its formulation reads.  ``obs_samples`` means something different in
+each; an exact backend uses 1 in both.
 
 ``involved_ig``
     The node at depth t carries the information gained about the involved
     prior state since the root, evaluated from the root belief on the
-    composed action path.  A node keeps that composed prefix instead of a
-    belief; its observation branches differ only in the seed of the reward.
+    composed action path.  That reward reads no belief and no observation,
+    so the solve is a search over action paths: each node has one child per
+    action, holding the composed prefix instead of a belief.  The child's
+    reward is the mean of ``obs_samples`` seeded estimates of its prefix,
+    and the objective is the max over sequences of the summed prefix gains.
 
 ``consecutive_mi``
     Each edge carries the one-step augmented MI of its action from the
     parent's belief, and node rewards accumulate those increments, so a
     child's reward is its parent's plus the connecting edge's MI.  Each
-    observation branch draws an observation and conditions the belief on it.
+    action node has ``obs_samples`` observation branches (sparse sampling);
+    each draws an observation and conditions the belief on it.
 
 For linear-Gaussian models the information quantities do not depend on the
 realized observation values, so the analytic backend skips observation
@@ -65,11 +69,13 @@ class BeliefNode:
 
     ``accumulated_reward`` is the consecutive-MI running sum in
     ``consecutive_mi`` mode and the node's own sequential information gain in
-    ``involved_ig`` mode.  ``children[action_id]`` lists
-    ``(observation, child)`` pairs, so a node's actions and observations are
-    its path from the root.  Below the root, ``belief`` and the observation
-    are ``None`` in ``involved_ig`` mode, which reads neither; the
-    observation is also ``None`` on the deterministic analytic path.
+    ``involved_ig`` mode, averaged there over ``obs_samples`` seeded
+    estimates.  ``children[action_id]`` lists ``(observation, child)``
+    pairs, so a node's actions and observations are its path from the root:
+    ``obs_samples`` pairs per action in ``consecutive_mi`` mode and one in
+    ``involved_ig`` mode.  Below the root, ``belief`` and the observation are
+    ``None`` in ``involved_ig`` mode, which reads neither; the observation is
+    also ``None`` on the deterministic analytic path.
     """
 
     belief: GaussianDensity | None
@@ -108,8 +114,9 @@ class SmcMiBackend:
     """One-step augmented MI via the SMC estimator.
 
     Draws the budget's prior particles from the node belief, then runs the
-    estimator.  It is stochastic, so the solver branches: on sampled
-    observations in ``consecutive_mi`` mode, and on the reward's seed alone in
+    estimator.  It is stochastic, so the solver uses ``obs_samples`` per
+    estimate: as observation branches per action node in ``consecutive_mi``
+    mode, and as seeded estimates averaged per composed prefix in
     ``involved_ig`` mode.
     """
 
@@ -133,7 +140,14 @@ def _steps_argument(
     if not items:
         raise ValueError("need a non-empty candidate action set")
     if isinstance(items[0], Action):
-        steps = [list(items)] * horizon  # same candidates at every depth
+        # Every action creates a new block, so the same candidates at a
+        # second depth would re-create the first depth's ids.
+        if horizon > 1:
+            raise ValueError(
+                f"a flat candidate list only plans horizon 1, got horizon {horizon}: "
+                "pass one candidate list per step"
+            )
+        steps = [items]
     else:
         steps = [list(s) for s in items]
         if len(steps) != horizon:
@@ -217,7 +231,12 @@ def solve(
 ) -> ObjectiveValue:
     """Maximize the expected information objective over action sequences.
 
-    Ties between equal-valued actions break toward the lowest action id.
+    ``actions`` is one candidate list per step, or a flat candidate list
+    when ``horizon`` is 1.  ``obs_samples`` is the number of observation
+    branches per action node in ``consecutive_mi`` mode and the number of
+    seeded estimates averaged per composed prefix in ``involved_ig`` mode;
+    an exact backend uses 1 in both.  The result's ``root`` is the searched
+    tree.  Ties between equal-valued actions break toward the lowest action id.
     ``step_reward`` is a constant added at every decision depth (a stand-in
     for state-based reward terms); it shifts the optimum by
     ``horizon * step_reward`` without changing the argmax.
@@ -253,11 +272,16 @@ def solve(
     ) -> tuple[float, tuple[str, ...], BeliefNode]:
         depth = len(path)
         # Below the root an involved_ig node is rewarded on its composed
-        # prefix; every other node carries the consecutive-MI running sum.
+        # prefix, averaged over seeded estimates; every other node carries
+        # the consecutive-MI running sum.
         node_reward = (
             acc_reward
             if prefix is None
-            else reward(root_belief, prefix, key + (0,), path)
+            else sum(
+                reward(root_belief, prefix, key + (0, branch), path)
+                for branch in range(branches)
+            )
+            / branches
         )
         node = BeliefNode(belief=belief, depth=depth, accumulated_reward=node_reward)
         if depth == horizon:
@@ -269,9 +293,11 @@ def solve(
         for a_index, action in enumerate(sorted(steps[depth], key=lambda a: a.id)):
             a_key = key + (1, a_index)
             if involved_ig:
+                # One child per action: its reward reads no observation, so
+                # observation branches would only re-estimate the same prefix.
                 child_prefix = action if prefix is None else compose_actions((prefix, action))
                 acc_child = 0.0
-                draws = [(None, None)] * branches
+                draws = [(None, None)]
             else:
                 child_prefix = None
                 acc_child = acc_reward + reward(belief, action, a_key + (0,), path)
@@ -293,7 +319,7 @@ def solve(
                     path + (action.id,),
                     a_key + (3, branch),
                 )
-                future += value / branches
+                future += value / len(draws)
                 pairs.append((z, child))
             node.children[action.id] = pairs
 

@@ -219,31 +219,44 @@ class TestInvolvedIgTree:
         result = solve(prior, steps, 3, REWARD_INVOLVED_IG, backend, obs_samples=2, rng=9)
         assert np.isfinite(result.value)
         assert composed_lengths and set(composed_lengths) == {2}
-        first = result.root.children[result.best_sequence[0]]
-        assert len(first) == 2
-        assert all(z is None and child.belief is None for z, child in first)
+
+        def walk(node):
+            actions = steps[node.depth] if node.depth < len(steps) else []
+            assert set(node.children) == {a.id for a in actions}
+            for pairs in node.children.values():
+                # One child per action, with no observation and no belief.
+                assert len(pairs) == 1
+                (z, child), = pairs
+                assert z is None and child.belief is None
+                walk(child)
+
+        walk(result.root)
 
     def test_backend_sees_each_composed_prefix(self):
         prior, steps = random_plan_instance(np.random.default_rng(6), horizon=3)
         obs_samples = 2
         smc = SmcMiBackend(SampleBudget(n1=60))
         seen = []
+        states = []
 
         class Recording:
             exact = False
 
             def __call__(self, belief, action, rng):
                 seen.append((belief, action))
+                bits = rng.bit_generator.state["state"]
+                states.append((bits["state"], bits["inc"]))
                 return smc(belief, action, rng)
 
         solve(prior, steps, 3, REWARD_INVOLVED_IG, Recording(), obs_samples=obs_samples, rng=4)
         expected = {}
         for depth in (1, 2, 3):
             for path in itertools.product(*steps[:depth]):
-                # One call per tree node on the path: obs_samples branches per edge.
-                expected[compose_actions(path).id] = (path, obs_samples**depth)
+                # Each composed prefix is estimated obs_samples times.
+                expected[compose_actions(path).id] = (path, obs_samples)
         counts = collections.Counter(action.id for _belief, action in seen)
         assert counts == {key: n for key, (_path, n) in expected.items()}
+        assert len(set(states)) == len(states)
         assert len({id(belief) for belief, _action in seen}) == 1
         for _belief, action in seen:
             full = compose_actions(expected[action.id][0])
@@ -251,6 +264,45 @@ class TestInvolvedIgTree:
             assert [s for s, _m in action.observations] == [s for s, _m in full.observations]
             assert all(a is b for a, b in zip(action.transitions, full.transitions))
             assert all(a is b for (_s, a), (_t, b) in zip(action.observations, full.observations))
+
+    def test_smc_solve_is_seeded(self):
+        prior, steps = random_plan_instance(np.random.default_rng(5), horizon=2)
+        backend = SmcMiBackend(SampleBudget(n1=120))
+        a, b, c = (
+            solve(prior, steps, 2, REWARD_INVOLVED_IG, backend, obs_samples=2, rng=seed)
+            for seed in (9, 9, 10)
+        )
+        assert np.isfinite(a.value)
+        assert a.value == b.value
+        assert a.best_sequence == b.best_sequence
+        assert c.value != a.value
+
+    def test_value_is_max_over_paths_of_summed_prefix_means(self):
+        prior, steps = random_plan_instance(np.random.default_rng(7), horizon=3)
+        smc = SmcMiBackend(SampleBudget(n1=60))
+        values = collections.defaultdict(list)
+
+        class Recording:
+            exact = False
+
+            def __call__(self, belief, action, rng):
+                value = smc(belief, action, rng)
+                values[action.id].append(value)
+                return value
+
+        result = solve(prior, steps, 3, REWARD_INVOLVED_IG, Recording(), obs_samples=3, rng=2)
+        best, best_seq = -np.inf, None
+        # Sequences in lexicographic id order, so strict > keeps the lowest-id argmax.
+        for seq in itertools.product(*(sorted(step, key=lambda a: a.id) for step in steps)):
+            objective = 0.0
+            for depth in (1, 2, 3):
+                recorded = values[compose_actions(seq[:depth]).id]
+                assert len(recorded) == 3
+                objective += sum(recorded) / len(recorded)
+            if objective > best:
+                best, best_seq = objective, tuple(a.id for a in seq)
+        assert abs(result.value - best) < 1e-12
+        assert result.best_sequence == best_seq
 
 
 class TestValidation:
@@ -270,6 +322,12 @@ class TestValidation:
         for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
             with pytest.raises(ValueError, match="no observations"):
                 solve(prior, [action, blind], 1, mode, BACKEND, rng=0)
+
+    def test_flat_candidate_list_needs_horizon_one(self, chain):
+        prior, action = chain
+        for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
+            with pytest.raises(ValueError, match="pass one candidate list per step"):
+                solve(prior, [action], 2, mode, BACKEND, rng=0)
 
     def test_step_count_must_match_horizon(self, chain):
         prior, action = chain
