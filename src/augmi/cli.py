@@ -62,6 +62,13 @@ def _parse_methods(text: str) -> list[str]:
     return methods
 
 
+# --generate key -> (generate_scenario argument, value type)
+_GENERATE_KEYS = {
+    "d": ("target_dim", int), "dim": ("target_dim", int), "actions": ("n_actions", int),
+    "correlation": ("correlation_strength", float), "range": ("sensing_range", float),
+}
+
+
 def _parse_generate_spec(text: str) -> dict:
     """Parse '--generate D=150,actions=4[,correlation=0.3]'."""
     spec = {}
@@ -72,16 +79,13 @@ def _parse_generate_spec(text: str) -> dict:
             raise UsageError(f"bad --generate item {item!r}, expected key=value")
         key, value = item.split("=", 1)
         key = key.strip().lower()
-        if key in ("d", "dim"):
-            spec["target_dim"] = int(value)
-        elif key == "actions":
-            spec["n_actions"] = int(value)
-        elif key == "correlation":
-            spec["correlation_strength"] = float(value)
-        elif key == "range":
-            spec["sensing_range"] = float(value)
-        else:
+        if key not in _GENERATE_KEYS:
             raise UsageError(f"unknown --generate key {key!r}")
+        name, kind = _GENERATE_KEYS[key]
+        try:
+            spec[name] = kind(value)
+        except ValueError:
+            raise UsageError(f"bad --generate item {item!r}, expected {kind.__name__}") from None
     if "target_dim" not in spec:
         raise UsageError("--generate needs at least D=<dim>")
     spec.setdefault("n_actions", 4)
@@ -174,9 +178,14 @@ def _cmd_bench_actions(args) -> int:
 
 def _cmd_bench_dims(args) -> int:
     _check_counts(args)
-    dims = [int(v) for v in args.dims.split(",") if v.strip()]
+    try:
+        dims = [int(v) for v in args.dims.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"--dims must be a comma list of integers, got {args.dims!r}") from None
     if not dims:
         raise UsageError("--dims must name at least one dimension")
+    if dims != sorted(set(dims)):
+        raise UsageError(f"--dims must be strictly ascending, got {args.dims!r}")
     failures: list[str] = []
     rows = run_dimension_sweep(
         dims,

@@ -1,35 +1,35 @@
 """Open-loop belief-tree solver with involved-subset information rewards.
 
 The solver maximizes the expected sum of information rewards over action
-sequences.  Values are backed up with the Bellman recursion: expectations
-as sample means, max over actions.
+sequences.  A node's ``accumulated_reward`` is the information gained from
+the root to that node, and every node backs up values the same way: a leaf
+is worth 0, and a node is worth the max over actions of its child's reward
+plus the mean value of that action's children.
 
-Two equivalent reward formulations are provided, and the tree holds only
-what its formulation reads.  ``obs_samples`` means something different in
-each; an exact backend uses 1 in both.
+Two equivalent reward formulations estimate a child's reward, and the tree
+holds only what its formulation reads.  ``obs_samples`` means something
+different in each; an exact backend uses 1 in both.
 
 ``involved_ig``
-    The node at depth t carries the information gained about the involved
-    prior state since the root, evaluated from the root belief on the
-    composed action path.  That reward reads no belief and no observation,
-    so the solve is a search over action paths: each node has one child per
-    action, holding the composed prefix instead of a belief.  The child's
-    reward is the mean of ``obs_samples`` seeded estimates of its prefix,
-    and the objective is the max over sequences of the summed prefix gains.
+    The gain is evaluated from the root belief on the composed action path.
+    It reads no belief and no observation, so the solve is a search over
+    action paths: each node has one child per action, holding the composed
+    prefix instead of a belief, rewarded by the mean of ``obs_samples``
+    seeded estimates of that prefix.
 
 ``consecutive_mi``
-    Each edge carries the one-step augmented MI of its action from the
-    parent's belief, and node rewards accumulate those increments, so a
-    child's reward is its parent's plus the connecting edge's MI.  Each
-    action node has ``obs_samples`` observation branches (sparse sampling);
-    each draws an observation and conditions the belief on it.
+    The gain is summed edge by edge: a child's reward is its parent's plus
+    the one-step augmented MI of the connecting action from the parent's
+    belief.  Each action node has ``obs_samples`` observation branches
+    (sparse sampling); each draws an observation and conditions the belief
+    on it.
 
-For linear-Gaussian models the information quantities do not depend on the
-realized observation values, so the analytic backend skips observation
-branching entirely and the two modes agree to numerical precision, which is
-what the tests pin down.  The tree is built once over the union of the
-candidate actions' involved blocks; everything else is marginalized out up
-front.
+The involved gain of a prefix equals the sum of its consecutive MIs, so for
+linear-Gaussian models, where the information does not depend on the
+realized observation values, the analytic backend skips observation
+branching and the two modes agree to numerical precision, which is what the
+tests pin down.  The tree is built once over the union of the candidate
+actions' involved blocks; everything else is marginalized out up front.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .analytic import _condition_on_draw, joint_state_observation
 from .involved import analytic_calculator, determine_involved, mismc_calculator
-from .smc import SampleBudget
+from .smc import SampleBudget, _is_count
 from .state import (
     Action,
     GaussianDensity,
@@ -63,19 +63,31 @@ class PlannerError(RuntimeError):
     """Estimation failed at a tree node; the message carries the node path."""
 
 
+def _estimate(
+    mi_backend: MiBackend, belief: GaussianDensity, action: Action,
+    rng: np.random.Generator, path: tuple[str, ...],
+) -> float:
+    """One backend call; a failure raises PlannerError naming the depth, action and path."""
+    try:
+        return float(mi_backend(belief, action, rng))
+    except Exception as exc:
+        raise PlannerError(
+            f"backend failed at depth {len(path)} on action {action.id!r} "
+            f"(path {list(path)}): {exc}"
+        ) from exc
+
+
 @dataclass
 class BeliefNode:
     """One node of the search tree.
 
-    ``accumulated_reward`` is the consecutive-MI running sum in
-    ``consecutive_mi`` mode and the node's own sequential information gain in
-    ``involved_ig`` mode, averaged there over ``obs_samples`` seeded
-    estimates.  ``children[action_id]`` lists ``(observation, child)``
-    pairs, so a node's actions and observations are its path from the root:
-    ``obs_samples`` pairs per action in ``consecutive_mi`` mode and one in
-    ``involved_ig`` mode.  Below the root, ``belief`` and the observation are
-    ``None`` in ``involved_ig`` mode, which reads neither; the observation is
-    also ``None`` on the deterministic analytic path.
+    ``accumulated_reward`` is the information gained from the root to this
+    node, 0 at the root.  ``children[action_id]`` lists ``(observation,
+    child)`` pairs, so a node's actions and observations are its path from
+    the root: ``obs_samples`` pairs per action in ``consecutive_mi`` mode,
+    and in ``involved_ig`` mode one pair whose observation and belief are
+    ``None``, as that mode reads neither.  The analytic path draws no
+    observation either.
     """
 
     belief: GaussianDensity | None
@@ -114,10 +126,8 @@ class SmcMiBackend:
     """One-step augmented MI via the SMC estimator.
 
     Draws the budget's prior particles from the node belief, then runs the
-    estimator.  It is stochastic, so the solver uses ``obs_samples`` per
-    estimate: as observation branches per action node in ``consecutive_mi``
-    mode, and as seeded estimates averaged per composed prefix in
-    ``involved_ig`` mode.
+    estimator.  It is stochastic, so the solver uses ``obs_samples`` branches
+    or estimates per action, as :func:`solve` describes.
     """
 
     exact = False
@@ -202,8 +212,11 @@ def _root(
     Returns the prior marginalized onto the plan's involved union, whether
     the backend is exact, the observation branch count per action node, and
     ``node_rng``, which derives a node's generator from its tree path.
-    ``obs_samples`` below 1 raises ``ValueError`` whatever the backend.
+    ``obs_samples`` that is not an integer, or is below 1, raises
+    ``ValueError`` whatever the backend.
     """
+    if not _is_count(obs_samples):
+        raise ValueError(f"obs_samples must be an integer, got {obs_samples!r}")
     if obs_samples < 1:
         raise ValueError(f"obs_samples must be >= 1, got {obs_samples}")
     rng, _ = ensure_rng(rng)
@@ -227,7 +240,6 @@ def solve(
     mi_backend: MiBackend,
     obs_samples: int = 1,
     rng: np.random.Generator | int = 0,
-    step_reward: float = 0.0,
 ) -> ObjectiveValue:
     """Maximize the expected information objective over action sequences.
 
@@ -236,71 +248,47 @@ def solve(
     branches per action node in ``consecutive_mi`` mode and the number of
     seeded estimates averaged per composed prefix in ``involved_ig`` mode;
     an exact backend uses 1 in both.  The result's ``root`` is the searched
-    tree.  Ties between equal-valued actions break toward the lowest action id.
-    ``step_reward`` is a constant added at every decision depth (a stand-in
-    for state-based reward terms); it shifts the optimum by
-    ``horizon * step_reward`` without changing the argmax.
+    tree; in both modes a node's ``accumulated_reward`` is the information
+    gained from the root to it.  Ties between equal-valued actions break
+    toward the lowest action id.
     """
     if reward_mode not in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
         raise ValueError(f"unknown reward mode {reward_mode!r}")
     steps = _steps_argument(actions, horizon)
-    root_belief, exact, branches, node_rng = _root(
-        prior, steps, mi_backend, obs_samples, rng
-    )
+    root_belief, exact, branches, node_rng = _root(prior, steps, mi_backend, obs_samples, rng)
     involved_ig = reward_mode == REWARD_INVOLVED_IG
 
-    def reward(
-        belief: GaussianDensity,
-        action: Action,
-        key: tuple[int, ...],
-        path: tuple[str, ...],
-    ) -> float:
-        try:
-            return float(mi_backend(belief, action, node_rng(key)))
-        except Exception as exc:
-            raise PlannerError(
-                f"backend failed at depth {len(path)} on action {action.id!r} "
-                f"(path {list(path)}): {exc}"
-            ) from exc
-
     def expand(
-        belief: GaussianDensity | None,
-        prefix: Action | None,
-        acc_reward: float,
-        path: tuple[str, ...],
-        key: tuple[int, ...],
+        belief: GaussianDensity | None, prefix: Action | None, acc_reward: float,
+        path: tuple[str, ...], key: tuple[int, ...],
     ) -> tuple[float, tuple[str, ...], BeliefNode]:
         depth = len(path)
-        # Below the root an involved_ig node is rewarded on its composed
-        # prefix, averaged over seeded estimates; every other node carries
-        # the consecutive-MI running sum.
-        node_reward = (
-            acc_reward
-            if prefix is None
-            else sum(
-                reward(root_belief, prefix, key + (0, branch), path)
-                for branch in range(branches)
-            )
-            / branches
-        )
-        node = BeliefNode(belief=belief, depth=depth, accumulated_reward=node_reward)
+        node = BeliefNode(belief=belief, depth=depth, accumulated_reward=acc_reward)
         if depth == horizon:
-            return (node_reward if involved_ig else 0.0), (), node
+            return 0.0, (), node
 
-        best_value = -np.inf
-        best_action: str | None = None
-        best_tail: tuple[str, ...] = ()
+        best_value, best_sequence = -np.inf, ()
         for a_index, action in enumerate(sorted(steps[depth], key=lambda a: a.id)):
             a_key = key + (1, a_index)
+            child_path = path + (action.id,)
             if involved_ig:
                 # One child per action: its reward reads no observation, so
                 # observation branches would only re-estimate the same prefix.
+                # Estimate b is keyed by the child's key, a_key + (3, 0), plus (0, b).
                 child_prefix = action if prefix is None else compose_actions((prefix, action))
-                acc_child = 0.0
+                acc_child = sum(
+                    _estimate(
+                        mi_backend, root_belief, child_prefix,
+                        node_rng(a_key + (3, 0, 0, branch)), child_path,
+                    )
+                    for branch in range(branches)
+                ) / branches
                 draws = [(None, None)]
             else:
                 child_prefix = None
-                acc_child = acc_reward + reward(belief, action, a_key + (0,), path)
+                acc_child = acc_reward + _estimate(
+                    mi_backend, belief, action, node_rng(a_key + (0,)), path
+                )
                 joint = joint_state_observation(belief, action)
                 draws = [
                     _condition_on_draw(
@@ -313,25 +301,18 @@ def solve(
             pairs: list[tuple[np.ndarray | None, BeliefNode]] = []
             for branch, (child_belief, z) in enumerate(draws):
                 value, tail, child = expand(
-                    child_belief,
-                    child_prefix,
-                    acc_child,
-                    path + (action.id,),
-                    a_key + (3, branch),
+                    child_belief, child_prefix, acc_child, child_path, a_key + (3, branch)
                 )
                 future += value / len(draws)
                 pairs.append((z, child))
             node.children[action.id] = pairs
 
-            candidate = (future if involved_ig else acc_child + future) + step_reward
+            candidate = acc_child + future
             # Actions iterate in id order, so strict > keeps the lowest id on ties.
             if candidate > best_value:
-                best_value = candidate
-                best_action = action.id
-                best_tail = tail
+                best_value, best_sequence = candidate, (action.id,) + tail
 
-        total = node_reward + best_value if involved_ig else best_value
-        return total, (best_action,) + best_tail, node
+        return best_value, best_sequence, node
 
     value, sequence, root = expand(root_belief, None, 0.0, (), ())
     return ObjectiveValue(value=float(value), best_sequence=sequence, root=root)
@@ -359,12 +340,13 @@ def sequential_mi_direct(
     belief0, exact, branches, node_rng = _root(
         prior, [[a] for a in seq], mi_backend, obs_samples, rng
     )
+    ids = tuple(a.id for a in seq)
 
     def recurse(belief: GaussianDensity, i: int, path_key: tuple[int, ...]) -> float:
         if i == horizon:
             return 0.0
         action = seq[i]
-        increment = float(mi_backend(belief, action, node_rng(path_key + (0,))))
+        increment = _estimate(mi_backend, belief, action, node_rng(path_key + (0,)), ids[:i])
         future = 0.0
         joint = joint_state_observation(belief, action)
         for branch in range(branches):

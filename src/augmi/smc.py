@@ -60,6 +60,11 @@ class BudgetError(ValueError):
     """Sample budget inconsistent with the prior particle set."""
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer count: an ``int`` or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class ContextMismatchError(ValueError):
     """Accumulator and context come from different estimator runs."""
 
@@ -83,8 +88,11 @@ class SampleBudget:
         if self.n4 is None:
             object.__setattr__(self, "n4", self.n1)
         for name in ("n1", "n2", "n3", "n4", "n5"):
-            if getattr(self, name) < 1:
-                raise BudgetError(f"{name} must be >= 1, got {getattr(self, name)}")
+            count = getattr(self, name)
+            if not _is_count(count):
+                raise BudgetError(f"{name} must be an integer, got {count!r}")
+            if count < 1:
+                raise BudgetError(f"{name} must be >= 1, got {count}")
 
     @property
     def m(self) -> int:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -7,16 +8,39 @@ from augmi import load_scenario, read_csv
 from augmi.cli import main
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "augmi", *args],
-        capture_output=True,
-        text=True,
-    )
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Run ``augmi`` in this process; returns its exit code and output."""
+
+    def run(*args):
+        capsys.readouterr()
+        code = main(list(args))
+        captured = capsys.readouterr()
+        return Run(code, captured.out, captured.err)
+
+    return run
+
+
+class TestEntryPoint:
+    def test_python_m_augmi_exits_with_main_code(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "augmi", "bench", "actions", "--methods", "analytic",
+             "--seed", "1", "--out", str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1  # neither --scenario nor --generate
+        assert proc.stderr.startswith("usage error: provide exactly one of")
 
 
 class TestScenarioGenerate:
-    def test_writes_loadable_scenario(self, tmp_path):
+    def test_writes_loadable_scenario(self, run_cli, tmp_path):
         out = tmp_path / "scenario.json"
         proc = run_cli(
             "scenario", "generate", "--dim", "40", "--actions", "2",
@@ -26,7 +50,7 @@ class TestScenarioGenerate:
         scenario = load_scenario(out)
         assert len(scenario.actions) == 2
 
-    def test_identical_seeds_identical_bytes(self, tmp_path):
+    def test_identical_seeds_identical_bytes(self, run_cli, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
             proc = run_cli(
@@ -38,7 +62,7 @@ class TestScenarioGenerate:
 
 
 class TestMiEval:
-    def test_prints_csv_row(self, tmp_path):
+    def test_prints_csv_row(self, run_cli, tmp_path):
         out = tmp_path / "scenario.json"
         run_cli("scenario", "generate", "--dim", "24", "--actions", "1",
                 "--seed", "3", "--out", str(out))
@@ -53,7 +77,7 @@ class TestMiEval:
         assert fields[0] == "mismc" and fields[1] == "a1"
         float(fields[6])  # parses
 
-    def test_unknown_action_is_runtime_error(self, tmp_path):
+    def test_unknown_action_is_runtime_error(self, run_cli, tmp_path):
         out = tmp_path / "scenario.json"
         run_cli("scenario", "generate", "--dim", "24", "--actions", "1",
                 "--seed", "3", "--out", str(out))
@@ -64,7 +88,7 @@ class TestMiEval:
         assert proc.returncode == 2
         assert "no action" in proc.stderr
 
-    def test_method_is_one_known_name(self, tmp_path):
+    def test_method_is_one_known_name(self, run_cli, tmp_path):
         out = tmp_path / "scenario.json"
         run_cli("scenario", "generate", "--dim", "24", "--actions", "1",
                 "--seed", "3", "--out", str(out))
@@ -89,7 +113,7 @@ class TestMiEval:
         assert captured.err.startswith("usage error: --particles")
         assert captured.out == ""
 
-    def test_missing_scenario_file(self, tmp_path):
+    def test_missing_scenario_file(self, run_cli, tmp_path):
         proc = run_cli(
             "mi", "eval", "--scenario", str(tmp_path / "nope.json"),
             "--action", "a1", "--method", "mismc", "--particles", "10", "--seed", "1",
@@ -98,7 +122,7 @@ class TestMiEval:
 
 
 class TestBench:
-    def test_actions_with_generated_scenario(self, tmp_path):
+    def test_actions_with_generated_scenario(self, run_cli, tmp_path):
         out = tmp_path / "rows.csv"
         proc = run_cli(
             "bench", "actions", "--generate", "D=24,actions=2",
@@ -110,7 +134,7 @@ class TestBench:
         assert len(rows) == 2 * (1 + 2 * 2)
         assert {r.method for r in rows} == {"analytic", "invmi_kde", "mismc"}
 
-    def test_dims_subcommand(self, tmp_path):
+    def test_dims_subcommand(self, run_cli, tmp_path):
         out = tmp_path / "sweep.csv"
         proc = run_cli(
             "bench", "dims", "--dims", "10,16", "--methods", "mismc",
@@ -120,7 +144,7 @@ class TestBench:
         rows = read_csv(out)
         assert sorted({r.dim_full for r in rows}) == [10, 16]
 
-    def test_usage_error_exit_code(self, tmp_path):
+    def test_usage_error_exit_code(self, run_cli, tmp_path):
         proc = run_cli(
             "bench", "actions", "--methods", "analytic",
             "--seed", "1", "--out", str(tmp_path / "x.csv"),
@@ -134,7 +158,7 @@ class TestBench:
         assert proc.returncode == 1
         assert "unknown method" in proc.stderr
 
-    def test_zero_elapsed_byte_identical(self, tmp_path):
+    def test_zero_elapsed_byte_identical(self, run_cli, tmp_path):
         outs = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
         for out in outs:
             proc = run_cli(
@@ -146,7 +170,7 @@ class TestBench:
             assert proc.returncode == 0, proc.stderr
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_each_estimator_failure_reported_once(self, tmp_path):
+    def test_each_estimator_failure_reported_once(self, run_cli, tmp_path):
         proc = run_cli(
             "bench", "actions", "--generate", "D=20,actions=2",
             "--methods", "naive-kde", "--particles", "1", "--trials", "1",
@@ -174,4 +198,30 @@ class TestBench:
         out = tmp_path / "x.csv"
         assert main(["bench", *args, "--seed", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("usage error: --")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            (("actions", "--generate", "D=abc", "--methods", "analytic"),
+             "bad --generate item 'D=abc', expected int"),
+            (("actions", "--generate", "D=20,actions=two", "--methods", "analytic"),
+             "bad --generate item 'actions=two', expected int"),
+            (("actions", "--generate", "D=20,correlation=high", "--methods", "analytic"),
+             "bad --generate item 'correlation=high', expected float"),
+            (("actions", "--generate", "D=20,range=far", "--methods", "analytic"),
+             "bad --generate item 'range=far', expected float"),
+            (("dims", "--dims", "10,abc", "--methods", "mismc"),
+             "--dims must be a comma list of integers"),
+            (("dims", "--dims", "50,10", "--methods", "mismc"),
+             "--dims must be strictly ascending"),
+            (("dims", "--dims", "10,10", "--methods", "mismc"),
+             "--dims must be strictly ascending"),
+        ],
+    )
+    def test_malformed_values_are_usage_errors(self, tmp_path, run_cli, args, message):
+        out = tmp_path / "x.csv"
+        proc = run_cli("bench", *args, "--seed", "1", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"usage error: {message}")
         assert not out.exists()

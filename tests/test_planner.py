@@ -63,15 +63,27 @@ class TestRewardModeEquivalence:
             assert ig.best_sequence == mi.best_sequence
             assert abs(ig.value - mi.value) < 1e-9
 
-    def test_constant_step_reward_shifts_value_only(self):
-        rng = np.random.default_rng(321)
-        prior, steps = random_plan_instance(rng, horizon=2)
-        base = solve(prior, steps, 2, REWARD_CONSECUTIVE_MI, BACKEND, rng=2)
-        shifted = solve(
-            prior, steps, 2, REWARD_CONSECUTIVE_MI, BACKEND, rng=2, step_reward=0.75
-        )
-        assert shifted.best_sequence == base.best_sequence
-        assert shifted.value == pytest.approx(base.value + 2 * 0.75, abs=1e-9)
+    def test_accumulated_rewards_agree_node_by_node(self):
+        # Both modes' accumulated_reward is the information gained from the
+        # root, so same-path nodes agree under the exact backend.
+        rng = np.random.default_rng(2209)
+        pairs = 0
+        for _ in range(5):
+            prior, steps = random_plan_instance(rng, horizon=3)
+            ig = solve(prior, steps, 3, REWARD_INVOLVED_IG, BACKEND, rng=1)
+            mi = solve(prior, steps, 3, REWARD_CONSECUTIVE_MI, BACKEND, rng=1)
+
+            def walk(ig_node, mi_node):
+                nonlocal pairs
+                assert set(ig_node.children) == set(mi_node.children)
+                assert abs(ig_node.accumulated_reward - mi_node.accumulated_reward) < 1e-9
+                pairs += 1
+                for action_id, ((_z, ig_child),) in ig_node.children.items():
+                    (_z, mi_child), = mi_node.children[action_id]
+                    walk(ig_child, mi_child)
+
+            walk(ig.root, mi.root)
+        assert pairs >= 5 * (1 + 2 + 4 + 8)
 
     def test_accumulated_rewards_telescope(self):
         rng = np.random.default_rng(11)
@@ -194,6 +206,24 @@ class TestSampledObservationBranching:
 
         with pytest.raises(PlannerError, match="depth 0"):
             solve(prior, [action], 1, REWARD_CONSECUTIVE_MI, Broken(), rng=0)
+
+    def test_backend_failure_is_planner_error_everywhere(self):
+        prior, steps = random_plan_instance(np.random.default_rng(3), horizon=2)
+        seq = [steps[0][0], steps[1][0]]
+
+        class FailsAtDepthOne:
+            exact = True
+
+            def __call__(self, belief, act, rng):
+                if act.id == seq[1].id:
+                    raise RuntimeError("boom")
+                return BACKEND(belief, act, rng)
+
+        message = rf"depth 1 on action '{seq[1].id}' \(path \['{seq[0].id}'\]\): boom"
+        with pytest.raises(PlannerError, match=message):
+            sequential_mi_direct(prior, seq, 2, FailsAtDepthOne(), rng=0)
+        with pytest.raises(PlannerError, match=message):
+            solve(prior, [[seq[0]], [seq[1]]], 2, REWARD_CONSECUTIVE_MI, FailsAtDepthOne(), rng=0)
 
 
 class TestInvolvedIgTree:
@@ -347,3 +377,26 @@ class TestValidation:
                 sequential_mi_direct(
                     prior, [action], 1, backend, obs_samples=obs_samples, rng=0
                 )
+
+    @pytest.mark.parametrize("obs_samples", [1.5, 2.0, True])
+    def test_non_integer_obs_samples_rejected(self, chain, obs_samples):
+        prior, action = chain
+        for backend in (BACKEND, SmcMiBackend(SampleBudget(n1=50))):
+            with pytest.raises(ValueError, match="obs_samples must be an integer"):
+                solve(
+                    prior, [action], 1, REWARD_INVOLVED_IG, backend,
+                    obs_samples=obs_samples, rng=0,
+                )
+            with pytest.raises(ValueError, match="obs_samples must be an integer"):
+                sequential_mi_direct(
+                    prior, [action], 1, backend, obs_samples=obs_samples, rng=0
+                )
+
+    def test_numpy_integer_obs_samples_accepted(self, chain):
+        prior, action = chain
+        backend = SmcMiBackend(SampleBudget(n1=50))
+        plain = solve(prior, [action], 1, REWARD_INVOLVED_IG, backend, obs_samples=2, rng=0)
+        numpy = solve(
+            prior, [action], 1, REWARD_INVOLVED_IG, backend, obs_samples=np.int64(2), rng=0
+        )
+        assert numpy.value == plain.value

@@ -15,9 +15,11 @@ from augmi import (
     joint_state_observation,
     log_density,
     marginalize_gaussian,
+    marginalize_particles,
     mismc_context,
     mismc_estimate,
     mismc_update,
+    prior_footprint,
     sample_particles,
 )
 from augmi.smc import (
@@ -28,7 +30,7 @@ from augmi.smc import (
     _particle_noise,
     _uniform_stride,
 )
-from conftest import CHAIN_MI, make_chain_1d
+from conftest import CHAIN_MI, make_chain_1d, random_instance
 
 
 def normalizer_eta(pset, action, z, rng):
@@ -52,6 +54,24 @@ class TestSampleBudget:
             SampleBudget(n1=0)
         with pytest.raises(BudgetError):
             SampleBudget(n1=2, n3=-1)
+
+    @pytest.mark.parametrize(
+        ("counts", "field"),
+        [
+            ({"n1": 100, "n2": 1.5}, "n2"),
+            ({"n1": 100.0}, "n1"),
+            ({"n1": 10, "n5": True}, "n5"),
+            ({"n1": 10, "n4": np.float64(20)}, "n4"),
+            ({"n1": 10, "n3": "2"}, "n3"),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, counts, field):
+        with pytest.raises(BudgetError, match=f"{field} must be an integer"):
+            SampleBudget(**counts)
+
+    def test_accepts_numpy_integers(self):
+        budget = SampleBudget(n1=np.int64(4), n5=np.int32(2))
+        assert budget.m == 4 and budget.n == 8
 
 
 class TestEstimateNormalizer:
@@ -232,6 +252,33 @@ class TestMismcEstimate:
             pset, action, SampleBudget(n1=400, n4=100), np.random.default_rng(2)
         )
         assert np.isfinite(est_small.value)
+
+    def test_footprint_marginal_is_exact_for_particles(self):
+        # The exactness identity for non-Gaussian beliefs: the models read
+        # only the action's footprint, so dropping every other block leaves
+        # the estimate bit for bit the same.
+        rng = np.random.default_rng(2209)
+        for case in range(24):
+            prior, action, _involved = random_instance(rng, total_dim=int(rng.integers(15, 40)))
+            n1 = int(rng.integers(20, 60))
+            budget = SampleBudget(
+                n1=n1,
+                n2=int(rng.integers(1, 3)),
+                n3=int(rng.integers(1, 3)),
+                n4=n1 if case % 3 == 0 else int(rng.integers(10, 80)),
+                n5=int(rng.integers(1, 3)),
+            )
+            full = WeightedParticleSet(
+                layout=prior.layout,
+                particles=sample_particles(prior, n1, rng).particles,
+                weights=rng.uniform(0.1, 1.0, n1),
+            )
+            reduced = marginalize_particles(full, prior_footprint(prior.layout, action))
+            assert reduced.particles.shape[1] < full.particles.shape[1]
+            a = mismc_estimate(full, action, budget, case)
+            b = mismc_estimate(reduced, action, budget, case)
+            assert a.value == b.value, (case, budget)
+            assert a.sample_counts == b.sample_counts
 
 
 class TestAnytime:
