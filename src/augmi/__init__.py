@@ -14,7 +14,6 @@ from .analytic import (
     FootprintError,
     augmented_mi_analytic,
     condition_gaussian,
-    gaussian_entropy,
     joint_state_observation,
     mi_analytic,
     observation_block_ids,
@@ -41,7 +40,6 @@ from .kde import (
     BandwidthError,
     KdeConfig,
     invmi_kde_augmented_mi,
-    kde_log_density,
     naive_kde_augmented_mi,
     resubstitution_entropy,
 )
@@ -93,7 +91,6 @@ from .state import (
     VariableBlock,
     WeightedParticleSet,
     compose_actions,
-    log_density,
     marginalize_gaussian,
     marginalize_particles,
     prior_footprint,

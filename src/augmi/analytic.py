@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,11 +61,6 @@ def entropy_from_cov(cov: np.ndarray) -> float:
     return 0.5 * (d * LOG_TWO_PI_E + log_det_psd(cov))
 
 
-def gaussian_entropy(density: GaussianDensity) -> float:
-    """Entropy of a Gaussian belief in nats."""
-    return entropy_from_cov(density.covariance)
-
-
 def joint_state_observation(prior: GaussianDensity, action: Action) -> GaussianDensity:
     """Joint Gaussian over (prior blocks, new blocks, observation blocks).
 
@@ -107,12 +102,14 @@ def observation_block_ids(action: Action) -> tuple[str, ...]:
 
 def condition_gaussian(
     density: GaussianDensity, given: Iterable[str], values: np.ndarray
-) -> GaussianDensity:
+) -> GaussianDensity | list[GaussianDensity]:
     """Condition a joint Gaussian on exact values of some blocks.
 
     Returns the conditional density over the remaining blocks (original
     order), with mean shifted by the Kalman-style gain and the Schur
-    complement as covariance.
+    complement as covariance.  A 2-D ``values`` is a stack of value rows and
+    returns one density per row; the gain and the Schur complement are
+    computed once, and the densities share the covariance and its factor.
     """
     given = set(given)
     keep_ids = [b.id for b in density.layout.blocks if b.id not in given]
@@ -120,38 +117,41 @@ def condition_gaussian(
         raise ValueError("conditioning on every block leaves nothing")
     keep_idx = density.layout.indices(keep_ids)
     given_idx = density.layout.indices(given)
-    values = np.asarray(values, dtype=float).ravel()
-    if values.shape != given_idx.shape:
-        raise ValueError(
-            f"values have shape {values.shape}, expected ({given_idx.size},)"
-        )
+    values = np.asarray(values, dtype=float)
+    rows = values if values.ndim == 2 else values.reshape(1, -1)
+    if rows.shape[1] != given_idx.size:
+        raise ValueError(f"values have shape {values.shape}, expected ([rows,] {given_idx.size})")
     gain, schur = conditional_parts(density.covariance, keep_idx, given_idx)
-    mean = density.mean[keep_idx] + gain @ (values - density.mean[given_idx])
-    return GaussianDensity(
-        layout=density.layout.sublayout(keep_ids), mean=mean, covariance=schur
+    mean_keep, mean_given = density.mean[keep_idx], density.mean[given_idx]
+    conditional = GaussianDensity(
+        layout=density.layout.sublayout(keep_ids), mean=mean_keep, covariance=schur
     )
+    out = [conditional._with_mean(mean_keep + gain @ (row - mean_given)) for row in rows]
+    return out if values.ndim == 2 else out[0]
 
 
 def _condition_on_draw(
-    joint: GaussianDensity, action: Action, rng: np.random.Generator | None
-) -> tuple[GaussianDensity, np.ndarray | None]:
-    """The belief over a :func:`joint_state_observation` joint's state blocks
-    (prior and new) given one draw ``z`` of the action's observations from
-    the joint's predictive, and ``z``.
+    joint: GaussianDensity, action: Action, rngs: Sequence[np.random.Generator] | None
+) -> list[tuple[GaussianDensity, np.ndarray | None]]:
+    """Beliefs over a :func:`joint_state_observation` joint's state blocks
+    (prior and new), each given one draw ``z`` of the action's observations
+    from the joint's predictive, and its ``z``.
 
-    ``rng = None`` conditions at the predictive mean and returns no ``z``;
-    that leaves the covariance, hence any linear-Gaussian information
-    value, unchanged.
+    Branch ``b`` draws its ``z`` from ``rngs[b]``; the z factor and the
+    conditioning are computed once for all branches.  ``rngs = None``
+    conditions once at the predictive mean and returns no ``z``; that leaves
+    the covariance, hence any linear-Gaussian information value, unchanged.
     """
     obs_ids = observation_block_ids(action)
     if not obs_ids:
         raise ValueError(f"action {action.id!r} has no observations to condition on")
     obs_idx = joint.layout.indices(obs_ids)
-    if rng is None:
-        return condition_gaussian(joint, obs_ids, joint.mean[obs_idx]), None
+    if rngs is None:
+        return [(condition_gaussian(joint, obs_ids, joint.mean[obs_idx]), None)]
     z_chol = cholesky_psd(joint.covariance[np.ix_(obs_idx, obs_idx)])
-    z = joint.mean[obs_idx] + z_chol @ rng.standard_normal(obs_idx.size)
-    return condition_gaussian(joint, obs_ids, z), z
+    zs = [joint.mean[obs_idx] + z_chol @ rng.standard_normal(obs_idx.size) for rng in rngs]
+    stack = np.reshape(zs, (len(zs), obs_idx.size))
+    return list(zip(condition_gaussian(joint, obs_ids, stack), zs))
 
 
 def _conditional_entropy(density: GaussianDensity, of: set[str], given: set[str]) -> float:

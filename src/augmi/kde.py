@@ -104,20 +104,6 @@ def _log_mixture(
     return np.where(low, LOG_DENSITY_FLOOR, vals), int(np.count_nonzero(low))
 
 
-def kde_log_density(
-    samples: WeightedParticleSet, cfg: KdeConfig, query: np.ndarray
-) -> float:
-    """Log of the weighted Gaussian-kernel mixture at one query point."""
-    query = np.asarray(query, dtype=float).ravel()
-    if query.shape != (samples.dim,):
-        raise ValueError(f"query has shape {query.shape}, expected ({samples.dim},)")
-    bandwidth = bandwidth_vector(samples.particles, samples.weights, cfg)
-    vals, _clamps = _log_mixture(
-        query[None, :], samples.particles, samples.weights, bandwidth
-    )
-    return float(vals[0])
-
-
 def _resubstitution(
     particles: np.ndarray, weights: np.ndarray, cfg: KdeConfig
 ) -> tuple[float, int]:
@@ -175,7 +161,7 @@ def _kde_augmented_mi(
     # Posterior term: condition the joint per sampled observation sequence.
     h_post = 0.0
     for _ in range(z_draws):
-        posterior, _z = _condition_on_draw(joint, action, rng)
+        [(posterior, _z)] = _condition_on_draw(joint, action, [rng])
         h_i, clamps = _resubstitution(_draws(posterior, n, rng), uniform, cfg)
         counts["clamp_events"] += clamps
         h_post += h_i / z_draws

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic import _condition_on_draw, joint_state_observation
-from .involved import analytic_calculator, determine_involved, mismc_calculator
+from .involved import Belief, analytic_calculator, determine_involved, mismc_calculator
 from .smc import SampleBudget, _is_count
 from .state import (
     Action,
@@ -51,12 +51,13 @@ from .state import (
     compose_actions,
     ensure_rng,
     marginalize_gaussian,
+    marginalize_particles,
 )
 
 REWARD_INVOLVED_IG = "involved_ig"
 REWARD_CONSECUTIVE_MI = "consecutive_mi"
 
-MiBackend = Callable[[GaussianDensity, Action, np.random.Generator], float]
+MiBackend = Callable[[Belief, Action, np.random.Generator], float]
 
 
 class PlannerError(RuntimeError):
@@ -64,7 +65,7 @@ class PlannerError(RuntimeError):
 
 
 def _estimate(
-    mi_backend: MiBackend, belief: GaussianDensity, action: Action,
+    mi_backend: MiBackend, belief: Belief, action: Action,
     rng: np.random.Generator, path: tuple[str, ...],
 ) -> float:
     """One backend call; a failure raises PlannerError naming the depth, action and path."""
@@ -90,7 +91,7 @@ class BeliefNode:
     observation either.
     """
 
-    belief: GaussianDensity | None
+    belief: Belief | None
     depth: int
     accumulated_reward: float
     children: dict[str, list[tuple[np.ndarray | None, "BeliefNode"]]] = field(
@@ -125,9 +126,10 @@ class AnalyticMiBackend:
 class SmcMiBackend:
     """One-step augmented MI via the SMC estimator.
 
-    Draws the budget's prior particles from the node belief, then runs the
-    estimator.  It is stochastic, so the solver uses ``obs_samples`` branches
-    or estimates per action, as :func:`solve` describes.
+    Draws the budget's prior particles from a Gaussian node belief (a
+    particle belief goes in as given), then runs the estimator.  It is
+    stochastic, so the solver uses ``obs_samples`` branches or estimates per
+    action, as :func:`solve` describes.
     """
 
     exact = False
@@ -136,7 +138,7 @@ class SmcMiBackend:
         self.budget = budget
 
     def __call__(
-        self, belief: GaussianDensity, action: Action, rng: np.random.Generator
+        self, belief: Belief, action: Action, rng: np.random.Generator
     ) -> float:
         return mismc_calculator(self.budget)(belief, action, rng).value
 
@@ -201,39 +203,45 @@ def _plan_involved_union(
 
 
 def _root(
-    prior: GaussianDensity,
+    prior: Belief,
     steps: list[list[Action]],
     mi_backend: MiBackend,
     obs_samples: int,
     rng: np.random.Generator | int,
-) -> tuple[GaussianDensity, bool, int, Callable[[tuple[int, ...]], np.random.Generator]]:
+    reward_mode: str,
+) -> tuple[Belief, bool, int, Callable[[tuple[int, ...]], np.random.Generator]]:
     """Root set-up shared by the solver and the direct evaluation.
 
     Returns the prior marginalized onto the plan's involved union, whether
     the backend is exact, the observation branch count per action node, and
     ``node_rng``, which derives a node's generator from its tree path.
     ``obs_samples`` that is not an integer, or is below 1, raises
-    ``ValueError`` whatever the backend.
+    ``ValueError`` whatever the backend.  ``consecutive_mi`` conditions each
+    belief on drawn observations, so a prior that is not a GaussianDensity
+    raises ``TypeError`` there.
     """
+    if reward_mode == REWARD_CONSECUTIVE_MI and not isinstance(prior, GaussianDensity):
+        raise TypeError(
+            f"{reward_mode} needs a posterior update after each observation, which only a "
+            f"GaussianDensity prior has; got {type(prior).__name__} (use {REWARD_INVOLVED_IG})"
+        )
     if not _is_count(obs_samples):
         raise ValueError(f"obs_samples must be an integer, got {obs_samples!r}")
     if obs_samples < 1:
         raise ValueError(f"obs_samples must be >= 1, got {obs_samples}")
     rng, _ = ensure_rng(rng)
     involved = _plan_involved_union(prior.layout, steps)
-    root_belief = (
-        prior
-        if involved == set(prior.layout.ids)
-        else marginalize_gaussian(prior, involved)
-    )
+    if involved != set(prior.layout.ids):
+        gaussian = isinstance(prior, GaussianDensity)
+        prior = (marginalize_gaussian if gaussian else marginalize_particles)(prior, involved)
     exact = bool(getattr(mi_backend, "exact", False))
     branches = 1 if exact else int(obs_samples)
     root_entropy = [int(v) for v in rng.integers(0, 2**63, size=2)]
-    return root_belief, exact, branches, functools.partial(_derived_rng, root_entropy)
+    return prior, exact, branches, functools.partial(_derived_rng, root_entropy)
 
 
 def solve(
-    prior: GaussianDensity,
+    prior: Belief,
     actions: Sequence[Action] | Sequence[Sequence[Action]],
     horizon: int,
     reward_mode: str,
@@ -250,16 +258,19 @@ def solve(
     an exact backend uses 1 in both.  The result's ``root`` is the searched
     tree; in both modes a node's ``accumulated_reward`` is the information
     gained from the root to it.  Ties between equal-valued actions break
-    toward the lowest action id.
+    toward the lowest action id.  A ``WeightedParticleSet`` prior plans in
+    ``involved_ig`` mode only.
     """
     if reward_mode not in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
         raise ValueError(f"unknown reward mode {reward_mode!r}")
     steps = _steps_argument(actions, horizon)
-    root_belief, exact, branches, node_rng = _root(prior, steps, mi_backend, obs_samples, rng)
+    root_belief, exact, branches, node_rng = _root(
+        prior, steps, mi_backend, obs_samples, rng, reward_mode
+    )
     involved_ig = reward_mode == REWARD_INVOLVED_IG
 
     def expand(
-        belief: GaussianDensity | None, prefix: Action | None, acc_reward: float,
+        belief: Belief | None, prefix: Action | None, acc_reward: float,
         path: tuple[str, ...], key: tuple[int, ...],
     ) -> tuple[float, tuple[str, ...], BeliefNode]:
         depth = len(path)
@@ -289,13 +300,10 @@ def solve(
                 acc_child = acc_reward + _estimate(
                     mi_backend, belief, action, node_rng(a_key + (0,)), path
                 )
-                joint = joint_state_observation(belief, action)
-                draws = [
-                    _condition_on_draw(
-                        joint, action, None if exact else node_rng(a_key + (2, branch))
-                    )
-                    for branch in range(branches)
-                ]
+                draws = _condition_on_draw(
+                    joint_state_observation(belief, action), action,
+                    None if exact else [node_rng(a_key + (2, b)) for b in range(branches)],
+                )
 
             future = 0.0
             pairs: list[tuple[np.ndarray | None, BeliefNode]] = []
@@ -319,7 +327,7 @@ def solve(
 
 
 def sequential_mi_direct(
-    prior: GaussianDensity,
+    prior: Belief,
     action_sequence: Sequence[Action],
     horizon: int,
     mi_backend: MiBackend,
@@ -338,7 +346,7 @@ def sequential_mi_direct(
         raise ValueError(f"horizon {horizon} out of range 1..{len(seq)}")
     seq = seq[:horizon]
     belief0, exact, branches, node_rng = _root(
-        prior, [[a] for a in seq], mi_backend, obs_samples, rng
+        prior, [[a] for a in seq], mi_backend, obs_samples, rng, REWARD_CONSECUTIVE_MI
     )
     ids = tuple(a.id for a in seq)
 
@@ -348,11 +356,11 @@ def sequential_mi_direct(
         action = seq[i]
         increment = _estimate(mi_backend, belief, action, node_rng(path_key + (0,)), ids[:i])
         future = 0.0
-        joint = joint_state_observation(belief, action)
-        for branch in range(branches):
-            child, _z = _condition_on_draw(
-                joint, action, None if exact else node_rng(path_key + (1, branch))
-            )
+        draws = _condition_on_draw(
+            joint_state_observation(belief, action), action,
+            None if exact else [node_rng(path_key + (1, b)) for b in range(branches)],
+        )
+        for branch, (child, _z) in enumerate(draws):
             future += recurse(child, i + 1, path_key + (2, branch)) / branches
         return increment + future
 

@@ -41,6 +41,7 @@ from .state import (
     SequentialObservation,
     SequentialTransition,
     WeightedParticleSet,
+    _bind_inputs,
     _derived_rng,
     ensure_rng,
 )
@@ -165,8 +166,9 @@ class MismcContext:
         self.action = action
         self.budget = budget
         self.seed = seed
-        self.transition = SequentialTransition(prior.layout, action)
-        self.observation = SequentialObservation(prior.layout, action)
+        bound = _bind_inputs(prior.layout, action)
+        self.transition = SequentialTransition(prior.layout, action, bound)
+        self.observation = SequentialObservation(prior.layout, action, bound)
         if not action.observations:
             raise ValueError(f"action {action.id!r} has no observations")
         if stream_indices is None:

@@ -13,6 +13,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -233,30 +234,44 @@ class GaussianDensity:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).ravel()
         cov = np.asarray(self.covariance, dtype=float)
         dim = self.layout.total_dim
-        if mean.shape != (dim,):
-            raise ValueError(f"mean has shape {mean.shape}, expected ({dim},)")
+        object.__setattr__(self, "mean", _checked_mean(self.mean, dim))
         if cov.shape != (dim, dim):
             raise ValueError(f"covariance has shape {cov.shape}, expected ({dim}, {dim})")
-        if not np.isfinite(mean).all():
-            raise ValueError("mean must be finite")
         scale = float(np.abs(cov).max())
         if not math.isfinite(scale):
             raise ValueError("covariance must be finite")
         if np.abs(cov - cov.T).max() > 1e-10 * max(1.0, scale):
             raise ValueError("covariance is not symmetric (relative tolerance 1e-10)")
-        object.__setattr__(self, "mean", _frozen_array(mean))
         object.__setattr__(self, "covariance", _frozen_array(0.5 * (cov + cov.T)))
+        # the Cholesky factor, once computed; _with_mean siblings share it
+        object.__setattr__(self, "_factor", {})
 
     @property
     def dim(self) -> int:
         return self.layout.total_dim
 
-    @cached_property
+    @property
     def _chol(self) -> np.ndarray:
-        return cholesky_psd(self.covariance)
+        if not self._factor:
+            self._factor["chol"] = cholesky_psd(self.covariance)
+        return self._factor["chol"]
+
+    def _with_mean(self, mean: np.ndarray) -> "GaussianDensity":
+        """This density's layout, covariance array and factor around another (checked) mean."""
+        sibling = copy.copy(self)
+        object.__setattr__(sibling, "mean", _checked_mean(mean, self.dim))
+        return sibling
+
+
+def _checked_mean(mean, dim: int) -> np.ndarray:
+    mean = np.asarray(mean, dtype=float).ravel()
+    if mean.shape != (dim,):
+        raise ValueError(f"mean has shape {mean.shape}, expected ({dim},)")
+    if not np.isfinite(mean).all():
+        raise ValueError("mean must be finite")
+    return _frozen_array(mean)
 
 
 @dataclass(frozen=True)
@@ -368,9 +383,11 @@ class Action:
         _bind_inputs(layout, self)
 
 
-def _bind_inputs(
-    layout: StateLayout, action: Action
-) -> list[tuple[LinearGaussianModel, np.ndarray]]:
+# each model of an action with its input columns, as _bind_inputs returns them
+_Bound = list[tuple[LinearGaussianModel, np.ndarray]]
+
+
+def _bind_inputs(layout: StateLayout, action: Action) -> _Bound:
     """Each transition's model, then each observation's, in declaration
     order, with its input columns into ``[layout coords | new coords]``.
 
@@ -510,25 +527,6 @@ def _draws(density: GaussianDensity, n: int, rng: np.random.Generator) -> np.nda
     return density.mean + rng.standard_normal((n, density.dim)) @ density._chol.T
 
 
-def log_density(
-    model: LinearGaussianModel, inputs: np.ndarray, output: np.ndarray
-) -> float:
-    """log N(output; matrix @ inputs, noise_cov)."""
-    inputs = np.asarray(inputs, dtype=float).ravel()
-    output = np.asarray(output, dtype=float).ravel()
-    if inputs.shape != (model.input_dim,):
-        raise ValueError(
-            f"inputs have shape {inputs.shape}, model expects ({model.input_dim},)"
-        )
-    if output.shape != (model.output_dim,):
-        raise ValueError(
-            f"output has shape {output.shape}, model expects ({model.output_dim},)"
-        )
-    residual = output - model.matrix @ inputs
-    white = scipy.linalg.solve_triangular(model.noise_chol, residual, lower=True)
-    return -0.5 * float(white @ white) - model._log_norm
-
-
 # ---------------------------------------------------------------------------
 # Vectorized sequential models
 # ---------------------------------------------------------------------------
@@ -541,25 +539,32 @@ class _SequentialModels:
     ``[belief state | stacked new blocks]``, which the transition builds
     once and the observation reads as given, and fills its own slice of an
     output array; the two subclasses differ only in where that output lives.
+    A caller that builds both passes them one ``bound``, the action's
+    :func:`_bind_inputs`.
     """
 
-    def __init__(
-        self, layout: StateLayout, bound: Iterable[tuple[LinearGaussianModel, np.ndarray]]
-    ):
+    def __init__(self, layout: StateLayout, action: Action, bound: _Bound | None, own: slice):
         self.layout = layout
-        # (model, input columns, output slice) per model
-        self._models: list[tuple[LinearGaussianModel, np.ndarray, slice]] = []
+        bound = _bind_inputs(layout, action) if bound is None else bound
+        # (model, input columns, output slice, whitening solve) per model; the solve
+        # is the LAPACK trtrs call of solve_triangular(noise_chol, b, lower=True),
+        # which passes a factor that is not F-ordered transposed, as an upper one
+        self._models: list[tuple[LinearGaussianModel, np.ndarray, slice, tuple]] = []
         cursor = 0
-        for model, cols in bound:
-            self._models.append((model, cols, slice(cursor, cursor + model.output_dim)))
+        for model, cols in bound[own]:
+            chol = model.noise_chol
+            flip = not chol.flags.f_contiguous
+            trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (chol,))
+            solve = (trtrs, chol.T if flip else chol, not flip, flip)
+            self._models.append((model, cols, slice(cursor, cursor + model.output_dim), solve))
             cursor += model.output_dim
-        self._log_norm = sum(model._log_norm for model, _cols, _out in self._models)
+        self._log_norm = sum(model._log_norm for model, *_rest in self._models)
 
     def _sample(self, states: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill each model's slice of ``out`` from standard-normal innovations;
         returns the summed log density of each row's samples."""
         logpdf = np.zeros(states.shape[0])
-        for model, cols, part in self._models:
+        for model, cols, part, _solve in self._models:
             mean = states[:, cols] @ model.matrix.T
             eps = noise[:, part]
             out[:, part] = mean + eps @ model.noise_chol.T
@@ -568,18 +573,20 @@ class _SequentialModels:
 
     def _means(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill each model's slice of ``out`` with its mean given ``states``."""
-        for model, cols, part in self._models:
+        for model, cols, part, _solve in self._models:
             out[:, part] = states[:, cols] @ model.matrix.T
         return out
 
     def _whiten(self, y: np.ndarray) -> np.ndarray:
         """Each model's slice of ``y`` in units of its noise factor."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
+        if not np.isfinite(y).all():
+            raise ValueError("cannot whiten non-finite values")
         out = np.empty_like(y)
-        for model, _cols, part in self._models:
-            out[:, part] = scipy.linalg.solve_triangular(
-                model.noise_chol, y[:, part].T, lower=True
-            ).T
+        for _model, _cols, part, (trtrs, factor, lower, trans) in self._models:
+            # a Cholesky factor has a nonzero diagonal, so trtrs cannot fail
+            white, _info = trtrs(factor, y[:, part].T, lower=lower, trans=trans)
+            out[:, part] = white.T
         return out
 
     def _log_density(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -596,8 +603,8 @@ class SequentialTransition(_SequentialModels):
     steps read it.
     """
 
-    def __init__(self, layout: StateLayout, action: Action):
-        super().__init__(layout, _bind_inputs(layout, action)[: len(action.transitions)])
+    def __init__(self, layout: StateLayout, action: Action, bound: _Bound | None = None):
+        super().__init__(layout, action, bound, slice(len(action.transitions)))
         self.new_dim = action.new_dim_total
 
     def sample_with_noise(
@@ -626,8 +633,8 @@ class SequentialObservation(_SequentialModels):
     """The product of an action's observation models, bound to a belief
     layout; it reads the augmented states a transition returns."""
 
-    def __init__(self, layout: StateLayout, action: Action):
-        super().__init__(layout, _bind_inputs(layout, action)[len(action.transitions) :])
+    def __init__(self, layout: StateLayout, action: Action, bound: _Bound | None = None):
+        super().__init__(layout, action, bound, slice(len(action.transitions), None))
         self.obs_dim = action.obs_dim_total
 
     def sample_with_noise(

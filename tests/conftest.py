@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 from augmi import (
     Action,
@@ -20,6 +23,19 @@ CHAIN_MI = -0.8696323888706178
 
 STD_NORMAL_LOGPDF_MODE = -0.9189385332046727  # -0.5*ln(2*pi)
 GAUSS_ENTROPY_1D = 1.4189385332046727  # 0.5*ln(2*pi*e)
+
+
+def gaussian_entropy_ref(density: GaussianDensity) -> float:
+    """Reference entropy of a Gaussian belief in nats, from numpy's slogdet."""
+    sign, log_det = np.linalg.slogdet(density.covariance)
+    assert sign > 0
+    return 0.5 * (density.dim * (math.log(2.0 * math.pi) + 1.0) + log_det)
+
+
+def log_density_ref(model: LinearGaussianModel, inputs, output) -> float:
+    """Reference log N(output; matrix @ inputs, noise_cov), from scipy.stats."""
+    mean = model.matrix @ np.asarray(inputs, dtype=float)
+    return float(multivariate_normal.logpdf(output, mean, model.noise_cov))
 
 
 def make_chain_1d(q: float = 1.0, r: float = 1.0) -> tuple[GaussianDensity, Action]:

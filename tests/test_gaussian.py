@@ -16,7 +16,6 @@ from augmi import (
     StateLayout,
     augmented_mi_analytic,
     condition_gaussian,
-    gaussian_entropy,
     joint_state_observation,
     marginalize_gaussian,
     mi_analytic,
@@ -25,29 +24,40 @@ from augmi import (
     sample_particles,
     superposition_mi_analytic,
 )
-from conftest import CHAIN_MI, GAUSS_ENTROPY_1D, make_chain_1d, random_instance, random_spd
+from augmi.analytic import entropy_from_cov
+from augmi.linalg import cholesky_psd
+from conftest import (
+    CHAIN_MI,
+    GAUSS_ENTROPY_1D,
+    gaussian_entropy_ref,
+    make_chain_1d,
+    random_instance,
+    random_spd,
+)
 
 
 def entropy_of(joint: GaussianDensity, ids) -> float:
     """Independent entropy-arithmetic helper: entropy of a block marginal."""
-    return gaussian_entropy(marginalize_gaussian(joint, ids))
+    return gaussian_entropy_ref(marginalize_gaussian(joint, ids))
 
 
 class TestGaussianEntropy:
     def test_unit_variance(self):
         layout = StateLayout.from_dims([("a", 1)])
         d = GaussianDensity(layout=layout, mean=[0.0], covariance=[[1.0]])
-        assert gaussian_entropy(d) == pytest.approx(GAUSS_ENTROPY_1D, abs=1e-12)
+        assert entropy_from_cov(d.covariance) == pytest.approx(GAUSS_ENTROPY_1D, abs=1e-12)
 
     def test_2d_identity_additivity(self):
         layout = StateLayout.from_dims([("a", 2)])
         d = GaussianDensity(layout=layout, mean=np.zeros(2), covariance=np.eye(2))
-        assert gaussian_entropy(d) == pytest.approx(2 * GAUSS_ENTROPY_1D, abs=1e-12)
+        assert entropy_from_cov(d.covariance) == pytest.approx(
+            2 * GAUSS_ENTROPY_1D, abs=1e-12
+        )
 
     def test_scaling_law(self):
         layout = StateLayout.from_dims([("a", 1)])
         d = GaussianDensity(layout=layout, mean=[0.0], covariance=[[4.0]])
-        assert gaussian_entropy(d) == pytest.approx(
+        assert entropy_from_cov(d.covariance) == pytest.approx(
             GAUSS_ENTROPY_1D + 0.5 * math.log(4.0), abs=1e-12
         )
 
@@ -241,6 +251,42 @@ class TestMiDecompositionAndConditioning:
         np.testing.assert_allclose(
             conditional.covariance, [[2.0 - 0.6 * gain]], atol=1e-12
         )
+
+    def test_stacked_rows_match_single_row_calls(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            prior, action, _involved = random_instance(rng, total_dim=12)
+            joint = joint_state_observation(prior, action)
+            obs_ids = observation_block_ids(action)
+            obs_idx = joint.layout.indices(obs_ids)
+            rows = joint.mean[obs_idx] + rng.standard_normal((4, obs_idx.size))
+            stacked = condition_gaussian(joint, obs_ids, rows)
+            assert len(stacked) == 4
+            for row, density in zip(rows, stacked):
+                single = condition_gaussian(joint, obs_ids, row)
+                assert density.layout == single.layout
+                assert np.array_equal(density.mean, single.mean)
+                assert np.array_equal(density.covariance, single.covariance)
+            # siblings share one covariance and one factor, and that factor
+            # is the one a fresh density would compute
+            assert all(d.covariance is stacked[0].covariance for d in stacked)
+            assert np.array_equal(stacked[2]._chol, cholesky_psd(stacked[2].covariance))
+            assert all(d._chol is stacked[2]._chol for d in stacked)
+
+    def test_stacked_rows_checked(self):
+        layout = StateLayout.from_dims([("a", 1), ("z", 2)])
+        joint = GaussianDensity(layout=layout, mean=np.zeros(3), covariance=np.eye(3))
+        assert condition_gaussian(joint, {"z"}, np.empty((0, 2))) == []
+        with pytest.raises(ValueError, match="values have shape"):
+            condition_gaussian(joint, {"z"}, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="values have shape"):
+            condition_gaussian(joint, {"z"}, [1.0])
+        # a sibling checks its mean
+        first = condition_gaussian(joint, {"z"}, np.zeros((1, 2)))[0]
+        with pytest.raises(ValueError, match="mean must be finite"):
+            first._with_mean([np.inf])
+        with pytest.raises(ValueError, match="mean has shape"):
+            first._with_mean([0.0, 0.0])
 
     def test_condition_on_independent_block_is_marginal(self):
         layout = StateLayout.from_dims([("a", 2), ("z", 1)])

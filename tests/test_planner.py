@@ -15,7 +15,11 @@ from augmi import (
     compose_actions,
     determine_involved,
     generate_scenario,
+    GaussianDensity,
+    StateLayout,
     marginalize_gaussian,
+    marginalize_particles,
+    sample_particles,
     sequential_mi_direct,
     solve,
 )
@@ -118,7 +122,8 @@ class TestConsecutiveMi:
         assert value == pytest.approx(CHAIN_MI, abs=1e-12)
 
     def test_uninformative_step(self):
-        from augmi import Action, LinearGaussianModel, joint_state_observation, gaussian_entropy
+        from augmi import Action, LinearGaussianModel, joint_state_observation
+        from conftest import gaussian_entropy_ref
 
         prior, action = make_chain_1d()
         free_obs = LinearGaussianModel(
@@ -127,7 +132,7 @@ class TestConsecutiveMi:
         blind = Action(id="a", transitions=action.transitions, observations=((1, free_obs),))
         value = BACKEND(prior, blind, np.random.default_rng(0))
         joint = joint_state_observation(prior, Action(id="t", transitions=action.transitions))
-        h_new_given_x = gaussian_entropy(joint) - gaussian_entropy(prior)
+        h_new_given_x = gaussian_entropy_ref(joint) - gaussian_entropy_ref(prior)
         assert value == pytest.approx(-h_new_given_x, abs=1e-9)
 
     def test_smc_backend_agrees_with_analytic(self, chain):
@@ -391,6 +396,31 @@ class TestValidation:
                 sequential_mi_direct(
                     prior, [action], 1, backend, obs_samples=obs_samples, rng=0
                 )
+
+    def test_particle_prior_rejected_where_beliefs_are_conditioned(self, chain):
+        prior, action = chain
+        pset = sample_particles(prior, 100, 1)
+        backend = SmcMiBackend(SampleBudget(n1=100))
+        with pytest.raises(TypeError, match="posterior update"):
+            solve(pset, [action], 1, REWARD_CONSECUTIVE_MI, backend, rng=0)
+        with pytest.raises(TypeError, match="posterior update"):
+            sequential_mi_direct(pset, [action], 1, backend, rng=0)
+
+    def test_involved_ig_marginalizes_a_wider_particle_prior(self, chain):
+        _prior, action = chain
+        layout = StateLayout.from_dims([("x", 1), ("y", 1)])
+        wide = GaussianDensity(
+            layout=layout, mean=[0.0, 1.0], covariance=[[1.0, 0.5], [0.5, 2.0]]
+        )
+        pset = sample_particles(wide, 100, 2)
+        backend = SmcMiBackend(SampleBudget(n1=100))
+        result = solve(pset, [action], 1, REWARD_INVOLVED_IG, backend, obs_samples=2, rng=3)
+        reduced = solve(
+            marginalize_particles(pset, {"x"}), [action], 1, REWARD_INVOLVED_IG, backend,
+            obs_samples=2, rng=3,
+        )
+        assert result.value == reduced.value
+        assert result.root.belief.layout.ids == ("x",)
 
     def test_numpy_integer_obs_samples_accepted(self, chain):
         prior, action = chain

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
@@ -18,7 +19,6 @@ from augmi import (
     WeightedParticleSet,
     compose_actions,
     generate_scenario,
-    log_density,
     marginalize_gaussian,
     marginalize_particles,
     prior_footprint,
@@ -31,7 +31,7 @@ from augmi.state import (
     _hermite_kernel_sum,
     _log_kernel_sum,
 )
-from conftest import STD_NORMAL_LOGPDF_MODE, make_chain_1d, random_spd
+from conftest import STD_NORMAL_LOGPDF_MODE, log_density_ref, make_chain_1d, random_spd
 
 
 class TestLayout:
@@ -271,6 +271,14 @@ class TestLinearGaussianModelValidation:
             )
 
 
+def log_density(model: LinearGaussianModel, inputs, output) -> float:
+    """log N(output; matrix @ inputs, noise_cov) through the batch path: the
+    model as the one transition of an action on block ``x``."""
+    layout = StateLayout.from_dims([("x", model.input_dim)])
+    trans = SequentialTransition(layout, Action(id="t", transitions=(model,)))
+    return float(trans.log_density(np.concatenate([inputs, output])[None, :])[0])
+
+
 class TestLogDensity:
     def test_standard_normal_at_mode(self):
         model = LinearGaussianModel(
@@ -335,13 +343,6 @@ class TestLogDensity:
             direction = rng.standard_normal(2)
             direction /= np.linalg.norm(direction)
             assert log_density(model, inputs, mode + 0.1 * direction) < at_mode
-
-    def test_dimension_mismatch(self):
-        model = LinearGaussianModel(
-            inputs=("x",), output_dim=1, matrix=[[1.0]], noise_cov=[[1.0]]
-        )
-        with pytest.raises(ValueError, match="shape"):
-            log_density(model, [0.0, 1.0], [0.0])
 
 
 class TestAction:
@@ -425,11 +426,11 @@ class TestSequentialModels:
         t_model = action.transitions[0]
         o_model = action.observations[0][1]
         for i in range(5):
-            expect_t = log_density(t_model, x[i, :2], new[i])
+            expect_t = log_density_ref(t_model, x[i, :2], new[i])
             assert trans.log_density(states[i : i + 1])[0] == pytest.approx(
                 expect_t, abs=1e-10
             )
-            expect_o = log_density(o_model, np.concatenate([new[i], x[i, 2:]]), z[i])
+            expect_o = log_density_ref(o_model, np.concatenate([new[i], x[i, 2:]]), z[i])
             assert obs.log_density(states[i : i + 1], z[i : i + 1])[0] == pytest.approx(
                 expect_o, abs=1e-10
             )
@@ -462,6 +463,52 @@ class TestSequentialModels:
         fast = np.exp(evaluator.mixture_likelihood(z, weights))
         plain = np.exp(evaluator.log_density_grid(z)) @ weights
         np.testing.assert_allclose(fast, plain, rtol=1e-12)
+
+
+@st.composite
+def whitening_cases(draw):
+    """Observation models of output dims 1 to 6 and noise scales 1e-6 to
+    1e6, and 1 to 400 rows of outputs to whiten."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    models = [
+        LinearGaussianModel(
+            inputs=("x",), output_dim=k, matrix=np.ones((k, 1)),
+            noise_cov=random_spd(rng, k, scale=10.0 ** draw(st.floats(-6.0, 6.0))),
+        )
+        for k in dims
+    ]
+    action = Action(
+        id="a",
+        transitions=(LinearGaussianModel(("x",), 1, [[1.0]], [[1.0]]),),
+        observations=tuple((1, m) for m in models),
+    )
+    y = rng.standard_normal((draw(st.integers(1, 400)), sum(dims)))
+    return action, y * 10.0 ** draw(st.floats(-6.0, 6.0))
+
+
+class TestWhiten:
+    @settings(max_examples=40, deadline=None)
+    @given(whitening_cases())
+    def test_matches_solve_triangular_per_model(self, case):
+        action, y = case
+        obs = SequentialObservation(StateLayout.from_dims([("x", 1)]), action)
+        expected, cursor = [], 0
+        for _step, model in action.observations:
+            part = y[:, cursor : cursor + model.output_dim]
+            expected.append(
+                scipy.linalg.solve_triangular(model.noise_chol, part.T, lower=True).T
+            )
+            cursor += model.output_dim
+        assert np.array_equal(obs._whiten(y), np.concatenate(expected, axis=1))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_values(self, bad):
+        layout = StateLayout.from_dims([("x", 1)])
+        _prior, action = make_chain_1d()
+        obs = SequentialObservation(layout, action)
+        with pytest.raises(ValueError, match="non-finite"):
+            obs.log_density(np.zeros((2, 2)), [[0.0], [bad]])
 
 
 def _dense_log_kernel_sum(queries, centers, weights, log_norm):
