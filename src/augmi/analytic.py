@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import cholesky_psd, conditional_parts, log_det_psd
+from .linalg import cholesky_psd, conditional_parts
 from .state import (
     Action,
     GaussianDensity,
@@ -58,7 +58,8 @@ def entropy_from_cov(cov: np.ndarray) -> float:
     d = cov.shape[0]
     if d == 0:
         return 0.0
-    return 0.5 * (d * LOG_TWO_PI_E + log_det_psd(cov))
+    log_det = 2.0 * float(np.sum(np.log(np.diag(cholesky_psd(cov)))))
+    return 0.5 * (d * LOG_TWO_PI_E + log_det)
 
 
 def joint_state_observation(prior: GaussianDensity, action: Action) -> GaussianDensity:

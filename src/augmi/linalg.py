@@ -1,9 +1,9 @@
 """Dense PSD linear algebra shared by the Gaussian oracle and the estimators.
 
-Log-determinants and conditioning go through Cholesky factorizations so they
-stay accurate for state dimensions in the low hundreds.  A factorization that
-fails gets exactly one retry with trace-scaled jitter; a second failure is an
-error so degenerate inputs cannot pass silently.
+Every factorization of a covariance goes through :func:`cholesky_psd`, which
+either factors the matrix or raises :class:`NotPositiveDefiniteError`.  There
+is no jitter and no pseudo-inverse: a singular covariance has no density, so
+any finite number computed from it would be wrong rather than approximate.
 """
 
 from __future__ import annotations
@@ -11,62 +11,21 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-# Relative diagonal bump applied once when a Cholesky factorization fails.
-JITTER_SCALE = 1e-9
-
 
 class NotPositiveDefiniteError(ValueError):
-    """Matrix is not positive definite, even after the one-shot jitter."""
+    """Matrix is not (numerically) positive definite."""
 
 
 def cholesky_psd(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with a single jitter retry.
-
-    The retry adds ``JITTER_SCALE * trace(m) / dim`` to the diagonal once.
-    """
+    """Lower Cholesky factor of a positive-definite matrix; raises
+    :class:`NotPositiveDefiniteError` when LAPACK cannot factor it."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        return matrix.reshape(0, 0)
     try:
         return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        pass
-    dim = matrix.shape[0]
-    bump = JITTER_SCALE * float(np.trace(matrix)) / dim
-    try:
-        return np.linalg.cholesky(matrix + bump * np.eye(dim))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(
-            f"matrix of dim {dim} is not positive definite "
-            f"(jitter {bump:.3e} did not help)"
+            f"matrix of shape {matrix.shape} is not positive definite"
         ) from exc
-
-
-def log_det_psd(matrix: np.ndarray) -> float:
-    """log det of a positive-definite matrix via its Cholesky factor."""
-    factor = cholesky_psd(matrix)
-    if factor.size == 0:
-        return 0.0
-    return 2.0 * float(np.sum(np.log(np.diag(factor))))
-
-
-def solve_psd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` for symmetric PSD ``matrix``.
-
-    Cholesky first; if that fails even with jitter, falls back to a
-    symmetric eigendecomposition with small eigenvalues dropped, which
-    handles exactly-singular conditioning targets.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    try:
-        factor = cholesky_psd(matrix)
-    except NotPositiveDefiniteError:
-        vals, vecs = np.linalg.eigh(matrix)
-        cutoff = max(vals.max(), 0.0) * 1e-12
-        inv_vals = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-        return vecs @ (inv_vals[:, None] * (vecs.T @ rhs))
-    return scipy.linalg.cho_solve((factor, True), rhs)
 
 
 def conditional_parts(
@@ -81,6 +40,6 @@ def conditional_parts(
     cov_kg = cov[np.ix_(keep_idx, given_idx)]
     cov_gg = cov[np.ix_(given_idx, given_idx)]
     cov_kk = cov[np.ix_(keep_idx, keep_idx)]
-    gain = solve_psd(cov_gg, cov_kg.T).T
+    gain = scipy.linalg.cho_solve((cholesky_psd(cov_gg), True), cov_kg.T).T
     schur = cov_kk - gain @ cov_kg.T
     return gain, 0.5 * (schur + schur.T)

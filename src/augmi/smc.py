@@ -283,6 +283,8 @@ def mismc_update(
     comes from its own (root, index) stream, its terms are appended to
     ``terms``, and the sums are taken once over all of them in index order.
     """
+    if not _is_count(additional_n1):
+        raise BudgetError(f"additional_n1 must be an integer, got {additional_n1!r}")
     if additional_n1 < 0:
         raise ValueError("additional_n1 must be >= 0")
     if acc.rng_state != context.root:

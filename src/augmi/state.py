@@ -225,8 +225,9 @@ class GaussianDensity:
     """Gaussian belief with a block layout.
 
     The mean and covariance must be finite and the covariance symmetric to
-    1e-10 relative tolerance; positive definiteness is enforced lazily by
-    the jitter policy when a factorization is actually needed.
+    1e-10 relative tolerance.  The covariance is factored lazily, the first
+    time a draw needs it; a covariance that is not positive definite raises
+    :class:`~augmi.linalg.NotPositiveDefiniteError` there.
     """
 
     layout: StateLayout
@@ -281,7 +282,8 @@ class LinearGaussianModel:
     The model reads the blocks named in ``inputs`` (matrix columns follow
     that declaration order) and emits ``output_dim`` coordinates.  Used both
     as a transition model (output becomes a new state block) and as an
-    observation model (output is a measurement).
+    observation model (output is a measurement).  ``noise_cov`` must be
+    positive definite; its lower Cholesky factor is ``noise_chol``.
     """
 
     inputs: tuple[str, ...]
@@ -310,14 +312,12 @@ class LinearGaussianModel:
             raise ValueError("noise_cov is not symmetric")
         object.__setattr__(self, "matrix", _frozen_array(matrix))
         object.__setattr__(self, "noise_cov", _frozen_array(0.5 * (noise + noise.T)))
+        # raises NotPositiveDefiniteError: singular noise has no density
+        object.__setattr__(self, "noise_chol", cholesky_psd(self.noise_cov))
 
     @property
     def input_dim(self) -> int:
         return self.matrix.shape[1]
-
-    @cached_property
-    def noise_chol(self) -> np.ndarray:
-        return cholesky_psd(self.noise_cov)
 
     @cached_property
     def _log_norm(self) -> float:

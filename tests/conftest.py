@@ -3,6 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
+
+# One BLAS thread, as CI and the benchmark run: the timed acceptance criteria
+# compare wall times, and BLAS threads competing for two cores skew them.
+# Set before numpy is first imported, which is when BLAS reads them.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -377,6 +377,15 @@ class TestAnytime:
         with pytest.raises(BudgetError, match="cannot consume"):
             mismc_update(acc, 1, ctx)
 
+    @pytest.mark.parametrize("count", [1.5, np.float64(2.0), True, "2"])
+    def test_rejects_non_integer_count(self, chain, count):
+        prior, action = chain
+        rng = np.random.default_rng(11)
+        pset = sample_particles(prior, 20, rng)
+        ctx = mismc_context(pset, action, SampleBudget(n1=20), rng)
+        with pytest.raises(BudgetError, match="additional_n1 must be an integer"):
+            mismc_update(ctx.empty_accumulator(), count, ctx)
+
     def test_context_mismatch_detected(self, chain):
         prior, action = chain
         rng = np.random.default_rng(10)
