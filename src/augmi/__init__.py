@@ -93,7 +93,6 @@ from .state import (
     compose_actions,
     marginalize_gaussian,
     marginalize_particles,
-    prior_footprint,
     sample_particles,
 )
 

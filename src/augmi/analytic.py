@@ -22,8 +22,8 @@ from .state import (
     Action,
     GaussianDensity,
     _bind_inputs,
+    _prior_footprint,
     marginalize_gaussian,
-    prior_footprint,
 )
 
 LOG_TWO_PI_E = math.log(2.0 * math.pi) + 1.0
@@ -176,7 +176,7 @@ def _reduced_joint(
     subset = None if subset is None else set(subset)
     # the whole prior needs no footprint check; the joint validates the action
     if subset is not None and subset != set(prior.layout.ids):
-        footprint = prior_footprint(prior.layout, action)
+        footprint = _prior_footprint(prior.layout, action)
         unknown = subset - set(prior.layout.ids)
         if unknown:
             raise FootprintError(f"subset contains unknown blocks {sorted(unknown)}")

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .involved import (
-    MiCalculator,
     analytic_calculator,
     determine_involved,
     invmi,
@@ -35,7 +34,6 @@ from .mi import (
 )
 from .scenario import SlamScenario, generate_scenario
 from .smc import SampleBudget
-from .state import Action, GaussianDensity
 
 log = logging.getLogger(__name__)
 
@@ -47,26 +45,22 @@ CSV_HEADER = (
 _METHOD_INDEX = {m: i for i, m in enumerate(ALL_METHODS)}
 
 
-def _naive_kde_calculator(n: int) -> MiCalculator:
-    """Calculator running the naive full-state KDE pipeline."""
-
-    def calc(
-        belief: GaussianDensity, action: Action, rng: np.random.Generator | int
-    ) -> MiEstimate:
-        return naive_kde_augmented_mi(belief, action, n, rng=rng)
-
-    return calc
-
-
-# Per method: the calculator for a particle count, and whether
-# it runs on the involved marginal through invmi or on the full prior.  The
-# mismc calculator samples the prior particles itself, which is input
-# preparation, outside the estimator's elapsed time.
+# Per method: one run ``(prior, action, n, seed) -> MiEstimate`` on the full
+# prior with ``n`` particles.  invmi_kde and mismc go through invmi, which
+# marginalizes onto the action's involved blocks first.  The mismc calculator
+# samples the prior particles itself, which is input preparation, outside the
+# estimator's elapsed time.
 _METHODS = {
-    METHOD_ANALYTIC: (lambda n: analytic_calculator(), False),
-    METHOD_NAIVE_KDE: (_naive_kde_calculator, False),
-    METHOD_INVMI_KDE: (kde_calculator, True),
-    METHOD_MISMC: (lambda n: mismc_calculator(SampleBudget(n1=n, n4=n)), True),
+    METHOD_ANALYTIC: lambda prior, action, n, seed: analytic_calculator()(prior, action, seed),
+    METHOD_NAIVE_KDE: lambda prior, action, n, seed: naive_kde_augmented_mi(
+        prior, action, n, rng=seed
+    ),
+    METHOD_INVMI_KDE: lambda prior, action, n, seed: invmi(
+        prior, action, kde_calculator(n), seed
+    ),
+    METHOD_MISMC: lambda prior, action, n, seed: invmi(
+        prior, action, mismc_calculator(SampleBudget(n1=n, n4=n)), seed
+    ),
 }
 
 
@@ -105,17 +99,12 @@ def evaluate_method(
 ) -> MiEstimate:
     """Run one estimator once on one scenario action.
 
-    The integer seed fully determines the result and labels the estimate;
-    the analytic method ignores it otherwise.
+    The integer seed fully determines the result; the analytic method
+    ignores it.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
-    make_calc, reduce = _METHODS[method]
-    calc = make_calc(n_particles)
-    action = scenario.action(action_id)
-    if reduce:
-        return invmi(scenario.prior, action, calc, seed)
-    return calc(scenario.prior, action, seed)
+    return _METHODS[method](scenario.prior, scenario.action(action_id), n_particles, seed)
 
 
 def result_row(

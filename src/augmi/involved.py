@@ -14,13 +14,13 @@ bench runner and the planner backends call them, with or without
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .analytic import augmented_mi_analytic
-from .kde import KdeConfig, invmi_kde_augmented_mi
+from .kde import invmi_kde_augmented_mi
 from .mi import METHOD_ANALYTIC, MiEstimate
 from .smc import SampleBudget, mismc_estimate
 from .state import (
@@ -28,16 +28,14 @@ from .state import (
     GaussianDensity,
     StateLayout,
     WeightedParticleSet,
+    _prior_footprint,
     ensure_rng,
     marginalize_gaussian,
     marginalize_particles,
-    prior_footprint,
     sample_particles,
 )
 
 Belief = Union[WeightedParticleSet, GaussianDensity]
-# ``rng`` is a Generator or an integer seed; an integer becomes the estimate's
-# seed label.
 MiCalculator = Callable[[Belief, Action, Union[np.random.Generator, int]], MiEstimate]
 
 
@@ -71,7 +69,7 @@ def determine_involved(layout: StateLayout, action: Action) -> InvolvedSet:
     New blocks the action creates are inherently involved but excluded here;
     the set is a subset of the prior by definition.
     """
-    return InvolvedSet(layout=layout, blocks=prior_footprint(layout, action))
+    return InvolvedSet(layout=layout, blocks=_prior_footprint(layout, action))
 
 
 def invmi(
@@ -85,8 +83,7 @@ def invmi(
 
     The result equals the full-state value for any calculator that respects
     the models' footprints; the point is that the calculator only ever sees
-    a d-dimensional problem.  ``rng`` reaches the calculator as given, so an
-    integer seed labels the estimate.
+    a d-dimensional problem.  ``rng`` reaches the calculator as given.
     """
     inv = determine_involved(prior_belief.layout, action)
     if isinstance(prior_belief, WeightedParticleSet):
@@ -108,12 +105,11 @@ def invmi(
 
 
 def analytic_calculator() -> MiCalculator:
-    """Calculator wrapping the closed-form Gaussian oracle."""
+    """Calculator wrapping the closed-form Gaussian oracle; it ignores ``rng``."""
 
     def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
         if not isinstance(belief, GaussianDensity):
             raise TypeError("analytic calculator needs a GaussianDensity belief")
-        _rng, seed = ensure_rng(rng)
         start = time.perf_counter()
         result = augmented_mi_analytic(belief, action, subset=None)
         return MiEstimate(
@@ -121,13 +117,12 @@ def analytic_calculator() -> MiCalculator:
             method=METHOD_ANALYTIC,
             elapsed=time.perf_counter() - start,
             sample_counts={"dim": belief.dim},
-            seed=seed,
         )
 
     return calc
 
 
-def kde_calculator(n: int, cfg: KdeConfig | None = None, z_draws: int = 1) -> MiCalculator:
+def kde_calculator(n: int) -> MiCalculator:
     """Calculator running the involved-subset KDE pipeline over every block
     of the belief it receives, which :func:`invmi` has marginalized onto the
     action's footprint."""
@@ -135,9 +130,7 @@ def kde_calculator(n: int, cfg: KdeConfig | None = None, z_draws: int = 1) -> Mi
     def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
         if not isinstance(belief, GaussianDensity):
             raise TypeError("KDE calculator needs a GaussianDensity belief")
-        return invmi_kde_augmented_mi(
-            belief, action, belief.layout.ids, n, cfg, rng, z_draws=z_draws
-        )
+        return invmi_kde_augmented_mi(belief, action, belief.layout.ids, n, rng=rng)
 
     return calc
 
@@ -151,9 +144,9 @@ def mismc_calculator(budget: SampleBudget) -> MiCalculator:
     """
 
     def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
-        rng, seed = ensure_rng(rng)
+        rng = ensure_rng(rng)
         if isinstance(belief, GaussianDensity):
             belief = sample_particles(belief, budget.n1, rng)
-        return replace(mismc_estimate(belief, action, budget, rng), seed=seed)
+        return mismc_estimate(belief, action, budget, rng)
 
     return calc

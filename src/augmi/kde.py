@@ -28,6 +28,7 @@ from .state import (
     GaussianDensity,
     WeightedParticleSet,
     _draws,
+    _is_count,
     _log_kernel_sum,
     ensure_rng,
 )
@@ -141,12 +142,15 @@ def _kde_augmented_mi(
     belief the KDE runs on, so a fully-involved reduced run replays a
     full-state run bit for bit.
     """
+    for name, count in (("n", n), ("z_draws", z_draws)):
+        if not _is_count(count):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n < 2:
         raise ValueError("need n >= 2 samples for data-driven KDE entropy")
     if z_draws < 1:
         raise ValueError(f"need z_draws >= 1 observation draws, got {z_draws}")
     cfg = cfg or KdeConfig()
-    rng, seed = ensure_rng(rng)
+    rng = ensure_rng(rng)
     counts = {"n": n, "z_draws": z_draws, "clamp_events": 0}
     start = time.perf_counter()
     prior, joint = _reduced_joint(prior, action, involved)
@@ -171,7 +175,6 @@ def _kde_augmented_mi(
         method=METHOD_NAIVE_KDE if involved is None else METHOD_INVMI_KDE,
         elapsed=time.perf_counter() - start,
         sample_counts=counts,
-        seed=seed,
     )
 
 

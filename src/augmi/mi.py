@@ -16,18 +16,16 @@ ALL_METHODS = (METHOD_ANALYTIC, METHOD_NAIVE_KDE, METHOD_INVMI_KDE, METHOD_MISMC
 
 @dataclass(frozen=True)
 class MiEstimate:
-    """One MI evaluation: point value plus reproducibility metadata.
+    """One MI evaluation: point value, method, elapsed time and budget.
 
     ``sample_counts`` is a method-specific budget record (particle counts,
-    draw counts, clamp/floor event counters).  ``seed`` is the integer seed
-    the caller handed in, or -1 when the call received a live generator.
+    draw counts, clamp/floor event counters).
     """
 
     value: float
     method: str
     elapsed: float
     sample_counts: Mapping[str, int] = field(default_factory=dict)
-    seed: int = -1
 
     def __post_init__(self):
         if not math.isfinite(self.value):

@@ -42,12 +42,13 @@ import numpy as np
 
 from .analytic import _condition_on_draw, joint_state_observation
 from .involved import Belief, analytic_calculator, determine_involved, mismc_calculator
-from .smc import SampleBudget, _is_count
+from .smc import SampleBudget
 from .state import (
     Action,
     GaussianDensity,
     StateLayout,
     _derived_rng,
+    _is_count,
     compose_actions,
     ensure_rng,
     marginalize_gaussian,
@@ -229,7 +230,7 @@ def _root(
         raise ValueError(f"obs_samples must be an integer, got {obs_samples!r}")
     if obs_samples < 1:
         raise ValueError(f"obs_samples must be >= 1, got {obs_samples}")
-    rng, _ = ensure_rng(rng)
+    rng = ensure_rng(rng)
     involved = _plan_involved_union(prior.layout, steps)
     if involved != set(prior.layout.ids):
         gaussian = isinstance(prior, GaussianDensity)

@@ -43,6 +43,7 @@ from .state import (
     WeightedParticleSet,
     _bind_inputs,
     _derived_rng,
+    _is_count,
     ensure_rng,
 )
 
@@ -59,11 +60,6 @@ _PHILOX_BLOCK = 4
 
 class BudgetError(ValueError):
     """Sample budget inconsistent with the prior particle set."""
-
-
-def _is_count(value) -> bool:
-    """Whether ``value`` is an integer count: an ``int`` or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class ContextMismatchError(ValueError):
@@ -141,10 +137,10 @@ class MismcContext:
     observation, as a particle filter would reuse its weighted set:
     ``normalizer`` holds its propagated batch and ``normalizer_weights`` its
     weights.  When ``n4`` equals the prior size the set is the prior itself
-    with its weights, and the transition noise is keyed per particle stream
-    index, so the whole estimator is invariant to particle replication;
-    otherwise ``n4`` particles are drawn weight-proportionally and averaged
-    uniformly.  Each set member is propagated ``n5`` times.
+    with its weights; otherwise ``n4`` particles are drawn
+    weight-proportionally and averaged uniformly.  Each set member is
+    propagated ``n5`` times, member ``i`` with the noise of counter window
+    ``i`` of the normalizer stream.
     """
 
     def __init__(
@@ -153,10 +149,9 @@ class MismcContext:
         action: Action,
         budget: SampleBudget,
         rng: np.random.Generator | int,
-        stream_indices: np.ndarray | None = None,
     ):
         start_ns = time.perf_counter_ns()
-        rng, seed = ensure_rng(rng)
+        rng = ensure_rng(rng)
         if budget.n1 != prior.n:
             raise BudgetError(
                 f"budget n1={budget.n1} must equal the prior particle count {prior.n}; "
@@ -165,30 +160,22 @@ class MismcContext:
         self.prior = prior
         self.action = action
         self.budget = budget
-        self.seed = seed
         bound = _bind_inputs(prior.layout, action)
         self.transition = SequentialTransition(prior.layout, action, bound)
         self.observation = SequentialObservation(prior.layout, action, bound)
         if not action.observations:
             raise ValueError(f"action {action.id!r} has no observations")
-        if stream_indices is None:
-            stream_indices = np.arange(prior.n)
-        else:
-            stream_indices = np.asarray(stream_indices, dtype=int)
-            if stream_indices.shape != (prior.n,):
-                raise ValueError("need one stream index per particle")
-        self.stream_indices = stream_indices
         # Two independent stream keys: outer-particle noise and normalizer.
         self.root = tuple(int(v) for v in rng.integers(0, 2**63, size=4))
         norm_root = self.root[2:]
         n4, n5, new_dim = budget.n4, budget.n5, self.transition.new_dim
         if n4 == prior.n:
-            x, w, indices = prior.particles, np.asarray(prior.weights), stream_indices
+            x, w = prior.particles, np.asarray(prior.weights)
         else:
             sel_rng = _derived_rng(norm_root, (_NORMALIZER_KEY,))
             sel = sel_rng.choice(prior.n, size=n4, p=prior.weights)
-            x, w, indices = prior.particles[sel], np.full(n4, 1.0 / n4), np.arange(n4)
-        noise = _particle_noise(norm_root, indices, n5 * new_dim)
+            x, w = prior.particles[sel], np.full(n4, 1.0 / n4)
+        noise = _particle_noise(norm_root, 0, n4, n5 * new_dim)
         states, _logp = self.transition.sample_with_noise(
             np.repeat(x, n5, axis=0), noise.reshape(n4 * n5, new_dim)
         )
@@ -217,7 +204,6 @@ class MismcContext:
             method=METHOD_MISMC,
             elapsed=(self.elapsed_ns + acc.elapsed_ns) / 1e9,
             sample_counts=counts,
-            seed=self.seed,
         )
 
 
@@ -239,26 +225,21 @@ def _box_muller(uniforms: np.ndarray) -> np.ndarray:
 
 
 def _particle_noise(
-    root: tuple[int, ...], indices: np.ndarray, per_particle: int
+    root: tuple[int, ...], start: int, count: int, per_particle: int
 ) -> np.ndarray:
-    """Standard-normal innovations, one row per requested particle index.
+    """Standard-normal innovations for particle indices ``start`` to
+    ``start + count - 1``, one row each.
 
     Each index owns a fixed counter window of the keyed Philox stream, so a
-    row's draws depend only on (root, index): batch splits cannot change
-    them, and repeated indices reproduce identical rows.  Normals come from
-    uniform pairs via Box-Muller because uniform generation consumes a fixed
-    word count, which keeps the per-index windows aligned.
+    row's draws depend only on (root, index) and batch splits cannot change
+    them.  Normals come from uniform pairs via Box-Muller because uniform
+    generation consumes a fixed word count, which keeps the per-index
+    windows aligned.
     """
     stride = _uniform_stride(per_particle)
-    key = np.array(root, dtype=np.uint64)
-    uniforms = np.empty((indices.size, stride))
-    # one generator per maximal run of consecutive indices, whose windows
-    # are adjacent in the stream
-    starts = np.flatnonzero(np.diff(indices, prepend=indices[:1] - 2) != 1)
-    for lo, hi in zip(starts, np.append(starts[1:], indices.size)):
-        bit_gen = np.random.Philox(key=key)
-        bit_gen.advance(int(indices[lo]) * (stride // _PHILOX_BLOCK))
-        uniforms[lo:hi] = np.random.Generator(bit_gen).random((hi - lo, stride))
+    bit_gen = np.random.Philox(key=np.array(root, dtype=np.uint64))
+    bit_gen.advance(int(start) * (stride // _PHILOX_BLOCK))
+    uniforms = np.random.Generator(bit_gen).random((count, stride))
     return _box_muller(uniforms)[:, :per_particle]
 
 
@@ -267,10 +248,9 @@ def mismc_context(
     action: Action,
     budget: SampleBudget,
     rng: np.random.Generator | int,
-    stream_indices: np.ndarray | None = None,
 ) -> MismcContext:
     """Prepare an anytime estimator run (see :class:`MismcContext`)."""
-    return MismcContext(prior, action, budget, rng, stream_indices)
+    return MismcContext(prior, action, budget, rng)
 
 
 def mismc_update(
@@ -306,9 +286,7 @@ def mismc_update(
 
     x = context.prior.particles[lo:hi]
     per_particle = n2 * trans.new_dim + n2 * n3 * obs.obs_dim
-    noise = _particle_noise(
-        context.root[:2], context.stream_indices[lo:hi], per_particle
-    )
+    noise = _particle_noise(context.root[:2], lo, additional_n1, per_particle)
 
     split = n2 * trans.new_dim
     noise_t = noise[:, :split].reshape(additional_n1 * n2, trans.new_dim)
@@ -340,12 +318,11 @@ def mismc_estimate(
     action: Action,
     budget: SampleBudget,
     rng: np.random.Generator | int,
-    stream_indices: np.ndarray | None = None,
 ) -> MiEstimate:
     """Batch run of the estimator over the whole budget.
 
     ``prior`` should be the involved-marginal belief; the full belief works
     too, the models simply ignore coordinates outside their footprints.
     """
-    context = mismc_context(prior, action, budget, rng, stream_indices)
+    context = mismc_context(prior, action, budget, rng)
     return context.result(mismc_update(context.empty_accumulator(), budget.n1, context))

@@ -59,17 +59,18 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def ensure_rng(rng: np.random.Generator | int) -> tuple[np.random.Generator, int]:
-    """Accept a Generator or an integer seed.
-
-    Returns the generator plus a seed label for provenance records (-1 when
-    the caller handed us an already-constructed generator).
-    """
+def ensure_rng(rng: np.random.Generator | int) -> np.random.Generator:
+    """A Generator as given, or ``np.random.default_rng(seed)`` for an integer seed."""
     if isinstance(rng, np.random.Generator):
-        return rng, -1
+        return rng
     if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng)), int(rng)
+        return np.random.default_rng(int(rng))
     raise TypeError(f"expected numpy Generator or int seed, got {type(rng).__name__}")
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer count: an ``int`` or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _derived_rng(root: Sequence[int], spawn_key: tuple[int, ...]) -> np.random.Generator:
@@ -436,7 +437,7 @@ def _bind_inputs(layout: StateLayout, action: Action) -> _Bound:
     return bound + [observed[j] for j in range(len(observed))]
 
 
-def prior_footprint(layout: StateLayout, action: Action) -> frozenset[str]:
+def _prior_footprint(layout: StateLayout, action: Action) -> frozenset[str]:
     """Prior blocks read by any transition or observation of the action."""
     action.validate_against(layout)
     prior_ids = set(layout.ids)
@@ -448,8 +449,9 @@ def prior_footprint(layout: StateLayout, action: Action) -> frozenset[str]:
     return frozenset(used & prior_ids)
 
 
-def compose_actions(actions: Sequence[Action], composed_id: str | None = None) -> Action:
-    """Concatenate a sequence of actions into one multi-step action.
+def compose_actions(actions: Sequence[Action]) -> Action:
+    """Concatenate a sequence of actions into one multi-step action, whose id
+    joins theirs with ``"+"``.
 
     Observation step indices are offset by the transitions of the earlier
     actions; block references are by id, so later steps keep seeing the new
@@ -468,7 +470,7 @@ def compose_actions(actions: Sequence[Action], composed_id: str | None = None) -
     if len(set(new_ids)) != len(new_ids):
         raise ValueError("composed actions must create distinct new block ids")
     return Action(
-        id=composed_id if composed_id is not None else "+".join(a.id for a in actions),
+        id="+".join(a.id for a in actions),
         transitions=tuple(transitions),
         observations=tuple(observations),
         new_ids=tuple(new_ids),
@@ -512,9 +514,11 @@ def sample_particles(
     density: GaussianDensity, n: int, rng: np.random.Generator | int
 ) -> WeightedParticleSet:
     """Draw ``n`` i.i.d. samples with uniform weights ``1/n``."""
+    if not _is_count(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng, _ = ensure_rng(rng)
+    rng = ensure_rng(rng)
     return WeightedParticleSet(
         layout=density.layout,
         particles=_draws(density, n, rng),

@@ -74,10 +74,6 @@ class TestEvaluateMethod:
                     assert est.method == method
                     assert est.value == reference.value
 
-    def test_int_seed_labels_estimate(self, small_scenario):
-        for method in ("analytic", "naive_kde", "invmi_kde", "mismc"):
-            assert evaluate_method(small_scenario, "a1", method, 60, seed=41).seed == 41
-
 
 class TestActionsExperiment:
     def test_naive_kde_rows_on_a_footprint_prior(self):

@@ -16,11 +16,11 @@ from augmi import (
     StateLayout,
     augmented_mi_analytic,
     condition_gaussian,
+    determine_involved,
     joint_state_observation,
     marginalize_gaussian,
     mi_analytic,
     observation_block_ids,
-    prior_footprint,
     sample_particles,
     superposition_mi_analytic,
 )
@@ -352,7 +352,7 @@ class TestMultiStepActions:
     def test_footprint_subset_equals_full_state(self, instance):
         prior, action = instance
         full = augmented_mi_analytic(prior, action).value
-        footprint = prior_footprint(prior.layout, action)
+        footprint = determine_involved(prior.layout, action).blocks
         reduced = augmented_mi_analytic(prior, action, subset=footprint).value
         assert reduced == pytest.approx(full, rel=1e-9, abs=1e-9)
 

@@ -135,7 +135,7 @@ class TestInvmiDispatch:
         with pytest.raises(CalculatorError, match=r"involved set \['x'\]"):
             invmi(prior, action, broken, np.random.default_rng(0))
 
-    def test_int_seed_labels_estimate(self):
+    def test_int_seed_equals_its_generator(self):
         scenario = generate_scenario(30, 1, seed=11)
         action = scenario.actions[0]
         for calc in (
@@ -143,9 +143,9 @@ class TestInvmiDispatch:
             kde_calculator(100),
             mismc_calculator(SampleBudget(n1=100)),
         ):
-            assert invmi(scenario.prior, action, calc, rng=1234).seed == 1234
-            labelled = invmi(scenario.prior, action, calc, rng=np.random.default_rng(1234))
-            assert labelled.seed == -1
+            seeded = invmi(scenario.prior, action, calc, rng=1234)
+            generated = invmi(scenario.prior, action, calc, rng=np.random.default_rng(1234))
+            assert seeded.value == generated.value
 
     def test_planner_backends_return_calculator_value(self):
         scenario = generate_scenario(30, 2, seed=12)

@@ -10,9 +10,9 @@ from augmi import (
     StateLayout,
     WeightedParticleSet,
     invmi_kde_augmented_mi,
-    kde_calculator,
     naive_kde_augmented_mi,
     resubstitution_entropy,
+    sample_particles,
 )
 from augmi.kde import _log_mixture, bandwidth_vector
 from conftest import (
@@ -22,6 +22,26 @@ from conftest import (
     gaussian_entropy_ref,
     make_chain_1d,
 )
+
+
+# Every public count the KDE pipelines and the prior sampler take:
+# (name in the error, call with the count set to the value).
+COUNTED_CALLS = {
+    "naive_kde n": ("n", lambda prior, action, v: naive_kde_augmented_mi(prior, action, v)),
+    "naive_kde z_draws": (
+        "z_draws",
+        lambda prior, action, v: naive_kde_augmented_mi(prior, action, 64, z_draws=v),
+    ),
+    "invmi_kde n": (
+        "n",
+        lambda prior, action, v: invmi_kde_augmented_mi(prior, action, {"x"}, v),
+    ),
+    "invmi_kde z_draws": (
+        "z_draws",
+        lambda prior, action, v: invmi_kde_augmented_mi(prior, action, {"x"}, 64, z_draws=v),
+    ),
+    "sample_particles n": ("n", lambda prior, action, v: sample_particles(prior, v, 0)),
+}
 
 
 def particle_set(values, weights=None):
@@ -247,13 +267,17 @@ class TestKdeMiPipelines:
             naive_kde_augmented_mi(prior, action, 300, rng=1, z_draws=z_draws)
         with pytest.raises(ValueError, match="z_draws"):
             invmi_kde_augmented_mi(prior, action, {"x"}, 300, rng=1, z_draws=z_draws)
-        with pytest.raises(ValueError, match="z_draws"):
-            kde_calculator(300, z_draws=z_draws)(prior, action, 1)
 
-    def test_seed_recorded(self, chain):
+    @pytest.mark.parametrize("value", [True, 300.0, 2.5])
+    @pytest.mark.parametrize("call", sorted(COUNTED_CALLS))
+    def test_non_integer_counts_rejected(self, chain, call, value):
+        name, run = COUNTED_CALLS[call]
+        prior, action = chain
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got"):
+            run(prior, action, value)
+
+    def test_int_seed_equals_its_generator(self, chain):
         prior, action = chain
         est = naive_kde_augmented_mi(prior, action, 64, rng=777)
-        assert est.seed == 777
         est2 = naive_kde_augmented_mi(prior, action, 64, rng=np.random.default_rng(777))
-        assert est2.seed == -1
         assert est2.value == est.value

@@ -51,8 +51,15 @@ class TestSolveSingleStep:
 
     def test_tie_breaks_to_lowest_action_id(self, chain):
         prior, action = chain
-        twin_b = compose_actions([action], composed_id="b")
-        twin_a = compose_actions([action], composed_id="a")
+        twin_b, twin_a = (
+            Action(
+                id=twin_id,
+                transitions=action.transitions,
+                observations=action.observations,
+                new_ids=action.new_ids,
+            )
+            for twin_id in ("b", "a")
+        )
         result = solve(prior, [twin_b, twin_a], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
         assert result.best_sequence == ("a",)
 

@@ -18,10 +18,10 @@ from augmi import (
     VariableBlock,
     WeightedParticleSet,
     compose_actions,
+    determine_involved,
     generate_scenario,
     marginalize_gaussian,
     marginalize_particles,
-    prior_footprint,
     sample_particles,
 )
 from augmi.state import (
@@ -89,7 +89,7 @@ class TestMarginalizeParticles:
         # 150-dim scenario, the involved subset of an action is 4 dims
         scenario = generate_scenario(150, 4, seed=7)
         action = scenario.actions[0]
-        involved = prior_footprint(scenario.layout, action)
+        involved = determine_involved(scenario.layout, action).blocks
         rng = np.random.default_rng(0)
         belief = sample_particles(scenario.prior, 32, rng)
         reduced = marginalize_particles(belief, involved)
@@ -364,7 +364,7 @@ class TestAction:
 
     def test_footprint_excludes_new_blocks(self):
         prior, action = make_chain_1d()
-        assert prior_footprint(prior.layout, action) == {"x"}
+        assert determine_involved(prior.layout, action).blocks == {"x"}
 
     def test_compose_offsets_steps(self):
         _prior, a1 = make_chain_1d()
