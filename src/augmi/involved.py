@@ -28,6 +28,7 @@ from .state import (
     GaussianDensity,
     StateLayout,
     WeightedParticleSet,
+    _check_rng,
     _prior_footprint,
     ensure_rng,
     marginalize_gaussian,
@@ -105,9 +106,11 @@ def invmi(
 
 
 def analytic_calculator() -> MiCalculator:
-    """Calculator wrapping the closed-form Gaussian oracle; it ignores ``rng``."""
+    """Calculator wrapping the closed-form Gaussian oracle.  It draws nothing
+    from ``rng``, but rejects one of a type the sampling calculators reject."""
 
     def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
+        _check_rng(rng)
         if not isinstance(belief, GaussianDensity):
             raise TypeError("analytic calculator needs a GaussianDensity belief")
         start = time.perf_counter()

@@ -20,9 +20,14 @@ different in each; an exact backend uses 1 in both.
 ``consecutive_mi``
     The gain is summed edge by edge: a child's reward is its parent's plus
     the one-step augmented MI of the connecting action from the parent's
-    belief.  Each action node has ``obs_samples`` observation branches
-    (sparse sampling); each draws an observation and conditions the belief
-    on it.
+    belief.  Below the horizon each action node has ``obs_samples``
+    observation branches (sparse sampling); each draws an observation and
+    conditions the belief on it.
+
+In both modes a child at the horizon is a leaf holding no belief, one per
+action: it is worth 0 and nothing reads its belief, so, as in sparse
+sampling at its depth limit, no observation is drawn and nothing is
+conditioned there.
 
 The involved gain of a prefix equals the sum of its consecutive MIs, so for
 linear-Gaussian models, where the information does not depend on the
@@ -89,7 +94,8 @@ class BeliefNode:
     the root: ``obs_samples`` pairs per action in ``consecutive_mi`` mode,
     and in ``involved_ig`` mode one pair whose observation and belief are
     ``None``, as that mode reads neither.  The analytic path draws no
-    observation either.
+    observation either.  In both modes a child at the horizon is a leaf
+    holding no belief: one ``(None, leaf)`` pair per action.
     """
 
     belief: Belief | None
@@ -254,11 +260,13 @@ def solve(
 
     ``actions`` is one candidate list per step, or a flat candidate list
     when ``horizon`` is 1.  ``obs_samples`` is the number of observation
-    branches per action node in ``consecutive_mi`` mode and the number of
-    seeded estimates averaged per composed prefix in ``involved_ig`` mode;
-    an exact backend uses 1 in both.  The result's ``root`` is the searched
-    tree; in both modes a node's ``accumulated_reward`` is the information
-    gained from the root to it.  Ties between equal-valued actions break
+    branches per action node below the horizon in ``consecutive_mi`` mode
+    and the number of seeded estimates averaged per composed prefix in
+    ``involved_ig`` mode; an exact backend uses 1 in both.  The result's
+    ``root`` is the searched tree; in both modes a node's
+    ``accumulated_reward`` is the information gained from the root to it,
+    and a child at the horizon is a leaf holding no belief, built without a
+    joint, a draw or a conditioning.  Ties between equal-valued actions break
     toward the lowest action id.  A ``WeightedParticleSet`` prior plans in
     ``involved_ig`` mode only.
     """
@@ -295,12 +303,16 @@ def solve(
                     )
                     for branch in range(branches)
                 ) / branches
-                draws = [(None, None)]
             else:
                 child_prefix = None
                 acc_child = acc_reward + _estimate(
                     mi_backend, belief, action, node_rng(a_key + (0,)), path
                 )
+            if involved_ig or depth + 1 == horizon:
+                # No belief to build: involved_ig reads none, and a child at the
+                # horizon is a leaf worth 0 whose belief nothing reads.
+                draws = [(None, None)]
+            else:
                 draws = _condition_on_draw(
                     joint_state_observation(belief, action), action,
                     None if exact else [node_rng(a_key + (2, b)) for b in range(branches)],
@@ -339,8 +351,10 @@ def sequential_mi_direct(
 
     Evaluates ``sum_i E[consecutive MI at step i]`` with the expectations
     over earlier observations taken as sample means (exact backends collapse
-    each to a single propagated branch).  This is the no-max degenerate
-    evaluation used as the brute-force oracle for the solver.
+    each to a single propagated branch).  The last step's increment is
+    returned without conditioning on that step, as the solver builds its
+    horizon leaves.  This is the no-max degenerate evaluation used as the
+    brute-force oracle for the solver.
     """
     seq = list(action_sequence)
     if horizon < 1 or horizon > len(seq):
@@ -352,10 +366,10 @@ def sequential_mi_direct(
     ids = tuple(a.id for a in seq)
 
     def recurse(belief: GaussianDensity, i: int, path_key: tuple[int, ...]) -> float:
-        if i == horizon:
-            return 0.0
         action = seq[i]
         increment = _estimate(mi_backend, belief, action, node_rng(path_key + (0,)), ids[:i])
+        if i + 1 == horizon:
+            return increment
         future = 0.0
         draws = _condition_on_draw(
             joint_state_observation(belief, action), action,

@@ -59,13 +59,16 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_rng(rng) -> None:
+    """Raise ``TypeError`` unless ``rng`` is a numpy Generator or an integer seed."""
+    if not isinstance(rng, (np.random.Generator, int, np.integer)):
+        raise TypeError(f"expected numpy Generator or int seed, got {type(rng).__name__}")
+
+
 def ensure_rng(rng: np.random.Generator | int) -> np.random.Generator:
     """A Generator as given, or ``np.random.default_rng(seed)`` for an integer seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    raise TypeError(f"expected numpy Generator or int seed, got {type(rng).__name__}")
+    _check_rng(rng)
+    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(int(rng))
 
 
 def _is_count(value) -> bool:

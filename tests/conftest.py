@@ -219,3 +219,40 @@ def random_plan_instance(rng: np.random.Generator, horizon: int = 2):
             )
         steps.append(actions)
     return prior, steps
+
+
+def scenario_plan_steps(slam, horizon: int):
+    """Per-step candidates from a scenario's own action models, built as the
+    plan-h3 benchmark workload builds them: at step t each candidate moves
+    from the previous pose (the scenario's newest pose at t = 1) to ``x<t>``
+    with its action's transition noise, then observes its action's landmark
+    with its action's sensor."""
+    steps = []
+    for t in range(1, horizon + 1):
+        candidates = []
+        for action in slam.actions:
+            move = action.transitions[0]
+            (_step, sensor), = action.observations
+            previous = move.inputs[0] if t == 1 else f"x{t - 1}"
+            transition = LinearGaussianModel(
+                inputs=(previous,),
+                output_dim=move.output_dim,
+                matrix=move.matrix,
+                noise_cov=move.noise_cov,
+            )
+            observation = LinearGaussianModel(
+                inputs=(f"x{t}", sensor.inputs[1]),
+                output_dim=sensor.output_dim,
+                matrix=sensor.matrix,
+                noise_cov=sensor.noise_cov,
+            )
+            candidates.append(
+                Action(
+                    id=f"s{t}{action.id}",
+                    transitions=(transition,),
+                    observations=((1, observation),),
+                    new_ids=(f"x{t}",),
+                )
+            )
+        steps.append(candidates)
+    return steps

@@ -25,6 +25,7 @@ from augmi import (
     sample_particles,
 )
 from augmi.bench import format_row, zero_elapsed
+from augmi.involved import CalculatorError
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,18 @@ class TestEvaluateMethod:
     def test_unknown_method(self, small_scenario):
         with pytest.raises(ValueError, match="unknown method"):
             evaluate_method(small_scenario, "a1", "magic", 50, seed=1)
+
+    @pytest.mark.parametrize("method", ["analytic", "naive_kde", "invmi_kde", "mismc"])
+    @pytest.mark.parametrize("bad_rng", ["x", 1.5, None], ids=["str", "float", "none"])
+    def test_every_method_rejects_a_non_rng_seed(self, method, bad_rng):
+        # The analytic oracle draws nothing, yet must refuse what the
+        # sampling methods refuse instead of returning a value.
+        scenario = generate_scenario(10, 1, seed=1)
+        with pytest.raises((TypeError, CalculatorError)) as info:
+            evaluate_method(scenario, "a1", method, 50, bad_rng)
+        error = info.value if isinstance(info.value, TypeError) else info.value.__cause__
+        assert isinstance(error, TypeError)
+        assert str(error) == f"expected numpy Generator or int seed, got {type(bad_rng).__name__}"
 
     def test_matches_direct_pipelines(self, small_scenario):
         """The method table adds nothing: each method's value is bit for bit

@@ -16,6 +16,7 @@ from augmi import (
     determine_involved,
     generate_scenario,
     GaussianDensity,
+    joint_state_observation,
     StateLayout,
     marginalize_gaussian,
     marginalize_particles,
@@ -25,7 +26,7 @@ from augmi import (
 )
 import augmi.planner as planner
 from augmi.planner import PlannerError
-from conftest import CHAIN_MI, make_chain_1d, random_plan_instance
+from conftest import CHAIN_MI, make_chain_1d, random_plan_instance, scenario_plan_steps
 
 BACKEND = AnalyticMiBackend()
 
@@ -345,6 +346,67 @@ class TestInvolvedIgTree:
                 best, best_seq = objective, tuple(a.id for a in seq)
         assert abs(result.value - best) < 1e-12
         assert result.best_sequence == best_seq
+
+
+class TestHorizonLeaves:
+    """A child at the horizon is a leaf worth 0 whose belief nothing reads, so
+    in both modes it holds no belief and is built without a joint, a draw or
+    a conditioning."""
+
+    @pytest.mark.parametrize("horizon", [2, 3])
+    def test_one_beliefless_leaf_per_action_at_the_horizon(self, horizon):
+        prior, steps = random_plan_instance(np.random.default_rng(5), horizon=horizon)
+        backend = SmcMiBackend(SampleBudget(n1=60))
+        obs_samples = 2
+        for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
+            result = solve(prior, steps, horizon, mode, backend, obs_samples=obs_samples, rng=9)
+            leaves = 0
+
+            def walk(node):
+                nonlocal leaves
+                if node.depth == horizon:
+                    assert node.children == {} and node.belief is None
+                    leaves += 1
+                    return
+                assert set(node.children) == {a.id for a in steps[node.depth]}
+                for pairs in node.children.values():
+                    if node.depth + 1 == horizon or mode == REWARD_INVOLVED_IG:
+                        (z, child), = pairs
+                        assert z is None and child.belief is None
+                    else:
+                        assert len(pairs) == obs_samples
+                        for z, child in pairs:
+                            assert isinstance(child.belief, GaussianDensity)
+                            assert isinstance(z, np.ndarray) and np.all(np.isfinite(z))
+                    for _z, child in pairs:
+                        walk(child)
+
+            walk(result.root)
+            branches = 1 if mode == REWARD_INVOLVED_IG else obs_samples
+            expected = np.prod([len(step) for step in steps]) * branches ** (horizon - 1)
+            assert leaves == expected
+
+    def test_joints_are_built_below_the_horizon_only(self, monkeypatch):
+        slam = generate_scenario(20, 2, correlation_strength=0.3, seed=3)
+        steps = scenario_plan_steps(slam, 3)
+        built = []
+
+        def counting(belief, action):
+            built.append(action.id)
+            return joint_state_observation(belief, action)
+
+        monkeypatch.setattr(planner, "joint_state_observation", counting)
+        backend = SmcMiBackend(SampleBudget(n1=50))
+        solve(slam.prior, steps, 3, REWARD_CONSECUTIVE_MI, backend, obs_samples=2, rng=1)
+        # One per action at the root, then one per action for each of the
+        # 2 x 2 depth-1 beliefs; none for the depth-2 beliefs' children.
+        assert len(built) == 2 + 4 * 2
+        built.clear()
+        seq = [step[0] for step in steps]
+        sequential_mi_direct(slam.prior, seq, 3, backend, obs_samples=2, rng=1)
+        # One at step 1 and one per branch at step 2; the last step's
+        # increment needs no conditioning.
+        assert built == [seq[0].id] + [seq[1].id] * 2
 
 
 class TestValidation:
