@@ -17,7 +17,6 @@ from .analytic import (
     joint_state_observation,
     mi_analytic,
     observation_block_ids,
-    superposition_mi_analytic,
 )
 from .bench import (
     CSV_HEADER,

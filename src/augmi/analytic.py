@@ -39,17 +39,9 @@ class FootprintError(ValueError):
 
 @dataclass(frozen=True)
 class AugmentedMiResult:
-    """Augmented MI split into its two entropy terms.
-
-    ``value == prior_entropy - posterior_entropy`` where the posterior
-    entropy is the expected joint entropy of (state, new blocks) given the
-    observations.  ``dims`` records (full prior D, subset d used, new dim).
-    """
+    """Exact augmented MI in nats."""
 
     value: float
-    prior_entropy: float
-    posterior_entropy: float
-    dims: tuple[int, int, int]
 
 
 def entropy_from_cov(cov: np.ndarray) -> float:
@@ -155,18 +147,6 @@ def _condition_on_draw(
     return list(zip(condition_gaussian(joint, obs_ids, stack), zs))
 
 
-def _conditional_entropy(density: GaussianDensity, of: set[str], given: set[str]) -> float:
-    """H[of | given] for jointly Gaussian blocks, via the Schur complement."""
-    if not given:
-        return entropy_from_cov(
-            density.covariance[np.ix_(density.layout.indices(of), density.layout.indices(of))]
-        )
-    _gain, schur = conditional_parts(
-        density.covariance, density.layout.indices(of), density.layout.indices(given)
-    )
-    return entropy_from_cov(schur)
-
-
 def _reduced_joint(
     prior: GaussianDensity, action: Action, subset: Iterable[str] | None
 ) -> tuple[GaussianDensity, GaussianDensity]:
@@ -193,7 +173,14 @@ def _reduced_joint(
 def augmented_mi_analytic(
     prior: GaussianDensity, action: Action, subset: Iterable[str] | None = None
 ) -> AugmentedMiResult:
-    """Exact augmented MI: H[X_s] - H[X_s, X_new | Z].
+    """Exact augmented MI in the superposition form
+    -H[X_new | X_s] - H[Z | X_s, X_new] + H[Z].
+
+    The models add Gaussian noise whose covariance does not depend on the
+    state, so the first two terms are the action's noise entropies; only
+    H[Z] is read from the joint.  H[Z] stays finite when the prior is
+    singular, so the prior is factored all the same, and a singular one
+    raises :class:`~augmi.linalg.NotPositiveDefiniteError`.
 
     ``subset`` restricts the prior to the named blocks before building the
     joint; it must contain every prior block the action's models read
@@ -201,17 +188,10 @@ def augmented_mi_analytic(
     result is independent of the subset choice.
     """
     reduced, joint = _reduced_joint(prior, action, subset)
-    state_ids = set(reduced.layout.ids) | set(action.new_ids)
-    obs_ids = set(observation_block_ids(action))
-
-    prior_entropy = entropy_from_cov(reduced.covariance)
-    posterior_entropy = _conditional_entropy(joint, state_ids, obs_ids)
-    return AugmentedMiResult(
-        value=prior_entropy - posterior_entropy,
-        prior_entropy=prior_entropy,
-        posterior_entropy=posterior_entropy,
-        dims=(prior.dim, reduced.dim, action.new_dim_total),
-    )
+    reduced._chol  # factors the prior or raises; H[Z] alone would not
+    obs_idx = joint.layout.indices(observation_block_ids(action))
+    h_obs = entropy_from_cov(joint.covariance[np.ix_(obs_idx, obs_idx)])
+    return AugmentedMiResult(value=h_obs - action._noise_entropy)
 
 
 def mi_analytic(
@@ -232,23 +212,3 @@ def mi_analytic(
     h_b = entropy_from_cov(cov[np.ix_(idx(part_b), idx(part_b))])
     h_ab = entropy_from_cov(cov[np.ix_(idx(part_a | part_b), idx(part_a | part_b))])
     return h_a + h_b - h_ab
-
-
-def superposition_mi_analytic(
-    prior: GaussianDensity, action: Action, involved: Iterable[str] | None = None
-) -> float:
-    """Augmented MI as -H[X_new | X_s] - H[Z | X_s, X_new] + H[Z].
-
-    The three-term superposition form; must agree with
-    :func:`augmented_mi_analytic` to numerical precision.  This is the
-    identity the sequential Monte Carlo estimator targets term by term.
-    """
-    reduced, joint = _reduced_joint(prior, action, involved)
-    inv_ids = set(reduced.layout.ids)
-    new_ids = set(action.new_ids)
-    obs_ids = set(observation_block_ids(action))
-
-    h_new_given_inv = _conditional_entropy(joint, new_ids, inv_ids)
-    h_obs_given_state = _conditional_entropy(joint, obs_ids, inv_ids | new_ids)
-    h_obs = _conditional_entropy(joint, obs_ids, set())
-    return -h_new_given_inv - h_obs_given_state + h_obs

@@ -46,12 +46,14 @@ _METHOD_INDEX = {m: i for i, m in enumerate(ALL_METHODS)}
 
 
 # Per method: one run ``(prior, action, n, seed) -> MiEstimate`` on the full
-# prior with ``n`` particles.  invmi_kde and mismc go through invmi, which
-# marginalizes onto the action's involved blocks first.  The mismc calculator
-# samples the prior particles itself, which is input preparation, outside the
-# estimator's elapsed time.
+# prior with ``n`` particles.  Every method but naive_kde goes through invmi,
+# which marginalizes onto the action's involved blocks first.  The mismc
+# calculator samples the prior particles itself, which is input preparation,
+# outside the estimator's elapsed time.
 _METHODS = {
-    METHOD_ANALYTIC: lambda prior, action, n, seed: analytic_calculator()(prior, action, seed),
+    METHOD_ANALYTIC: lambda prior, action, n, seed: invmi(
+        prior, action, analytic_calculator(), seed
+    ),
     METHOD_NAIVE_KDE: lambda prior, action, n, seed: naive_kde_augmented_mi(
         prior, action, n, rng=seed
     ),

@@ -62,6 +62,9 @@ class KdeConfig:
                 raise BandwidthError("fixed bandwidth must be positive")
 
 
+_SCOTT = KdeConfig()
+
+
 def bandwidth_vector(
     particles: np.ndarray, weights: np.ndarray, cfg: KdeConfig
 ) -> np.ndarray:
@@ -128,48 +131,34 @@ def _kde_augmented_mi(
     action: Action,
     involved: Iterable[str] | None,
     n: int,
-    cfg: KdeConfig | None,
     rng: np.random.Generator | int,
-    z_draws: int,
 ) -> MiEstimate:
     """Shared body of the naive (``involved=None``) and involved-subset KDE
     pipelines.
 
-    Draws n prior samples for the prior entropy, then for each of
-    ``z_draws`` sampled observation sequences draws n samples from the true
-    posterior (conditional Gaussian) and re-substitutes; the posterior
-    entropy is the average over draws.  RNG consumption depends only on the
-    belief the KDE runs on, so a fully-involved reduced run replays a
-    full-state run bit for bit.
+    Draws n prior samples for the prior entropy, then one sampled
+    observation sequence, and n samples from the true posterior
+    (conditional Gaussian) given it for the posterior entropy; both
+    entropies are Scott-bandwidth re-substitution estimates.  RNG
+    consumption depends only on the belief the KDE runs on, so a
+    fully-involved reduced run replays a full-state run bit for bit.
     """
-    for name, count in (("n", n), ("z_draws", z_draws)):
-        if not _is_count(count):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
+    if not _is_count(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("need n >= 2 samples for data-driven KDE entropy")
-    if z_draws < 1:
-        raise ValueError(f"need z_draws >= 1 observation draws, got {z_draws}")
-    cfg = cfg or KdeConfig()
     rng = ensure_rng(rng)
-    counts = {"n": n, "z_draws": z_draws, "clamp_events": 0}
     start = time.perf_counter()
     prior, joint = _reduced_joint(prior, action, involved)
+
+    uniform = np.full(n, 1.0 / n)
+    h_prior, prior_clamps = _resubstitution(_draws(prior, n, rng), uniform, _SCOTT)
+    [(posterior, _z)] = _condition_on_draw(joint, action, [rng])
+    h_post, post_clamps = _resubstitution(_draws(posterior, n, rng), uniform, _SCOTT)
+
+    counts = {"n": n, "z_draws": 1, "clamp_events": prior_clamps + post_clamps}
     if involved is not None:
         counts["involved_dim"] = prior.dim
-
-    # Prior entropy from n fresh prior samples.
-    uniform = np.full(n, 1.0 / n)
-    h_prior, clamps = _resubstitution(_draws(prior, n, rng), uniform, cfg)
-    counts["clamp_events"] += clamps
-
-    # Posterior term: condition the joint per sampled observation sequence.
-    h_post = 0.0
-    for _ in range(z_draws):
-        [(posterior, _z)] = _condition_on_draw(joint, action, [rng])
-        h_i, clamps = _resubstitution(_draws(posterior, n, rng), uniform, cfg)
-        counts["clamp_events"] += clamps
-        h_post += h_i / z_draws
-
     return MiEstimate(
         value=h_prior - h_post,
         method=METHOD_NAIVE_KDE if involved is None else METHOD_INVMI_KDE,
@@ -182,16 +171,14 @@ def naive_kde_augmented_mi(
     prior: GaussianDensity,
     action: Action,
     n: int,
-    cfg: KdeConfig | None = None,
     rng: np.random.Generator | int = 0,
-    z_draws: int = 1,
 ) -> MiEstimate:
     """Augmented MI by re-substitution KDE over the entire state.
 
     This is the baseline whose variance and cost grow with the full state
     dimension D; it exists to be beaten.
     """
-    return _kde_augmented_mi(prior, action, None, n, cfg, rng, z_draws)
+    return _kde_augmented_mi(prior, action, None, n, rng)
 
 
 def invmi_kde_augmented_mi(
@@ -199,9 +186,7 @@ def invmi_kde_augmented_mi(
     action: Action,
     involved: Iterable[str],
     n: int,
-    cfg: KdeConfig | None = None,
     rng: np.random.Generator | int = 0,
-    z_draws: int = 1,
 ) -> MiEstimate:
     """Augmented MI by re-substitution KDE over the involved subset only.
 
@@ -209,4 +194,4 @@ def invmi_kde_augmented_mi(
     over ``involved`` (which must cover the action's prior footprint), so
     the KDE works in d dimensions instead of D.
     """
-    return _kde_augmented_mi(prior, action, involved, n, cfg, rng, z_draws)
+    return _kde_augmented_mi(prior, action, involved, n, rng)

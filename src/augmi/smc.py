@@ -5,23 +5,26 @@ the superposition form
 
     MI = -H[new | state] - H[obs | state, new] + H[obs]
 
-by propagating prior particles through the declared transition and
-observation models and averaging log model densities:
+Every model is linear with additive Gaussian noise whose covariance does not
+depend on the state, so the first two terms are the summed entropies of the
+action's noise, known in closed form whatever the belief.  Only H[obs] is
+estimated: prior particles are propagated through the transition and
+observation models, and each sampled observation z contributes log eta(z),
+its marginal likelihood under the prior, estimated from a second particle
+pass that :class:`MismcContext` draws once per run.  The estimate is
 
-    sum1  weights x mean log F_T   at sampled new blocks
-    sum2  weights x mean log F_Z   at sampled observations
-    sum3  weights x mean log eta(z), the sampled observations' marginal
-          likelihood under the prior, estimated from a second particle pass
-          that :class:`MismcContext` draws once per run
+    -(noise entropy) - weights x log eta
 
-and returns ``sum1 + sum2 - sum3``.  log eta is computed in log space, so it
-stays accurate however far in the tail a sampled z lands; rows where eta is
-below 1e-300 are counted as ``eta_floor_events``.
+This holds only for that noise model: a noise covariance that depends on the
+state makes the first two terms expectations over the belief, which this
+estimator does not take.  log eta is computed in log space, so it stays
+accurate however far in the tail a sampled z lands; rows where eta is below
+1e-300 are counted as ``eta_floor_events``.
 
 Determinism contract: every outer particle draws its noise from a
 counter-based stream keyed by (run root, particle index), so an incremental
 run that consumes the particles in installments draws exactly the noise of a
-single batch run.  The accumulator keeps each particle's three terms in index
+single batch run.  The accumulator keeps each particle's log eta in index
 order and every update sums them once over all particles consumed, so any
 installment schedule reproduces the batch estimate bit for bit.
 """
@@ -68,63 +71,43 @@ class ContextMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class SampleBudget:
-    """Per-loop sample counts of the estimator.
+    """Sample counts of the estimator.
 
-    ``n1`` outer prior particles, ``n2`` transition samples per particle,
-    ``n3`` observation samples per transition sample, ``n4`` prior particles
-    and ``n5`` transition samples per particle inside the normalizer.
+    ``n1`` outer prior particles, each propagated once through the action's
+    transitions and observations, and ``n4`` prior particles in the
+    normalizer pass that estimates log eta (``n1`` when not given).
     """
 
     n1: int
-    n2: int = 1
-    n3: int = 1
     n4: int | None = None
-    n5: int = 1
 
     def __post_init__(self):
         if self.n4 is None:
             object.__setattr__(self, "n4", self.n1)
-        for name in ("n1", "n2", "n3", "n4", "n5"):
+        for name in ("n1", "n4"):
             count = getattr(self, name)
             if not _is_count(count):
                 raise BudgetError(f"{name} must be an integer, got {count!r}")
             if count < 1:
                 raise BudgetError(f"{name} must be >= 1, got {count}")
 
-    @property
-    def m(self) -> int:
-        """Total number of sampled observation instances."""
-        return self.n1 * self.n2 * self.n3
-
-    @property
-    def n(self) -> int:
-        """Total number of normalizer samples."""
-        return self.n4 * self.n5
-
 
 @dataclass(frozen=True)
 class MismcAccumulator:
     """Running state of an (anytime) estimator pass.
 
-    ``estimate`` is ``sum1 + sum2 - sum3`` at every checkpoint; feeding more
+    ``terms`` holds each consumed particle's log eta, in index order, and
+    ``estimate`` is the action's noise entropy, negated, minus the prior
+    weights' dot product with ``terms``, at every checkpoint; feeding more
     particles through :func:`mismc_update` refines it without restarting.
-    ``terms`` holds one column per consumed particle, in index order: its
-    mean log F_T, mean log F_Z and mean log eta; each sum is the prior
-    weights' dot product with one row.
     """
 
-    sum1: float = 0.0
-    sum2: float = 0.0
-    sum3: float = 0.0
+    estimate: float = 0.0
     consumed: int = 0
     rng_state: tuple[int, ...] = ()
     eta_floor_events: int = 0
     elapsed_ns: int = 0
-    terms: np.ndarray = field(default_factory=lambda: np.empty((3, 0)), compare=False)
-
-    @property
-    def estimate(self) -> float:
-        return self.sum1 + self.sum2 - self.sum3
+    terms: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
 
 
 class MismcContext:
@@ -138,9 +121,9 @@ class MismcContext:
     ``normalizer`` holds its propagated batch and ``normalizer_weights`` its
     weights.  When ``n4`` equals the prior size the set is the prior itself
     with its weights; otherwise ``n4`` particles are drawn
-    weight-proportionally and averaged uniformly.  Each set member is
-    propagated ``n5`` times, member ``i`` with the noise of counter window
-    ``i`` of the normalizer stream.
+    weight-proportionally and averaged uniformly.  Set member ``i`` is
+    propagated once, with the noise of counter window ``i`` of the
+    normalizer stream.
     """
 
     def __init__(
@@ -168,19 +151,17 @@ class MismcContext:
         # Two independent stream keys: outer-particle noise and normalizer.
         self.root = tuple(int(v) for v in rng.integers(0, 2**63, size=4))
         norm_root = self.root[2:]
-        n4, n5, new_dim = budget.n4, budget.n5, self.transition.new_dim
+        n4 = budget.n4
         if n4 == prior.n:
-            x, w = prior.particles, np.asarray(prior.weights)
+            x, w = prior.particles, prior.weights
         else:
             sel_rng = _derived_rng(norm_root, (_NORMALIZER_KEY,))
             sel = sel_rng.choice(prior.n, size=n4, p=prior.weights)
             x, w = prior.particles[sel], np.full(n4, 1.0 / n4)
-        noise = _particle_noise(norm_root, 0, n4, n5 * new_dim)
-        states, _logp = self.transition.sample_with_noise(
-            np.repeat(x, n5, axis=0), noise.reshape(n4 * n5, new_dim)
-        )
+        noise = _particle_noise(norm_root, 0, n4, self.transition.new_dim)
+        states = self.transition.sample_with_noise(x, noise)
         self.normalizer = self.observation.grid_evaluator(states)
-        self.normalizer_weights = np.repeat(w / n5, n5)
+        self.normalizer_weights = w
         self.elapsed_ns = time.perf_counter_ns() - start_ns
 
     def empty_accumulator(self) -> MismcAccumulator:
@@ -191,12 +172,7 @@ class MismcContext:
         elapsed time is the context build plus every update so far."""
         counts: Mapping[str, int] = {
             "n1": acc.consumed,
-            "n2": self.budget.n2,
-            "n3": self.budget.n3,
             "n4": self.budget.n4,
-            "n5": self.budget.n5,
-            "m": acc.consumed * self.budget.n2 * self.budget.n3,
-            "n": self.budget.n,
             "eta_floor_events": acc.eta_floor_events,
         }
         return MiEstimate(
@@ -260,8 +236,8 @@ def mismc_update(
 
     The returned accumulator's ``estimate`` is bit for bit what a batch run
     over all particles consumed so far would produce: each particle's noise
-    comes from its own (root, index) stream, its terms are appended to
-    ``terms``, and the sums are taken once over all of them in index order.
+    comes from its own (root, index) stream, its log eta is appended to
+    ``terms``, and the sum is taken once over all of them in index order.
     """
     if not _is_count(additional_n1):
         raise BudgetError(f"additional_n1 must be an integer, got {additional_n1!r}")
@@ -279,33 +255,21 @@ def mismc_update(
             f"{acc.consumed} of {context.prior.n} already used"
         )
     start_ns = time.perf_counter_ns()
-    budget = context.budget
-    n2, n3 = budget.n2, budget.n3
     trans, obs = context.transition, context.observation
     lo, hi = acc.consumed, acc.consumed + additional_n1
 
     x = context.prior.particles[lo:hi]
-    per_particle = n2 * trans.new_dim + n2 * n3 * obs.obs_dim
-    noise = _particle_noise(context.root[:2], lo, additional_n1, per_particle)
-
-    split = n2 * trans.new_dim
-    noise_t = noise[:, :split].reshape(additional_n1 * n2, trans.new_dim)
-    noise_o = noise[:, split:].reshape(additional_n1 * n2 * n3, obs.obs_dim)
-
-    states, log_ft = trans.sample_with_noise(np.repeat(x, n2, axis=0), noise_t)
-    z, log_fz = obs.sample_with_noise(np.repeat(states, n3, axis=0), noise_o)
+    noise = _particle_noise(context.root[:2], lo, additional_n1, trans.new_dim + obs.obs_dim)
+    states = trans.sample_with_noise(x, noise[:, : trans.new_dim])
+    z = obs.sample_with_noise(states, noise[:, trans.new_dim :])
 
     log_eta = context.normalizer.mixture_likelihood(z, context.normalizer_weights)
     floors = int(np.count_nonzero(log_eta < _LOG_ETA_FLOOR))
 
-    new_terms = [v.reshape(additional_n1, -1).mean(axis=1) for v in (log_ft, log_fz, log_eta)]
-    terms = np.concatenate([acc.terms, new_terms], axis=1)
-    sum1, sum2, sum3 = (float(context.prior.weights[:hi] @ row) for row in terms)
+    terms = np.concatenate([acc.terms, log_eta])
     return replace(
         acc,
-        sum1=sum1,
-        sum2=sum2,
-        sum3=sum3,
+        estimate=-context.action._noise_entropy - float(context.prior.weights[:hi] @ terms),
         consumed=hi,
         terms=terms,
         eta_floor_events=acc.eta_floor_events + floors,

@@ -382,6 +382,14 @@ class Action:
     def obs_dim_total(self) -> int:
         return sum(m.output_dim for _s, m in self.observations)
 
+    @property
+    def _noise_entropy(self) -> float:
+        """Summed entropy of every model's additive noise, in nats.  The
+        noise does not depend on the state, so this is H[new | prior] +
+        H[obs | prior, new] whatever the prior belief."""
+        models = self.transitions + tuple(m for _s, m in self.observations)
+        return sum(m._log_norm + 0.5 * m.output_dim for m in models)
+
     def validate_against(self, layout: StateLayout) -> None:
         """Check that every model input resolves and dims line up."""
         _bind_inputs(layout, self)
@@ -567,16 +575,10 @@ class _SequentialModels:
             cursor += model.output_dim
         self._log_norm = sum(model._log_norm for model, *_rest in self._models)
 
-    def _sample(self, states: np.ndarray, noise: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill each model's slice of ``out`` from standard-normal innovations;
-        returns the summed log density of each row's samples."""
-        logpdf = np.zeros(states.shape[0])
+    def _sample(self, states: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
+        """Fill each model's slice of ``out`` from standard-normal innovations."""
         for model, cols, part, _solve in self._models:
-            mean = states[:, cols] @ model.matrix.T
-            eps = noise[:, part]
-            out[:, part] = mean + eps @ model.noise_chol.T
-            logpdf -= 0.5 * np.einsum("ij,ij->i", eps, eps) + model._log_norm
-        return logpdf
+            out[:, part] = states[:, cols] @ model.matrix.T + noise[:, part] @ model.noise_chol.T
 
     def _means(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill each model's slice of ``out`` with its mean given ``states``."""
@@ -596,11 +598,6 @@ class _SequentialModels:
             out[:, part] = white.T
         return out
 
-    def _log_density(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Row-wise summed log density of the model outputs in ``out``."""
-        white = self._whiten(out - self._means(states, np.empty_like(out)))
-        return -0.5 * np.einsum("ij,ij->i", white, white) - self._log_norm
-
 
 class SequentialTransition(_SequentialModels):
     """The product of an action's transition models, bound to a belief layout.
@@ -614,26 +611,15 @@ class SequentialTransition(_SequentialModels):
         super().__init__(layout, action, bound, slice(len(action.transitions)))
         self.new_dim = action.new_dim_total
 
-    def sample_with_noise(
-        self, x: np.ndarray, noise: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Propagate given standard-normal innovations.
-
-        Returns ``(states, logpdf)``: ``states`` holds the augmented rows
-        ``[x | new blocks]`` and ``logpdf[i]`` the summed log transition
-        density of row ``i``'s own samples.
-        """
+    def sample_with_noise(self, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Propagate given standard-normal innovations; returns the augmented
+        rows ``[x | new blocks]``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         base = self.layout.total_dim
         states = np.empty((x.shape[0], base + self.new_dim))
         states[:, :base] = x
-        logpdf = self._sample(states, noise, states[:, base:])
-        return states, logpdf
-
-    def log_density(self, states: np.ndarray) -> np.ndarray:
-        """Row-wise summed log density of each augmented row's new blocks
-        given its belief state."""
-        return self._log_density(states, states[:, self.layout.total_dim :])
+        self._sample(states, noise, states[:, base:])
+        return states
 
 
 class SequentialObservation(_SequentialModels):
@@ -644,17 +630,11 @@ class SequentialObservation(_SequentialModels):
         super().__init__(layout, action, bound, slice(len(action.transitions), None))
         self.obs_dim = action.obs_dim_total
 
-    def sample_with_noise(
-        self, states: np.ndarray, noise: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Generate observations from given innovations; returns ``(z, logpdf)``."""
+    def sample_with_noise(self, states: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Generate observations ``z`` from given innovations."""
         z = np.empty((states.shape[0], self.obs_dim))
-        logpdf = self._sample(states, noise, z)
-        return z, logpdf
-
-    def log_density(self, states: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Row-wise summed log density of ``z`` given the augmented states."""
-        return self._log_density(states, np.atleast_2d(np.asarray(z, dtype=float)))
+        self._sample(states, noise, z)
+        return z
 
     def grid_evaluator(self, states: np.ndarray) -> "ObservationGridEvaluator":
         """Precompute whitened model means for repeated pairwise evaluation
@@ -679,12 +659,6 @@ class ObservationGridEvaluator:
         self._seq_obs = seq_obs
         means = seq_obs._means(states, np.empty((self.count, self.obs_dim)))
         self._centers = seq_obs._whiten(means)
-
-    def log_density_grid(self, z: np.ndarray) -> np.ndarray:
-        """Pairwise log densities: entry ``[m, l]`` is log F_Z(z[m] | batch[l]),
-        the dense reference the kernel sum is checked against."""
-        sq = _squared_distances(self._seq_obs._whiten(z), self._centers)
-        return -0.5 * sq - self._seq_obs._log_norm
 
     def mixture_likelihood(self, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Log marginal likelihood ``log sum_l w_l F_Z(z_m | batch_l)`` per

@@ -20,7 +20,10 @@ from augmi import (
     GaussianDensity,
     LinearGaussianModel,
     StateLayout,
+    joint_state_observation,
+    observation_block_ids,
 )
+from augmi.state import _squared_distances
 
 # Hand Schur-complement oracle for the 1D chain (prior N(0,1), new = x + w
 # with unit noise, observation = new + v with unit noise): posterior
@@ -34,15 +37,61 @@ GAUSS_ENTROPY_1D = 1.4189385332046727  # 0.5*ln(2*pi*e)
 
 def gaussian_entropy_ref(density: GaussianDensity) -> float:
     """Reference entropy of a Gaussian belief in nats, from numpy's slogdet."""
-    sign, log_det = np.linalg.slogdet(density.covariance)
+    return _entropy_ref(density.covariance)
+
+
+def _entropy_ref(cov: np.ndarray) -> float:
+    sign, log_det = np.linalg.slogdet(cov)
     assert sign > 0
-    return 0.5 * (density.dim * (math.log(2.0 * math.pi) + 1.0) + log_det)
+    return 0.5 * (cov.shape[0] * (math.log(2.0 * math.pi) + 1.0) + log_det)
+
+
+def direct_mi_ref(prior: GaussianDensity, action: Action) -> float:
+    """Reference augmented MI in the direct form H[X] - H[X, new | Z]: the
+    prior entropy minus the entropy of the Schur complement of the joint's
+    observation block, from numpy's solve and slogdet.  The oracle takes the
+    superposition form instead, so the two are computed independently."""
+    joint = joint_state_observation(prior, action)
+    obs = joint.layout.indices(observation_block_ids(action))
+    state = np.setdiff1d(np.arange(joint.dim), obs)
+    cov = joint.covariance
+    cross = cov[np.ix_(state, obs)]
+    schur = cov[np.ix_(state, state)] - cross @ np.linalg.solve(cov[np.ix_(obs, obs)], cross.T)
+    return gaussian_entropy_ref(prior) - _entropy_ref(schur)
 
 
 def log_density_ref(model: LinearGaussianModel, inputs, output) -> float:
     """Reference log N(output; matrix @ inputs, noise_cov), from scipy.stats."""
     mean = model.matrix @ np.asarray(inputs, dtype=float)
     return float(multivariate_normal.logpdf(output, mean, model.noise_cov))
+
+
+def models_log_density_ref(models, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise summed log density of the outputs ``out`` of a
+    SequentialTransition's or SequentialObservation's models, given the
+    augmented ``states`` rows: each model's residual whitened by its noise
+    factor."""
+    white = models._whiten(out - models._means(states, np.empty_like(out)))
+    return -0.5 * np.einsum("ij,ij->i", white, white) - models._log_norm
+
+
+def transition_log_density_ref(transition, states: np.ndarray) -> np.ndarray:
+    """Log density of each augmented row's new blocks given its belief state."""
+    return models_log_density_ref(transition, states, states[:, transition.layout.total_dim :])
+
+
+def observation_log_density_ref(observation, states: np.ndarray, z) -> np.ndarray:
+    """Log density of each row of ``z`` given the matching augmented state."""
+    return models_log_density_ref(observation, states, np.atleast_2d(np.asarray(z, dtype=float)))
+
+
+def grid_log_density_ref(evaluator, z: np.ndarray) -> np.ndarray:
+    """Pairwise log densities of an ObservationGridEvaluator: entry ``[m, l]``
+    is log F_Z(z[m] | batch[l]), the dense grid the kernel sum is checked
+    against."""
+    observation = evaluator._seq_obs
+    sq = _squared_distances(observation._whiten(z), evaluator._centers)
+    return -0.5 * sq - observation._log_norm
 
 
 def make_chain_1d(q: float = 1.0, r: float = 1.0) -> tuple[GaussianDensity, Action]:

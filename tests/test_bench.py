@@ -77,9 +77,9 @@ class TestEvaluateMethod:
             blocks = determine_involved(prior.layout, action).blocks
             for seed in (5, 6):
                 direct = {
-                    "analytic": augmented_mi_analytic(prior, action),
-                    "naive_kde": naive_kde_augmented_mi(prior, action, n, None, seed),
-                    "invmi_kde": invmi_kde_augmented_mi(prior, action, blocks, n, None, seed),
+                    "analytic": augmented_mi_analytic(prior, action, blocks),
+                    "naive_kde": naive_kde_augmented_mi(prior, action, n, seed),
+                    "invmi_kde": invmi_kde_augmented_mi(prior, action, blocks, n, seed),
                     "mismc": mismc_direct(action, blocks, seed),
                 }
                 for method, reference in direct.items():
@@ -118,7 +118,7 @@ class TestActionsExperiment:
         assert [row.method for row in rows].count("invmi_kde") == 2
         for row in rows:
             if row.method == "naive_kde":
-                direct = naive_kde_augmented_mi(prior, action, 50, None, row.seed)
+                direct = naive_kde_augmented_mi(prior, action, 50, row.seed)
                 assert row.mi_estimate == direct.value
 
     def test_analytic_only_zero_variance(self, small_scenario):

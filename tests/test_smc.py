@@ -31,6 +31,7 @@ from augmi.smc import (
 from conftest import (
     CHAIN_MI,
     gaussian_entropy_ref,
+    grid_log_density_ref,
     log_density_ref,
     make_chain_1d,
     random_instance,
@@ -46,27 +47,22 @@ def normalizer_eta(pset, action, z, rng):
 class TestSampleBudget:
     def test_defaults_and_derived(self):
         budget = SampleBudget(n1=300)
-        assert (budget.n2, budget.n3, budget.n4, budget.n5) == (1, 1, 300, 1)
-        assert budget.m == 300 and budget.n == 300
-
-    def test_derived_products(self):
-        budget = SampleBudget(n1=4, n2=2, n3=3, n4=5, n5=2)
-        assert budget.m == 24 and budget.n == 10
+        assert (budget.n1, budget.n4) == (300, 300)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(BudgetError):
             SampleBudget(n1=0)
         with pytest.raises(BudgetError):
-            SampleBudget(n1=2, n3=-1)
+            SampleBudget(n1=2, n4=-1)
 
     @pytest.mark.parametrize(
         ("counts", "field"),
         [
-            ({"n1": 100, "n2": 1.5}, "n2"),
+            ({"n1": 100, "n4": 1.5}, "n4"),
             ({"n1": 100.0}, "n1"),
-            ({"n1": 10, "n5": True}, "n5"),
+            ({"n1": True}, "n1"),
             ({"n1": 10, "n4": np.float64(20)}, "n4"),
-            ({"n1": 10, "n3": "2"}, "n3"),
+            ({"n1": 10, "n4": "2"}, "n4"),
         ],
     )
     def test_rejects_non_integer_counts(self, counts, field):
@@ -74,8 +70,8 @@ class TestSampleBudget:
             SampleBudget(**counts)
 
     def test_accepts_numpy_integers(self):
-        budget = SampleBudget(n1=np.int64(4), n5=np.int32(2))
-        assert budget.m == 4 and budget.n == 8
+        budget = SampleBudget(n1=np.int64(4), n4=np.int32(2))
+        assert (budget.n1, budget.n4) == (4, 2)
 
 
 class TestEstimateNormalizer:
@@ -145,7 +141,7 @@ class TestEstimateNormalizer:
         z = np.array([[1e6]])
         log_eta = ctx.normalizer.mixture_likelihood(z, ctx.normalizer_weights)
         dense = logsumexp(
-            ctx.normalizer.log_density_grid(z) + np.log(ctx.normalizer_weights), axis=1
+            grid_log_density_ref(ctx.normalizer, z) + np.log(ctx.normalizer_weights), axis=1
         )
         assert log_eta[0] < -4e11
         np.testing.assert_allclose(log_eta, dense, rtol=1e-12)
@@ -158,12 +154,7 @@ class TestMismcEstimate:
             inputs=(), output_dim=1, matrix=np.zeros((1, 0)), noise_cov=[[0.5]]
         )
         blind = Action(id="b", transitions=action.transitions, observations=((1, free_obs),))
-        rng = np.random.default_rng(3)
-        pset = sample_particles(prior, 500, rng)
-        ctx = mismc_context(pset, blind, SampleBudget(n1=500), rng)
-        acc = mismc_update(ctx.empty_accumulator(), 500, ctx)
-        assert abs(acc.sum2 - acc.sum3) < 1e-9
-        # the estimate reduces to the -H[new | x] Monte Carlo term
+        # the estimate reduces to -H[new | x]
         joint = joint_state_observation(prior, Action(id="t", transitions=action.transitions))
         h_new_given_x = gaussian_entropy_ref(joint) - gaussian_entropy_ref(prior)
         trials = np.array(
@@ -194,24 +185,39 @@ class TestMismcEstimate:
         )
         assert abs(trials.mean() - CHAIN_MI) < 3.0 * trials.std(ddof=1)
 
-    def test_three_sums_match_superposition_terms(self, chain):
-        # each sum estimates its analytic entropy term (Gaussian oracle)
+    def test_constant_is_the_noise_entropy(self):
+        # the estimate is -H[new | x] - H[z | x, new], taken in closed form,
+        # minus the weighted mean log eta, bit for bit
+        rng = np.random.default_rng(2209)
+        for _ in range(10):
+            prior, action, _involved = random_instance(rng, total_dim=12)
+            joint = joint_state_observation(prior, action)
+            h = lambda ids: gaussian_entropy_ref(marginalize_gaussian(joint, ids))
+            prior_ids, new_ids = set(prior.layout.ids), set(action.new_ids)
+            state_ids = prior_ids | new_ids
+            h_new = h(state_ids) - h(prior_ids)
+            h_obs = h(set(joint.layout.ids)) - h(state_ids)
+            pset = sample_particles(prior, 50, rng)
+            ctx = mismc_context(pset, action, SampleBudget(n1=50), rng)
+            acc = mismc_update(ctx.empty_accumulator(), 50, ctx)
+            constant = acc.estimate + float(pset.weights @ acc.terms)
+            assert constant == pytest.approx(-h_new - h_obs, abs=1e-12)
+            assert acc.estimate == -action._noise_entropy - float(pset.weights @ acc.terms)
+
+    def test_log_eta_mean_matches_observation_entropy(self, chain):
+        # the weighted mean log eta estimates -H[z] (Gaussian oracle)
         prior, action = chain
         joint = joint_state_observation(prior, action)
-        h = lambda ids: gaussian_entropy_ref(marginalize_gaussian(joint, ids))
-        term1 = -(h({"x", "a:x1"}) - h({"x"}))  # -H[new | x]
-        term2 = -(h({"x", "a:x1", "a:z1"}) - h({"x", "a:x1"}))  # -H[z | x, new]
-        term3 = -h({"a:z1"})  # sum3 estimates -H[z]
-        sums = []
+        neg_h_obs = -gaussian_entropy_ref(marginalize_gaussian(joint, {"a:z1"}))
+        means = []
         for i in range(25):
             rng = np.random.default_rng(3000 + i)
             pset = sample_particles(prior, 800, rng)
             ctx = mismc_context(pset, action, SampleBudget(n1=800), rng)
             acc = mismc_update(ctx.empty_accumulator(), 800, ctx)
-            sums.append((acc.sum1, acc.sum2, acc.sum3))
-        sums = np.array(sums)
-        for column, expected in zip(sums.T, (term1, term2, term3)):
-            assert abs(column.mean() - expected) < 3.0 * column.std(ddof=1)
+            means.append(float(pset.weights @ acc.terms))
+        means = np.array(means)
+        assert abs(means.mean() - neg_h_obs) < 3.0 * means.std(ddof=1)
 
     def test_budget_must_match_particle_count(self, chain):
         prior, action = chain
@@ -224,25 +230,9 @@ class TestMismcEstimate:
         pset = sample_particles(prior, 300, np.random.default_rng(0))
         est = mismc_estimate(pset, action, SampleBudget(n1=300), np.random.default_rng(1))
         assert est.method == "mismc"
-        assert est.sample_counts["m"] == 300
-        assert est.sample_counts["n"] == 300
+        assert est.sample_counts["n1"] == 300
+        assert est.sample_counts["n4"] == 300
         assert est.elapsed >= 0.0
-
-    def test_general_budget_path(self, chain):
-        # n2, n3, n5 > 1 exercise the nested reshapes
-        prior, action = chain
-        trials = np.array(
-            [
-                mismc_estimate(
-                    sample_particles(prior, 300, np.random.default_rng(4000 + i)),
-                    action,
-                    SampleBudget(n1=300, n2=2, n3=3, n4=300, n5=2),
-                    np.random.default_rng(5000 + i),
-                ).value
-                for i in range(12)
-            ]
-        )
-        assert abs(trials.mean() - CHAIN_MI) < 4.0 * trials.std(ddof=1)
 
     def test_n4_resampled_when_not_matching(self, chain):
         # n4 != N goes through the weight-proportional resampling path
@@ -265,13 +255,7 @@ class TestMismcEstimate:
         for case in range(24):
             prior, action, _involved = random_instance(rng, total_dim=int(rng.integers(15, 40)))
             n1 = int(rng.integers(20, 60))
-            budget = SampleBudget(
-                n1=n1,
-                n2=int(rng.integers(1, 3)),
-                n3=int(rng.integers(1, 3)),
-                n4=n1 if case % 3 == 0 else int(rng.integers(10, 80)),
-                n5=int(rng.integers(1, 3)),
-            )
+            budget = SampleBudget(n1=n1, n4=n1 if case % 3 == 0 else int(rng.integers(10, 80)))
             full = WeightedParticleSet(
                 layout=prior.layout,
                 particles=sample_particles(prior, n1, rng).particles,
@@ -315,24 +299,12 @@ class TestAnytime:
     @settings(max_examples=40, deadline=None)
     @given(
         n1=st.integers(1, 40),
-        budget=st.fixed_dictionaries(
-            {
-                "n2": st.integers(1, 3),
-                "n3": st.integers(1, 3),
-                "n4": st.integers(1, 60),
-                "n5": st.integers(1, 3),
-            }
-        ),
+        n4=st.integers(1, 60),
         cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(
-        n1=30,
-        budget={"n2": 2, "n3": 3, "n4": 17, "n5": 2},
-        cuts=[0.1, 0.5, 0.5, 0.9],
-        seed=1,
-    )
-    def test_incremental_is_batch_bit_for_bit(self, n1, budget, cuts, seed):
+    @example(n1=30, n4=17, cuts=[0.1, 0.5, 0.5, 0.9], seed=1)
+    def test_incremental_is_batch_bit_for_bit(self, n1, n4, cuts, seed):
         # installments at arbitrary split points, empty ones included
         prior, action = make_chain_1d()
         rng = np.random.default_rng(seed)
@@ -341,7 +313,7 @@ class TestAnytime:
             particles=sample_particles(prior, n1, rng).particles,
             weights=rng.uniform(0.1, 1.0, n1),
         )
-        budget = SampleBudget(n1=n1, **budget)
+        budget = SampleBudget(n1=n1, n4=n4)
         batch = mismc_estimate(pset, action, budget, seed)
         ctx = mismc_context(pset, action, budget, seed)
         acc = ctx.empty_accumulator()
@@ -352,7 +324,7 @@ class TestAnytime:
         assert got.value == batch.value
         assert got.sample_counts == batch.sample_counts
         whole = mismc_update(ctx.empty_accumulator(), n1, ctx)
-        assert (acc.sum1, acc.sum2, acc.sum3) == (whole.sum1, whole.sum2, whole.sum3)
+        assert acc.estimate == whole.estimate
         assert np.array_equal(acc.terms, whole.terms)
 
     def test_numpy_integer_installments(self, chain):
@@ -374,7 +346,8 @@ class TestAnytime:
         acc = ctx.empty_accumulator()
         for _ in range(10):
             acc = mismc_update(acc, 20, ctx)
-            assert acc.estimate == acc.sum1 + acc.sum2 - acc.sum3
+            weights = pset.weights[: acc.consumed]
+            assert acc.estimate == -action._noise_entropy - float(weights @ acc.terms)
         assert acc.consumed == 200
 
     def test_cannot_overrun_particles(self, chain):

@@ -31,7 +31,15 @@ from augmi.state import (
     _hermite_kernel_sum,
     _log_kernel_sum,
 )
-from conftest import STD_NORMAL_LOGPDF_MODE, log_density_ref, make_chain_1d, random_spd
+from conftest import (
+    STD_NORMAL_LOGPDF_MODE,
+    grid_log_density_ref,
+    log_density_ref,
+    make_chain_1d,
+    observation_log_density_ref,
+    random_spd,
+    transition_log_density_ref,
+)
 
 
 class TestLayout:
@@ -272,11 +280,13 @@ class TestLinearGaussianModelValidation:
 
 
 def log_density(model: LinearGaussianModel, inputs, output) -> float:
-    """log N(output; matrix @ inputs, noise_cov) through the batch path: the
-    model as the one transition of an action on block ``x``."""
+    """log N(output; matrix @ inputs, noise_cov) through the sequential
+    models' means, whitening and normalizer: the model as the one transition
+    of an action on block ``x``."""
     layout = StateLayout.from_dims([("x", model.input_dim)])
     trans = SequentialTransition(layout, Action(id="t", transitions=(model,)))
-    return float(trans.log_density(np.concatenate([inputs, output])[None, :])[0])
+    states = np.concatenate([inputs, output])[None, :]
+    return float(transition_log_density_ref(trans, states)[0])
 
 
 class TestLogDensity:
@@ -403,16 +413,26 @@ class TestSequentialModels:
         return layout, action
 
     def test_sampled_logpdf_matches_direct(self):
+        # a row drawn with innovations eps has log density -|eps|^2 / 2 - log_norm
         layout, action = self._instance()
         trans = SequentialTransition(layout, action)
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((40, 4))
-        states, logp_t = trans.sample_with_noise(x, rng.standard_normal((40, 2)))
+        eps_t, eps_o = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
+        states = trans.sample_with_noise(x, eps_t)
         np.testing.assert_array_equal(states[:, :4], x)
-        np.testing.assert_allclose(logp_t, trans.log_density(states), atol=1e-10)
-        z, logp_o = obs.sample_with_noise(states, rng.standard_normal((40, 2)))
-        np.testing.assert_allclose(logp_o, obs.log_density(states, z), atol=1e-10)
+        np.testing.assert_allclose(
+            transition_log_density_ref(trans, states),
+            -0.5 * (eps_t**2).sum(axis=1) - trans._log_norm,
+            atol=1e-10,
+        )
+        z = obs.sample_with_noise(states, eps_o)
+        np.testing.assert_allclose(
+            observation_log_density_ref(obs, states, z),
+            -0.5 * (eps_o**2).sum(axis=1) - obs._log_norm,
+            atol=1e-10,
+        )
 
     def test_logpdf_matches_scalar_op(self):
         layout, action = self._instance()
@@ -420,20 +440,19 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 4))
-        states, _ = trans.sample_with_noise(x, rng.standard_normal((5, 2)))
+        states = trans.sample_with_noise(x, rng.standard_normal((5, 2)))
         new = states[:, 4:]
-        z, _ = obs.sample_with_noise(states, rng.standard_normal((5, 2)))
+        z = obs.sample_with_noise(states, rng.standard_normal((5, 2)))
         t_model = action.transitions[0]
         o_model = action.observations[0][1]
         for i in range(5):
             expect_t = log_density_ref(t_model, x[i, :2], new[i])
-            assert trans.log_density(states[i : i + 1])[0] == pytest.approx(
+            assert transition_log_density_ref(trans, states[i : i + 1])[0] == pytest.approx(
                 expect_t, abs=1e-10
             )
             expect_o = log_density_ref(o_model, np.concatenate([new[i], x[i, 2:]]), z[i])
-            assert obs.log_density(states[i : i + 1], z[i : i + 1])[0] == pytest.approx(
-                expect_o, abs=1e-10
-            )
+            got_o = observation_log_density_ref(obs, states[i : i + 1], z[i : i + 1])
+            assert got_o[0] == pytest.approx(expect_o, abs=1e-10)
 
     def test_grid_matches_rowwise(self):
         layout, action = self._instance()
@@ -441,12 +460,12 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((30, 4))
-        states, _ = trans.sample_with_noise(x, rng.standard_normal((30, 2)))
+        states = trans.sample_with_noise(x, rng.standard_normal((30, 2)))
         z = rng.standard_normal((11, 2))
-        grid = obs.grid_evaluator(states).log_density_grid(z)
+        grid = grid_log_density_ref(obs.grid_evaluator(states), z)
         assert grid.shape == (11, 30)
         for m in (0, 5, 10):
-            row = obs.log_density(states, np.repeat(z[m : m + 1], 30, axis=0))
+            row = observation_log_density_ref(obs, states, np.repeat(z[m : m + 1], 30, axis=0))
             np.testing.assert_allclose(grid[m], row, atol=1e-9)
 
     def test_mixture_likelihood_paths_agree(self):
@@ -456,12 +475,12 @@ class TestSequentialModels:
         obs = SequentialObservation(layout, action)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((64, 4))
-        states, _ = trans.sample_with_noise(x, rng.standard_normal((64, 2)))
+        states = trans.sample_with_noise(x, rng.standard_normal((64, 2)))
         z = rng.standard_normal((17, 2)) * 2.0
         weights = rng.uniform(0.1, 1.0, 64)
         evaluator = obs.grid_evaluator(states)
         fast = np.exp(evaluator.mixture_likelihood(z, weights))
-        plain = np.exp(evaluator.log_density_grid(z)) @ weights
+        plain = np.exp(grid_log_density_ref(evaluator, z)) @ weights
         np.testing.assert_allclose(fast, plain, rtol=1e-12)
 
 
@@ -508,7 +527,7 @@ class TestWhiten:
         _prior, action = make_chain_1d()
         obs = SequentialObservation(layout, action)
         with pytest.raises(ValueError, match="non-finite"):
-            obs.log_density(np.zeros((2, 2)), [[0.0], [bad]])
+            obs._whiten([[0.0], [bad]])
 
 
 def _dense_log_kernel_sum(queries, centers, weights, log_norm):
