@@ -10,12 +10,10 @@ benchmark harness with a CLI.
 """
 
 from .analytic import (
-    AugmentedMiResult,
     FootprintError,
     augmented_mi_analytic,
     condition_gaussian,
     joint_state_observation,
-    mi_analytic,
     observation_block_ids,
 )
 from .bench import (
@@ -32,12 +30,10 @@ from .involved import (
     analytic_calculator,
     determine_involved,
     invmi,
-    kde_calculator,
     mismc_calculator,
 )
 from .kde import (
     BandwidthError,
-    KdeConfig,
     invmi_kde_augmented_mi,
     naive_kde_augmented_mi,
     resubstitution_entropy,

@@ -12,12 +12,13 @@ log-determinants through Cholesky factorizations (see :mod:`augmi.linalg`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .linalg import cholesky_psd, conditional_parts
+from .mi import METHOD_ANALYTIC, MiEstimate
 from .state import (
     Action,
     GaussianDensity,
@@ -35,13 +36,6 @@ class FootprintError(ValueError):
     Evaluating mutual information over such a subset would silently return a
     wrong value, so this is always a hard error.
     """
-
-
-@dataclass(frozen=True)
-class AugmentedMiResult:
-    """Exact augmented MI in nats."""
-
-    value: float
 
 
 def entropy_from_cov(cov: np.ndarray) -> float:
@@ -147,32 +141,9 @@ def _condition_on_draw(
     return list(zip(condition_gaussian(joint, obs_ids, stack), zs))
 
 
-def _reduced_joint(
-    prior: GaussianDensity, action: Action, subset: Iterable[str] | None
-) -> tuple[GaussianDensity, GaussianDensity]:
-    """The prior marginalized onto ``subset`` (``None`` keeps it whole), and its
-    joint with the action's new blocks and observations.  A subset naming an
-    unknown block or missing part of the footprint raises FootprintError."""
-    subset = None if subset is None else set(subset)
-    # the whole prior needs no footprint check; the joint validates the action
-    if subset is not None and subset != set(prior.layout.ids):
-        footprint = _prior_footprint(prior.layout, action)
-        unknown = subset - set(prior.layout.ids)
-        if unknown:
-            raise FootprintError(f"subset contains unknown blocks {sorted(unknown)}")
-        missing = footprint - subset
-        if missing:
-            raise FootprintError(
-                f"subset misses involved prior blocks {sorted(missing)}; mutual "
-                "information over it would be wrong, not approximate"
-            )
-        prior = marginalize_gaussian(prior, subset)
-    return prior, joint_state_observation(prior, action)
-
-
 def augmented_mi_analytic(
     prior: GaussianDensity, action: Action, subset: Iterable[str] | None = None
-) -> AugmentedMiResult:
+) -> MiEstimate:
     """Exact augmented MI in the superposition form
     -H[X_new | X_s] - H[Z | X_s, X_new] + H[Z].
 
@@ -184,31 +155,32 @@ def augmented_mi_analytic(
 
     ``subset`` restricts the prior to the named blocks before building the
     joint; it must contain every prior block the action's models read
-    (``None`` means the full state).  With that hypothesis satisfied the
-    result is independent of the subset choice.
+    (``None`` means the full state), or FootprintError is raised.  With that
+    hypothesis satisfied the value is independent of the subset choice.  The
+    elapsed time starts after the restriction; ``sample_counts["dim"]`` is
+    the dimension of the prior the joint is built on.
     """
-    reduced, joint = _reduced_joint(prior, action, subset)
-    reduced._chol  # factors the prior or raises; H[Z] alone would not
+    subset = None if subset is None else set(subset)
+    # the whole prior needs no footprint check; the joint validates the action
+    if subset is not None and subset != set(prior.layout.ids):
+        unknown = subset - set(prior.layout.ids)
+        if unknown:
+            raise FootprintError(f"subset contains unknown blocks {sorted(unknown)}")
+        missing = _prior_footprint(prior.layout, action) - subset
+        if missing:
+            raise FootprintError(
+                f"subset misses involved prior blocks {sorted(missing)}; mutual "
+                "information over it would be wrong, not approximate"
+            )
+        prior = marginalize_gaussian(prior, subset)
+    start = time.perf_counter()
+    joint = joint_state_observation(prior, action)
+    prior._chol  # factors the prior or raises; H[Z] alone would not
     obs_idx = joint.layout.indices(observation_block_ids(action))
     h_obs = entropy_from_cov(joint.covariance[np.ix_(obs_idx, obs_idx)])
-    return AugmentedMiResult(value=h_obs - action._noise_entropy)
-
-
-def mi_analytic(
-    joint: GaussianDensity, part_a: Iterable[str], part_b: Iterable[str]
-) -> float:
-    """Mutual information between two disjoint block sets of a joint Gaussian.
-
-    Computed as H[A] + H[B] - H[A, B].
-    """
-    part_a, part_b = set(part_a), set(part_b)
-    if not part_a or not part_b:
-        raise ValueError("both parts must be non-empty")
-    if part_a & part_b:
-        raise ValueError(f"parts overlap on {sorted(part_a & part_b)}")
-    cov = joint.covariance
-    idx = joint.layout.indices
-    h_a = entropy_from_cov(cov[np.ix_(idx(part_a), idx(part_a))])
-    h_b = entropy_from_cov(cov[np.ix_(idx(part_b), idx(part_b))])
-    h_ab = entropy_from_cov(cov[np.ix_(idx(part_a | part_b), idx(part_a | part_b))])
-    return h_a + h_b - h_ab
+    return MiEstimate(
+        value=h_obs - action._noise_entropy,
+        method=METHOD_ANALYTIC,
+        elapsed=time.perf_counter() - start,
+        sample_counts={"dim": prior.dim},
+    )

@@ -16,14 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .involved import (
-    analytic_calculator,
-    determine_involved,
-    invmi,
-    kde_calculator,
-    mismc_calculator,
-)
-from .kde import naive_kde_augmented_mi
+from .involved import analytic_calculator, determine_involved, invmi, mismc_calculator
+from .kde import invmi_kde_augmented_mi, naive_kde_augmented_mi
 from .mi import (
     ALL_METHODS,
     METHOD_ANALYTIC,
@@ -46,10 +40,11 @@ _METHOD_INDEX = {m: i for i, m in enumerate(ALL_METHODS)}
 
 
 # Per method: one run ``(prior, action, n, seed) -> MiEstimate`` on the full
-# prior with ``n`` particles.  Every method but naive_kde goes through invmi,
-# which marginalizes onto the action's involved blocks first.  The mismc
-# calculator samples the prior particles itself, which is input preparation,
-# outside the estimator's elapsed time.
+# prior with ``n`` particles.  The analytic and mismc calculators go through
+# invmi, which marginalizes onto the action's involved blocks first; the
+# involved-subset KDE pipeline marginalizes itself, and naive_kde runs on the
+# full prior.  The mismc calculator samples the prior particles itself, which
+# is input preparation, outside the estimator's elapsed time.
 _METHODS = {
     METHOD_ANALYTIC: lambda prior, action, n, seed: invmi(
         prior, action, analytic_calculator(), seed
@@ -57,8 +52,8 @@ _METHODS = {
     METHOD_NAIVE_KDE: lambda prior, action, n, seed: naive_kde_augmented_mi(
         prior, action, n, rng=seed
     ),
-    METHOD_INVMI_KDE: lambda prior, action, n, seed: invmi(
-        prior, action, kde_calculator(n), seed
+    METHOD_INVMI_KDE: lambda prior, action, n, seed: invmi_kde_augmented_mi(
+        prior, action, n, rng=seed
     ),
     METHOD_MISMC: lambda prior, action, n, seed: invmi(
         prior, action, mismc_calculator(SampleBudget(n1=n, n4=n)), seed

@@ -4,24 +4,23 @@ calculator.
 
 The subset determination is exact syntactic dependency analysis on the
 declared model footprints, never a geometric heuristic; a calculator is an
-opaque callable ``(belief, action, rng) -> MiEstimate`` so KDE, SMC, and the
-analytic oracle all plug in the same way.  The three stock calculators below
-are the only code that turns a belief and an action into an estimate: the
-bench runner and the planner backends call them, with or without
-:func:`invmi` in front.
+opaque callable ``(belief, action, rng) -> MiEstimate`` so the SMC
+estimator and the analytic oracle plug in the same way.  The two stock
+calculators below adapt those estimators to that signature; the bench
+runner calls them through :func:`invmi`, the planner backends directly.  The
+involved-subset KDE pipeline, :func:`augmi.kde.invmi_kde_augmented_mi`,
+marginalizes onto :func:`determine_involved`'s blocks itself.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .analytic import augmented_mi_analytic
-from .kde import invmi_kde_augmented_mi
-from .mi import METHOD_ANALYTIC, MiEstimate
+from .mi import MiEstimate
 from .smc import SampleBudget, mismc_estimate
 from .state import (
     Action,
@@ -113,27 +112,7 @@ def analytic_calculator() -> MiCalculator:
         _check_rng(rng)
         if not isinstance(belief, GaussianDensity):
             raise TypeError("analytic calculator needs a GaussianDensity belief")
-        start = time.perf_counter()
-        result = augmented_mi_analytic(belief, action, subset=None)
-        return MiEstimate(
-            value=result.value,
-            method=METHOD_ANALYTIC,
-            elapsed=time.perf_counter() - start,
-            sample_counts={"dim": belief.dim},
-        )
-
-    return calc
-
-
-def kde_calculator(n: int) -> MiCalculator:
-    """Calculator running the involved-subset KDE pipeline over every block
-    of the belief it receives, which :func:`invmi` has marginalized onto the
-    action's footprint."""
-
-    def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
-        if not isinstance(belief, GaussianDensity):
-            raise TypeError("KDE calculator needs a GaussianDensity belief")
-        return invmi_kde_augmented_mi(belief, action, belief.layout.ids, n, rng=rng)
+        return augmented_mi_analytic(belief, action)
 
     return calc
 

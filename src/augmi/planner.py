@@ -185,7 +185,9 @@ def _plan_involved_union(
     Later steps may reference new blocks created at earlier steps; those are
     resolved against an extended layout and excluded from the prior union.
     Candidates at the same step must agree on the (id, dim) of the new
-    blocks they create, otherwise deeper actions would be ill-defined.
+    blocks they create, otherwise deeper actions would be ill-defined.  A
+    step-0 candidate reads only prior blocks, and :func:`determine_involved`
+    rejects one that reads none, so the union is never empty.
     """
     prior_ids = set(layout.ids)
     union: set[str] = set()
@@ -204,8 +206,6 @@ def _plan_involved_union(
                     )
             union |= determine_involved(extended, action).blocks & prior_ids
         extended = extended.concat(sorted(new_decl.items()))
-    if not union:
-        raise ValueError("no candidate action touches the prior state")
     return frozenset(union)
 
 

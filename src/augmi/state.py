@@ -498,8 +498,6 @@ def marginalize_particles(
 ) -> WeightedParticleSet:
     """Project a particle set onto the kept blocks; weights are untouched."""
     keep = set(keep)
-    if not keep:
-        raise ValueError("keep set must be non-empty")
     idx = belief.layout.indices(keep)
     return WeightedParticleSet(
         layout=belief.layout.sublayout(keep),
@@ -511,8 +509,6 @@ def marginalize_particles(
 def marginalize_gaussian(density: GaussianDensity, keep: Iterable[str]) -> GaussianDensity:
     """Gaussian marginal over the kept blocks (sub-vector and sub-matrix)."""
     keep = set(keep)
-    if not keep:
-        raise ValueError("keep set must be non-empty")
     idx = density.layout.indices(keep)
     return GaussianDensity(
         layout=density.layout.sublayout(keep),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from typing import Iterable
 
 # One BLAS thread, as CI and the benchmark run: the timed acceptance criteria
 # compare wall times, and BLAS threads competing for two cores skew them.
@@ -23,6 +24,7 @@ from augmi import (
     joint_state_observation,
     observation_block_ids,
 )
+from augmi.analytic import entropy_from_cov
 from augmi.state import _squared_distances
 
 # Hand Schur-complement oracle for the 1D chain (prior N(0,1), new = x + w
@@ -58,6 +60,26 @@ def direct_mi_ref(prior: GaussianDensity, action: Action) -> float:
     cross = cov[np.ix_(state, obs)]
     schur = cov[np.ix_(state, state)] - cross @ np.linalg.solve(cov[np.ix_(obs, obs)], cross.T)
     return gaussian_entropy_ref(prior) - _entropy_ref(schur)
+
+
+def mi_analytic(
+    joint: GaussianDensity, part_a: Iterable[str], part_b: Iterable[str]
+) -> float:
+    """Mutual information between two disjoint block sets of a joint Gaussian.
+
+    Computed as H[A] + H[B] - H[A, B].
+    """
+    part_a, part_b = set(part_a), set(part_b)
+    if not part_a or not part_b:
+        raise ValueError("both parts must be non-empty")
+    if part_a & part_b:
+        raise ValueError(f"parts overlap on {sorted(part_a & part_b)}")
+    cov = joint.covariance
+    idx = joint.layout.indices
+    h_a = entropy_from_cov(cov[np.ix_(idx(part_a), idx(part_a))])
+    h_b = entropy_from_cov(cov[np.ix_(idx(part_b), idx(part_b))])
+    h_ab = entropy_from_cov(cov[np.ix_(idx(part_a | part_b), idx(part_a | part_b))])
+    return h_a + h_b - h_ab
 
 
 def log_density_ref(model: LinearGaussianModel, inputs, output) -> float:

@@ -14,16 +14,15 @@ import numpy as np
 
 from augmi import (
     AnalyticMiBackend,
-    KdeConfig,
     REWARD_CONSECUTIVE_MI,
     REWARD_INVOLVED_IG,
     SampleBudget,
     StateLayout,
     WeightedParticleSet,
     augmented_mi_analytic,
+    evaluate_method,
     generate_scenario,
     joint_state_observation,
-    mi_analytic,
     mismc_context,
     mismc_estimate,
     mismc_update,
@@ -36,10 +35,12 @@ from augmi import (
     solve,
 )
 from augmi.analytic import entropy_from_cov
+from augmi.bench import _trial_seed
 from conftest import (
     CHAIN_MI,
     direct_mi_ref,
     make_chain_1d,
+    mi_analytic,
     random_instance,
     random_plan_instance,
 )
@@ -196,42 +197,45 @@ def test_criterion_4_action_comparison_replica():
 
 def test_criterion_5_dimension_sweep():
     dims = [10, 50, 100, 150]
+    reduced = ("invmi_kde", "mismc")
+    methods = ("naive_kde", *reduced)
     start = time.perf_counter()
     # one warm pass keeps numpy/BLAS initialization out of the timing column
     warm = generate_scenario(10, 1, seed=1)
-    from augmi import evaluate_method
-
-    for method in ("naive_kde", "invmi_kde", "mismc"):
+    for method in methods:
         evaluate_method(warm, "a1", method, 300, seed=0)
     rows = run_dimension_sweep(
         dims,
-        {"naive_kde", "invmi_kde", "mismc"},
+        set(methods),
         n_particles=300,
         trials=100,
         seed=777,
     )
+    # The sweep runs one dim after another, so a drift in CPU speed during it
+    # moves the per-dim times apart.  The time checks instead read runs that
+    # visit the sweep's four scenarios round-robin.  naive_kde runs its rounds
+    # apart: in the same rounds it lifted the reduced methods' time max/min
+    # from about 1.05 to 1.24-1.44 on a 2-core machine.
+    scenarios = [
+        generate_scenario(dim, 1, correlation_strength=0.3, seed=_trial_seed(777, (dim,)) % 2**31)
+        for dim in dims
+    ]
+    interleaved = {(method, dim): [] for method in methods for dim in dims}
+    for group in (reduced, ("naive_kde",)):
+        for round_ in range(30):
+            for dim, scenario in zip(dims, scenarios):
+                for method in group:
+                    est = evaluate_method(scenario, scenario.actions[0].id, method, 300, seed=round_)
+                    interleaved[method, dim].append(est.elapsed)
     elapsed = time.perf_counter() - start
 
     def stats(method):
-        stds, times = [], []
-        for dim in dims:
-            values = np.array(
-                [
-                    r.mi_estimate
-                    for r in rows
-                    if r.method == method and r.dim_full == dim
-                ]
-            )
-            elapsed_ns = np.array(
-                [
-                    r.elapsed_ns
-                    for r in rows
-                    if r.method == method and r.dim_full == dim
-                ]
-            )
-            stds.append(values.std(ddof=1))
-            # medians: a burst of load on a few trials must not move the ratio
-            times.append(np.median(elapsed_ns))
+        stds = [
+            np.std([r.mi_estimate for r in rows if r.method == method and r.dim_full == dim], ddof=1)
+            for dim in dims
+        ]
+        # medians: a burst of load on a few runs must not move the ratio
+        times = [np.median(interleaved[method, dim]) for dim in dims]
         return np.array(stds), np.array(times)
 
     ok = True
@@ -242,16 +246,19 @@ def test_criterion_5_dimension_sweep():
     parts.append(
         "naive std "
         + "/".join(f"{s:.2f}" for s in naive_std)
-        + " strictly increasing; time "
-        + "/".join(f"{t/1e6:.1f}ms" for t in naive_time)
+        + " strictly increasing; interleaved time "
+        + "/".join(f"{t*1e3:.1f}ms" for t in naive_time)
         + " strictly increasing"
     )
-    for method in ("invmi_kde", "mismc"):
+    for method in reduced:
         stds, times = stats(method)
         std_ratio = stds.max() / stds.min()
         time_ratio = times.max() / times.min()
         ok &= std_ratio < 2.0 and time_ratio < 2.0
-        parts.append(f"{method} std max/min {std_ratio:.2f}, time max/min {time_ratio:.2f} (< 2)")
+        parts.append(
+            f"{method} std max/min {std_ratio:.2f}, interleaved time max/min "
+            f"{time_ratio:.2f} (< 2)"
+        )
     ok &= elapsed < 600.0
     report(5, ok, "; ".join(parts) + f"; runtime {elapsed:.0f}s (< 600s)")
 
@@ -267,7 +274,7 @@ def test_criterion_6_resubstitution_entropy():
             particles=rng.standard_normal((10_000, d)),
             weights=np.full(10_000, 1e-4),
         )
-        estimate = resubstitution_entropy(samples, KdeConfig())
+        estimate = resubstitution_entropy(samples)
         err = abs(estimate - d * GAUSS_ENTROPY_1D)
         ok &= err < 0.15 * d
         parts.append(f"d={d}: |err| {err:.3f} (< {0.15 * d:.2f})")

@@ -79,7 +79,7 @@ class TestEvaluateMethod:
                 direct = {
                     "analytic": augmented_mi_analytic(prior, action, blocks),
                     "naive_kde": naive_kde_augmented_mi(prior, action, n, seed),
-                    "invmi_kde": invmi_kde_augmented_mi(prior, action, blocks, n, seed),
+                    "invmi_kde": invmi_kde_augmented_mi(prior, action, n, seed),
                     "mismc": mismc_direct(action, blocks, seed),
                 }
                 for method, reference in direct.items():

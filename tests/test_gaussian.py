@@ -17,9 +17,9 @@ from augmi import (
     augmented_mi_analytic,
     condition_gaussian,
     determine_involved,
+    generate_scenario,
     joint_state_observation,
     marginalize_gaussian,
-    mi_analytic,
     observation_block_ids,
     sample_particles,
 )
@@ -31,6 +31,7 @@ from conftest import (
     direct_mi_ref,
     gaussian_entropy_ref,
     make_chain_1d,
+    mi_analytic,
     observation_log_density_ref,
     random_instance,
     random_spd,
@@ -136,6 +137,23 @@ class TestAugmentedMi:
             pytest.skip("instance has a single involved block")
         with pytest.raises(FootprintError, match="misses involved"):
             augmented_mi_analytic(prior, action, too_small)
+
+    def test_unknown_subset_block_is_hard_error(self, chain):
+        prior, action = chain
+        with pytest.raises(FootprintError, match=r"unknown blocks \['ghost'\]"):
+            augmented_mi_analytic(prior, action, {"x", "ghost"})
+
+    def test_returns_a_tagged_estimate(self):
+        # the oracle is an estimator like the others: an MiEstimate whose
+        # dim is that of the prior its joint is built on
+        scenario = generate_scenario(30, 1, seed=4)
+        action = scenario.actions[0]
+        blocks = determine_involved(scenario.layout, action).blocks
+        full = augmented_mi_analytic(scenario.prior, action)
+        reduced = augmented_mi_analytic(scenario.prior, action, subset=blocks)
+        assert full.method == reduced.method == "analytic"
+        assert full.sample_counts["dim"] == 30 and reduced.sample_counts["dim"] == 4
+        assert full.elapsed >= 0.0 and reduced.elapsed >= 0.0
 
 
 class TestMiAnalytic:

@@ -15,9 +15,10 @@ from augmi import (
     generate_scenario,
     invmi,
     invmi_kde_augmented_mi,
-    kde_calculator,
+    marginalize_gaussian,
     mismc_calculator,
     mismc_estimate,
+    naive_kde_augmented_mi,
     sample_particles,
 )
 from augmi.involved import CalculatorError
@@ -102,15 +103,16 @@ class TestInvmiDispatch:
         assert via_invmi.value == direct.value
         assert via_invmi.method == "mismc"
 
-    def test_kde_calculator_matches_direct_pipeline(self):
+    def test_invmi_kde_is_naive_kde_on_the_involved_marginal(self):
+        # the reduced KDE pipeline marginalizes onto determine_involved's
+        # blocks itself; that is all that separates it from the naive one
         scenario = generate_scenario(150, 1, seed=11)
         action = scenario.actions[0]
         involved = determine_involved(scenario.layout, action)
-        direct = invmi_kde_augmented_mi(
-            scenario.prior, action, involved.blocks, 300, rng=1234
-        )
-        via_invmi = invmi(scenario.prior, action, kde_calculator(300), rng=1234)
-        assert via_invmi.value == direct.value
+        reduced = marginalize_gaussian(scenario.prior, involved.blocks)
+        est = invmi_kde_augmented_mi(scenario.prior, action, 300, rng=1234)
+        assert est.value == naive_kde_augmented_mi(reduced, action, 300, rng=1234).value
+        assert est.sample_counts["involved_dim"] == involved.dim == 4
 
     def test_gaussian_belief_marginalized_before_calc(self):
         scenario = generate_scenario(60, 1, seed=9)
@@ -138,14 +140,13 @@ class TestInvmiDispatch:
     def test_int_seed_equals_its_generator(self):
         scenario = generate_scenario(30, 1, seed=11)
         action = scenario.actions[0]
-        for calc in (
-            analytic_calculator(),
-            kde_calculator(100),
-            mismc_calculator(SampleBudget(n1=100)),
-        ):
-            seeded = invmi(scenario.prior, action, calc, rng=1234)
-            generated = invmi(scenario.prior, action, calc, rng=np.random.default_rng(1234))
-            assert seeded.value == generated.value
+        runs = [
+            lambda rng: invmi(scenario.prior, action, analytic_calculator(), rng),
+            lambda rng: invmi_kde_augmented_mi(scenario.prior, action, 100, rng),
+            lambda rng: invmi(scenario.prior, action, mismc_calculator(SampleBudget(n1=100)), rng),
+        ]
+        for run in runs:
+            assert run(1234).value == run(np.random.default_rng(1234)).value
 
     def test_planner_backends_return_calculator_value(self):
         scenario = generate_scenario(30, 2, seed=12)

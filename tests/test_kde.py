@@ -5,8 +5,6 @@ import pytest
 
 from augmi import (
     BandwidthError,
-    FootprintError,
-    KdeConfig,
     StateLayout,
     WeightedParticleSet,
     invmi_kde_augmented_mi,
@@ -30,7 +28,7 @@ COUNTED_CALLS = {
     "naive_kde n": ("n", lambda prior, action, v: naive_kde_augmented_mi(prior, action, v)),
     "invmi_kde n": (
         "n",
-        lambda prior, action, v: invmi_kde_augmented_mi(prior, action, {"x"}, v),
+        lambda prior, action, v: invmi_kde_augmented_mi(prior, action, v),
     ),
     "sample_particles n": ("n", lambda prior, action, v: sample_particles(prior, v, 0)),
 }
@@ -48,38 +46,37 @@ def gaussian_sample_set(rng, n, dim=1):
     return particle_set(rng.standard_normal((n, dim)))
 
 
-def kde_log_density(samples, cfg, query) -> float:
+def kde_log_density(samples, query, bandwidth=None) -> float:
     """Log of the weighted Gaussian-kernel mixture at one query point, as
-    the re-substitution entropy evaluates it."""
-    bandwidth = bandwidth_vector(samples.particles, samples.weights, cfg)
+    the re-substitution entropy evaluates it; Scott's bandwidth unless one
+    is given."""
+    if bandwidth is None:
+        bandwidth = bandwidth_vector(samples.particles, samples.weights)
     query = np.atleast_2d(np.asarray(query, dtype=float))
+    bandwidth = np.asarray(bandwidth, dtype=float)
     vals, _clamps = _log_mixture(query, samples.particles, samples.weights, bandwidth)
     return float(vals[0])
 
 
-class TestKdeConfig:
-    def test_fixed_requires_positive_bandwidth(self):
-        with pytest.raises(BandwidthError):
-            KdeConfig(bandwidth_rule="fixed", bandwidth=0.0)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError, match="unknown bandwidth rule"):
-            KdeConfig(bandwidth_rule="epanechnikov")
+def fixed_bandwidth_entropy(samples, bandwidth: float) -> float:
+    """Re-substitution entropy of ``samples`` at one bandwidth for every
+    coordinate."""
+    bandwidth = np.full(samples.particles.shape[1], bandwidth)
+    vals, _clamps = _log_mixture(samples.particles, samples.particles, samples.weights, bandwidth)
+    return -float(samples.weights @ vals)
 
 
 class TestKdeLogDensity:
     def test_single_particle_at_origin(self):
-        cfg = KdeConfig(bandwidth_rule="fixed", bandwidth=1.0)
         samples = particle_set([[0.0]])
-        assert kde_log_density(samples, cfg, [0.0]) == pytest.approx(
+        assert kde_log_density(samples, [0.0], bandwidth=[1.0]) == pytest.approx(
             STD_NORMAL_LOGPDF_MODE, abs=1e-12
         )
 
     def test_one_bandwidth_away(self):
-        cfg = KdeConfig(bandwidth_rule="fixed", bandwidth=0.5)
         samples = particle_set([[0.0]])
-        at_mode = kde_log_density(samples, cfg, [0.0])
-        assert kde_log_density(samples, cfg, [0.5]) == pytest.approx(
+        at_mode = kde_log_density(samples, [0.0], bandwidth=[0.5])
+        assert kde_log_density(samples, [0.5], bandwidth=[0.5]) == pytest.approx(
             at_mode - 0.5, abs=1e-12
         )
 
@@ -87,31 +84,29 @@ class TestKdeLogDensity:
         # analytic density oracle: log N(0; 0, 1) = -0.9189...
         rng = np.random.default_rng(123)
         samples = gaussian_sample_set(rng, 100_000)
-        value = kde_log_density(samples, KdeConfig(), np.zeros(1))
+        value = kde_log_density(samples, np.zeros(1))
         assert abs(value - STD_NORMAL_LOGPDF_MODE) < 0.05
 
     def test_identical_particles_singular_bandwidth(self):
         samples = particle_set([[1.0], [1.0], [1.0]])
         with pytest.raises(BandwidthError, match="singular"):
-            kde_log_density(samples, KdeConfig(), [1.0])
+            kde_log_density(samples, [1.0])
 
 
 class TestResubstitutionEntropy:
     def test_single_particle_fixed_bandwidth(self):
-        cfg = KdeConfig(bandwidth_rule="fixed", bandwidth=1.0)
-        assert resubstitution_entropy(particle_set([[0.0]]), cfg) == pytest.approx(
+        assert fixed_bandwidth_entropy(particle_set([[0.0]]), 1.0) == pytest.approx(
             -STD_NORMAL_LOGPDF_MODE, abs=1e-12
         )
 
     def test_coincident_pair_equals_single(self):
-        cfg = KdeConfig(bandwidth_rule="fixed", bandwidth=1.0)
-        single = resubstitution_entropy(particle_set([[0.5]]), cfg)
-        pair = resubstitution_entropy(particle_set([[0.5], [0.5]]), cfg)
+        single = fixed_bandwidth_entropy(particle_set([[0.5]]), 1.0)
+        pair = fixed_bandwidth_entropy(particle_set([[0.5], [0.5]]), 1.0)
         assert pair == pytest.approx(single, abs=1e-12)
 
     def test_needs_two_particles_for_data_rules(self):
         with pytest.raises(BandwidthError, match="at least 2"):
-            resubstitution_entropy(particle_set([[0.0]]), KdeConfig())
+            resubstitution_entropy(particle_set([[0.0]]))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -120,25 +115,23 @@ class TestResubstitutionEntropy:
         base = particle_set(values, weights)
         perm = rng.permutation(200)
         shuffled = particle_set(values[perm], weights[perm])
-        cfg = KdeConfig()
-        a = resubstitution_entropy(base, cfg)
-        b = resubstitution_entropy(shuffled, cfg)
+        a = resubstitution_entropy(base)
+        b = resubstitution_entropy(shuffled)
         assert b == pytest.approx(a, rel=1e-12)
 
     def test_standard_normal_oracle(self):
         # gaussian_entropy oracle: H[N(0,1)] = 1.4189...
         rng = np.random.default_rng(9)
         samples = gaussian_sample_set(rng, 10_000)
-        value = resubstitution_entropy(samples, KdeConfig())
+        value = resubstitution_entropy(samples)
         assert abs(value - GAUSS_ENTROPY_1D) < 0.1
 
     def test_additivity_under_independence(self):
         rng = np.random.default_rng(10)
         base = rng.standard_normal((10_000, 1))
         extended = np.concatenate([base, rng.standard_normal((10_000, 1))], axis=1)
-        cfg = KdeConfig()
-        h1 = resubstitution_entropy(particle_set(base), cfg)
-        h2 = resubstitution_entropy(particle_set(extended), cfg)
+        h1 = resubstitution_entropy(particle_set(base))
+        h2 = resubstitution_entropy(particle_set(extended))
         assert abs((h2 - h1) - GAUSS_ENTROPY_1D) < 0.15
 
     def test_clamp_events_are_counted(self):
@@ -159,7 +152,7 @@ class TestKdeMiPipelines:
     def test_full_involvement_bit_identical_to_naive(self, chain):
         prior, action = chain
         a = naive_kde_augmented_mi(prior, action, 400, rng=3)
-        b = invmi_kde_augmented_mi(prior, action, {"x"}, 400, rng=3)
+        b = invmi_kde_augmented_mi(prior, action, 400, rng=3)
         assert a.value == b.value
         # one observation draw each, as the traced benchmark's cell count reads
         assert a.sample_counts["z_draws"] == b.sample_counts["z_draws"] == 1
@@ -201,7 +194,7 @@ class TestKdeMiPipelines:
         )
         involved = np.array(
             [
-                invmi_kde_augmented_mi(prior, action, {"x"}, 1500, rng=300 + i).value
+                invmi_kde_augmented_mi(prior, action, 1500, rng=300 + i).value
                 for i in range(20)
             ]
         )
@@ -213,18 +206,17 @@ class TestKdeMiPipelines:
         prior, action = chain
         values = np.array(
             [
-                invmi_kde_augmented_mi(prior, action, {"x"}, 10_000, rng=i).value
+                invmi_kde_augmented_mi(prior, action, 10_000, rng=i).value
                 for i in range(8)
             ]
         )
         assert abs(values.mean() - CHAIN_MI) < 3.0 * values.std(ddof=1)
 
     def test_involved_beats_naive_variance_moderate_dim(self):
-        from augmi import determine_involved, generate_scenario
+        from augmi import generate_scenario
 
         scenario = generate_scenario(40, 1, seed=3)
         action = scenario.actions[0]
-        involved = determine_involved(scenario.layout, action)
         naive = np.array(
             [
                 naive_kde_augmented_mi(scenario.prior, action, 150, rng=i).value
@@ -233,24 +225,20 @@ class TestKdeMiPipelines:
         )
         reduced = np.array(
             [
-                invmi_kde_augmented_mi(
-                    scenario.prior, action, involved.blocks, 150, rng=i
-                ).value
+                invmi_kde_augmented_mi(scenario.prior, action, 150, rng=i).value
                 for i in range(20)
             ]
         )
         assert naive.std(ddof=1) > reduced.std(ddof=1)
 
-    def test_footprint_violation(self, chain):
+    @pytest.mark.parametrize("pipeline", [naive_kde_augmented_mi, invmi_kde_augmented_mi])
+    def test_particle_belief_rejected(self, chain, pipeline):
+        # both pipelines condition the Gaussian exactly, so a particle
+        # belief is refused by type before anything is drawn
         prior, action = chain
-        layout2 = StateLayout.from_dims([("x", 1), ("y", 1)])
-        from augmi import GaussianDensity
-
-        prior2 = GaussianDensity(
-            layout=layout2, mean=np.zeros(2), covariance=np.eye(2)
-        )
-        with pytest.raises(FootprintError, match="misses"):
-            invmi_kde_augmented_mi(prior2, action, {"y"}, 100, rng=0)
+        particles = sample_particles(prior, 50, 0)
+        with pytest.raises(TypeError, match="GaussianDensity"):
+            pipeline(particles, action, 50, rng=0)
 
     @pytest.mark.parametrize("value", [True, 300.0, 2.5])
     @pytest.mark.parametrize("call", sorted(COUNTED_CALLS))

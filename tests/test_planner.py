@@ -17,6 +17,7 @@ from augmi import (
     generate_scenario,
     GaussianDensity,
     joint_state_observation,
+    LinearGaussianModel,
     StateLayout,
     marginalize_gaussian,
     marginalize_particles,
@@ -437,6 +438,58 @@ class TestValidation:
         prior, action = chain
         with pytest.raises(ValueError, match="horizon"):
             solve(prior, [[action], [action]], 3, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+
+    def test_empty_candidate_list_rejected(self, chain):
+        prior, _action = chain
+        with pytest.raises(ValueError, match="non-empty candidate action set"):
+            solve(prior, [], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+
+    def test_empty_step_rejected(self, chain):
+        prior, action = chain
+        with pytest.raises(ValueError, match="empty candidate action set at step 1"):
+            solve(prior, [[action], []], 2, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+
+    def test_candidates_must_agree_on_new_block_dims(self, chain):
+        prior, action = chain
+        wide = Action(
+            id="w",
+            transitions=(
+                LinearGaussianModel(
+                    inputs=("x",), output_dim=2, matrix=[[1.0], [1.0]], noise_cov=np.eye(2)
+                ),
+            ),
+            observations=(
+                (
+                    1,
+                    LinearGaussianModel(
+                        inputs=("a:x1",), output_dim=1, matrix=[[1.0, 0.0]], noise_cov=[[1.0]]
+                    ),
+                ),
+            ),
+            new_ids=("a:x1",),
+        )
+        with pytest.raises(ValueError, match="disagree on dim of new block 'a:x1'"):
+            solve(prior, [action, wide], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+
+    def test_candidates_must_touch_the_prior(self, chain):
+        prior, _action = chain
+        # z reads only the new block, which no prior block feeds: its
+        # involved set is empty, so the union over candidates is never empty
+        source = LinearGaussianModel(
+            inputs=(), output_dim=1, matrix=np.zeros((1, 0)), noise_cov=[[1.0]]
+        )
+        sensor = LinearGaussianModel(
+            inputs=("f:x1",), output_dim=1, matrix=[[1.0]], noise_cov=[[1.0]]
+        )
+        free = Action(id="f", transitions=(source,), observations=((1, sensor),))
+        with pytest.raises(ValueError, match="involved set must be non-empty"):
+            solve(prior, [free], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+
+    @pytest.mark.parametrize("horizon", [0, 2])
+    def test_sequential_mi_direct_horizon_in_range(self, chain, horizon):
+        prior, action = chain
+        with pytest.raises(ValueError, match=f"horizon {horizon} out of range 1..1"):
+            sequential_mi_direct(prior, [action], horizon, BACKEND, rng=0)
 
     @pytest.mark.parametrize("obs_samples", [0, -3])
     def test_obs_samples_below_one_rejected(self, chain, obs_samples):

@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 from augmi import (
     Action,
     LinearGaussianModel,
+    MismcContext,
     SampleBudget,
     WeightedParticleSet,
     determine_involved,
@@ -219,6 +220,13 @@ class TestMismcEstimate:
         means = np.array(means)
         assert abs(means.mean() - neg_h_obs) < 3.0 * means.std(ddof=1)
 
+    def test_action_without_observations_rejected(self, chain):
+        prior, action = chain
+        blind = Action(id="t", transitions=action.transitions)
+        pset = sample_particles(prior, 20, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="'t' has no observations"):
+            MismcContext(pset, blind, SampleBudget(n1=20), np.random.default_rng(1))
+
     def test_budget_must_match_particle_count(self, chain):
         prior, action = chain
         pset = sample_particles(prior, 100, np.random.default_rng(0))
@@ -367,6 +375,14 @@ class TestAnytime:
         ctx = mismc_context(pset, action, SampleBudget(n1=20), rng)
         with pytest.raises(BudgetError, match="additional_n1 must be an integer"):
             mismc_update(ctx.empty_accumulator(), count, ctx)
+
+    def test_rejects_negative_count(self, chain):
+        prior, action = chain
+        rng = np.random.default_rng(12)
+        pset = sample_particles(prior, 20, rng)
+        ctx = mismc_context(pset, action, SampleBudget(n1=20), rng)
+        with pytest.raises(ValueError, match="additional_n1 must be >= 0"):
+            mismc_update(ctx.empty_accumulator(), -1, ctx)
 
     def test_context_mismatch_detected(self, chain):
         prior, action = chain

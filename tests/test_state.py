@@ -111,6 +111,12 @@ class TestMarginalizeParticles:
         with pytest.raises(UnknownBlockError, match="ghost"):
             marginalize_particles(belief, {"ghost"})
 
+    def test_empty_keep_rejected(self):
+        layout = StateLayout.from_dims([("a", 1)])
+        belief = WeightedParticleSet(layout=layout, particles=[[0.0]], weights=[1.0])
+        with pytest.raises(ValueError, match="keep set must be non-empty"):
+            marginalize_particles(belief, iter(()))
+
     def test_marginalization_commutes_exactly(self):
         rng = np.random.default_rng(3)
         layout = StateLayout.from_dims([("a", 2), ("b", 1), ("c", 3)])
@@ -142,6 +148,12 @@ class TestMarginalizeGaussian:
         )
         same = marginalize_gaussian(density, {"a"})
         np.testing.assert_array_equal(same.mean, density.mean)
+
+    def test_empty_keep_rejected(self):
+        layout = StateLayout.from_dims([("a", 1)])
+        density = GaussianDensity(layout=layout, mean=[0.0], covariance=[[1.0]])
+        with pytest.raises(ValueError, match="keep set must be non-empty"):
+            marginalize_gaussian(density, set())
 
     def test_marginal_of_marginal(self):
         # compose-and-compare oracle on a random 10-block density
@@ -394,6 +406,17 @@ class TestAction:
         _prior, a1 = make_chain_1d()
         with pytest.raises(ValueError, match="distinct"):
             compose_actions([a1, a1])
+
+    def test_compose_rejects_an_empty_sequence(self):
+        with pytest.raises(ValueError, match="at least one action"):
+            compose_actions([])
+
+    def test_rejects_duplicate_new_ids(self):
+        model = LinearGaussianModel(
+            inputs=("x",), output_dim=1, matrix=[[1.0]], noise_cov=[[1.0]]
+        )
+        with pytest.raises(ValueError, match="new block ids must be unique"):
+            Action(id="a", transitions=(model, model), new_ids=("n", "n"))
 
 
 class TestSequentialModels:
