@@ -26,11 +26,11 @@ from .bench import (
     run_dimension_sweep,
 )
 from .involved import (
+    AnalyticMiBackend,
     InvolvedSet,
-    analytic_calculator,
+    SmcMiBackend,
     determine_involved,
     invmi,
-    mismc_calculator,
 )
 from .kde import (
     BandwidthError,
@@ -47,12 +47,10 @@ from .mi import (
     MiEstimate,
 )
 from .planner import (
-    AnalyticMiBackend,
     BeliefNode,
     ObjectiveValue,
     REWARD_CONSECUTIVE_MI,
     REWARD_INVOLVED_IG,
-    SmcMiBackend,
     sequential_mi_direct,
     solve,
 )

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .involved import analytic_calculator, determine_involved, invmi, mismc_calculator
+from .involved import AnalyticMiBackend, SmcMiBackend, determine_involved, invmi
 from .kde import invmi_kde_augmented_mi, naive_kde_augmented_mi
 from .mi import (
     ALL_METHODS,
@@ -43,11 +43,11 @@ _METHOD_INDEX = {m: i for i, m in enumerate(ALL_METHODS)}
 # prior with ``n`` particles.  The analytic and mismc calculators go through
 # invmi, which marginalizes onto the action's involved blocks first; the
 # involved-subset KDE pipeline marginalizes itself, and naive_kde runs on the
-# full prior.  The mismc calculator samples the prior particles itself, which
+# full prior.  The SMC calculator samples the prior particles itself, which
 # is input preparation, outside the estimator's elapsed time.
 _METHODS = {
     METHOD_ANALYTIC: lambda prior, action, n, seed: invmi(
-        prior, action, analytic_calculator(), seed
+        prior, action, AnalyticMiBackend(), seed
     ),
     METHOD_NAIVE_KDE: lambda prior, action, n, seed: naive_kde_augmented_mi(
         prior, action, n, rng=seed
@@ -56,7 +56,7 @@ _METHODS = {
         prior, action, n, rng=seed
     ),
     METHOD_MISMC: lambda prior, action, n, seed: invmi(
-        prior, action, mismc_calculator(SampleBudget(n1=n, n4=n)), seed
+        prior, action, SmcMiBackend(SampleBudget(n1=n, n4=n)), seed
     ),
 }
 

@@ -5,11 +5,12 @@ calculator.
 The subset determination is exact syntactic dependency analysis on the
 declared model footprints, never a geometric heuristic; a calculator is an
 opaque callable ``(belief, action, rng) -> MiEstimate`` so the SMC
-estimator and the analytic oracle plug in the same way.  The two stock
-calculators below adapt those estimators to that signature; the bench
-runner calls them through :func:`invmi`, the planner backends directly.  The
-involved-subset KDE pipeline, :func:`augmi.kde.invmi_kde_augmented_mi`,
-marginalizes onto :func:`determine_involved`'s blocks itself.
+estimator and the analytic oracle plug in the same way.  Each of the two has
+one stock calculator below, :class:`AnalyticMiBackend` and
+:class:`SmcMiBackend`; the bench runner calls them through :func:`invmi`,
+the planner on its node beliefs directly.  The involved-subset KDE pipeline,
+:func:`augmi.kde.invmi_kde_augmented_mi`, marginalizes onto
+:func:`determine_involved`'s blocks itself.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from .state import (
     StateLayout,
     WeightedParticleSet,
     _check_rng,
+    _marginalize,
     _prior_footprint,
     ensure_rng,
-    marginalize_gaussian,
-    marginalize_particles,
     sample_particles,
 )
 
@@ -86,10 +86,7 @@ def invmi(
     a d-dimensional problem.  ``rng`` reaches the calculator as given.
     """
     inv = determine_involved(prior_belief.layout, action)
-    if isinstance(prior_belief, WeightedParticleSet):
-        reduced: Belief = marginalize_particles(prior_belief, inv.blocks)
-    else:
-        reduced = marginalize_gaussian(prior_belief, inv.blocks)
+    reduced = _marginalize(prior_belief, inv.blocks)
     try:
         return calc(reduced, action, rng)
     except Exception as exc:
@@ -104,31 +101,36 @@ def invmi(
 # ---------------------------------------------------------------------------
 
 
-def analytic_calculator() -> MiCalculator:
-    """Calculator wrapping the closed-form Gaussian oracle.  It draws nothing
-    from ``rng``, but rejects one of a type the sampling calculators reject."""
+class AnalyticMiBackend:
+    """The closed-form Gaussian oracle as a calculator.  It draws nothing
+    from ``rng`` but rejects one of a type the sampling calculators reject;
+    its values do not depend on the observations, so it is ``exact``."""
 
-    def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
+    exact = True
+
+    def __call__(
+        self, belief: Belief, action: Action, rng: np.random.Generator | int
+    ) -> MiEstimate:
         _check_rng(rng)
         if not isinstance(belief, GaussianDensity):
             raise TypeError("analytic calculator needs a GaussianDensity belief")
         return augmented_mi_analytic(belief, action)
 
-    return calc
 
+class SmcMiBackend:
+    """The sequential Monte Carlo estimator as a calculator.  A particle
+    belief goes in as given; from a Gaussian one it draws the budget's prior
+    particles first, outside the estimate's elapsed time."""
 
-def mismc_calculator(budget: SampleBudget) -> MiCalculator:
-    """Calculator running the sequential Monte Carlo estimator.
+    exact = False
 
-    Accepts a particle belief directly, or a Gaussian belief from which it
-    draws the budget's prior particles first (input preparation, outside
-    the estimate's elapsed time).
-    """
+    def __init__(self, budget: SampleBudget):
+        self.budget = budget
 
-    def calc(belief: Belief, action: Action, rng: np.random.Generator | int) -> MiEstimate:
+    def __call__(
+        self, belief: Belief, action: Action, rng: np.random.Generator | int
+    ) -> MiEstimate:
         rng = ensure_rng(rng)
         if isinstance(belief, GaussianDensity):
-            belief = sample_particles(belief, budget.n1, rng)
-        return mismc_estimate(belief, action, budget, rng)
-
-    return calc
+            belief = sample_particles(belief, self.budget.n1, rng)
+        return mismc_estimate(belief, action, self.budget, rng)

@@ -35,6 +35,10 @@ realized observation values, the analytic backend skips observation
 branching and the two modes agree to numerical precision, which is what the
 tests pin down.  The tree is built once over the union of the candidate
 actions' involved blocks; everything else is marginalized out up front.
+
+A backend is any MI calculator of :mod:`augmi.involved`, such as its
+:class:`AnalyticMiBackend` and :class:`SmcMiBackend` (importable from here
+too); the solver reads each estimate's ``value``.
 """
 
 from __future__ import annotations
@@ -46,24 +50,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic import _condition_on_draw, joint_state_observation
-from .involved import Belief, analytic_calculator, determine_involved, mismc_calculator
-from .smc import SampleBudget
+from .involved import AnalyticMiBackend, SmcMiBackend  # noqa: F401  (re-exported)
+from .involved import Belief, MiCalculator, determine_involved
 from .state import (
     Action,
     GaussianDensity,
     StateLayout,
+    _check_count,
     _derived_rng,
-    _is_count,
+    _marginalize,
     compose_actions,
     ensure_rng,
-    marginalize_gaussian,
-    marginalize_particles,
 )
 
 REWARD_INVOLVED_IG = "involved_ig"
 REWARD_CONSECUTIVE_MI = "consecutive_mi"
-
-MiBackend = Callable[[Belief, Action, np.random.Generator], float]
 
 
 class PlannerError(RuntimeError):
@@ -71,12 +72,12 @@ class PlannerError(RuntimeError):
 
 
 def _estimate(
-    mi_backend: MiBackend, belief: Belief, action: Action,
+    mi_backend: MiCalculator, belief: Belief, action: Action,
     rng: np.random.Generator, path: tuple[str, ...],
 ) -> float:
     """One backend call; a failure raises PlannerError naming the depth, action and path."""
     try:
-        return float(mi_backend(belief, action, rng))
+        return float(mi_backend(belief, action, rng).value)
     except Exception as exc:
         raise PlannerError(
             f"backend failed at depth {len(path)} on action {action.id!r} "
@@ -113,41 +114,6 @@ class ObjectiveValue:
     value: float
     best_sequence: tuple[str, ...]
     root: BeliefNode | None = field(default=None, repr=False, compare=False)
-
-
-class AnalyticMiBackend:
-    """Exact one-step augmented MI from the Gaussian oracle.
-
-    ``exact = True`` tells the solver that rewards are observation-
-    independent, so one propagated child per action suffices.
-    """
-
-    exact = True
-
-    def __call__(
-        self, belief: GaussianDensity, action: Action, rng: np.random.Generator
-    ) -> float:
-        return analytic_calculator()(belief, action, rng).value
-
-
-class SmcMiBackend:
-    """One-step augmented MI via the SMC estimator.
-
-    Draws the budget's prior particles from a Gaussian node belief (a
-    particle belief goes in as given), then runs the estimator.  It is
-    stochastic, so the solver uses ``obs_samples`` branches or estimates per
-    action, as :func:`solve` describes.
-    """
-
-    exact = False
-
-    def __init__(self, budget: SampleBudget):
-        self.budget = budget
-
-    def __call__(
-        self, belief: Belief, action: Action, rng: np.random.Generator
-    ) -> float:
-        return mismc_calculator(self.budget)(belief, action, rng).value
 
 
 def _steps_argument(
@@ -212,7 +178,7 @@ def _plan_involved_union(
 def _root(
     prior: Belief,
     steps: list[list[Action]],
-    mi_backend: MiBackend,
+    mi_backend: MiCalculator,
     obs_samples: int,
     rng: np.random.Generator | int,
     reward_mode: str,
@@ -232,15 +198,11 @@ def _root(
             f"{reward_mode} needs a posterior update after each observation, which only a "
             f"GaussianDensity prior has; got {type(prior).__name__} (use {REWARD_INVOLVED_IG})"
         )
-    if not _is_count(obs_samples):
-        raise ValueError(f"obs_samples must be an integer, got {obs_samples!r}")
-    if obs_samples < 1:
-        raise ValueError(f"obs_samples must be >= 1, got {obs_samples}")
+    _check_count("obs_samples", obs_samples)
     rng = ensure_rng(rng)
     involved = _plan_involved_union(prior.layout, steps)
     if involved != set(prior.layout.ids):
-        gaussian = isinstance(prior, GaussianDensity)
-        prior = (marginalize_gaussian if gaussian else marginalize_particles)(prior, involved)
+        prior = _marginalize(prior, involved)
     exact = bool(getattr(mi_backend, "exact", False))
     branches = 1 if exact else int(obs_samples)
     root_entropy = [int(v) for v in rng.integers(0, 2**63, size=2)]
@@ -252,18 +214,19 @@ def solve(
     actions: Sequence[Action] | Sequence[Sequence[Action]],
     horizon: int,
     reward_mode: str,
-    mi_backend: MiBackend,
+    mi_backend: MiCalculator,
     obs_samples: int = 1,
     rng: np.random.Generator | int = 0,
 ) -> ObjectiveValue:
     """Maximize the expected information objective over action sequences.
 
     ``actions`` is one candidate list per step, or a flat candidate list
-    when ``horizon`` is 1.  ``obs_samples`` is the number of observation
-    branches per action node below the horizon in ``consecutive_mi`` mode
-    and the number of seeded estimates averaged per composed prefix in
-    ``involved_ig`` mode; an exact backend uses 1 in both.  The result's
-    ``root`` is the searched tree; in both modes a node's
+    when ``horizon`` is 1.  ``mi_backend(belief, action, rng)`` returns an
+    ``MiEstimate`` whose ``value`` is the reward.  ``obs_samples`` is the
+    number of observation branches per action node below the horizon in
+    ``consecutive_mi`` mode and the number of seeded estimates averaged per
+    composed prefix in ``involved_ig`` mode; an exact backend uses 1 in
+    both.  The result's ``root`` is the searched tree; in both modes a node's
     ``accumulated_reward`` is the information gained from the root to it,
     and a child at the horizon is a leaf holding no belief, built without a
     joint, a draw or a conditioning.  Ties between equal-valued actions break
@@ -343,7 +306,7 @@ def sequential_mi_direct(
     prior: Belief,
     action_sequence: Sequence[Action],
     horizon: int,
-    mi_backend: MiBackend,
+    mi_backend: MiCalculator,
     obs_samples: int = 1,
     rng: np.random.Generator | int = 0,
 ) -> float:

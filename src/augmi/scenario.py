@@ -236,7 +236,7 @@ def scenario_to_dict(scenario: SlamScenario) -> dict:
 
 def scenario_from_dict(doc: dict) -> SlamScenario:
     try:
-        layout = StateLayout.from_dims((b["id"], int(b["dim"])) for b in doc["blocks"])
+        layout = StateLayout.from_dims((b["id"], b["dim"]) for b in doc["blocks"])
         dim = layout.total_dim
         prior = GaussianDensity(
             layout=layout,
@@ -252,7 +252,7 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
                     for m in a_doc["transitions"]
                 ),
                 observations=tuple(
-                    (int(m["step"]), _model_from_dict(m, f"action {a_doc['id']} observation"))
+                    (m["step"], _model_from_dict(m, f"action {a_doc['id']} observation"))
                     for m in a_doc.get("observations", [])
                 ),
                 new_ids=tuple(a_doc["new_ids"]) if "new_ids" in a_doc else None,

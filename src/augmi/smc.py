@@ -45,6 +45,7 @@ from .state import (
     SequentialTransition,
     WeightedParticleSet,
     _bind_inputs,
+    _check_count,
     _derived_rng,
     _is_count,
     ensure_rng,
@@ -85,11 +86,7 @@ class SampleBudget:
         if self.n4 is None:
             object.__setattr__(self, "n4", self.n1)
         for name in ("n1", "n4"):
-            count = getattr(self, name)
-            if not _is_count(count):
-                raise BudgetError(f"{name} must be an integer, got {count!r}")
-            if count < 1:
-                raise BudgetError(f"{name} must be >= 1, got {count}")
+            _check_count(name, getattr(self, name), BudgetError)
 
 
 @dataclass(frozen=True)

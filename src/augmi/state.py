@@ -73,7 +73,18 @@ def ensure_rng(rng: np.random.Generator | int) -> np.random.Generator:
 
 def _is_count(value) -> bool:
     """Whether ``value`` is an integer count: an ``int`` or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # type() first: layouts check two counts per block, nearly always plain ints
+    return type(value) is int or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    )
+
+
+def _check_count(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an integer count of at least 1."""
+    if not _is_count(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
 
 
 def _derived_rng(root: Sequence[int], spawn_key: tuple[int, ...]) -> np.random.Generator:
@@ -96,10 +107,11 @@ class VariableBlock:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"block {self.id!r}: dim must be >= 1, got {self.dim}")
-        if self.offset < 0:
-            raise ValueError(f"block {self.id!r}: negative offset {self.offset}")
+        _check_count(f"block {self.id!r}: dim", self.dim)
+        if not _is_count(self.offset) or self.offset < 0:
+            raise ValueError(
+                f"block {self.id!r}: offset must be a non-negative integer, got {self.offset!r}"
+            )
 
     @property
     def slice(self) -> slice:
@@ -156,22 +168,24 @@ class StateLayout:
                 return b
         raise UnknownBlockError(f"unknown block id {block_id!r}")
 
-    def indices(self, keep: Iterable[str]) -> np.ndarray:
-        """Flat indices of the given blocks, in layout order."""
+    def _known(self, keep: Iterable[str]) -> set[str]:
+        """``keep`` as a set; an id the layout lacks raises ``UnknownBlockError``."""
         keep = set(keep)
         unknown = keep - set(self.ids)
         if unknown:
             raise UnknownBlockError(f"unknown block ids {sorted(unknown)}")
+        return keep
+
+    def indices(self, keep: Iterable[str]) -> np.ndarray:
+        """Flat indices of the given blocks, in layout order."""
+        keep = self._known(keep)
         return _span_indices((b.offset, b.dim) for b in self.blocks if b.id in keep)
 
     def sublayout(self, keep: Iterable[str]) -> "StateLayout":
         """Layout over the kept blocks, preserving their original order."""
-        keep = set(keep)
+        keep = self._known(keep)
         if not keep:
             raise ValueError("keep set must be non-empty")
-        unknown = keep - set(self.ids)
-        if unknown:
-            raise UnknownBlockError(f"unknown block ids {sorted(unknown)}")
         return StateLayout.from_dims((b.id, b.dim) for b in self.blocks if b.id in keep)
 
     def concat(self, pairs: Iterable[tuple[str, int]]) -> "StateLayout":
@@ -244,12 +258,7 @@ class GaussianDensity:
         object.__setattr__(self, "mean", _checked_mean(self.mean, dim))
         if cov.shape != (dim, dim):
             raise ValueError(f"covariance has shape {cov.shape}, expected ({dim}, {dim})")
-        scale = float(np.abs(cov).max())
-        if not math.isfinite(scale):
-            raise ValueError("covariance must be finite")
-        if np.abs(cov - cov.T).max() > 1e-10 * max(1.0, scale):
-            raise ValueError("covariance is not symmetric (relative tolerance 1e-10)")
-        object.__setattr__(self, "covariance", _frozen_array(0.5 * (cov + cov.T)))
+        object.__setattr__(self, "covariance", _checked_symmetric(cov, "covariance"))
         # the Cholesky factor, once computed; _with_mean siblings share it
         object.__setattr__(self, "_factor", {})
 
@@ -268,6 +277,17 @@ class GaussianDensity:
         sibling = copy.copy(self)
         object.__setattr__(sibling, "mean", _checked_mean(mean, self.dim))
         return sibling
+
+
+def _checked_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
+    """A frozen symmetrized copy of a square matrix that must be finite and
+    symmetric to 1e-10 relative tolerance."""
+    scale = float(np.abs(matrix).max())
+    if not math.isfinite(scale):
+        raise ValueError(f"{name} must be finite")
+    if np.abs(matrix - matrix.T).max() > 1e-10 * max(1.0, scale):
+        raise ValueError(f"{name} is not symmetric (relative tolerance 1e-10)")
+    return _frozen_array(0.5 * (matrix + matrix.T))
 
 
 def _checked_mean(mean, dim: int) -> np.ndarray:
@@ -299,8 +319,7 @@ class LinearGaussianModel:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         noise = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
-        if self.output_dim < 1:
-            raise ValueError("output_dim must be >= 1")
+        _check_count("output_dim", self.output_dim)
         if matrix.shape[0] != self.output_dim:
             raise ValueError(
                 f"matrix has {matrix.shape[0]} rows, expected output_dim={self.output_dim}"
@@ -309,13 +328,8 @@ class LinearGaussianModel:
             raise ValueError("noise_cov shape must be (output_dim, output_dim)")
         if not np.isfinite(matrix).all():
             raise ValueError("matrix must be finite")
-        scale = float(np.abs(noise).max())
-        if not math.isfinite(scale):
-            raise ValueError("noise_cov must be finite")
-        if np.abs(noise - noise.T).max() > 1e-10 * max(1.0, scale):
-            raise ValueError("noise_cov is not symmetric")
+        object.__setattr__(self, "noise_cov", _checked_symmetric(noise, "noise_cov"))
         object.__setattr__(self, "matrix", _frozen_array(matrix))
-        object.__setattr__(self, "noise_cov", _frozen_array(0.5 * (noise + noise.T)))
         # raises NotPositiveDefiniteError: singular noise has no density
         object.__setattr__(self, "noise_chol", cholesky_psd(self.noise_cov))
 
@@ -349,9 +363,10 @@ class Action:
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        object.__setattr__(
-            self, "observations", tuple((int(s), m) for s, m in self.observations)
-        )
+        observations = tuple(self.observations)
+        if not all(_is_count(step) for step, _model in observations):
+            raise ValueError(f"action {self.id!r}: observation steps must be integers")
+        object.__setattr__(self, "observations", tuple((int(s), m) for s, m in observations))
         if not self.transitions:
             raise ValueError(f"action {self.id!r} needs at least one transition")
         if self.new_ids is None:
@@ -517,14 +532,17 @@ def marginalize_gaussian(density: GaussianDensity, keep: Iterable[str]) -> Gauss
     )
 
 
+def _marginalize(belief: WeightedParticleSet | GaussianDensity, keep: Iterable[str]):
+    """The belief's marginal over the kept blocks, by the belief's type."""
+    gaussian = isinstance(belief, GaussianDensity)
+    return (marginalize_gaussian if gaussian else marginalize_particles)(belief, keep)
+
+
 def sample_particles(
     density: GaussianDensity, n: int, rng: np.random.Generator | int
 ) -> WeightedParticleSet:
     """Draw ``n`` i.i.d. samples with uniform weights ``1/n``."""
-    if not _is_count(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count("n", n)
     rng = ensure_rng(rng)
     return WeightedParticleSet(
         layout=density.layout,

@@ -9,14 +9,12 @@ from augmi import (
     SampleBudget,
     SmcMiBackend,
     UnknownBlockError,
-    analytic_calculator,
     augmented_mi_analytic,
     determine_involved,
     generate_scenario,
     invmi,
     invmi_kde_augmented_mi,
     marginalize_gaussian,
-    mismc_calculator,
     mismc_estimate,
     naive_kde_augmented_mi,
     sample_particles,
@@ -89,7 +87,7 @@ class TestInvmiDispatch:
         for _ in range(8):
             prior, action, _involved = random_instance(rng, total_dim=35)
             full = augmented_mi_analytic(prior, action).value
-            reduced = invmi(prior, action, analytic_calculator(), rng)
+            reduced = invmi(prior, action, AnalyticMiBackend(), rng)
             assert abs(reduced.value - full) < 1e-9
             assert reduced.method == "analytic"
 
@@ -99,7 +97,7 @@ class TestInvmiDispatch:
         # fully-involved: invmi's marginalization is the identity
         particles = sample_particles(prior, 200, np.random.default_rng(4))
         direct = mismc_estimate(particles, action, budget, np.random.default_rng(77))
-        via_invmi = invmi(particles, action, mismc_calculator(budget), np.random.default_rng(77))
+        via_invmi = invmi(particles, action, SmcMiBackend(budget), np.random.default_rng(77))
         assert via_invmi.value == direct.value
         assert via_invmi.method == "mismc"
 
@@ -121,9 +119,7 @@ class TestInvmiDispatch:
 
         def probe(belief, act, rng):
             seen["dim"] = belief.dim
-            return augmented_mi_analytic(belief, act).value and analytic_calculator()(
-                belief, act, rng
-            )
+            return AnalyticMiBackend()(belief, act, rng)
 
         invmi(scenario.prior, action, probe, np.random.default_rng(0))
         assert seen["dim"] == 4
@@ -141,27 +137,25 @@ class TestInvmiDispatch:
         scenario = generate_scenario(30, 1, seed=11)
         action = scenario.actions[0]
         runs = [
-            lambda rng: invmi(scenario.prior, action, analytic_calculator(), rng),
+            lambda rng: invmi(scenario.prior, action, AnalyticMiBackend(), rng),
             lambda rng: invmi_kde_augmented_mi(scenario.prior, action, 100, rng),
-            lambda rng: invmi(scenario.prior, action, mismc_calculator(SampleBudget(n1=100)), rng),
+            lambda rng: invmi(scenario.prior, action, SmcMiBackend(SampleBudget(n1=100)), rng),
         ]
         for run in runs:
             assert run(1234).value == run(np.random.default_rng(1234)).value
 
     def test_planner_backends_return_calculator_value(self):
+        # Each backend adds nothing to its estimator: the oracle on the
+        # belief, or the budget's particles sampled from it and then the SMC.
         scenario = generate_scenario(30, 2, seed=12)
         budget = SampleBudget(n1=120)
         for action in scenario.actions:
             exact = AnalyticMiBackend()(scenario.prior, action, np.random.default_rng(5))
-            assert exact == analytic_calculator()(
-                scenario.prior, action, np.random.default_rng(5)
-            ).value
+            oracle = augmented_mi_analytic(scenario.prior, action)
+            assert (exact.value, exact.method) == (oracle.value, oracle.method)
             smc = SmcMiBackend(budget)(scenario.prior, action, np.random.default_rng(6))
-            assert smc == mismc_calculator(budget)(
-                scenario.prior, action, np.random.default_rng(6)
-            ).value
-            # The backend adds nothing to the pipeline it replaced: sample the
-            # budget's particles from the belief, then estimate.
             rng = np.random.default_rng(6)
             particles = sample_particles(scenario.prior, budget.n1, rng)
-            assert smc == mismc_estimate(particles, action, budget, rng).value
+            direct = mismc_estimate(particles, action, budget, rng)
+            assert (smc.value, smc.method) == (direct.value, direct.method)
+            assert smc.sample_counts == direct.sample_counts

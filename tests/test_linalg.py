@@ -16,13 +16,11 @@ from augmi import (
     ScenarioError,
     SmcMiBackend,
     StateLayout,
-    analytic_calculator,
     augmented_mi_analytic,
     condition_gaussian,
     generate_scenario,
     invmi,
     load_scenario,
-    mismc_calculator,
     sample_particles,
     scenario_to_dict,
     solve,
@@ -168,7 +166,7 @@ class TestSingularInputs:
     @pytest.mark.parametrize("eps", SINGULAR_EPS)
     @pytest.mark.parametrize(
         "calc",
-        [analytic_calculator(), mismc_calculator(SampleBudget(n1=20))],
+        [AnalyticMiBackend(), SmcMiBackend(SampleBudget(n1=20))],
         ids=["analytic", "mismc"],
     )
     def test_invmi_raises_with_cause(self, eps, calc):

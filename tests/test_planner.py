@@ -115,7 +115,7 @@ class TestRewardModeEquivalence:
                             if a.id == action_id
                         ),
                         np.random.default_rng(0),
-                    )
+                    ).value
                     assert child.accumulated_reward == pytest.approx(
                         node.accumulated_reward + edge, abs=1e-9
                     )
@@ -127,7 +127,7 @@ class TestRewardModeEquivalence:
 class TestConsecutiveMi:
     def test_chain_step(self, chain):
         prior, action = chain
-        value = BACKEND(prior, action, np.random.default_rng(0))
+        value = BACKEND(prior, action, np.random.default_rng(0)).value
         assert value == pytest.approx(CHAIN_MI, abs=1e-12)
 
     def test_uninformative_step(self):
@@ -139,7 +139,7 @@ class TestConsecutiveMi:
             inputs=(), output_dim=1, matrix=np.zeros((1, 0)), noise_cov=[[0.4]]
         )
         blind = Action(id="a", transitions=action.transitions, observations=((1, free_obs),))
-        value = BACKEND(prior, blind, np.random.default_rng(0))
+        value = BACKEND(prior, blind, np.random.default_rng(0)).value
         joint = joint_state_observation(prior, Action(id="t", transitions=action.transitions))
         h_new_given_x = gaussian_entropy_ref(joint) - gaussian_entropy_ref(prior)
         assert value == pytest.approx(-h_new_given_x, abs=1e-9)
@@ -149,7 +149,7 @@ class TestConsecutiveMi:
         backend = SmcMiBackend(SampleBudget(n1=1500))
         values = np.array(
             [
-                backend(prior, action, np.random.default_rng(100 + i))
+                backend(prior, action, np.random.default_rng(100 + i)).value
                 for i in range(15)
             ]
         )
@@ -330,9 +330,9 @@ class TestInvolvedIgTree:
             exact = False
 
             def __call__(self, belief, action, rng):
-                value = smc(belief, action, rng)
-                values[action.id].append(value)
-                return value
+                estimate = smc(belief, action, rng)
+                values[action.id].append(estimate.value)
+                return estimate
 
         result = solve(prior, steps, 3, REWARD_INVOLVED_IG, Recording(), obs_samples=3, rng=2)
         best, best_seq = -np.inf, None

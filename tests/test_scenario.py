@@ -113,6 +113,17 @@ class TestSerialization:
         with pytest.raises(ScenarioError, match="malformed"):
             scenario_from_dict({"blocks": [{"id": "a", "dim": 2}]})
 
+    def test_non_integer_dim_or_step_is_malformed(self):
+        # Truncated, 2.9 would read as dim 2 and 1.5 as step 1, and load.
+        scenario = generate_scenario(16, 1, seed=7)
+        bad_dim = scenario_to_dict(scenario)
+        bad_dim["blocks"][0]["dim"] += 0.9
+        bad_step = scenario_to_dict(scenario)
+        bad_step["actions"][0]["observations"][0]["step"] += 0.5
+        for doc in (bad_dim, bad_step):
+            with pytest.raises(ScenarioError, match="malformed.*integer"):
+                scenario_from_dict(doc)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot load"):
             load_scenario(tmp_path / "absent.json")

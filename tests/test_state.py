@@ -65,6 +65,15 @@ class TestLayout:
         with pytest.raises(ValueError, match="dim"):
             VariableBlock("a", 0, 0)
 
+    def test_rejects_non_integer_dims_and_offsets(self):
+        # A float or bool count would be truncated or read as 1 downstream.
+        for dim in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match="integer"):
+                StateLayout.from_dims([("x", dim)])
+        with pytest.raises(ValueError, match="integer"):
+            VariableBlock("x", 0.0, 1)
+        assert StateLayout.from_dims([("x", np.int64(2))]).total_dim == 2
+
     def test_unknown_block_named_in_error(self):
         layout = StateLayout.from_dims([("a", 1)])
         with pytest.raises(UnknownBlockError, match="nope"):
@@ -290,6 +299,13 @@ class TestLinearGaussianModelValidation:
                 inputs=("x",), output_dim=1, matrix=[[1.0]], noise_cov=[[bad]]
             )
 
+    def test_rejects_a_non_integer_output_dim(self):
+        for output_dim in (1.0, np.float64(1.0), True):
+            with pytest.raises(ValueError, match="output_dim must be an integer"):
+                LinearGaussianModel(
+                    inputs=("x",), output_dim=output_dim, matrix=[[1.0]], noise_cov=[[1.0]]
+                )
+
 
 def log_density(model: LinearGaussianModel, inputs, output) -> float:
     """log N(output; matrix @ inputs, noise_cov) through the sequential
@@ -374,6 +390,16 @@ class TestAction:
         )
         with pytest.raises(ValueError, match="out of range"):
             Action(id="a", transitions=(model,), observations=((2, model),))
+
+    def test_rejects_a_non_integer_observation_step(self):
+        model = LinearGaussianModel(
+            inputs=("x",), output_dim=1, matrix=[[1.0]], noise_cov=[[1.0]]
+        )
+        for step in (1.9, 1.0, True):
+            with pytest.raises(ValueError, match="observation steps must be integers"):
+                Action(id="a", transitions=(model,), observations=((step, model),))
+        action = Action(id="a", transitions=(model,), observations=((np.int64(1), model),))
+        assert type(action.observations[0][0]) is int
 
     def test_dangling_reference(self):
         layout = StateLayout.from_dims([("x", 1)])
