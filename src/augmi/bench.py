@@ -1,18 +1,23 @@
 """Benchmark experiments over generated scenarios, with CSV output.
 
 Everything is reproducible from (configuration, seed): per-trial seeds are
-derived from (experiment seed, method, action, trial [, dimension]), so the
+derived from (experiment seed, [dimension,] method, action, trial), so the
 emitted estimates are independent of trial scheduling and method subsets.
 Timing is monotonic wall time around the estimator call alone.
+
+:class:`ResultRow`'s fields are the CSV schema: the header, the row writer
+and :func:`read_csv` all follow them.  Lines are written by ``csv.writer``,
+so a field is quoted only when it holds a comma, a quote or a line break.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -30,14 +35,6 @@ from .scenario import SlamScenario, generate_scenario
 from .smc import SampleBudget
 
 log = logging.getLogger(__name__)
-
-CSV_HEADER = (
-    "method,action_id,trial,dim_full,dim_involved,n_particles,"
-    "mi_estimate,elapsed_ns,seed"
-)
-
-_METHOD_INDEX = {m: i for i, m in enumerate(ALL_METHODS)}
-
 
 # Per method: one run ``(prior, action, n, seed) -> MiEstimate`` on the full
 # prior with ``n`` particles.  The analytic and mismc calculators go through
@@ -80,6 +77,11 @@ class ResultRow:
             raise ValueError("mi_estimate must be finite")
         if self.elapsed_ns < 0:
             raise ValueError("elapsed_ns must be >= 0")
+
+
+# column name -> type, in field order
+_COLUMNS = get_type_hints(ResultRow)
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _trial_seed(seed: int, spawn_key: tuple[int, ...]) -> int:
@@ -129,44 +131,46 @@ def result_row(
     )
 
 
-def _ordered_methods(methods: Iterable[str]) -> list[str]:
+def _run_scenario(
+    scenario: SlamScenario,
+    methods: Iterable[str],
+    n_particles: int,
+    trials: int,
+    seed: int,
+    failures: list[str] | None,
+    key: tuple[int, ...] = (),
+) -> list[ResultRow]:
+    """One row per trial of each method on each of the scenario's actions.
+
+    The analytic method runs once (trial 0).  Trial seeds derive from ``key
+    + (method index, action index, trial)``; ``key`` holds the sweep's
+    dimension, if any.  An estimator failure is recorded in ``failures``, or
+    logged when ``failures`` is None, and the run continues.
+    """
     methods = set(methods)
     unknown = methods - set(ALL_METHODS)
     if unknown:
         raise ValueError(f"unknown methods {sorted(unknown)}; choose from {ALL_METHODS}")
-    return [m for m in ALL_METHODS if m in methods]
-
-
-def _run_trials(
-    rows: list[ResultRow],
-    failures: list[str] | None,
-    label: str,
-    scenario: SlamScenario,
-    action_id: str,
-    method: str,
-    n_particles: int,
-    trials: int,
-    seed: int,
-    seed_key: tuple,
-) -> None:
-    """Append one row per trial of ``method`` on one action.
-
-    The analytic method is deterministic and runs once (trial 0); trial
-    seeds derive from ``seed_key + (trial,)``.  An estimator failure is
-    recorded in ``failures`` under ``label``, or logged when ``failures`` is
-    None, and the run continues.
-    """
-    for trial in range(1 if method == METHOD_ANALYTIC else trials):
-        trial_seed = _trial_seed(seed, (*seed_key, trial))
-        try:
-            est = evaluate_method(scenario, action_id, method, n_particles, trial_seed)
-            rows.append(result_row(est, scenario, action_id, trial, n_particles, trial_seed))
-        except Exception as exc:  # noqa: BLE001 - record and continue
-            message = f"{label}/trial {trial}: {exc}"
-            if failures is None:
-                log.warning("estimator failure: %s", message)
-            else:
-                failures.append(message)
+    label = "".join(f"dim {dim}/" for dim in key)
+    rows: list[ResultRow] = []
+    for m_idx, method in enumerate(ALL_METHODS):
+        if method not in methods:
+            continue
+        for a_idx, action in enumerate(scenario.actions):
+            for trial in range(1 if method == METHOD_ANALYTIC else trials):
+                trial_seed = _trial_seed(seed, (*key, m_idx, a_idx, trial))
+                try:
+                    est = evaluate_method(scenario, action.id, method, n_particles, trial_seed)
+                    rows.append(
+                        result_row(est, scenario, action.id, trial, n_particles, trial_seed)
+                    )
+                except Exception as exc:  # noqa: BLE001 - record and continue
+                    message = f"{label}{method}/{action.id}/trial {trial}: {exc}"
+                    if failures is None:
+                        log.warning("estimator failure: %s", message)
+                    else:
+                        failures.append(message)
+    return rows
 
 
 def run_actions_experiment(
@@ -184,15 +188,7 @@ def run_actions_experiment(
     Estimator failures are recorded in ``failures`` (logged when it is
     None); the run continues.
     """
-    rows: list[ResultRow] = []
-    for method in _ordered_methods(methods):
-        m_idx = _METHOD_INDEX[method]
-        for a_idx, action in enumerate(scenario.actions):
-            _run_trials(
-                rows, failures, f"{method}/{action.id}", scenario, action.id, method,
-                n_particles, trials, seed, (m_idx, a_idx),
-            )
-    return rows
+    return _run_scenario(scenario, methods, n_particles, trials, seed, failures)
 
 
 def run_dimension_sweep(
@@ -211,7 +207,7 @@ def run_dimension_sweep(
     dimension sweeps.
     """
     dims = list(dims)
-    if dims != sorted(dims) or len(set(dims)) != len(dims):
+    if dims != sorted(set(dims)):
         raise ValueError("dims must be strictly ascending")
     rows: list[ResultRow] = []
     for dim in dims:
@@ -221,12 +217,7 @@ def run_dimension_sweep(
             correlation_strength=correlation_strength,
             seed=_trial_seed(seed, (dim,)) % (2**31),
         )
-        action = scenario.actions[0]
-        for method in _ordered_methods(methods):
-            _run_trials(
-                rows, failures, f"dim {dim}/{method}", scenario, action.id, method,
-                n_particles, trials, seed, (dim, _METHOD_INDEX[method], 0),
-            )
+        rows += _run_scenario(scenario, methods, n_particles, trials, seed, failures, (dim,))
     return rows
 
 
@@ -236,19 +227,14 @@ def zero_elapsed(rows: Iterable[ResultRow]) -> list[ResultRow]:
 
 
 def format_row(row: ResultRow) -> str:
-    return ",".join(
-        (
-            row.method,
-            row.action_id,
-            str(row.trial),
-            str(row.dim_full),
-            str(row.dim_involved),
-            str(row.n_particles),
-            f"{row.mi_estimate:.17g}",
-            str(row.elapsed_ns),
-            str(row.seed),
-        )
+    """One row as a CSV line, without its line end; 17-digit floats."""
+    line = io.StringIO()
+    # A "\r\n" line end makes the writer quote a field holding either character.
+    csv.writer(line, lineterminator="\r\n").writerow(
+        f"{getattr(row, name):.17g}" if kind is float else str(getattr(row, name))
+        for name, kind in _COLUMNS.items()
     )
+    return line.getvalue()[:-2]
 
 
 def emit_csv(rows: Iterable[ResultRow], path: str | Path) -> None:
@@ -264,20 +250,8 @@ def emit_csv(rows: Iterable[ResultRow], path: str | Path) -> None:
 
 def read_csv(path: str | Path) -> list[ResultRow]:
     """Parse a result CSV back into rows (exact float round-trip)."""
-    rows = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for record in csv.DictReader(handle):
-            rows.append(
-                ResultRow(
-                    method=record["method"],
-                    action_id=record["action_id"],
-                    trial=int(record["trial"]),
-                    dim_full=int(record["dim_full"]),
-                    dim_involved=int(record["dim_involved"]),
-                    n_particles=int(record["n_particles"]),
-                    mi_estimate=float(record["mi_estimate"]),
-                    elapsed_ns=int(record["elapsed_ns"]),
-                    seed=int(record["seed"]),
-                )
-            )
-    return rows
+        return [
+            ResultRow(**{name: kind(record[name]) for name, kind in _COLUMNS.items()})
+            for record in csv.DictReader(handle)
+        ]

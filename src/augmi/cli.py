@@ -7,6 +7,9 @@ Subcommands::
     augmi scenario generate
     augmi mi eval          one estimator, one action, one seed -> CSV row
 
+An option that several subcommands share is declared once.  Counts must
+be at least 1 and ``--seed`` non-negative.
+
 Exit codes: 0 success, 1 usage error, 2 estimator or scenario error.
 """
 
@@ -96,32 +99,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="augmi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    bench = sub.add_parser("bench", help="run benchmark experiments")
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    actions = bench_sub.add_parser("actions", help="action-comparison experiment")
-    actions.add_argument("--scenario", help="scenario JSON file")
-    actions.add_argument("--generate", help="inline scenario spec, e.g. D=150,actions=4")
-    actions.add_argument("--methods", required=True)
-    actions.add_argument("--particles", type=int, default=300)
-    actions.add_argument("--trials", type=int, default=100)
-    actions.add_argument("--seed", type=int, required=True)
-    actions.add_argument("--out", required=True)
-    actions.add_argument(
+    # The options of every estimator run, and those of both experiments.
+    estimator = argparse.ArgumentParser(add_help=False)
+    estimator.add_argument("--particles", type=int, default=300)
+    estimator.add_argument("--seed", type=int, required=True)
+    experiment = argparse.ArgumentParser(add_help=False, parents=[estimator])
+    experiment.add_argument("--methods", required=True)
+    experiment.add_argument("--trials", type=int, default=100)
+    experiment.add_argument("--out", required=True)
+    experiment.add_argument(
         "--zero-elapsed",
         action="store_true",
         help="zero the elapsed_ns column for byte-reproducible output",
     )
 
-    dims = bench_sub.add_parser("dims", help="dimension-sweep experiment")
+    bench = sub.add_parser("bench", help="run benchmark experiments")
+    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
+
+    actions = bench_sub.add_parser(
+        "actions", parents=[experiment], help="action-comparison experiment"
+    )
+    actions.add_argument("--scenario", help="scenario JSON file")
+    actions.add_argument("--generate", help="inline scenario spec, e.g. D=150,actions=4")
+    actions.set_defaults(handler=_cmd_bench_actions)
+
+    dims = bench_sub.add_parser("dims", parents=[experiment], help="dimension-sweep experiment")
     dims.add_argument("--dims", required=True, help="comma list, ascending, e.g. 10,50,100,150")
-    dims.add_argument("--methods", required=True)
-    dims.add_argument("--particles", type=int, default=300)
-    dims.add_argument("--trials", type=int, default=100)
-    dims.add_argument("--seed", type=int, required=True)
-    dims.add_argument("--out", required=True)
     dims.add_argument("--correlation", type=float, default=0.3)
-    dims.add_argument("--zero-elapsed", action="store_true")
+    dims.set_defaults(handler=_cmd_bench_dims)
 
     scenario = sub.add_parser("scenario", help="scenario tooling")
     scenario_sub = scenario.add_subparsers(dest="scenario_command", required=True)
@@ -132,24 +137,25 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.add_argument("--correlation", type=float, default=0.3)
     gen.add_argument("--sensing-range", type=float, default=25.0)
+    gen.set_defaults(handler=_cmd_scenario_generate)
 
     mi = sub.add_parser("mi", help="single MI evaluations")
     mi_sub = mi.add_subparsers(dest="mi_command", required=True)
-    ev = mi_sub.add_parser("eval", help="evaluate one method on one action")
+    ev = mi_sub.add_parser("eval", parents=[estimator], help="evaluate one method on one action")
     ev.add_argument("--scenario", required=True)
     ev.add_argument("--action", required=True)
     ev.add_argument("--method", required=True)
-    ev.add_argument("--particles", type=int, default=300)
-    ev.add_argument("--seed", type=int, required=True)
+    ev.set_defaults(handler=_cmd_mi_eval)
 
     return parser
 
 
 def _check_counts(args) -> None:
-    """Reject a count option below 1; a command checks only the counts it has."""
-    for name in ("particles", "trials"):
-        if getattr(args, name, 1) < 1:
-            raise UsageError(f"--{name} must be at least 1, got {getattr(args, name)}")
+    """Reject a count option below 1 and a seed below 0; a command checks
+    only the options it has."""
+    for name, least in (("particles", 1), ("trials", 1), ("seed", 0)):
+        if getattr(args, name, least) < least:
+            raise UsageError(f"--{name} must be at least {least}, got {getattr(args, name)}")
 
 
 def _load_or_generate(args) -> "SlamScenario":
@@ -162,7 +168,6 @@ def _load_or_generate(args) -> "SlamScenario":
 
 
 def _cmd_bench_actions(args) -> int:
-    _check_counts(args)
     scenario = _load_or_generate(args)
     failures: list[str] = []
     rows = run_actions_experiment(
@@ -177,7 +182,6 @@ def _cmd_bench_actions(args) -> int:
 
 
 def _cmd_bench_dims(args) -> int:
-    _check_counts(args)
     try:
         dims = [int(v) for v in args.dims.split(",") if v.strip()]
     except ValueError:
@@ -223,7 +227,6 @@ def _cmd_scenario_generate(args) -> int:
 
 
 def _cmd_mi_eval(args) -> int:
-    _check_counts(args)
     method = _method_tag(args.method)
     scenario = load_scenario(args.scenario)
     est = evaluate_method(scenario, args.action, method, args.particles, args.seed)
@@ -234,18 +237,10 @@ def _cmd_mi_eval(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "bench" and args.bench_command == "actions":
-            return _cmd_bench_actions(args)
-        if args.command == "bench" and args.bench_command == "dims":
-            return _cmd_bench_dims(args)
-        if args.command == "scenario" and args.scenario_command == "generate":
-            return _cmd_scenario_generate(args)
-        if args.command == "mi" and args.mi_command == "eval":
-            return _cmd_mi_eval(args)
-        raise UsageError(f"unhandled command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        _check_counts(args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

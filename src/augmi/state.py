@@ -60,9 +60,12 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 
 def _check_rng(rng) -> None:
-    """Raise ``TypeError`` unless ``rng`` is a numpy Generator or an integer seed."""
+    """Raise ``TypeError`` unless ``rng`` is a numpy Generator or an integer
+    seed, and ``ValueError`` for a negative seed, as numpy does."""
     if not isinstance(rng, (np.random.Generator, int, np.integer)):
         raise TypeError(f"expected numpy Generator or int seed, got {type(rng).__name__}")
+    if not isinstance(rng, np.random.Generator) and rng < 0:
+        raise ValueError(f"expected non-negative integer seed, got {rng}")
 
 
 def ensure_rng(rng: np.random.Generator | int) -> np.random.Generator:

@@ -63,6 +63,13 @@ class TestEvaluateMethod:
         assert isinstance(error, TypeError)
         assert str(error) == f"expected numpy Generator or int seed, got {type(bad_rng).__name__}"
 
+    @pytest.mark.parametrize("method", ["analytic", "naive_kde", "invmi_kde", "mismc"])
+    def test_every_method_rejects_a_negative_seed(self, small_scenario, method):
+        with pytest.raises((ValueError, CalculatorError)) as info:
+            evaluate_method(small_scenario, "a1", method, 50, -2)
+        error = info.value if isinstance(info.value, ValueError) else info.value.__cause__
+        assert str(error) == "expected non-negative integer seed, got -2"
+
     def test_matches_direct_pipelines(self, small_scenario):
         """The method table adds nothing: each method's value is bit for bit
         the one its pipeline gives when called directly."""
@@ -145,6 +152,10 @@ class TestActionsExperiment:
         picked = [r for r in all_rows if r.method == "mismc"]
         assert [r.mi_estimate for r in picked] == [r.mi_estimate for r in only]
 
+    def test_rejects_an_unknown_method(self, small_scenario):
+        with pytest.raises(ValueError, match=r"unknown methods \['magic'\]"):
+            run_actions_experiment(small_scenario, {"mismc", "magic"}, 40, trials=1, seed=1)
+
     def test_failures_recorded_and_run_continues(self, small_scenario, monkeypatch):
         import augmi.bench as bench
 
@@ -176,6 +187,18 @@ class TestDimensionSweep:
         mismc_rows = [r for r in rows if r.method == "mismc"]
         assert len(mismc_rows) == 2 * 2
 
+    def test_failure_names_dim_method_action_and_trial(self, monkeypatch):
+        import augmi.bench as bench
+
+        def broken(scenario, action_id, method, n, seed):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(bench, "evaluate_method", broken)
+        failures = []
+        rows = bench.run_dimension_sweep([10], {"mismc"}, 40, trials=1, seed=5, failures=failures)
+        assert rows == []
+        assert failures == ["dim 10/mismc/a1/trial 0: synthetic failure"]
+
     def test_rejects_unsorted_dims(self):
         with pytest.raises(ValueError, match="ascending"):
             run_dimension_sweep([50, 10], {"analytic"}, 50, trials=1, seed=0)
@@ -194,6 +217,27 @@ class TestCsv:
         parsed = read_csv(path)
         key = lambda r: (r.method, r.action_id, r.trial)
         assert sorted(parsed, key=key) == sorted(rows, key=key)
+
+    def test_unwritable_path_names_it(self, tmp_path):
+        with pytest.raises(OSError, match="cannot write CSV to"):
+            emit_csv([], tmp_path)
+
+    def test_header_is_the_row_fields(self):
+        assert CSV_HEADER == (
+            "method,action_id,trial,dim_full,dim_involved,n_particles,mi_estimate,elapsed_ns,seed"
+        )
+
+    @pytest.mark.parametrize("action_id", ["a,1", 'a"1', "a\n1", "a\r1"])
+    def test_ids_that_need_quoting_round_trip(self, tmp_path, action_id):
+        rows = [
+            ResultRow("mismc", action_id, 0, 20, 4, 40, 0.25, 0, 7),
+            ResultRow("mismc", "a2", 1, 20, 4, 40, -1.5, 3, 8),
+        ]
+        path = tmp_path / "quoted.csv"
+        emit_csv(rows, path)
+        assert read_csv(path) == rows
+        # only the field that needs it is quoted
+        assert path.read_bytes().endswith(b"\nmismc,a2,1,20,4,40,-1.5,3,8\n")
 
     def test_empty_rows_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -229,6 +273,10 @@ class TestCsv:
                 elapsed_ns=0,
                 seed=0,
             )
+
+    def test_rejects_negative_elapsed(self):
+        with pytest.raises(ValueError, match="elapsed_ns must be >= 0"):
+            ResultRow("mismc", "a", 0, 1, 1, 1, 0.0, -1, 0)
 
     def test_zero_elapsed_reproducibility(self, tmp_path, small_scenario):
         out1 = tmp_path / "r1.csv"

@@ -1,10 +1,12 @@
+import csv
+import json
 import subprocess
 import sys
 from typing import NamedTuple
 
 import pytest
 
-from augmi import load_scenario, read_csv
+from augmi import generate_scenario, load_scenario, read_csv, scenario_to_dict
 from augmi.cli import main
 
 
@@ -121,6 +123,26 @@ class TestMiEval:
         assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("bench", "actions", "--generate", "D=20,actions=1", "--methods", "analytic"),
+        ("bench", "dims", "--dims", "10", "--methods", "analytic"),
+        ("scenario", "generate", "--dim", "20"),
+        ("mi", "eval", "--scenario", "s.json", "--action", "a1", "--method", "analytic"),
+    ],
+    ids=["bench-actions", "bench-dims", "scenario-generate", "mi-eval"],
+)
+def test_negative_seed_is_a_usage_error(run_cli, tmp_path, args):
+    out = tmp_path / "out"
+    out_args = () if args[0] == "mi" else ("--out", str(out))  # mi eval prints its row
+    proc = run_cli(*args, "--seed", "-1", *out_args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage error: --seed must be at least 0, got -1")
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 class TestBench:
     def test_actions_with_generated_scenario(self, run_cli, tmp_path):
         out = tmp_path / "rows.csv"
@@ -133,6 +155,34 @@ class TestBench:
         rows = read_csv(out)
         assert len(rows) == 2 * (1 + 2 * 2)
         assert {r.method for r in rows} == {"analytic", "invmi_kde", "mismc"}
+
+    def test_actions_with_a_scenario_file_and_an_id_that_needs_quoting(self, run_cli, tmp_path):
+        # An id holding a comma is quoted; unquoted, its rows would carry one
+        # field too many.
+        doc = scenario_to_dict(generate_scenario(20, 1, seed=4))
+        (action,) = doc["actions"]
+        action.update(id="a,1", new_ids=["p"])
+        action["observations"][0]["inputs"][0] = "p"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "rows.csv"
+        proc = run_cli(
+            "bench", "actions", "--scenario", str(path), "--methods", "analytic,mismc",
+            "--particles", "40", "--trials", "2", "--seed", "1", "--out", str(out),
+            "--zero-elapsed",
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = read_csv(out)
+        assert [(r.method, r.action_id) for r in rows] == [
+            ("analytic", "a,1"), ("mismc", "a,1"), ("mismc", "a,1")
+        ]
+        proc = run_cli(
+            "mi", "eval", "--scenario", str(path), "--action", "a,1",
+            "--method", "analytic", "--seed", "1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, row = csv.reader(proc.stdout.splitlines())
+        assert len(row) == len(header) and row[1] == "a,1"
 
     def test_dims_subcommand(self, run_cli, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -217,6 +267,16 @@ class TestBench:
              "--dims must be strictly ascending"),
             (("dims", "--dims", "10,10", "--methods", "mismc"),
              "--dims must be strictly ascending"),
+            (("actions", "--generate", "D", "--methods", "analytic"),
+             "bad --generate item 'D', expected key=value"),
+            (("actions", "--generate", "D=20,speed=3", "--methods", "analytic"),
+             "unknown --generate key 'speed'"),
+            (("actions", "--generate", "actions=2", "--methods", "analytic"),
+             "--generate needs at least D=<dim>"),
+            (("actions", "--generate", "D=20", "--methods", ","),
+             "--methods must name at least one method"),
+            (("actions", "--generate", "D=20", "--methods", "analytic", "--particles", "x"),
+             "argument --particles: invalid int value: 'x'"),
         ],
     )
     def test_malformed_values_are_usage_errors(self, tmp_path, run_cli, args, message):

@@ -308,6 +308,12 @@ class TestMiDecompositionAndConditioning:
         with pytest.raises(ValueError, match="mean has shape"):
             first._with_mean([0.0, 0.0])
 
+    def test_conditioning_on_every_block_is_rejected(self):
+        layout = StateLayout.from_dims([("a", 1), ("z", 1)])
+        joint = GaussianDensity(layout=layout, mean=np.zeros(2), covariance=np.eye(2))
+        with pytest.raises(ValueError, match="conditioning on every block leaves nothing"):
+            condition_gaussian(joint, {"a", "z"}, [0.0, 0.0])
+
     def test_condition_on_independent_block_is_marginal(self):
         layout = StateLayout.from_dims([("a", 2), ("z", 1)])
         cov = np.diag([1.0, 2.0, 3.0])

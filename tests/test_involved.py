@@ -144,6 +144,16 @@ class TestInvmiDispatch:
         for run in runs:
             assert run(1234).value == run(np.random.default_rng(1234)).value
 
+    def test_analytic_backend_rejects_what_it_cannot_use(self, chain):
+        # A particle belief has no covariance to read, and a negative seed is
+        # one numpy refuses, though the oracle draws nothing from it.
+        prior, action = chain
+        particles = sample_particles(prior, 10, np.random.default_rng(0))
+        with pytest.raises(TypeError, match="analytic calculator needs a GaussianDensity belief"):
+            AnalyticMiBackend()(particles, action, 0)
+        with pytest.raises(ValueError, match="expected non-negative integer seed, got -2"):
+            AnalyticMiBackend()(prior, action, -2)
+
     def test_planner_backends_return_calculator_value(self):
         # Each backend adds nothing to its estimator: the oracle on the
         # belief, or the budget's particles sampled from it and then the SMC.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from augmi import (
+    Action,
     BandwidthError,
     StateLayout,
     WeightedParticleSet,
@@ -239,6 +240,14 @@ class TestKdeMiPipelines:
         particles = sample_particles(prior, 50, 0)
         with pytest.raises(TypeError, match="GaussianDensity"):
             pipeline(particles, action, 50, rng=0)
+
+    @pytest.mark.parametrize("pipeline", [naive_kde_augmented_mi, invmi_kde_augmented_mi])
+    def test_action_without_observations_rejected(self, chain, pipeline):
+        # there is nothing to condition the posterior on
+        prior, action = chain
+        silent = Action(id="t", transitions=action.transitions)
+        with pytest.raises(ValueError, match="action 't' has no observations to condition on"):
+            pipeline(prior, silent, 50, rng=0)
 
     @pytest.mark.parametrize("value", [True, 300.0, 2.5])
     @pytest.mark.parametrize("call", sorted(COUNTED_CALLS))

@@ -1,8 +1,15 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from augmi import (
+    Action,
     augmented_mi_analytic,
+    compose_actions,
     determine_involved,
     generate_scenario,
     load_scenario,
@@ -68,6 +75,20 @@ class TestGeneration:
         with pytest.raises(ScenarioError, match="landmarks"):
             generate_scenario(10, 40, seed=0)
 
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"n_actions": 0}, "n_actions must be >= 1"),
+            ({"correlation_strength": 1.0}, "correlation_strength must lie in [0, 1)"),
+            ({"correlation_strength": -0.1}, "correlation_strength must lie in [0, 1)"),
+            ({"sensing_range": 0.1}, "only 0 landmarks within sensing range 0.1, need 2"),
+        ],
+        ids=["no-actions", "correlation-one", "correlation-negative", "out-of-range"],
+    )
+    def test_rejects_bad_parameters(self, kwargs, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            generate_scenario(**{"target_dim": 20, "n_actions": 2, "seed": 0, **kwargs})
+
     def test_determinism(self):
         a = generate_scenario(80, 3, seed=123)
         b = generate_scenario(80, 3, seed=123)
@@ -124,6 +145,21 @@ class TestSerialization:
             with pytest.raises(ScenarioError, match="malformed.*integer"):
                 scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        ("field", "values", "message"),
+        [
+            ("noise_cov", [1.0, 0.0, 1.0], "noise_cov length 3 is not square"),
+            ("matrix", [1.0, 0.0, 1.0], "matrix length 3 does not divide"),
+            ("noise_cov", [], "matrix length 4 does not divide"),
+        ],
+        ids=["noise-not-square", "matrix-length", "no-noise"],
+    )
+    def test_rejects_model_arrays_that_do_not_fit(self, field, values, message):
+        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        doc["actions"][0]["transitions"][0][field] = values
+        with pytest.raises(ScenarioError, match=f"action a1 transition: {message}"):
+            scenario_from_dict(doc)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot load"):
             load_scenario(tmp_path / "absent.json")
@@ -141,3 +177,73 @@ class TestSerialization:
         scenario = generate_scenario(16, 1, seed=2)
         with pytest.raises(ScenarioError, match="no action"):
             scenario.action("zz")
+
+
+def _with_new_ids(action: Action, tag: str) -> Action:
+    """``action`` with its new blocks renamed ``<tag>:x<k>``, and every
+    model input that reads them."""
+    names = {old: f"{tag}:x{k}" for k, old in enumerate(action.new_ids, 1)}
+
+    def rename(model):
+        return replace(model, inputs=tuple(names.get(i, i) for i in model.inputs))
+
+    return Action(
+        id=action.id,
+        transitions=tuple(map(rename, action.transitions)),
+        observations=tuple((step, rename(m)) for step, m in action.observations),
+        new_ids=tuple(names.values()),
+    )
+
+
+def _assert_round_trips_exactly(scenario, path):
+    """Save and load ``scenario``: every array is equal bit for bit, every
+    id and step is equal, and re-serializing gives the same text."""
+    save_scenario(scenario, path)
+    loaded = load_scenario(path)
+
+    def exact(array):
+        return array.shape, array.tobytes()
+
+    def steps(action):
+        return [(0, m) for m in action.transitions] + list(action.observations)
+
+    assert loaded.layout == scenario.layout
+    assert exact(loaded.prior.mean) == exact(scenario.prior.mean)
+    assert exact(loaded.prior.covariance) == exact(scenario.prior.covariance)
+    assert (loaded.sensing_range, loaded.seed) == (scenario.sensing_range, scenario.seed)
+    assert len(loaded.actions) == len(scenario.actions)
+    for original, restored in zip(scenario.actions, loaded.actions):
+        assert (restored.id, restored.new_ids) == (original.id, original.new_ids)
+        assert len(steps(restored)) == len(steps(original))
+        for (s0, m0), (s1, m1) in zip(steps(original), steps(restored)):
+            assert (s1, m1.inputs, m1.output_dim) == (s0, m0.inputs, m0.output_dim)
+            assert exact(m1.matrix) == exact(m0.matrix)
+            assert exact(m1.noise_cov) == exact(m0.noise_cov)
+    assert scenario_to_json(loaded) == path.read_text(encoding="utf-8")
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(6, 60),
+        n_actions=st.integers(1, 4),
+        correlation=st.floats(0.0, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_generated_scenarios(self, tmp_path_factory, dim, n_actions, correlation, seed):
+        try:
+            scenario = generate_scenario(dim, n_actions, correlation, seed)
+        except ScenarioError:
+            reject()  # too few landmarks for the actions, or no separable noise scales
+        _assert_round_trips_exactly(scenario, tmp_path_factory.mktemp("rt") / "s.json")
+
+    def test_multi_step_actions(self, tmp_path):
+        base = generate_scenario(40, 3, seed=5)
+        a1, a2, a3 = base.actions
+        chains = [
+            compose_actions([_with_new_ids(a, f"s{k}") for k, a in enumerate(steps, 1)])
+            for steps in ((a1, a2), (a3, a1, a2), (a2, a2))
+        ]
+        scenario = replace(base, actions=tuple(chains))
+        assert [len(a.transitions) for a in scenario.actions] == [2, 3, 2]
+        _assert_round_trips_exactly(scenario, tmp_path / "s.json")

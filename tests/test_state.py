@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestLayout:
         layout = StateLayout.from_dims([("a", 1)])
         with pytest.raises(UnknownBlockError, match="nope"):
             layout.indices({"nope"})
+
+    def test_rejects_an_empty_layout(self):
+        with pytest.raises(ValueError, match="layout needs at least one block"):
+            StateLayout(())
+
+    def test_block_lookup_names_an_unknown_id(self):
+        layout = StateLayout.from_dims([("a", 1)])
+        with pytest.raises(UnknownBlockError, match="unknown block id 'zz'"):
+            layout.block("zz")
 
 
 class TestMarginalizeParticles:
@@ -250,6 +260,21 @@ class TestWeightedParticleSet:
                 layout=layout, particles=[[0.0], [1.0], [2.0]], weights=[1.0, bad, 1.0]
             )
 
+    @pytest.mark.parametrize(
+        ("particles", "weights", "message"),
+        [
+            (np.empty((0, 1)), [], "particle set needs at least one particle"),
+            ([[0.0, 1.0]], [1.0], "particles have dim 2, layout expects 1"),
+            ([[0.0]], [0.5, 0.5], "one weight per particle required"),
+            ([[0.0], [1.0]], [0.0, 0.0], "weights must have positive sum"),
+        ],
+        ids=["no-particles", "wrong-dim", "weight-count", "zero-sum"],
+    )
+    def test_rejects_a_malformed_set(self, particles, weights, message):
+        layout = StateLayout.from_dims([("a", 1)])
+        with pytest.raises(ValueError, match=message):
+            WeightedParticleSet(layout=layout, particles=particles, weights=weights)
+
     def test_arrays_immutable(self):
         layout = StateLayout.from_dims([("a", 1)])
         pset = WeightedParticleSet(layout=layout, particles=[[0.0]], weights=[1.0])
@@ -275,6 +300,9 @@ class TestGaussianDensityValidation:
         layout = StateLayout.from_dims([("a", 2)])
         with pytest.raises(ValueError, match="mean"):
             GaussianDensity(layout=layout, mean=np.zeros(3), covariance=np.eye(2))
+        message = "covariance has shape (3, 3), expected (2, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GaussianDensity(layout=layout, mean=np.zeros(2), covariance=np.eye(3))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_nonfinite_mean_and_covariance(self, bad):
@@ -298,6 +326,18 @@ class TestLinearGaussianModelValidation:
             LinearGaussianModel(
                 inputs=("x",), output_dim=1, matrix=[[1.0]], noise_cov=[[bad]]
             )
+
+    @pytest.mark.parametrize(
+        ("matrix", "noise_cov", "message"),
+        [
+            ([[1.0]], np.eye(2), "matrix has 1 rows, expected output_dim=2"),
+            ([[1.0], [1.0]], np.eye(3), "noise_cov shape must be (output_dim, output_dim)"),
+        ],
+        ids=["matrix-rows", "noise-shape"],
+    )
+    def test_rejects_mismatched_shapes(self, matrix, noise_cov, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LinearGaussianModel(inputs=("x",), output_dim=2, matrix=matrix, noise_cov=noise_cov)
 
     def test_rejects_a_non_integer_output_dim(self):
         for output_dim in (1.0, np.float64(1.0), True):
@@ -383,6 +423,9 @@ class TestLogDensity:
             assert log_density(model, inputs, mode + 0.1 * direction) < at_mode
 
 
+_MOVE = LinearGaussianModel(inputs=("x",), output_dim=1, matrix=[[1.0]], noise_cov=[[1.0]])
+
+
 class TestAction:
     def test_observation_step_bounds(self):
         model = LinearGaussianModel(
@@ -436,6 +479,36 @@ class TestAction:
     def test_compose_rejects_an_empty_sequence(self):
         with pytest.raises(ValueError, match="at least one action"):
             compose_actions([])
+
+    @pytest.mark.parametrize(
+        ("transitions", "new_ids", "message"),
+        [
+            ((), None, "action 'a' needs at least one transition"),
+            ((_MOVE,), ("n", "m"), "need one new block id per transition"),
+        ],
+        ids=["no-transitions", "new-id-count"],
+    )
+    def test_rejects_malformed_steps(self, transitions, new_ids, message):
+        with pytest.raises(ValueError, match=message):
+            Action(id="a", transitions=transitions, new_ids=new_ids)
+
+    @pytest.mark.parametrize(
+        ("new_ids", "matrix", "message"),
+        [
+            (("x",), [[1.0]], "action 'a': new block id 'x' collides with the layout"),
+            (
+                ("n",),
+                [[1.0, 1.0]],
+                "action 'a' transition 1: matrix has 2 columns but inputs ('x',) total dim 1",
+            ),
+        ],
+        ids=["new-id-collision", "matrix-columns"],
+    )
+    def test_validate_against_rejects(self, new_ids, matrix, message):
+        model = LinearGaussianModel(inputs=("x",), output_dim=1, matrix=matrix, noise_cov=[[1.0]])
+        action = Action(id="a", transitions=(model,), new_ids=new_ids)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            action.validate_against(StateLayout.from_dims([("x", 1)]))
 
     def test_rejects_duplicate_new_ids(self):
         model = LinearGaussianModel(
