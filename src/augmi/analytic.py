@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -89,14 +89,13 @@ def observation_block_ids(action: Action) -> tuple[str, ...]:
 
 def condition_gaussian(
     density: GaussianDensity, given: Iterable[str], values: np.ndarray
-) -> GaussianDensity | list[GaussianDensity]:
+) -> GaussianDensity:
     """Condition a joint Gaussian on exact values of some blocks.
 
+    ``values`` is one 1-D row over the given blocks, in layout order.
     Returns the conditional density over the remaining blocks (original
     order), with mean shifted by the Kalman-style gain and the Schur
-    complement as covariance.  A 2-D ``values`` is a stack of value rows and
-    returns one density per row; the gain and the Schur complement are
-    computed once, and the densities share the covariance and its factor.
+    complement as covariance.
     """
     given = set(given)
     keep_ids = [b.id for b in density.layout.blocks if b.id not in given]
@@ -105,40 +104,37 @@ def condition_gaussian(
     keep_idx = density.layout.indices(keep_ids)
     given_idx = density.layout.indices(given)
     values = np.asarray(values, dtype=float)
-    rows = values if values.ndim == 2 else values.reshape(1, -1)
-    if rows.shape[1] != given_idx.size:
-        raise ValueError(f"values have shape {values.shape}, expected ([rows,] {given_idx.size})")
+    if values.shape != (given_idx.size,):
+        raise ValueError(f"values have shape {values.shape}, expected ({given_idx.size},)")
     gain, schur = conditional_parts(density.covariance, keep_idx, given_idx)
-    mean_keep, mean_given = density.mean[keep_idx], density.mean[given_idx]
-    conditional = GaussianDensity(
-        layout=density.layout.sublayout(keep_ids), mean=mean_keep, covariance=schur
+    return GaussianDensity(
+        layout=density.layout.sublayout(keep_ids),
+        mean=density.mean[keep_idx] + gain @ (values - density.mean[given_idx]),
+        covariance=schur,
     )
-    out = [conditional._with_mean(mean_keep + gain @ (row - mean_given)) for row in rows]
-    return out if values.ndim == 2 else out[0]
 
 
 def _condition_on_draw(
-    joint: GaussianDensity, action: Action, rngs: Sequence[np.random.Generator] | None
-) -> list[tuple[GaussianDensity, np.ndarray | None]]:
-    """Beliefs over a :func:`joint_state_observation` joint's state blocks
-    (prior and new), each given one draw ``z`` of the action's observations
-    from the joint's predictive, and its ``z``.
+    joint: GaussianDensity, action: Action, rng: np.random.Generator | None
+) -> tuple[GaussianDensity, np.ndarray | None]:
+    """The belief over a :func:`joint_state_observation` joint's state blocks
+    (prior and new) given one draw ``z`` of the action's observations from
+    the joint's predictive, and that ``z``.
 
-    Branch ``b`` draws its ``z`` from ``rngs[b]``; the z factor and the
-    conditioning are computed once for all branches.  ``rngs = None``
-    conditions once at the predictive mean and returns no ``z``; that leaves
-    the covariance, hence any linear-Gaussian information value, unchanged.
+    ``rng = None`` conditions at the predictive mean and returns no ``z``;
+    for linear-Gaussian models that leaves the covariance, hence any
+    information value, unchanged.
     """
     obs_ids = observation_block_ids(action)
     if not obs_ids:
         raise ValueError(f"action {action.id!r} has no observations to condition on")
     obs_idx = joint.layout.indices(obs_ids)
-    if rngs is None:
-        return [(condition_gaussian(joint, obs_ids, joint.mean[obs_idx]), None)]
+    z_mean = joint.mean[obs_idx]
+    if rng is None:
+        return condition_gaussian(joint, obs_ids, z_mean), None
     z_chol = cholesky_psd(joint.covariance[np.ix_(obs_idx, obs_idx)])
-    zs = [joint.mean[obs_idx] + z_chol @ rng.standard_normal(obs_idx.size) for rng in rngs]
-    stack = np.reshape(zs, (len(zs), obs_idx.size))
-    return list(zip(condition_gaussian(joint, obs_ids, stack), zs))
+    z = z_mean + z_chol @ rng.standard_normal(obs_idx.size)
+    return condition_gaussian(joint, obs_ids, z), z
 
 
 def augmented_mi_analytic(

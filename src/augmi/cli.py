@@ -8,7 +8,8 @@ Subcommands::
     augmi mi eval          one estimator, one action, one seed -> CSV row
 
 An option that several subcommands share is declared once.  Counts must
-be at least 1 and ``--seed`` non-negative.
+be at least 1, ``--seed`` non-negative and a correlation in [0, 1); each is
+checked before any scenario is built or file written.
 
 Exit codes: 0 success, 1 usage error, 2 estimator or scenario error.
 """
@@ -92,6 +93,9 @@ def _parse_generate_spec(text: str) -> dict:
     if "target_dim" not in spec:
         raise UsageError("--generate needs at least D=<dim>")
     spec.setdefault("n_actions", 4)
+    if spec["n_actions"] < 1:
+        raise UsageError(f"--generate actions must be at least 1, got {spec['n_actions']}")
+    _check_correlation("--generate correlation", spec.get("correlation_strength", 0.0))
     return spec
 
 
@@ -150,12 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_counts(args) -> None:
-    """Reject a count option below 1 and a seed below 0; a command checks
-    only the options it has."""
-    for name, least in (("particles", 1), ("trials", 1), ("seed", 0)):
+def _check_ranges(args) -> None:
+    """Reject a count option below 1, a seed below 0 and a correlation
+    outside [0, 1); a command checks only the options it has."""
+    for name, least in (("particles", 1), ("trials", 1), ("actions", 1), ("seed", 0)):
         if getattr(args, name, least) < least:
             raise UsageError(f"--{name} must be at least {least}, got {getattr(args, name)}")
+    _check_correlation("--correlation", getattr(args, "correlation", 0.0))
+
+
+def _check_correlation(option: str, value: float) -> None:
+    if not 0.0 <= value < 1.0:
+        raise UsageError(f"{option} must lie in [0, 1), got {value}")
 
 
 def _load_or_generate(args) -> "SlamScenario":
@@ -239,7 +249,7 @@ def _cmd_mi_eval(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_counts(args)
+        _check_ranges(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

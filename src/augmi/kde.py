@@ -123,7 +123,7 @@ def _kde_augmented_mi(
 
     uniform = np.full(n, 1.0 / n)
     h_prior, prior_clamps = _resubstitution(_draws(prior, n, rng), uniform)
-    [(posterior, _z)] = _condition_on_draw(joint, action, [rng])
+    posterior, _z = _condition_on_draw(joint, action, rng)
     h_post, post_clamps = _resubstitution(_draws(posterior, n, rng), uniform)
 
     counts = {"n": n, "z_draws": 1, "clamp_events": prior_clamps + post_clamps}

@@ -1,40 +1,42 @@
 """Open-loop belief-tree solver with involved-subset information rewards.
 
 The solver maximizes the expected sum of information rewards over action
-sequences.  A node's ``accumulated_reward`` is the information gained from
-the root to that node, and every node backs up values the same way: a leaf
-is worth 0, and a node is worth the max over actions of its child's reward
-plus the mean value of that action's children.
+sequences.  Every node has one child per action.  A node's
+``accumulated_reward`` is the information gained from the root to that
+node, and every node backs up values the same way: a leaf is worth 0, and a
+node is worth the max over actions of its child's reward plus that child's
+value.
 
-Two equivalent reward formulations estimate a child's reward, and the tree
-holds only what its formulation reads.  ``obs_samples`` means something
-different in each; an exact backend uses 1 in both.
+A child's reward is the mean of ``obs_samples`` seeded estimates (one for an
+exact backend).  The two reward formulations differ only in what those
+estimates are of:
 
 ``involved_ig``
-    The gain is evaluated from the root belief on the composed action path.
-    It reads no belief and no observation, so the solve is a search over
-    action paths: each node has one child per action, holding the composed
-    prefix instead of a belief, rewarded by the mean of ``obs_samples``
-    seeded estimates of that prefix.
+    The gain of the composed action path, from the root belief.  The tree
+    holds the composed prefix instead of a belief.
 
 ``consecutive_mi``
-    The gain is summed edge by edge: a child's reward is its parent's plus
-    the one-step augmented MI of the connecting action from the parent's
-    belief.  Below the horizon each action node has ``obs_samples``
-    observation branches (sparse sampling); each draws an observation and
-    conditions the belief on it.
+    The parent's reward plus the one-step augmented MI of the connecting
+    action, from the parent's belief.  Below the horizon a child holds its
+    parent's belief conditioned on the action's observations at their
+    predictive mean.
 
-In both modes a child at the horizon is a leaf holding no belief, one per
-action: it is worth 0 and nothing reads its belief, so, as in sparse
-sampling at its depth limit, no observation is drawn and nothing is
-conditioned there.
+``consecutive_mi`` takes a ``GaussianDensity`` root and linear-Gaussian
+models, so a conditioned belief's covariance, and with it every information
+value below it, does not depend on the observed values: one belief per
+action stands for every observation, and sampled observation branches
+would only re-seed estimates of the same problem.  Observation branches
+come back if ``consecutive_mi`` ever gets a non-Gaussian or nonlinear
+posterior update.
 
-The involved gain of a prefix equals the sum of its consecutive MIs, so for
-linear-Gaussian models, where the information does not depend on the
-realized observation values, the analytic backend skips observation
-branching and the two modes agree to numerical precision, which is what the
-tests pin down.  The tree is built once over the union of the candidate
-actions' involved blocks; everything else is marginalized out up front.
+In both modes a child at the horizon is a leaf holding no belief: it is
+worth 0 and nothing reads its belief, so nothing is conditioned there.
+
+The involved gain of a prefix equals the sum of its consecutive MIs, so
+under the analytic backend the two modes agree to numerical precision,
+which is what the tests pin down.  The tree is built once over the union of
+the candidate actions' involved blocks; everything else is marginalized out
+up front.
 
 A backend is any MI calculator of :mod:`augmi.involved`, such as its
 :class:`AnalyticMiBackend` and :class:`SmcMiBackend` (importable from here
@@ -43,7 +45,6 @@ too); the solver reads each estimate's ``value``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -71,18 +72,8 @@ class PlannerError(RuntimeError):
     """Estimation failed at a tree node; the message carries the node path."""
 
 
-def _estimate(
-    mi_backend: MiCalculator, belief: Belief, action: Action,
-    rng: np.random.Generator, path: tuple[str, ...],
-) -> float:
-    """One backend call; a failure raises PlannerError naming the depth, action and path."""
-    try:
-        return float(mi_backend(belief, action, rng).value)
-    except Exception as exc:
-        raise PlannerError(
-            f"backend failed at depth {len(path)} on action {action.id!r} "
-            f"(path {list(path)}): {exc}"
-        ) from exc
+# reward(belief, action, key, path) -> mean of the seeded estimates
+_Reward = Callable[[Belief, Action, tuple[int, ...], tuple[str, ...]], float]
 
 
 @dataclass
@@ -90,21 +81,17 @@ class BeliefNode:
     """One node of the search tree.
 
     ``accumulated_reward`` is the information gained from the root to this
-    node, 0 at the root.  ``children[action_id]`` lists ``(observation,
-    child)`` pairs, so a node's actions and observations are its path from
-    the root: ``obs_samples`` pairs per action in ``consecutive_mi`` mode,
-    and in ``involved_ig`` mode one pair whose observation and belief are
-    ``None``, as that mode reads neither.  The analytic path draws no
-    observation either.  In both modes a child at the horizon is a leaf
-    holding no belief: one ``(None, leaf)`` pair per action.
+    node, 0 at the root.  ``children[action_id]`` is ``[(None, child)]``:
+    one child per action, in an ``(observation, child)`` pair whose
+    observation is always ``None`` (``perfbench/spans.py`` walks the tree
+    by pairs).  ``belief`` is ``None`` at the horizon and, below the root,
+    in ``involved_ig`` mode, which reads only the root's.
     """
 
     belief: Belief | None
     depth: int
     accumulated_reward: float
-    children: dict[str, list[tuple[np.ndarray | None, "BeliefNode"]]] = field(
-        default_factory=dict
-    )
+    children: dict[str, list[tuple[None, "BeliefNode"]]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -182,16 +169,19 @@ def _root(
     obs_samples: int,
     rng: np.random.Generator | int,
     reward_mode: str,
-) -> tuple[Belief, bool, int, Callable[[tuple[int, ...]], np.random.Generator]]:
+) -> tuple[Belief, _Reward]:
     """Root set-up shared by the solver and the direct evaluation.
 
-    Returns the prior marginalized onto the plan's involved union, whether
-    the backend is exact, the observation branch count per action node, and
-    ``node_rng``, which derives a node's generator from its tree path.
-    ``obs_samples`` that is not an integer, or is below 1, raises
+    Returns the prior marginalized onto the plan's involved union and
+    ``reward(belief, action, key, path)``: the mean of ``obs_samples``
+    seeded estimates of ``action`` from ``belief`` (one for an exact
+    backend), estimate ``b`` drawing from the stream derived from the
+    child's tree ``key`` plus ``(0, b)``.  A backend failure raises
+    PlannerError naming the depth and ``path`` of the parent node, and the
+    action.  ``obs_samples`` that is not an integer, or is below 1, raises
     ``ValueError`` whatever the backend.  ``consecutive_mi`` conditions each
-    belief on drawn observations, so a prior that is not a GaussianDensity
-    raises ``TypeError`` there.
+    belief on its action's observations, so a prior that is not a
+    GaussianDensity raises ``TypeError`` there.
     """
     if reward_mode == REWARD_CONSECUTIVE_MI and not isinstance(prior, GaussianDensity):
         raise TypeError(
@@ -203,10 +193,25 @@ def _root(
     involved = _plan_involved_union(prior.layout, steps)
     if involved != set(prior.layout.ids):
         prior = _marginalize(prior, involved)
-    exact = bool(getattr(mi_backend, "exact", False))
-    branches = 1 if exact else int(obs_samples)
+    n_estimates = 1 if getattr(mi_backend, "exact", False) else int(obs_samples)
     root_entropy = [int(v) for v in rng.integers(0, 2**63, size=2)]
-    return prior, exact, branches, functools.partial(_derived_rng, root_entropy)
+
+    def reward(
+        belief: Belief, action: Action, key: tuple[int, ...], path: tuple[str, ...]
+    ) -> float:
+        try:
+            values = [
+                float(mi_backend(belief, action, _derived_rng(root_entropy, key + (0, b))).value)
+                for b in range(n_estimates)
+            ]
+        except Exception as exc:
+            raise PlannerError(
+                f"backend failed at depth {len(path)} on action {action.id!r} "
+                f"(path {list(path)}): {exc}"
+            ) from exc
+        return sum(values) / n_estimates
+
+    return prior, reward
 
 
 def solve(
@@ -223,22 +228,18 @@ def solve(
     ``actions`` is one candidate list per step, or a flat candidate list
     when ``horizon`` is 1.  ``mi_backend(belief, action, rng)`` returns an
     ``MiEstimate`` whose ``value`` is the reward.  ``obs_samples`` is the
-    number of observation branches per action node below the horizon in
-    ``consecutive_mi`` mode and the number of seeded estimates averaged per
-    composed prefix in ``involved_ig`` mode; an exact backend uses 1 in
-    both.  The result's ``root`` is the searched tree; in both modes a node's
-    ``accumulated_reward`` is the information gained from the root to it,
-    and a child at the horizon is a leaf holding no belief, built without a
-    joint, a draw or a conditioning.  Ties between equal-valued actions break
-    toward the lowest action id.  A ``WeightedParticleSet`` prior plans in
-    ``involved_ig`` mode only.
+    number of seeded estimates averaged per child reward, in both modes; an
+    exact backend uses 1.  The result's ``root`` is the searched tree, one
+    child per action; in both modes a node's ``accumulated_reward`` is the
+    information gained from the root to it, and a child at the horizon is a
+    leaf holding no belief, built without a joint or a conditioning.  Ties
+    between equal-valued actions break toward the lowest action id.  A
+    ``WeightedParticleSet`` prior plans in ``involved_ig`` mode only.
     """
     if reward_mode not in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
         raise ValueError(f"unknown reward mode {reward_mode!r}")
     steps = _steps_argument(actions, horizon)
-    root_belief, exact, branches, node_rng = _root(
-        prior, steps, mi_backend, obs_samples, rng, reward_mode
-    )
+    root_belief, reward = _root(prior, steps, mi_backend, obs_samples, rng, reward_mode)
     involved_ig = reward_mode == REWARD_INVOLVED_IG
 
     def expand(
@@ -252,46 +253,26 @@ def solve(
 
         best_value, best_sequence = -np.inf, ()
         for a_index, action in enumerate(sorted(steps[depth], key=lambda a: a.id)):
-            a_key = key + (1, a_index)
-            child_path = path + (action.id,)
+            # The child's stream key; estimate b draws from child_key + (0, b).
+            child_key = key + (1, a_index, 3, 0)
+            child_belief = child_prefix = None
             if involved_ig:
-                # One child per action: its reward reads no observation, so
-                # observation branches would only re-estimate the same prefix.
-                # Estimate b is keyed by the child's key, a_key + (3, 0), plus (0, b).
+                # the composed prefix's gain, from the root belief
                 child_prefix = action if prefix is None else compose_actions((prefix, action))
-                acc_child = sum(
-                    _estimate(
-                        mi_backend, root_belief, child_prefix,
-                        node_rng(a_key + (3, 0, 0, branch)), child_path,
+                acc_child = reward(root_belief, child_prefix, child_key, path)
+            else:
+                # the parent's gain plus one step from the parent's belief
+                acc_child = acc_reward + reward(belief, action, child_key, path)
+                if depth + 1 < horizon:
+                    child_belief, _z = _condition_on_draw(
+                        joint_state_observation(belief, action), action, None
                     )
-                    for branch in range(branches)
-                ) / branches
-            else:
-                child_prefix = None
-                acc_child = acc_reward + _estimate(
-                    mi_backend, belief, action, node_rng(a_key + (0,)), path
-                )
-            if involved_ig or depth + 1 == horizon:
-                # No belief to build: involved_ig reads none, and a child at the
-                # horizon is a leaf worth 0 whose belief nothing reads.
-                draws = [(None, None)]
-            else:
-                draws = _condition_on_draw(
-                    joint_state_observation(belief, action), action,
-                    None if exact else [node_rng(a_key + (2, b)) for b in range(branches)],
-                )
+            value, tail, child = expand(
+                child_belief, child_prefix, acc_child, path + (action.id,), child_key
+            )
+            node.children[action.id] = [(None, child)]
 
-            future = 0.0
-            pairs: list[tuple[np.ndarray | None, BeliefNode]] = []
-            for branch, (child_belief, z) in enumerate(draws):
-                value, tail, child = expand(
-                    child_belief, child_prefix, acc_child, child_path, a_key + (3, branch)
-                )
-                future += value / len(draws)
-                pairs.append((z, child))
-            node.children[action.id] = pairs
-
-            candidate = acc_child + future
+            candidate = acc_child + value
             # Actions iterate in id order, so strict > keeps the lowest id on ties.
             if candidate > best_value:
                 best_value, best_sequence = candidate, (action.id,) + tail
@@ -312,34 +293,26 @@ def sequential_mi_direct(
 ) -> float:
     """Information of a fixed action sequence by summed one-step increments.
 
-    Evaluates ``sum_i E[consecutive MI at step i]`` with the expectations
-    over earlier observations taken as sample means (exact backends collapse
-    each to a single propagated branch).  The last step's increment is
-    returned without conditioning on that step, as the solver builds its
-    horizon leaves.  This is the no-max degenerate evaluation used as the
-    brute-force oracle for the solver.
+    Evaluates ``sum_i E[consecutive MI at step i]``.  Each increment is the
+    mean of ``obs_samples`` seeded estimates (one for an exact backend) from
+    the belief conditioned on the earlier steps' observations at their
+    predictive mean, with the keys ``solve`` gives that path when every
+    step has one candidate.  The last step is not conditioned on, as the
+    solver builds its horizon leaves.  This is the no-max degenerate
+    evaluation used as the brute-force oracle for the solver.
     """
     seq = list(action_sequence)
     if horizon < 1 or horizon > len(seq):
         raise ValueError(f"horizon {horizon} out of range 1..{len(seq)}")
     seq = seq[:horizon]
-    belief0, exact, branches, node_rng = _root(
+    belief, reward = _root(
         prior, [[a] for a in seq], mi_backend, obs_samples, rng, REWARD_CONSECUTIVE_MI
     )
-    ids = tuple(a.id for a in seq)
-
-    def recurse(belief: GaussianDensity, i: int, path_key: tuple[int, ...]) -> float:
-        action = seq[i]
-        increment = _estimate(mi_backend, belief, action, node_rng(path_key + (0,)), ids[:i])
-        if i + 1 == horizon:
-            return increment
-        future = 0.0
-        draws = _condition_on_draw(
-            joint_state_observation(belief, action), action,
-            None if exact else [node_rng(path_key + (1, b)) for b in range(branches)],
-        )
-        for branch, (child, _z) in enumerate(draws):
-            future += recurse(child, i + 1, path_key + (2, branch)) / branches
-        return increment + future
-
-    return recurse(belief0, 0, ())
+    increments, key = [], ()
+    for depth, action in enumerate(seq):
+        key += (1, 0, 3, 0)  # solve's child key for a step's only candidate
+        increments.append(reward(belief, action, key, tuple(a.id for a in seq[:depth])))
+        if depth + 1 < horizon:
+            belief, _z = _condition_on_draw(joint_state_observation(belief, action), action, None)
+    # Summed from the last step back; seeded values depend on this order.
+    return sum(reversed(increments))

@@ -13,7 +13,6 @@ call concurrently.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -256,30 +255,25 @@ class GaussianDensity:
     covariance: np.ndarray
 
     def __post_init__(self):
+        mean = np.asarray(self.mean, dtype=float).ravel()
         cov = np.asarray(self.covariance, dtype=float)
         dim = self.layout.total_dim
-        object.__setattr__(self, "mean", _checked_mean(self.mean, dim))
+        if mean.shape != (dim,):
+            raise ValueError(f"mean has shape {mean.shape}, expected ({dim},)")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
+        object.__setattr__(self, "mean", _frozen_array(mean))
         if cov.shape != (dim, dim):
             raise ValueError(f"covariance has shape {cov.shape}, expected ({dim}, {dim})")
         object.__setattr__(self, "covariance", _checked_symmetric(cov, "covariance"))
-        # the Cholesky factor, once computed; _with_mean siblings share it
-        object.__setattr__(self, "_factor", {})
 
     @property
     def dim(self) -> int:
         return self.layout.total_dim
 
-    @property
+    @cached_property
     def _chol(self) -> np.ndarray:
-        if not self._factor:
-            self._factor["chol"] = cholesky_psd(self.covariance)
-        return self._factor["chol"]
-
-    def _with_mean(self, mean: np.ndarray) -> "GaussianDensity":
-        """This density's layout, covariance array and factor around another (checked) mean."""
-        sibling = copy.copy(self)
-        object.__setattr__(sibling, "mean", _checked_mean(mean, self.dim))
-        return sibling
+        return cholesky_psd(self.covariance)
 
 
 def _checked_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -291,15 +285,6 @@ def _checked_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
     if np.abs(matrix - matrix.T).max() > 1e-10 * max(1.0, scale):
         raise ValueError(f"{name} is not symmetric (relative tolerance 1e-10)")
     return _frozen_array(0.5 * (matrix + matrix.T))
-
-
-def _checked_mean(mean, dim: int) -> np.ndarray:
-    mean = np.asarray(mean, dtype=float).ravel()
-    if mean.shape != (dim,):
-        raise ValueError(f"mean has shape {mean.shape}, expected ({dim},)")
-    if not np.isfinite(mean).all():
-        raise ValueError("mean must be finite")
-    return _frozen_array(mean)
 
 
 @dataclass(frozen=True)

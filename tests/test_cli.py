@@ -143,6 +143,30 @@ def test_negative_seed_is_a_usage_error(run_cli, tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (("scenario", "generate", "--dim", "20", "--actions", "0"),
+         "--actions must be at least 1, got 0"),
+        (("scenario", "generate", "--dim", "20", "--correlation", "1.0"),
+         "--correlation must lie in [0, 1), got 1.0"),
+        (("bench", "dims", "--dims", "10", "--methods", "analytic", "--correlation", "-0.1"),
+         "--correlation must lie in [0, 1), got -0.1"),
+        (("bench", "actions", "--generate", "D=20,actions=0", "--methods", "analytic"),
+         "--generate actions must be at least 1, got 0"),
+        (("bench", "actions", "--generate", "D=20,correlation=1.5", "--methods", "analytic"),
+         "--generate correlation must lie in [0, 1), got 1.5"),
+    ],
+    ids=["actions", "correlation", "dims-correlation", "generate-actions", "generate-correlation"],
+)
+def test_out_of_range_scenario_option_is_a_usage_error(run_cli, tmp_path, args, message):
+    out = tmp_path / "out"
+    proc = run_cli(*args, "--seed", "1", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"usage error: {message}")
+    assert not out.exists()
+
+
 class TestBench:
     def test_actions_with_generated_scenario(self, run_cli, tmp_path):
         out = tmp_path / "rows.csv"

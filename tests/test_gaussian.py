@@ -24,7 +24,6 @@ from augmi import (
     sample_particles,
 )
 from augmi.analytic import entropy_from_cov
-from augmi.linalg import cholesky_psd
 from conftest import (
     CHAIN_MI,
     GAUSS_ENTROPY_1D,
@@ -272,41 +271,17 @@ class TestMiDecompositionAndConditioning:
             conditional.covariance, [[2.0 - 0.6 * gain]], atol=1e-12
         )
 
-    def test_stacked_rows_match_single_row_calls(self):
-        rng = np.random.default_rng(31)
-        for _ in range(5):
-            prior, action, _involved = random_instance(rng, total_dim=12)
-            joint = joint_state_observation(prior, action)
-            obs_ids = observation_block_ids(action)
-            obs_idx = joint.layout.indices(obs_ids)
-            rows = joint.mean[obs_idx] + rng.standard_normal((4, obs_idx.size))
-            stacked = condition_gaussian(joint, obs_ids, rows)
-            assert len(stacked) == 4
-            for row, density in zip(rows, stacked):
-                single = condition_gaussian(joint, obs_ids, row)
-                assert density.layout == single.layout
-                assert np.array_equal(density.mean, single.mean)
-                assert np.array_equal(density.covariance, single.covariance)
-            # siblings share one covariance and one factor, and that factor
-            # is the one a fresh density would compute
-            assert all(d.covariance is stacked[0].covariance for d in stacked)
-            assert np.array_equal(stacked[2]._chol, cholesky_psd(stacked[2].covariance))
-            assert all(d._chol is stacked[2]._chol for d in stacked)
-
-    def test_stacked_rows_checked(self):
+    def test_values_checked(self):
         layout = StateLayout.from_dims([("a", 1), ("z", 2)])
-        joint = GaussianDensity(layout=layout, mean=np.zeros(3), covariance=np.eye(3))
-        assert condition_gaussian(joint, {"z"}, np.empty((0, 2))) == []
-        with pytest.raises(ValueError, match="values have shape"):
-            condition_gaussian(joint, {"z"}, np.zeros((3, 1)))
-        with pytest.raises(ValueError, match="values have shape"):
-            condition_gaussian(joint, {"z"}, [1.0])
-        # a sibling checks its mean
-        first = condition_gaussian(joint, {"z"}, np.zeros((1, 2)))[0]
+        cov = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        joint = GaussianDensity(layout=layout, mean=np.zeros(3), covariance=cov)
+        # one 1-D row over the given blocks, nothing else
+        for values in ([1.0], np.zeros((1, 2)), 0.0):
+            with pytest.raises(ValueError, match="values have shape"):
+                condition_gaussian(joint, {"z"}, values)
+        # the conditional's mean is checked like any other
         with pytest.raises(ValueError, match="mean must be finite"):
-            first._with_mean([np.inf])
-        with pytest.raises(ValueError, match="mean has shape"):
-            first._with_mean([0.0, 0.0])
+            condition_gaussian(joint, {"z"}, [np.inf, 0.0])
 
     def test_conditioning_on_every_block_is_rejected(self):
         layout = StateLayout.from_dims([("a", 1), ("z", 1)])

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from augmi import (
     solve,
 )
 import augmi.planner as planner
+from augmi.analytic import _condition_on_draw
 from augmi.planner import PlannerError
 from conftest import CHAIN_MI, make_chain_1d, random_plan_instance, scenario_plan_steps
 
@@ -195,19 +197,92 @@ class TestSequentialMiDirect:
 
 
 class TestSampledObservationBranching:
+    """consecutive_mi's observation branches are seeded estimates: a child is
+    one belief per action, conditioned at the predictive mean, and its reward
+    is the mean of obs_samples seeded one-step estimates."""
+
+    def test_drawn_observation_leaves_every_value_unchanged(self):
+        """The premise of one belief per action: for linear-Gaussian models the
+        conditioned covariance, and every information value read from it, does
+        not depend on the observed z.  A nonlinear observation model (ROADMAP
+        item 8) would break this, and observation branches would come back."""
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            prior, steps = random_plan_instance(rng, horizon=2)
+            for action in steps[0]:
+                joint = joint_state_observation(prior, action)
+                at_z, z = _condition_on_draw(joint, action, rng)
+                at_mean, no_z = _condition_on_draw(joint, action, None)
+                assert no_z is None and z is not None
+                assert not np.array_equal(at_z.mean, at_mean.mean)
+                assert np.array_equal(at_z.covariance, at_mean.covariance)
+                for nxt in steps[1]:
+                    drawn = BACKEND(at_z, nxt, np.random.default_rng(0)).value
+                    mean = BACKEND(at_mean, nxt, np.random.default_rng(0)).value
+                    assert abs(drawn - mean) < 1e-12
+
     def test_stochastic_backend_runs_and_is_seeded(self):
         rng = np.random.default_rng(5)
         prior, steps = random_plan_instance(rng, horizon=2)
         backend = SmcMiBackend(SampleBudget(n1=120))
-        a = solve(prior, steps, 2, REWARD_CONSECUTIVE_MI, backend, obs_samples=2, rng=9)
-        b = solve(prior, steps, 2, REWARD_CONSECUTIVE_MI, backend, obs_samples=2, rng=9)
+        a, b, c = (
+            solve(prior, steps, 2, REWARD_CONSECUTIVE_MI, backend, obs_samples=2, rng=seed)
+            for seed in (9, 9, 10)
+        )
         assert np.isfinite(a.value)
         assert a.value == b.value
         assert a.best_sequence == b.best_sequence
-        # observation branches recorded in the tree
-        first = a.root.children[a.best_sequence[0]]
-        assert len(first) == 2
-        assert first[0][0] is not None
+        assert c.value != a.value
+        # one child per action, with no observation
+        for pairs in a.root.children.values():
+            (z, child), = pairs
+            assert z is None and isinstance(child.belief, GaussianDensity)
+
+    def test_value_is_max_over_paths_of_summed_edge_means(self):
+        prior, steps = random_plan_instance(np.random.default_rng(7), horizon=3)
+        smc = SmcMiBackend(SampleBudget(n1=60))
+        obs_samples = 3
+        values = collections.defaultdict(list)
+        states = []
+
+        class Recording:
+            exact = False
+
+            def __call__(self, belief, action, rng):
+                bits = rng.bit_generator.state["state"]
+                states.append((bits["state"], bits["inc"]))
+                estimate = smc(belief, action, rng)
+                values[id(belief), action.id].append(estimate.value)
+                return estimate
+
+        result = solve(
+            prior, steps, 3, REWARD_CONSECUTIVE_MI, Recording(), obs_samples=obs_samples, rng=2
+        )
+        assert len(set(states)) == len(states)
+        edges = 0
+        best, best_seq = -np.inf, None
+
+        def walk(node, gained, objective, seq):
+            # Paths in lexicographic id order, so strict > keeps the lowest-id argmax.
+            nonlocal edges, best, best_seq
+            if node.depth == len(steps):
+                if objective > best:
+                    best, best_seq = objective, seq
+                return
+            for action_id in sorted(node.children):
+                # Each (node, action) is estimated obs_samples times.
+                recorded = values[id(node.belief), action_id]
+                assert len(recorded) == obs_samples
+                edges += 1
+                (_z, child), = node.children[action_id]
+                child_gained = gained + sum(recorded) / obs_samples
+                assert child.accumulated_reward == child_gained
+                walk(child, child_gained, objective + child_gained, seq + (action_id,))
+
+        walk(result.root, 0.0, 0.0, ())
+        assert len(states) == obs_samples * edges
+        assert abs(result.value - best) < 1e-12
+        assert result.best_sequence == best_seq
 
     def test_backend_failure_carries_node_path(self, chain):
         prior, action = chain
@@ -224,20 +299,29 @@ class TestSampledObservationBranching:
     def test_backend_failure_is_planner_error_everywhere(self):
         prior, steps = random_plan_instance(np.random.default_rng(3), horizon=2)
         seq = [steps[0][0], steps[1][0]]
+        # Both modes name the parent node: its depth and its path.  The
+        # failing edge's action is the composed prefix in involved_ig mode.
+        for mode, failing in (
+            (REWARD_INVOLVED_IG, compose_actions(seq).id),
+            (REWARD_CONSECUTIVE_MI, seq[1].id),
+        ):
 
-        class FailsAtDepthOne:
-            exact = True
+            class FailsAtDepthOne:
+                exact = True
 
-            def __call__(self, belief, act, rng):
-                if act.id == seq[1].id:
-                    raise RuntimeError("boom")
-                return BACKEND(belief, act, rng)
+                def __call__(self, belief, act, rng):
+                    if act.id == failing:
+                        raise RuntimeError("boom")
+                    return BACKEND(belief, act, rng)
 
-        message = rf"depth 1 on action '{seq[1].id}' \(path \['{seq[0].id}'\]\): boom"
+            message = (
+                rf"depth 1 on action '{re.escape(failing)}' \(path \['{seq[0].id}'\]\): boom"
+            )
+            with pytest.raises(PlannerError, match=message):
+                solve(prior, [[seq[0]], [seq[1]]], 2, mode, FailsAtDepthOne(), rng=0)
+        # The direct evaluation fails as consecutive_mi does, the last mode above.
         with pytest.raises(PlannerError, match=message):
             sequential_mi_direct(prior, seq, 2, FailsAtDepthOne(), rng=0)
-        with pytest.raises(PlannerError, match=message):
-            solve(prior, [[seq[0]], [seq[1]]], 2, REWARD_CONSECUTIVE_MI, FailsAtDepthOne(), rng=0)
 
 
 class TestInvolvedIgTree:
@@ -351,16 +435,15 @@ class TestInvolvedIgTree:
 
 class TestHorizonLeaves:
     """A child at the horizon is a leaf worth 0 whose belief nothing reads, so
-    in both modes it holds no belief and is built without a joint, a draw or
-    a conditioning."""
+    in both modes it holds no belief and is built without a joint or a
+    conditioning."""
 
     @pytest.mark.parametrize("horizon", [2, 3])
     def test_one_beliefless_leaf_per_action_at_the_horizon(self, horizon):
         prior, steps = random_plan_instance(np.random.default_rng(5), horizon=horizon)
         backend = SmcMiBackend(SampleBudget(n1=60))
-        obs_samples = 2
         for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
-            result = solve(prior, steps, horizon, mode, backend, obs_samples=obs_samples, rng=9)
+            result = solve(prior, steps, horizon, mode, backend, obs_samples=2, rng=9)
             leaves = 0
 
             def walk(node):
@@ -371,21 +454,17 @@ class TestHorizonLeaves:
                     return
                 assert set(node.children) == {a.id for a in steps[node.depth]}
                 for pairs in node.children.values():
+                    # One (None, child) pair per action in both modes.
+                    (z, child), = pairs
+                    assert z is None
                     if node.depth + 1 == horizon or mode == REWARD_INVOLVED_IG:
-                        (z, child), = pairs
-                        assert z is None and child.belief is None
+                        assert child.belief is None
                     else:
-                        assert len(pairs) == obs_samples
-                        for z, child in pairs:
-                            assert isinstance(child.belief, GaussianDensity)
-                            assert isinstance(z, np.ndarray) and np.all(np.isfinite(z))
-                    for _z, child in pairs:
-                        walk(child)
+                        assert isinstance(child.belief, GaussianDensity)
+                    walk(child)
 
             walk(result.root)
-            branches = 1 if mode == REWARD_INVOLVED_IG else obs_samples
-            expected = np.prod([len(step) for step in steps]) * branches ** (horizon - 1)
-            assert leaves == expected
+            assert leaves == np.prod([len(step) for step in steps])
 
     def test_joints_are_built_below_the_horizon_only(self, monkeypatch):
         slam = generate_scenario(20, 2, correlation_strength=0.3, seed=3)
@@ -400,14 +479,30 @@ class TestHorizonLeaves:
         backend = SmcMiBackend(SampleBudget(n1=50))
         solve(slam.prior, steps, 3, REWARD_CONSECUTIVE_MI, backend, obs_samples=2, rng=1)
         # One per action at the root, then one per action for each of the
-        # 2 x 2 depth-1 beliefs; none for the depth-2 beliefs' children.
-        assert len(built) == 2 + 4 * 2
+        # 2 depth-1 beliefs; none for the depth-2 beliefs' children.
+        assert len(built) == 2 + 4
         built.clear()
         seq = [step[0] for step in steps]
         sequential_mi_direct(slam.prior, seq, 3, backend, obs_samples=2, rng=1)
-        # One at step 1 and one per branch at step 2; the last step's
-        # increment needs no conditioning.
-        assert built == [seq[0].id] + [seq[1].id] * 2
+        # One at each of the first two steps; the last step's increment
+        # needs no conditioning.
+        assert built == [seq[0].id, seq[1].id]
+
+    def test_direct_evaluation_replays_the_solver_path(self):
+        # On one-candidate steps the solver and the direct evaluation make
+        # the same seeded estimates; only the order of summation differs.
+        prior, steps = random_plan_instance(np.random.default_rng(8), horizon=3)
+        seq = [step[0] for step in steps]
+        backend = SmcMiBackend(SampleBudget(n1=60))
+        for depth in (1, 2, 3):
+            node = solve(
+                prior, [[a] for a in seq[:depth]], depth, REWARD_CONSECUTIVE_MI, backend,
+                obs_samples=2, rng=4,
+            ).root
+            for action in seq[:depth]:
+                (_z, node), = node.children[action.id]
+            direct = sequential_mi_direct(prior, seq, depth, backend, obs_samples=2, rng=4)
+            assert direct == pytest.approx(node.accumulated_reward, rel=1e-14, abs=1e-14)
 
 
 class TestValidation:
