@@ -8,7 +8,8 @@ Subcommands::
     augmi mi eval          one estimator, one action, one seed -> CSV row
 
 An option that several subcommands share is declared once.  Counts must
-be at least 1, ``--seed`` non-negative and a correlation in [0, 1); each is
+be at least 1, a state dimension at least 6, ``--seed`` non-negative, a
+correlation in [0, 1) and a sensing range a finite number > 0; each is
 checked before any scenario is built or file written.
 
 Exit codes: 0 success, 1 usage error, 2 estimator or scenario error.
@@ -17,6 +18,7 @@ Exit codes: 0 success, 1 usage error, 2 estimator or scenario error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bench import (
@@ -93,9 +95,10 @@ def _parse_generate_spec(text: str) -> dict:
     if "target_dim" not in spec:
         raise UsageError("--generate needs at least D=<dim>")
     spec.setdefault("n_actions", 4)
-    if spec["n_actions"] < 1:
-        raise UsageError(f"--generate actions must be at least 1, got {spec['n_actions']}")
+    _check_least("--generate D", spec["target_dim"], 6)
+    _check_least("--generate actions", spec["n_actions"], 1)
     _check_correlation("--generate correlation", spec.get("correlation_strength", 0.0))
+    _check_sensing_range("--generate range", spec.get("sensing_range", 25.0))
     return spec
 
 
@@ -155,17 +158,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    """Reject a count option below 1, a seed below 0 and a correlation
-    outside [0, 1); a command checks only the options it has."""
-    for name, least in (("particles", 1), ("trials", 1), ("actions", 1), ("seed", 0)):
-        if getattr(args, name, least) < least:
-            raise UsageError(f"--{name} must be at least {least}, got {getattr(args, name)}")
+    """Reject a count option below 1, a dimension below 6, a seed below 0,
+    a correlation outside [0, 1) and a sensing range that is not a finite
+    number > 0; a command checks only the options it has."""
+    for name, least in (("particles", 1), ("trials", 1), ("actions", 1), ("dim", 6), ("seed", 0)):
+        _check_least(f"--{name}", getattr(args, name, least), least)
     _check_correlation("--correlation", getattr(args, "correlation", 0.0))
+    _check_sensing_range("--sensing-range", getattr(args, "sensing_range", 25.0))
+
+
+def _check_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise UsageError(f"{option} must be at least {least}, got {value}")
 
 
 def _check_correlation(option: str, value: float) -> None:
     if not 0.0 <= value < 1.0:
         raise UsageError(f"{option} must lie in [0, 1), got {value}")
+
+
+def _check_sensing_range(option: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise UsageError(f"{option} must be a finite number > 0, got {value}")
 
 
 def _load_or_generate(args) -> "SlamScenario":
@@ -200,6 +214,7 @@ def _cmd_bench_dims(args) -> int:
         raise UsageError("--dims must name at least one dimension")
     if dims != sorted(set(dims)):
         raise UsageError(f"--dims must be strictly ascending, got {args.dims!r}")
+    _check_least("--dims items", dims[0], 6)
     failures: list[str] = []
     rows = run_dimension_sweep(
         dims,

@@ -4,12 +4,13 @@ Every factorization of a covariance goes through :func:`cholesky_psd`, which
 either factors the matrix or raises :class:`NotPositiveDefiniteError`.  There
 is no jitter and no pseudo-inverse: a singular covariance has no density, so
 any finite number computed from it would be wrong rather than approximate.
+The conditioning gain is a numpy solve behind that same gate, so a given
+block that is not positive definite raises before anything is solved.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -40,6 +41,7 @@ def conditional_parts(
     cov_kg = cov[np.ix_(keep_idx, given_idx)]
     cov_gg = cov[np.ix_(given_idx, given_idx)]
     cov_kk = cov[np.ix_(keep_idx, keep_idx)]
-    gain = scipy.linalg.cho_solve((cholesky_psd(cov_gg), True), cov_kg.T).T
+    cholesky_psd(cov_gg)  # raises on a given block that is not positive definite
+    gain = np.linalg.solve(cov_gg, cov_kg.T).T
     schur = cov_kk - gain @ cov_kg.T
     return gain, 0.5 * (schur + schur.T)

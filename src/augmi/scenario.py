@@ -14,6 +14,7 @@ construction much more) so the ground-truth action ranking is unambiguous.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +75,8 @@ def generate_scenario(
         raise ScenarioError("n_actions must be >= 1")
     if not 0.0 <= correlation_strength < 1.0:
         raise ScenarioError("correlation_strength must lie in [0, 1)")
+    if not (math.isfinite(sensing_range) and sensing_range > 0.0):
+        raise ScenarioError(f"sensing_range must be a finite number > 0, got {sensing_range}")
 
     n_poses, n_landmarks = _pose_landmark_counts(target_dim)
     if n_landmarks < n_actions:

@@ -19,7 +19,6 @@ from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import cholesky_psd
 
@@ -563,28 +562,23 @@ class _SequentialModels:
     def __init__(self, layout: StateLayout, action: Action, bound: _Bound | None, own: slice):
         self.layout = layout
         bound = _bind_inputs(layout, action) if bound is None else bound
-        # (model, input columns, output slice, whitening solve) per model; the solve
-        # is the LAPACK trtrs call of solve_triangular(noise_chol, b, lower=True),
-        # which passes a factor that is not F-ordered transposed, as an upper one
-        self._models: list[tuple[LinearGaussianModel, np.ndarray, slice, tuple]] = []
+        # (model, input columns, output slice, inverse noise factor) per model
+        self._models: list[tuple[LinearGaussianModel, np.ndarray, slice, np.ndarray]] = []
         cursor = 0
         for model, cols in bound[own]:
-            chol = model.noise_chol
-            flip = not chol.flags.f_contiguous
-            trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (chol,))
-            solve = (trtrs, chol.T if flip else chol, not flip, flip)
-            self._models.append((model, cols, slice(cursor, cursor + model.output_dim), solve))
+            inverse = np.linalg.inv(model.noise_chol)
+            self._models.append((model, cols, slice(cursor, cursor + model.output_dim), inverse))
             cursor += model.output_dim
         self._log_norm = sum(model._log_norm for model, *_rest in self._models)
 
     def _sample(self, states: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
         """Fill each model's slice of ``out`` from standard-normal innovations."""
-        for model, cols, part, _solve in self._models:
+        for model, cols, part, _inverse in self._models:
             out[:, part] = states[:, cols] @ model.matrix.T + noise[:, part] @ model.noise_chol.T
 
     def _means(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill each model's slice of ``out`` with its mean given ``states``."""
-        for model, cols, part, _solve in self._models:
+        for model, cols, part, _inverse in self._models:
             out[:, part] = states[:, cols] @ model.matrix.T
         return out
 
@@ -594,10 +588,8 @@ class _SequentialModels:
         if not np.isfinite(y).all():
             raise ValueError("cannot whiten non-finite values")
         out = np.empty_like(y)
-        for _model, _cols, part, (trtrs, factor, lower, trans) in self._models:
-            # a Cholesky factor has a nonzero diagonal, so trtrs cannot fail
-            white, _info = trtrs(factor, y[:, part].T, lower=lower, trans=trans)
-            out[:, part] = white.T
+        for _model, _cols, part, inverse in self._models:
+            out[:, part] = y[:, part] @ inverse.T
         return out
 
 

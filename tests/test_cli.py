@@ -156,8 +156,29 @@ def test_negative_seed_is_a_usage_error(run_cli, tmp_path, args):
          "--generate actions must be at least 1, got 0"),
         (("bench", "actions", "--generate", "D=20,correlation=1.5", "--methods", "analytic"),
          "--generate correlation must lie in [0, 1), got 1.5"),
+        (("scenario", "generate", "--dim", "5"), "--dim must be at least 6, got 5"),
+        (("bench", "dims", "--dims", "0,10", "--methods", "analytic"),
+         "--dims items must be at least 6, got 0"),
+        (("scenario", "generate", "--dim", "20", "--sensing-range", "-1"),
+         "--sensing-range must be a finite number > 0, got -1.0"),
+        (("scenario", "generate", "--dim", "20", "--sensing-range", "nan"),
+         "--sensing-range must be a finite number > 0, got nan"),
+        (("scenario", "generate", "--dim", "20", "--sensing-range", "inf"),
+         "--sensing-range must be a finite number > 0, got inf"),
+        (("bench", "actions", "--generate", "D=5", "--methods", "analytic"),
+         "--generate D must be at least 6, got 5"),
+        (("bench", "actions", "--generate", "dim=0,actions=1", "--methods", "analytic"),
+         "--generate D must be at least 6, got 0"),
+        (("bench", "actions", "--generate", "D=20,range=0", "--methods", "analytic"),
+         "--generate range must be a finite number > 0, got 0.0"),
+        (("bench", "actions", "--generate", "D=20,range=nan", "--methods", "analytic"),
+         "--generate range must be a finite number > 0, got nan"),
     ],
-    ids=["actions", "correlation", "dims-correlation", "generate-actions", "generate-correlation"],
+    ids=[
+        "actions", "correlation", "dims-correlation", "generate-actions", "generate-correlation",
+        "dim", "dims", "sensing-range-negative", "sensing-range-nan", "sensing-range-inf",
+        "generate-d", "generate-dim", "generate-range-zero", "generate-range-nan",
+    ],
 )
 def test_out_of_range_scenario_option_is_a_usage_error(run_cli, tmp_path, args, message):
     out = tmp_path / "out"

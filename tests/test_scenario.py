@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -82,8 +83,15 @@ class TestGeneration:
             ({"correlation_strength": 1.0}, "correlation_strength must lie in [0, 1)"),
             ({"correlation_strength": -0.1}, "correlation_strength must lie in [0, 1)"),
             ({"sensing_range": 0.1}, "only 0 landmarks within sensing range 0.1, need 2"),
+            ({"sensing_range": 0.0}, "sensing_range must be a finite number > 0, got 0.0"),
+            ({"sensing_range": -1.0}, "sensing_range must be a finite number > 0, got -1.0"),
+            ({"sensing_range": math.nan}, "sensing_range must be a finite number > 0, got nan"),
+            ({"sensing_range": math.inf}, "sensing_range must be a finite number > 0, got inf"),
         ],
-        ids=["no-actions", "correlation-one", "correlation-negative", "out-of-range"],
+        ids=[
+            "no-actions", "correlation-one", "correlation-negative", "out-of-range",
+            "range-zero", "range-negative", "range-nan", "range-inf",
+        ],
     )
     def test_rejects_bad_parameters(self, kwargs, message):
         with pytest.raises(ScenarioError, match=re.escape(message)):

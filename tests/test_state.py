@@ -607,15 +607,20 @@ class TestSequentialModels:
 
 
 @st.composite
-def whitening_cases(draw):
-    """Observation models of output dims 1 to 6 and noise scales 1e-6 to
-    1e6, and 1 to 400 rows of outputs to whiten."""
+def whitening_cases(draw, diagonal=False):
+    """Observation models of output dims 1 to 6 and noise scales 1e-12 to
+    1e6, diagonal or general, and 1 to 400 rows of outputs to whiten."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+
+    def noise_cov(k):
+        if diagonal:
+            return np.diag(10.0 ** rng.uniform(-12.0, 6.0, k))
+        return random_spd(rng, k, scale=10.0 ** draw(st.floats(-12.0, 6.0)))
+
     models = [
         LinearGaussianModel(
-            inputs=("x",), output_dim=k, matrix=np.ones((k, 1)),
-            noise_cov=random_spd(rng, k, scale=10.0 ** draw(st.floats(-6.0, 6.0))),
+            inputs=("x",), output_dim=k, matrix=np.ones((k, 1)), noise_cov=noise_cov(k)
         )
         for k in dims
     ]
@@ -628,20 +633,36 @@ def whitening_cases(draw):
     return action, y * 10.0 ** draw(st.floats(-6.0, 6.0))
 
 
+def _whitened_parts(case):
+    """``(y part, whitened part, noise factor)`` per observation model."""
+    action, y = case
+    white = SequentialObservation(StateLayout.from_dims([("x", 1)]), action)._whiten(y)
+    cursor = 0
+    for _step, model in action.observations:
+        part = slice(cursor, cursor + model.output_dim)
+        yield y[:, part], white[:, part], model.noise_chol
+        cursor += model.output_dim
+
+
 class TestWhiten:
     @settings(max_examples=40, deadline=None)
+    @given(whitening_cases(diagonal=True))
+    def test_diagonal_factor_whitens_by_exact_reciprocals(self, case):
+        # every scenario and workload builds diagonal noise
+        for y, white, chol in _whitened_parts(case):
+            assert np.array_equal(white, y * (1.0 / np.diag(chol)))
+
+    @settings(max_examples=40, deadline=None)
     @given(whitening_cases())
-    def test_matches_solve_triangular_per_model(self, case):
-        action, y = case
-        obs = SequentialObservation(StateLayout.from_dims([("x", 1)]), action)
-        expected, cursor = [], 0
-        for _step, model in action.observations:
-            part = y[:, cursor : cursor + model.output_dim]
-            expected.append(
-                scipy.linalg.solve_triangular(model.noise_chol, part.T, lower=True).T
-            )
-            cursor += model.output_dim
-        assert np.array_equal(obs._whiten(y), np.concatenate(expected, axis=1))
+    def test_matches_solve_triangular_to_rounding(self, case):
+        # Both are backward-stable solves, each within about cond(L) eps
+        # max|row| of the exact row; the bound leaves a factor 2 over their sum.
+        eps = np.finfo(float).eps
+        for y, white, chol in _whitened_parts(case):
+            reference = scipy.linalg.solve_triangular(chol, y.T, lower=True).T
+            error = np.abs(white - reference).max(axis=1)
+            bound = 4.0 * np.linalg.cond(chol) * eps * np.abs(reference).max(axis=1)
+            assert np.all(error <= bound)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_values(self, bad):
