@@ -53,6 +53,11 @@ def _pose_landmark_counts(target_dim: int) -> tuple[int, int]:
     return n_poses, n_landmarks
 
 
+def _check_sensing_range(sensing_range: float) -> None:
+    if not (math.isfinite(sensing_range) and sensing_range > 0.0):
+        raise ScenarioError(f"sensing_range must be a finite number > 0, got {sensing_range}")
+
+
 def generate_scenario(
     target_dim: int,
     n_actions: int,
@@ -75,8 +80,7 @@ def generate_scenario(
         raise ScenarioError("n_actions must be >= 1")
     if not 0.0 <= correlation_strength < 1.0:
         raise ScenarioError("correlation_strength must lie in [0, 1)")
-    if not (math.isfinite(sensing_range) and sensing_range > 0.0):
-        raise ScenarioError(f"sensing_range must be a finite number > 0, got {sensing_range}")
+    _check_sensing_range(sensing_range)
 
     n_poses, n_landmarks = _pose_landmark_counts(target_dim)
     if n_landmarks < n_actions:
@@ -262,15 +266,17 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
             )
             action.validate_against(layout)
             actions.append(action)
+        sensing_range = float(doc["sensing_range"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
+    _check_sensing_range(sensing_range)
     return SlamScenario(
         layout=layout,
         prior=prior,
         actions=tuple(actions),
-        sensing_range=float(doc.get("sensing_range", 0.0)),
+        sensing_range=sensing_range,
         seed=int(doc.get("seed", -1)),
     )
 

@@ -207,13 +207,13 @@ def _particle_noise(
     row's draws depend only on (root, index) and batch splits cannot change
     them.  Normals come from uniform pairs via Box-Muller because uniform
     generation consumes a fixed word count, which keeps the per-index
-    windows aligned.
+    windows aligned; only the pairs a row uses are transformed.
     """
     stride = _uniform_stride(per_particle)
     bit_gen = np.random.Philox(key=np.array(root, dtype=np.uint64))
     bit_gen.advance(int(start) * (stride // _PHILOX_BLOCK))
     uniforms = np.random.Generator(bit_gen).random((count, stride))
-    return _box_muller(uniforms)[:, :per_particle]
+    return _box_muller(uniforms[:, : 2 * ((per_particle + 1) // 2)])[:, :per_particle]
 
 
 def mismc_context(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +45,22 @@ _HERMITE_PAIRS = 16_384
 # Cramer's inequality: |H_n(u)| exp(-u^2 / 2) <= 1.0865 sqrt(2^n n!).
 _CRAMER = 1.0865
 _EPS = float(np.finfo(float).eps)
+
+# The 1-D kernel sum's Taylor tier: a lattice of boxes 1.25 whitened units
+# wide, whose points j * 1.25 and their differences are exact below 2^50; the
+# Taylor order per target box; the boxes on each side whose moments a target
+# box translates; and the largest |t - box center| a row may have, in units
+# of the kernel's sqrt(2) length (half a box is 0.442).
+_TAYLOR_BOX = 1.25
+_TAYLOR_ORDER = 32
+_TAYLOR_REACH = 8
+_TAYLOR_RADIUS = 0.45
+# The translation pays once the centers number at least this many, with at
+# least this many per target box: on 10^4 uniform centers and queries it
+# costs as much as the Hermite tier at 4 to 6 centers per box, and on
+# chain-like ones at about 1000 centers.
+_TAYLOR_MIN_CENTERS = 1_000
+_TAYLOR_DENSITY = 8
 
 
 class UnknownBlockError(KeyError):
@@ -331,6 +347,11 @@ class LinearGaussianModel:
             np.sum(np.log(np.diag(self.noise_chol)))
         )
 
+    @cached_property
+    def _noise_inverse(self) -> np.ndarray:
+        """The inverse of ``noise_chol``, which whitens this model's outputs."""
+        return _frozen_array(np.linalg.inv(self.noise_chol))
+
 
 @dataclass(frozen=True)
 class Action:
@@ -566,8 +587,8 @@ class _SequentialModels:
         self._models: list[tuple[LinearGaussianModel, np.ndarray, slice, np.ndarray]] = []
         cursor = 0
         for model, cols in bound[own]:
-            inverse = np.linalg.inv(model.noise_chol)
-            self._models.append((model, cols, slice(cursor, cursor + model.output_dim), inverse))
+            part = slice(cursor, cursor + model.output_dim)
+            self._models.append((model, cols, part, model._noise_inverse))
             cursor += model.output_dim
         self._log_norm = sum(model._log_norm for model, *_rest in self._models)
 
@@ -642,9 +663,9 @@ class ObservationGridEvaluator:
     This is the hot loop of the marginal-likelihood estimate, so the batch
     side (every model's mean, whitened by its noise factor and laid side by
     side) is computed once; queries are whitened the same way and summed by
-    :func:`_log_kernel_sum`.  A 1-D observation takes its Hermite expansion,
-    which costs a bounded amount per query however many particles the batch
-    has; wider observations sum the dense query-by-batch grid.
+    :func:`_log_kernel_sum`.  A 1-D observation takes the fast Gauss
+    transform, which costs a bounded amount per query however many particles
+    the batch has; wider observations sum the dense query-by-batch grid.
     """
 
     def __init__(self, seq_obs: SequentialObservation, states: np.ndarray):
@@ -687,11 +708,16 @@ def _log_kernel_sum(
     Queries (m x d) and centers (n x d) are whitened; zero weights drop
     their centers.
 
-    At d = 1 each row takes a Hermite expansion (:func:`_hermite_kernel_sum`)
-    over at most 15 boxes of centers, and keeps it when its certified error
-    is at most 1e-13 of its value; other rows take the log-sum-exp below.
-    Each row's arithmetic is its own, so a row gives the same bits alone or
-    in any batch.
+    At d = 1 a row passes through up to three tiers, and each keeps the rows
+    whose certified error is at most 1e-13 of their value.  The first is the
+    fast Gauss transform's Taylor form (:func:`_taylor_kernel_sum`): one
+    32-term polynomial per lattice box, so a row costs one Horner pass; it
+    runs only for at least 1000 centers with at least 8 per target box,
+    where its set-up pays.  The second is the Hermite expansion
+    (:func:`_hermite_kernel_sum`), which sums at most 15 boxes of centers per
+    row; the last is the log-sum-exp below.  Which tiers run depends on the
+    centers alone and each row's arithmetic is its own, so a row gives the
+    same bits alone or in any batch.
 
     At d >= 2 both sides are centered on the centers' mean, which changes no
     distance.  A query row whose terms ``|q|^2 / 2`` and
@@ -709,12 +735,18 @@ def _log_kernel_sum(
     n_queries = queries.shape[0]
     rows = min(max(1, _CHUNK_CELLS // centers.shape[0]), max(1, n_queries))
     if centers.shape[1] == 1:
-        out, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
+        out = np.empty(n_queries)
+        # rows that no tier has certified yet
+        todo = np.arange(n_queries)
+        for tier in (_taylor_kernel_sum, _hermite_kernel_sum):
+            if todo.size:
+                sums, rejected = tier(queries[todo, 0], centers[:, 0], weights)
+                out[todo] = sums
+                todo = todo[rejected]
         out -= log_norm
-        if exact.any():
-            rows = min(rows, int(np.count_nonzero(exact)))
-            buffer = np.empty((rows, centers.shape[0]))
-            out[exact] = _log_sum_exp_rows(queries[exact], centers, log_w, log_norm, buffer)
+        if todo.size:
+            buffer = np.empty((min(rows, todo.size), centers.shape[0]))
+            out[todo] = _log_sum_exp_rows(queries[todo], centers, log_w, log_norm, buffer)
         return out
     shift = centers.mean(axis=0)
     centers = centers - shift
@@ -778,6 +810,10 @@ def _hermite_kernel_sum(
     expansion (the fast Gauss transform, Greengard & Strain 1991), and a
     mask of the rows whose result must be recomputed exactly.
 
+    This is the second tier of the 1-D kernel sum: it takes the rows that
+    :func:`_taylor_kernel_sum` does not certify, and every row when the
+    centers are too few or too sparse for that tier.
+
     In units ``t = x / sqrt(2)`` the kernel is ``exp(-(t - s)^2)``.  Centers
     are binned in boxes 1 wide, so each lies within 1/2 of its box center
     ``a``, and ``exp(-(t - s)^2) = sum_n (s - a)^n / n! h_n(t - a)`` with
@@ -800,7 +836,8 @@ def _hermite_kernel_sum(
     power = weights[keep]
     for n in range(_HERMITE_ORDER):
         moments[n, :n_boxes] = np.bincount(box, weights=power)
-        power = power * offset / (n + 1)
+        power *= offset
+        power /= n + 1
     box_w = moments[0]
     total_w = float(box_w.sum())
     # a center's terms from order p on add up to at most
@@ -808,11 +845,7 @@ def _hermite_kernel_sum(
     # the largest rho is 1 / sqrt(2) up to rounding
     rho = math.sqrt(2.0) * float(np.abs(offset).max(initial=0.0))
     p = _HERMITE_ORDER
-    trunc = (
-        _CRAMER * rho**p / math.sqrt(math.factorial(p)) / (1.0 - rho / math.sqrt(p + 1))
-        if rho < 1.0
-        else math.inf
-    )
+    trunc = _CRAMER * _series_tail(rho, p)
     drop = math.exp(-((_HERMITE_CUTOFF - 0.5) ** 2))
     first = np.searchsorted(box_x[:n_boxes], queries - _HERMITE_CUTOFF * _HERMITE_BOX)
     # fewer boxes than a window holds all fit in one from any first box
@@ -853,3 +886,144 @@ def _hermite_kernel_sum(
     exact = ~((bound <= _HERMITE_REL_BOUND * total) & (total >= 1e-300))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.log(total), exact
+
+
+def _series_tail(rho: float, order: int) -> float:
+    """A bound on ``sum_{n >= order} rho^n / sqrt(n!)`` by a geometric
+    series, or inf unless ``rho < 1``."""
+    if not rho < 1.0:
+        return math.inf
+    return rho**order / math.sqrt(math.factorial(order)) / (1.0 - rho / math.sqrt(order + 1))
+
+
+@cache
+def _taylor_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constants of :func:`_taylor_kernel_sum`, built at first use.
+
+    Window slot ``i`` of a target box reads the box ``d_i = (reach - i)
+    ell`` kernel lengths before it, ``ell = 1.25 / sqrt(2)``.  Per slot: the
+    translation ``T_i[n, k] = (-1)^k h_{n+k}(d_i) / (n! k!)`` of the raw
+    moments ``sum w (s - a)^n`` (in extended precision); the certified
+    error per unit of their magnitudes that does not depend on the centers;
+    and the Hermite truncation's factor ``exp(-max(|d_i| - radius, 0)^2 /
+    2)``.
+    """
+    p, q, reach = _HERMITE_ORDER, _TAYLOR_ORDER, _TAYLOR_REACH
+    ell = np.longdouble(_TAYLOR_BOX) / np.sqrt(np.longdouble(2.0))
+    d = np.arange(reach, -reach - 1, -1) * ell
+    h = np.empty((p + q - 1, d.size), dtype=np.longdouble)
+    h[0] = np.exp(-d * d)
+    h[1] = 2.0 * d * h[0]
+    for m in range(1, p + q - 2):
+        h[m + 1] = 2.0 * d * h[m] - 2.0 * m * h[m - 1]
+    factorial = np.array([math.factorial(m) for m in range(p + q)], dtype=np.longdouble)
+    k = np.arange(q)
+    sign = np.where(k % 2, -1.0, 1.0)
+    table = np.stack(
+        [h[n : n + q].T * sign / (factorial[n] * factorial[:q]) for n in range(p)], axis=1
+    ).astype(float)
+    d = d.astype(float)
+    # rounding: (p + q) eps times the terms' magnitudes at |v| = radius;
+    # Taylor truncation: 1.0865 exp(-d^2 / 2) 2^n / sqrt(n!) tail(2 radius, q)
+    growth = (2.0 ** np.arange(p) / np.sqrt(factorial[:p])).astype(float)
+    error = (p + q) * _EPS * (np.abs(table) @ _TAYLOR_RADIUS ** k.astype(float)) + (
+        _CRAMER
+        * _series_tail(2.0 * _TAYLOR_RADIUS, q)
+        * np.exp(-0.5 * d * d)[:, None]
+        * growth
+    )
+    hermite_decay = np.exp(-0.5 * np.maximum(np.abs(d) - _TAYLOR_RADIUS, 0.0) ** 2)
+    return _frozen_array(table), _frozen_array(error), _frozen_array(hermite_decay)
+
+
+def _taylor_kernel_sum(
+    queries: np.ndarray,
+    centers: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``log sum_l w_l exp(-(q_m - c_l)^2 / 2)`` per 1-D query by the
+    Hermite-to-Taylor translation of the fast Gauss transform (Greengard &
+    Strain 1991), and a mask of the rows it does not certify.
+
+    Too few centers, too few per target box, or lattice indices past 2^50
+    leave every row to the next tier; that choice reads the centers alone.
+    In units ``t = x / sqrt(2)``, centers are binned on the lattice ``j *
+    1.25`` (whitened), within ``ell / 2 = 0.442`` of their box's point
+    ``a``, and each box keeps the moments ``n! A_n = sum w (s - a)^n`` of
+    :func:`_hermite_kernel_sum`.  A target box, one within the reach of an
+    occupied box, translates the moments in its reach into one polynomial in
+    ``v = t - c`` about its point ``c`` by ``h_n(d + v) = sum_k (-1)^k
+    h_{n+k}(d) v^k / k!``; a row is one Horner pass over its box's.
+
+    A row's certified error adds, per box in reach at ``d = c - a``, the
+    Hermite truncation (Cramer's inequality at ``|t - a| >= |d| - radius``)
+    and the Taylor truncation (the same inequality with ``(n + k)! <=
+    2^(n+k) n! k!``); the weight past the reach times ``exp(-((reach + 1)
+    ell - radius - max |s - a|)^2)``; and ``(p + order) eps`` times the
+    terms' magnitudes at ``|v| = radius``.  A row is kept when that is at
+    most ``_HERMITE_REL_BOUND`` of its sum, the sum is at least 1e-300 and
+    ``|v| <= radius``.  The coefficients depend on the centers alone and a
+    row's pass is its own, so a row gives the same bits in any batch.
+    """
+    untouched = np.empty(queries.shape[0]), np.ones(queries.shape[0], dtype=bool)
+    keep = weights > 0
+    sources = centers[keep]
+    if sources.size < _TAYLOR_MIN_CENTERS:
+        return untouched
+    labels = np.rint(sources / _TAYLOR_BOX)
+    lo, hi = float(labels.min()), float(labels.max())
+    p, q, reach = _HERMITE_ORDER, _TAYLOR_ORDER, _TAYLOR_REACH
+    # target box b is lattice box base + b; source row r is box base - reach + r
+    base = lo - reach
+    n_targets = hi - lo + 2 * reach + 1
+    if sources.size < _TAYLOR_DENSITY * n_targets or not max(-lo, hi) < 2.0**50:
+        return untouched
+    table, error, hermite_decay = _taylor_tables()
+    n_targets = int(n_targets)
+    n_rows = n_targets + 2 * reach
+    box = (labels - base).astype(np.intp) + reach
+    offset = (sources - labels * _TAYLOR_BOX) / math.sqrt(2.0)
+    # Each box's moments add partial sums of every subsums-th center, about
+    # as many bins as centers, so their rounding does not grow with the
+    # centers a box holds.
+    subsums = max(1, sources.size // n_rows)
+    key = box * subsums + np.arange(box.size) % subsums
+    # moments[r, n] = sum over source box r of w (s - a)^n
+    moments = np.empty((n_rows, p))
+    power = weights[keep]
+    for n in range(p):
+        partial = np.bincount(key, weights=power, minlength=n_rows * subsums)
+        moments[:, n] = partial.reshape(n_rows, subsums).sum(axis=1)
+        power *= offset
+
+    delta = float(np.abs(offset).max())
+    error = error.copy()
+    error[:, 0] += _CRAMER * _series_tail(math.sqrt(2.0) * delta, p) * hermite_decay
+    # coef[k, b] is the v^k coefficient of target box b
+    coef = np.zeros((q, n_targets))
+    bound = np.zeros(n_targets)
+    near_w = np.zeros(n_targets)
+    for i in range(2 * reach + 1):
+        window = moments[i : i + n_targets]
+        coef += table[i].T @ window.T
+        bound += np.abs(window) @ error[i]
+        near_w += window[:, 0]
+    ell = _TAYLOR_BOX / math.sqrt(2.0)
+    drop = math.exp(-(((reach + 1) * ell - _TAYLOR_RADIUS - delta) ** 2))
+    bound += drop * np.maximum(float(moments[:, 0].sum()) - near_w, 0.0)
+
+    lattice = np.rint(queries / _TAYLOR_BOX)
+    v = (queries - lattice * _TAYLOR_BOX) / math.sqrt(2.0)
+    target = np.clip(lattice - base, -1.0, n_targets)
+    outside = ~((target >= 0) & (target < n_targets) & (np.abs(v) <= _TAYLOR_RADIUS))
+    target[outside] = 0.0
+    v[outside] = 0.0
+    target = target.astype(np.intp)
+    total = np.take(coef[q - 1], target)
+    for k in range(q - 2, -1, -1):
+        total *= v
+        total += np.take(coef[k], target)
+    bound = np.take(bound, target)
+    rejected = outside | ~((bound <= _HERMITE_REL_BOUND * total) & (total >= 1e-300))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(total), rejected

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 from dataclasses import replace
@@ -137,6 +138,31 @@ class TestSerialization:
         scenario = generate_scenario(16, 1, seed=7)
         clone = scenario_from_dict(scenario_to_dict(scenario))
         np.testing.assert_array_equal(clone.prior.covariance, scenario.prior.covariance)
+
+    @pytest.mark.parametrize("value", [-5.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_sensing_range_the_generator_rejects(self, value, tmp_path):
+        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        doc["sensing_range"] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        message = f"sensing_range must be a finite number > 0, got {value}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(path)
+
+    def test_missing_sensing_range_is_malformed(self):
+        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        del doc["sensing_range"]
+        with pytest.raises(ScenarioError, match="malformed.*sensing_range"):
+            scenario_from_dict(doc)
+
+    def test_round_trip_keeps_the_sensing_range_bytes(self, tmp_path):
+        scenario = generate_scenario(16, 1, seed=7, sensing_range=math.pi)
+        path = tmp_path / "s.json"
+        save_scenario(scenario, path)
+        text = path.read_text(encoding="utf-8")
+        loaded = load_scenario(path)
+        assert loaded.sensing_range == math.pi
+        assert scenario_to_json(loaded) == text
 
     def test_malformed_document(self):
         with pytest.raises(ScenarioError, match="malformed"):

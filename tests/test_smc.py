@@ -335,6 +335,17 @@ class TestAnytime:
         assert acc.estimate == whole.estimate
         assert np.array_equal(acc.terms, whole.terms)
 
+    def test_incremental_is_batch_bit_for_bit_at_ten_thousand(self, chain):
+        # n4 = 10^4 normalizer centers take the Taylor tier of the kernel sum
+        prior, action = chain
+        pset = sample_particles(prior, 10_000, 11)
+        budget = SampleBudget(n1=10_000)
+        ctx = mismc_context(pset, action, budget, 12)
+        acc = ctx.empty_accumulator()
+        for step in (3_333, 3_333, 3_334):
+            acc = mismc_update(acc, step, ctx)
+        assert acc.estimate == mismc_estimate(pset, action, budget, 12).value
+
     def test_numpy_integer_installments(self, chain):
         # a numpy count makes ``consumed`` a numpy integer, which the next
         # installment's stream offset must accept
@@ -414,5 +425,14 @@ class TestParticleNoise:
         got = _particle_noise(root, indices.start, len(indices), per_particle)
         assert got.shape == (len(indices), per_particle)
         for row, index in zip(got, indices):
+            assert np.array_equal(row, self.window(root, index, per_particle))
+
+    @pytest.mark.parametrize("per_particle", [1, 2, 3, 5])
+    def test_rows_of_every_width_equal_per_index_windows(self, per_particle):
+        # a window transforms its whole stride, a row only the pairs it uses
+        root = (123, 456)
+        got = _particle_noise(root, 7, 6, per_particle)
+        assert got.shape == (6, per_particle)
+        for row, index in zip(got, range(7, 13)):
             assert np.array_equal(row, self.window(root, index, per_particle))
 

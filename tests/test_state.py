@@ -25,12 +25,14 @@ from augmi import (
     marginalize_particles,
     sample_particles,
 )
+from augmi import state
 from augmi.state import (
     _HERMITE_PAIRS,
     _HERMITE_WINDOW,
     LOG_TWO_PI,
     _hermite_kernel_sum,
     _log_kernel_sum,
+    _taylor_kernel_sum,
 )
 from conftest import (
     STD_NORMAL_LOGPDF_MODE,
@@ -664,6 +666,15 @@ class TestWhiten:
             bound = 4.0 * np.linalg.cond(chol) * eps * np.abs(reference).max(axis=1)
             assert np.all(error <= bound)
 
+    def test_models_invert_their_noise_factor_once(self):
+        _prior, action = make_chain_1d(r=4.0)
+        model = action.observations[0][1]
+        inverse = model._noise_inverse
+        assert inverse is model._noise_inverse and not inverse.flags.writeable
+        assert np.array_equal(inverse, np.linalg.inv(model.noise_chol))
+        obs = SequentialObservation(StateLayout.from_dims([("x", 1)]), action)
+        assert obs._models[0][3] is inverse
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_values(self, bad):
         layout = StateLayout.from_dims([("x", 1)])
@@ -801,21 +812,96 @@ class TestLogKernelSum:
         centers = 4.0 * rng.standard_normal((3000, 1))
         weights = rng.uniform(0.1, 1.0, 3000)
         weights /= weights.sum()
-        # more rows than one chunk holds, with tail rows that fall back
+        # more rows than one Hermite chunk holds; two rows just past the
+        # last center that the Taylor tier leaves to the Hermite tier, and
+        # three tail rows that fall back to log-sum-exp
         chunk = _HERMITE_PAIRS // _HERMITE_WINDOW
         queries = 3.0 * rng.standard_normal((chunk + 40, 1))
-        queries[-3:] = [[40.0], [-45.0], [60.0]]
+        queries[-5:] = [[15.0], [15.5], [40.0], [-45.0], [60.0]]
         batch = _log_kernel_sum(queries, centers, weights, 0.9)
+        _log_sums, untaylored = _taylor_kernel_sum(queries[:, 0], centers[:, 0], weights)
+        assert np.flatnonzero(untaylored).tolist() == list(range(chunk + 35, chunk + 40))
+        _log_sums, exact = _hermite_kernel_sum(queries[-5:, 0], centers[:, 0], weights)
+        assert exact.tolist() == [False, False, True, True, True]
         _log_sums, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
-        assert exact[-3:].all() and not exact[: chunk + 1].any()
-        # about one row in eight would differ if slots were summed in an
-        # order that depends on the chunk's row count
-        rows = [*range(0, chunk + 40, 5), chunk - 1, chunk, chunk + 1, chunk + 37, chunk + 39]
+        assert not exact[: chunk + 1].any()
+        # about one row in eight would differ if Hermite slots were summed in
+        # an order that depends on the chunk's row count
+        rows = [*range(0, chunk + 40, 5), chunk - 1, chunk, chunk + 1]
+        rows += range(chunk + 35, chunk + 40)
         for row in rows:
             alone = _log_kernel_sum(queries[row : row + 1], centers, weights, 0.9)
             assert alone.tobytes() == batch[row : row + 1].tobytes()
         straddle = _log_kernel_sum(queries[chunk - 5 : chunk + 5], centers, weights, 0.9)
         assert straddle.tobytes() == batch[chunk - 5 : chunk + 5].tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_centers=st.integers(1000, 3000),
+        log_spread=st.floats(-6.0, 1.0),
+        log_shift=st.floats(-6.0, 6.0),
+        negative=st.booleans(),
+        log_norm=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # pinned: dense centers at whitened scale 1e6, where a lattice whose
+    # points binary cannot represent exactly puts the expansion off the sum
+    @example(
+        n_centers=3000, log_spread=0.0, log_shift=6.0, negative=False, log_norm=0.9, seed=8
+    )
+    def test_one_dimension_translation_matches_dense_reference(
+        self, n_centers, log_spread, log_shift, negative, log_norm, seed
+    ):
+        rng = np.random.default_rng(seed)
+        shift = (-1.0 if negative else 1.0) * 10.0**log_shift
+        spread = 10.0**log_spread
+        centers = shift + spread * rng.standard_normal((n_centers, 1))
+        queries = shift + 1.5 * spread * rng.standard_normal((40, 1))
+        weights = rng.uniform(0.1, 1.0, n_centers)
+        weights /= weights.sum()
+        reference = _dense_log_kernel_sum(queries, centers, weights, 0.0)
+        sums, rejected = _taylor_kernel_sum(queries[:, 0], centers[:, 0], weights)
+        assert np.count_nonzero(rejected) <= 10
+        # every certified row is within 1e-13 of its sum
+        assert np.all(np.abs(sums - reference)[~rejected] <= 1e-13)
+        np.testing.assert_allclose(
+            _log_kernel_sum(queries, centers, weights, log_norm),
+            reference - log_norm,
+            rtol=1e-12,
+            atol=1e-12 * max(1.0, abs(log_norm)),
+        )
+
+    @pytest.mark.parametrize(
+        "case, hermite_share",
+        [("sparse", 1.0), ("few", 1.0), ("dense", 0.01)],
+    )
+    def test_one_dimension_tier_follows_the_centers(self, case, hermite_share, monkeypatch):
+        # the translation pays only for many centers packed on the lattice:
+        # 2000 centers over 3200 boxes, or 300 centers, take the Hermite tier
+        # for every row; 2000 chain-like centers certify nearly all rows
+        rng = np.random.default_rng(9)
+        n = 300 if case == "few" else 2000
+        if case == "sparse":
+            centers = rng.uniform(-2000.0, 2000.0, (n, 1))
+            queries = rng.uniform(-2000.0, 2000.0, (n, 1))
+        else:
+            centers = math.sqrt(2.0) * rng.standard_normal((n, 1))
+            queries = math.sqrt(3.0) * rng.standard_normal((n, 1))
+        weights = np.full(n, 1.0 / n)
+        received = []
+
+        def spy(queries, centers, weights):
+            received.append(queries.size)
+            return _hermite_kernel_sum(queries, centers, weights)
+
+        monkeypatch.setattr(state, "_hermite_kernel_sum", spy)
+        got = _log_kernel_sum(queries, centers, weights, 0.9)
+        assert sum(received) <= hermite_share * n
+        if hermite_share == 1.0:
+            assert received == [n]
+            assert _taylor_kernel_sum(queries[:, 0], centers[:, 0], weights)[1].all()
+            hermite, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
+            assert got[~exact].tobytes() == (hermite - 0.9)[~exact].tobytes()
 
     def test_underflowing_row_leaves_the_factored_path(self):
         # Every exponent is within the factored path's bound, but the only
