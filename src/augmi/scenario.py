@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import augmented_mi_analytic
-from .state import Action, GaussianDensity, LinearGaussianModel, StateLayout
+from .state import Action, GaussianDensity, LinearGaussianModel, StateLayout, _is_count
 
 MIN_MI_SEPARATION = 0.02
 
@@ -267,6 +267,9 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
             action.validate_against(layout)
             actions.append(action)
         sensing_range = float(doc["sensing_range"])
+        seed = doc.get("seed", -1)
+        if not _is_count(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -277,7 +280,7 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
         prior=prior,
         actions=tuple(actions),
         sensing_range=sensing_range,
-        seed=int(doc.get("seed", -1)),
+        seed=int(seed),
     )
 
 

@@ -29,35 +29,29 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 # weight reduction (the grid pass is memory-bound otherwise).
 _CHUNK_CELLS = 250_000
 
-# The 1-D kernel sum's Hermite expansion: boxes sqrt(2) wide in whitened
-# units (1 wide in units of the kernel's sqrt(2) length), the expansion order
-# per box, the distance, in the same units, within which a query sums a box,
-# and the most boxes that distance reaches.
-_HERMITE_BOX = math.sqrt(2.0)
+# The 1-D kernel sum's fast Gauss transform: a lattice of boxes 1.25
+# whitened units wide, whose points j * 1.25 and their differences are exact
+# below 2^50; the boxes on each side of a row's own box that it sums; the
+# largest |t - box point| a row may have, in units of the kernel's sqrt(2)
+# length (half a box is 0.442); the Hermite order per box; and the Taylor
+# order per target box of the translation.
+_FGT_BOX = 1.25
+_FGT_REACH = 8
+_FGT_RADIUS = 0.45
 _HERMITE_ORDER = 24
-_HERMITE_CUTOFF = 7.0
-_HERMITE_WINDOW = 2 * int(_HERMITE_CUTOFF) + 1
+_TAYLOR_ORDER = 32
 # A row keeps its expansion when the certified error is at most this share
 # of its value.
-_HERMITE_REL_BOUND = 1e-13
-# (row, box) pairs per query chunk: the temporaries stay a few hundred kB.
-_HERMITE_PAIRS = 16_384
+_FGT_REL_BOUND = 1e-13
+# (row, box) pairs per query chunk of the direct sum: the temporaries stay a
+# few hundred kB.
+_FGT_PAIRS = 16_384
 # Cramer's inequality: |H_n(u)| exp(-u^2 / 2) <= 1.0865 sqrt(2^n n!).
 _CRAMER = 1.0865
 _EPS = float(np.finfo(float).eps)
-
-# The 1-D kernel sum's Taylor tier: a lattice of boxes 1.25 whitened units
-# wide, whose points j * 1.25 and their differences are exact below 2^50; the
-# Taylor order per target box; the boxes on each side whose moments a target
-# box translates; and the largest |t - box center| a row may have, in units
-# of the kernel's sqrt(2) length (half a box is 0.442).
-_TAYLOR_BOX = 1.25
-_TAYLOR_ORDER = 32
-_TAYLOR_REACH = 8
-_TAYLOR_RADIUS = 0.45
 # The translation pays once the centers number at least this many, with at
 # least this many per target box: on 10^4 uniform centers and queries it
-# costs as much as the Hermite tier at 4 to 6 centers per box, and on
+# costs as much as the direct sum at 4 to 6 centers per box, and on
 # chain-like ones at about 1000 centers.
 _TAYLOR_MIN_CENTERS = 1_000
 _TAYLOR_DENSITY = 8
@@ -708,16 +702,17 @@ def _log_kernel_sum(
     Queries (m x d) and centers (n x d) are whitened; zero weights drop
     their centers.
 
-    At d = 1 a row passes through up to three tiers, and each keeps the rows
-    whose certified error is at most 1e-13 of their value.  The first is the
-    fast Gauss transform's Taylor form (:func:`_taylor_kernel_sum`): one
-    32-term polynomial per lattice box, so a row costs one Horner pass; it
-    runs only for at least 1000 centers with at least 8 per target box,
-    where its set-up pays.  The second is the Hermite expansion
-    (:func:`_hermite_kernel_sum`), which sums at most 15 boxes of centers per
-    row; the last is the log-sum-exp below.  Which tiers run depends on the
-    centers alone and each row's arithmetic is its own, so a row gives the
-    same bits alone or in any batch.
+    At d = 1 the fast Gauss transform (:func:`_fast_gauss_transform`) bins
+    the centers once on a lattice of boxes 1.25 whitened units wide and
+    builds each box's moments once.  A row reads them in one of two ways:
+    the translation, one 32-term polynomial per lattice box, so a row costs
+    one Horner pass, which runs only for at least 1000 centers with at least
+    8 per target box, where its set-up pays; or the direct Hermite sum over
+    the at most 17 boxes in the row's reach.  A row whose certified error
+    exceeds 1e-13 of its value takes the log-sum-exp below.  Which way a row
+    takes depends on the centers and the row alone, and each row's
+    arithmetic is its own, so a row gives the same bits alone or in any
+    batch.
 
     At d >= 2 both sides are centered on the centers' mean, which changes no
     distance.  A query row whose terms ``|q|^2 / 2`` and
@@ -735,15 +730,9 @@ def _log_kernel_sum(
     n_queries = queries.shape[0]
     rows = min(max(1, _CHUNK_CELLS // centers.shape[0]), max(1, n_queries))
     if centers.shape[1] == 1:
-        out = np.empty(n_queries)
-        # rows that no tier has certified yet
-        todo = np.arange(n_queries)
-        for tier in (_taylor_kernel_sum, _hermite_kernel_sum):
-            if todo.size:
-                sums, rejected = tier(queries[todo, 0], centers[:, 0], weights)
-                out[todo] = sums
-                todo = todo[rejected]
+        out, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
         out -= log_norm
+        todo = np.flatnonzero(rejected)
         if todo.size:
             buffer = np.empty((min(rows, todo.size), centers.shape[0]))
             out[todo] = _log_sum_exp_rows(queries[todo], centers, log_w, log_norm, buffer)
@@ -801,93 +790,6 @@ def _log_sum_exp_rows(
     return out
 
 
-def _hermite_kernel_sum(
-    queries: np.ndarray,
-    centers: np.ndarray,
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``log sum_l w_l exp(-(q_m - c_l)^2 / 2)`` per 1-D query by Hermite
-    expansion (the fast Gauss transform, Greengard & Strain 1991), and a
-    mask of the rows whose result must be recomputed exactly.
-
-    This is the second tier of the 1-D kernel sum: it takes the rows that
-    :func:`_taylor_kernel_sum` does not certify, and every row when the
-    centers are too few or too sparse for that tier.
-
-    In units ``t = x / sqrt(2)`` the kernel is ``exp(-(t - s)^2)``.  Centers
-    are binned in boxes 1 wide, so each lies within 1/2 of its box center
-    ``a``, and ``exp(-(t - s)^2) = sum_n (s - a)^n / n! h_n(t - a)`` with
-    ``h_n(u) = H_n(u) exp(-u^2)``.  Each box keeps its first
-    ``_HERMITE_ORDER`` moments; a query sums the boxes whose centers lie
-    within ``_HERMITE_CUTOFF`` of it.  A row's certified error adds the
-    truncation bound from Cramer's inequality over those boxes, the dropped
-    boxes' weight times ``exp(-(cutoff - 1/2)^2)``, and ``order * eps`` times
-    the sum of the terms' magnitudes.  A row is kept when that is at most
-    ``_HERMITE_REL_BOUND`` of its sum and the sum is at least 1e-300.
-    """
-    keep = weights > 0
-    labels, box = np.unique(np.rint(centers[keep] / _HERMITE_BOX), return_inverse=True)
-    n_boxes = labels.size
-    # box centers in whitened units, then an empty box that pads the windows
-    box_x = np.append(labels * _HERMITE_BOX, 0.0)
-    # differences first: they are exact near the box center at any scale
-    offset = (centers[keep] - box_x[box]) / _HERMITE_BOX
-    moments = np.zeros((_HERMITE_ORDER, n_boxes + 1))
-    power = weights[keep]
-    for n in range(_HERMITE_ORDER):
-        moments[n, :n_boxes] = np.bincount(box, weights=power)
-        power *= offset
-        power /= n + 1
-    box_w = moments[0]
-    total_w = float(box_w.sum())
-    # a center's terms from order p on add up to at most
-    # _CRAMER exp(-u^2 / 2) sum_{n >= p} rho^n / sqrt(n!), rho = sqrt(2) |s - a|;
-    # the largest rho is 1 / sqrt(2) up to rounding
-    rho = math.sqrt(2.0) * float(np.abs(offset).max(initial=0.0))
-    p = _HERMITE_ORDER
-    trunc = _CRAMER * _series_tail(rho, p)
-    drop = math.exp(-((_HERMITE_CUTOFF - 0.5) ** 2))
-    first = np.searchsorted(box_x[:n_boxes], queries - _HERMITE_CUTOFF * _HERMITE_BOX)
-    # fewer boxes than a window holds all fit in one from any first box
-    slots = np.arange(max(1, min(_HERMITE_WINDOW, n_boxes)))[:, None]
-    total = np.empty(queries.shape[0])
-    bound = np.empty(queries.shape[0])
-    rows = _HERMITE_PAIRS // slots.size
-    for start in range(0, queries.shape[0], rows):
-        stop = start + rows
-        # (slot, row) arrays; slots past the last box read the empty one
-        idx = np.minimum(first[start:stop] + slots, n_boxes)
-        u = (queries[start:stop] - box_x[idx]) / _HERMITE_BOX
-        outside = ~(np.abs(u) <= _HERMITE_CUTOFF)
-        idx[outside] = n_boxes
-        u[outside] = 0.0
-        g = np.exp(-0.5 * u * u)
-        two_u = 2.0 * u
-        h, h_prev = g * g, np.zeros_like(u)
-        acc, mag = np.zeros_like(u), np.zeros_like(u)
-        for n in range(p):
-            term = np.take(moments[n], idx)
-            term *= h
-            acc += term
-            mag += np.abs(term, out=term)
-            # h_{n+1} = 2u h_n - 2n h_{n-1}
-            h_prev *= -2.0 * n
-            h_prev += two_u * h
-            h, h_prev = h_prev, h
-        w_in = np.take(box_w, idx)
-        # slots are summed one at a time, so a row's bits do not depend on
-        # how many rows share its chunk
-        total[start:stop] = reduce(np.add, acc)
-        bound[start:stop] = (
-            trunc * reduce(np.add, w_in * g)
-            + drop * np.maximum(total_w - reduce(np.add, w_in), 0.0)
-            + p * _EPS * reduce(np.add, mag)
-        )
-    exact = ~((bound <= _HERMITE_REL_BOUND * total) & (total >= 1e-300))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(total), exact
-
-
 def _series_tail(rho: float, order: int) -> float:
     """A bound on ``sum_{n >= order} rho^n / sqrt(n!)`` by a geometric
     series, or inf unless ``rho < 1``."""
@@ -898,7 +800,8 @@ def _series_tail(rho: float, order: int) -> float:
 
 @cache
 def _taylor_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The constants of :func:`_taylor_kernel_sum`, built at first use.
+    """The constants of the translation in :func:`_fast_gauss_transform`,
+    built at first use.
 
     Window slot ``i`` of a target box reads the box ``d_i = (reach - i)
     ell`` kernel lengths before it, ``ell = 1.25 / sqrt(2)``.  Per slot: the
@@ -908,8 +811,8 @@ def _taylor_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the Hermite truncation's factor ``exp(-max(|d_i| - radius, 0)^2 /
     2)``.
     """
-    p, q, reach = _HERMITE_ORDER, _TAYLOR_ORDER, _TAYLOR_REACH
-    ell = np.longdouble(_TAYLOR_BOX) / np.sqrt(np.longdouble(2.0))
+    p, q, reach = _HERMITE_ORDER, _TAYLOR_ORDER, _FGT_REACH
+    ell = np.longdouble(_FGT_BOX) / np.sqrt(np.longdouble(2.0))
     d = np.arange(reach, -reach - 1, -1) * ell
     h = np.empty((p + q - 1, d.size), dtype=np.longdouble)
     h[0] = np.exp(-d * d)
@@ -926,104 +829,164 @@ def _taylor_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # rounding: (p + q) eps times the terms' magnitudes at |v| = radius;
     # Taylor truncation: 1.0865 exp(-d^2 / 2) 2^n / sqrt(n!) tail(2 radius, q)
     growth = (2.0 ** np.arange(p) / np.sqrt(factorial[:p])).astype(float)
-    error = (p + q) * _EPS * (np.abs(table) @ _TAYLOR_RADIUS ** k.astype(float)) + (
+    error = (p + q) * _EPS * (np.abs(table) @ _FGT_RADIUS ** k.astype(float)) + (
         _CRAMER
-        * _series_tail(2.0 * _TAYLOR_RADIUS, q)
+        * _series_tail(2.0 * _FGT_RADIUS, q)
         * np.exp(-0.5 * d * d)[:, None]
         * growth
     )
-    hermite_decay = np.exp(-0.5 * np.maximum(np.abs(d) - _TAYLOR_RADIUS, 0.0) ** 2)
+    hermite_decay = np.exp(-0.5 * np.maximum(np.abs(d) - _FGT_RADIUS, 0.0) ** 2)
     return _frozen_array(table), _frozen_array(error), _frozen_array(hermite_decay)
 
 
-def _taylor_kernel_sum(
+def _certified(total: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Rows whose certified error is at most 1e-13 of a sum of at least
+    1e-300."""
+    return (bound <= _FGT_REL_BOUND * total) & (total >= 1e-300)
+
+
+def _fast_gauss_transform(
     queries: np.ndarray,
     centers: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``log sum_l w_l exp(-(q_m - c_l)^2 / 2)`` per 1-D query by the
-    Hermite-to-Taylor translation of the fast Gauss transform (Greengard &
-    Strain 1991), and a mask of the rows it does not certify.
+    """``log sum_l w_l exp(-(q_m - c_l)^2 / 2)`` per 1-D query by the fast
+    Gauss transform (Greengard & Strain 1991), and a mask of the rows it
+    does not certify.
 
-    Too few centers, too few per target box, or lattice indices past 2^50
-    leave every row to the next tier; that choice reads the centers alone.
-    In units ``t = x / sqrt(2)``, centers are binned on the lattice ``j *
-    1.25`` (whitened), within ``ell / 2 = 0.442`` of their box's point
-    ``a``, and each box keeps the moments ``n! A_n = sum w (s - a)^n`` of
-    :func:`_hermite_kernel_sum`.  A target box, one within the reach of an
-    occupied box, translates the moments in its reach into one polynomial in
-    ``v = t - c`` about its point ``c`` by ``h_n(d + v) = sum_k (-1)^k
-    h_{n+k}(d) v^k / k!``; a row is one Horner pass over its box's.
+    In units ``t = x / sqrt(2)`` the kernel is ``exp(-(t - s)^2)``.  The
+    positive-weight centers are binned once on the lattice ``j * 1.25``
+    (whitened), within ``ell / 2 = 0.442`` of their box's point ``a``
+    (``ell = 1.25 / sqrt(2)``), and each occupied box keeps the raw moments
+    ``M_n = sum w (s - a)^n``, ``n < 24``, so that ``sum w exp(-(t - s)^2)
+    = sum_n M_n / n! h_n(t - a)`` with ``h_n(u) = H_n(u) exp(-u^2)``.  A row
+    reads the boxes in its reach, 8 on each side of its own, in one of two
+    ways:
 
-    A row's certified error adds, per box in reach at ``d = c - a``, the
-    Hermite truncation (Cramer's inequality at ``|t - a| >= |d| - radius``)
-    and the Taylor truncation (the same inequality with ``(n + k)! <=
-    2^(n+k) n! k!``); the weight past the reach times ``exp(-((reach + 1)
-    ell - radius - max |s - a|)^2)``; and ``(p + order) eps`` times the
-    terms' magnitudes at ``|v| = radius``.  A row is kept when that is at
-    most ``_HERMITE_REL_BOUND`` of its sum, the sum is at least 1e-300 and
-    ``|v| <= radius``.  The coefficients depend on the centers alone and a
-    row's pass is its own, so a row gives the same bits in any batch.
+    - the translation, when there are at least 1000 centers and at least 8
+      per target box (a box within the reach of an occupied one): each
+      target box turns the moments in its reach into one 32-term polynomial
+      in ``v = t - c`` about its point ``c``, by ``h_n(d + v) = sum_k (-1)^k
+      h_{n+k}(d) v^k / k!``, and a row is one Horner pass over its box's;
+    - the direct Hermite sum over the occupied boxes of the row's window,
+      for the rows the translation does not certify, or every row when it
+      does not run.
+
+    A row's certified error adds the Hermite truncation (Cramer's inequality
+    with ``delta = max |s - a|``), the weight past the reach times
+    ``exp(-((reach + 1) ell - radius - delta)^2)``, and the rounding of its
+    terms; the translation adds its Taylor truncation (the same inequality
+    with ``(n + k)! <= 2^(n+k) n! k!``) and reads the Hermite truncation and
+    the terms' magnitudes at ``|v| = radius``.  A row is kept when
+    :func:`_certified` and ``|v| <= radius``.  Lattice indices past 2^50
+    leave every row uncertified.  Which way a row takes depends on the
+    centers and the row alone, and each row's arithmetic is its own, so a
+    row gives the same bits in any batch.
     """
-    untouched = np.empty(queries.shape[0]), np.ones(queries.shape[0], dtype=bool)
+    n_queries = queries.shape[0]
     keep = weights > 0
-    sources = centers[keep]
-    if sources.size < _TAYLOR_MIN_CENTERS:
-        return untouched
-    labels = np.rint(sources / _TAYLOR_BOX)
-    lo, hi = float(labels.min()), float(labels.max())
-    p, q, reach = _HERMITE_ORDER, _TAYLOR_ORDER, _TAYLOR_REACH
-    # target box b is lattice box base + b; source row r is box base - reach + r
-    base = lo - reach
-    n_targets = hi - lo + 2 * reach + 1
-    if sources.size < _TAYLOR_DENSITY * n_targets or not max(-lo, hi) < 2.0**50:
-        return untouched
-    table, error, hermite_decay = _taylor_tables()
-    n_targets = int(n_targets)
-    n_rows = n_targets + 2 * reach
-    box = (labels - base).astype(np.intp) + reach
-    offset = (sources - labels * _TAYLOR_BOX) / math.sqrt(2.0)
-    # Each box's moments add partial sums of every subsums-th center, about
-    # as many bins as centers, so their rounding does not grow with the
-    # centers a box holds.
-    subsums = max(1, sources.size // n_rows)
-    key = box * subsums + np.arange(box.size) % subsums
-    # moments[r, n] = sum over source box r of w (s - a)^n
-    moments = np.empty((n_rows, p))
-    power = weights[keep]
+    # the positive-weight centers in box order, and where each box starts
+    box_of = np.rint(centers[keep] / _FGT_BOX)
+    order = np.argsort(box_of)
+    box_of = box_of[order]
+    starts = np.flatnonzero(np.diff(box_of, prepend=-np.inf))
+    labels = box_of[starts]
+    n_boxes = labels.size
+    if not (n_boxes and max(-labels[0], labels[-1]) < 2.0**50):
+        return np.full(n_queries, -np.inf), np.ones(n_queries, dtype=bool)
+    p, reach = _HERMITE_ORDER, _FGT_REACH
+    offset = (centers[keep][order] - box_of * _FGT_BOX) / math.sqrt(2.0)
+    # moments[j, n] = sum over occupied box j of w (s - a)^n, summed pairwise
+    # over the box's centers, so their rounding grows with the log of its count
+    moments = np.empty((n_boxes, p))
+    power = weights[keep][order]
     for n in range(p):
-        partial = np.bincount(key, weights=power, minlength=n_rows * subsums)
-        moments[:, n] = partial.reshape(n_rows, subsums).sum(axis=1)
+        moments[:, n] = np.add.reduceat(power, starts)
         power *= offset
-
     delta = float(np.abs(offset).max())
-    error = error.copy()
-    error[:, 0] += _CRAMER * _series_tail(math.sqrt(2.0) * delta, p) * hermite_decay
-    # coef[k, b] is the v^k coefficient of target box b
-    coef = np.zeros((q, n_targets))
-    bound = np.zeros(n_targets)
-    near_w = np.zeros(n_targets)
-    for i in range(2 * reach + 1):
-        window = moments[i : i + n_targets]
-        coef += table[i].T @ window.T
-        bound += np.abs(window) @ error[i]
-        near_w += window[:, 0]
-    ell = _TAYLOR_BOX / math.sqrt(2.0)
-    drop = math.exp(-(((reach + 1) * ell - _TAYLOR_RADIUS - delta) ** 2))
-    bound += drop * np.maximum(float(moments[:, 0].sum()) - near_w, 0.0)
+    trunc = _CRAMER * _series_tail(math.sqrt(2.0) * delta, p)
+    ell = _FGT_BOX / math.sqrt(2.0)
+    drop = math.exp(-(((reach + 1) * ell - _FGT_RADIUS - delta) ** 2))
+    total_w = float(moments[:, 0].sum())
 
-    lattice = np.rint(queries / _TAYLOR_BOX)
-    v = (queries - lattice * _TAYLOR_BOX) / math.sqrt(2.0)
-    target = np.clip(lattice - base, -1.0, n_targets)
-    outside = ~((target >= 0) & (target < n_targets) & (np.abs(v) <= _TAYLOR_RADIUS))
-    target[outside] = 0.0
-    v[outside] = 0.0
-    target = target.astype(np.intp)
-    total = np.take(coef[q - 1], target)
-    for k in range(q - 2, -1, -1):
-        total *= v
-        total += np.take(coef[k], target)
-    bound = np.take(bound, target)
-    rejected = outside | ~((bound <= _HERMITE_REL_BOUND * total) & (total >= 1e-300))
+    lattice = np.rint(queries / _FGT_BOX)
+    v = (queries - lattice * _FGT_BOX) / math.sqrt(2.0)
+    far = ~(np.abs(v) <= _FGT_RADIUS)
+    todo = np.arange(n_queries)
+    total, bound = np.zeros(n_queries), np.empty(n_queries)
+    # target box b is lattice box base + b; dense row r is box base - reach + r
+    base = labels[0] - reach
+    n_targets = int(labels[-1] - labels[0]) + 2 * reach + 1
+    if box_of.size >= max(_TAYLOR_MIN_CENTERS, _TAYLOR_DENSITY * n_targets):
+        q = _TAYLOR_ORDER
+        table, error, hermite_decay = _taylor_tables()
+        error = error.copy()
+        error[:, 0] += trunc * hermite_decay
+        dense = np.zeros((n_targets + 2 * reach, p))
+        dense[(labels - base).astype(np.intp) + reach] = moments
+        # coef[k, b] is the v^k coefficient of target box b
+        coef = np.zeros((q, n_targets))
+        box_bound = np.zeros(n_targets)
+        near_w = np.zeros(n_targets)
+        for i in range(2 * reach + 1):
+            window = dense[i : i + n_targets]
+            coef += table[i].T @ window.T
+            box_bound += np.abs(window) @ error[i]
+            near_w += window[:, 0]
+        box_bound += drop * np.maximum(total_w - near_w, 0.0)
+        target = np.clip(lattice - base, -1.0, n_targets)
+        outside = far | (target < 0) | (target >= n_targets)
+        target[outside] = 0.0
+        target = target.astype(np.intp)
+        v_in = np.where(outside, 0.0, v)
+        total = np.take(coef[q - 1], target)
+        for k in range(q - 2, -1, -1):
+            total *= v_in
+            total += np.take(coef[k], target)
+        bound = np.take(box_bound, target)
+        bound[outside] = np.inf
+        todo = np.flatnonzero(~_certified(total, bound))
+
+    if todo.size:
+        # the moments M_n / n! per order, then an empty box that pads the windows
+        factorial = np.array([math.factorial(n) for n in range(p)], dtype=float)
+        scaled = np.zeros((p, n_boxes + 1))
+        scaled[:, :n_boxes] = moments.T / factorial[:, None]
+        points = np.append(labels * _FGT_BOX, np.inf)
+        first = np.searchsorted(labels, lattice[todo] - reach)
+        # fewer boxes than a window holds all fit in one from any first box
+        slots = np.arange(min(2 * reach + 1, n_boxes))[:, None]
+        rows = _FGT_PAIRS // slots.size
+        for start in range(0, todo.size, rows):
+            chunk = todo[start : start + rows]
+            # (slot, row) arrays; slots past the row's reach read the empty box
+            idx = np.minimum(first[start : start + rows] + slots, n_boxes)
+            point = np.take(points, idx)
+            outside = point > (lattice[chunk] + reach) * _FGT_BOX
+            idx[outside] = n_boxes
+            u = (queries[chunk] - point) / math.sqrt(2.0)
+            u[outside] = 0.0
+            g = np.exp(-0.5 * u * u)
+            two_u = 2.0 * u
+            h, h_prev = g * g, np.zeros_like(u)
+            acc, mag = np.zeros_like(u), np.zeros_like(u)
+            for n in range(p):
+                term = np.take(scaled[n], idx)
+                term *= h
+                acc += term
+                mag += np.abs(term, out=term)
+                # h_{n+1} = 2u h_n - 2n h_{n-1}
+                h_prev *= -2.0 * n
+                h_prev += two_u * h
+                h, h_prev = h_prev, h
+            w_in = np.take(scaled[0], idx)
+            # slots are summed one at a time, so a row's bits do not depend on
+            # how many rows share its chunk
+            total[chunk] = reduce(np.add, acc)
+            bound[chunk] = (
+                trunc * reduce(np.add, w_in * g)
+                + drop * np.maximum(total_w - reduce(np.add, w_in), 0.0)
+                + p * _EPS * reduce(np.add, mag)
+            )
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(total), rejected
+        return np.log(total), far | ~_certified(total, bound)

@@ -6,7 +6,9 @@ process that imports the library.  The imports run in a fresh interpreter,
 so modules that other tests load do not count.  A second interpreter makes
 scipy unimportable and runs every estimator and both planner modes, so no
 lazy scipy import can hide on any path; it must also give the same values
-as this process, where scipy is importable.
+as this process, where scipy is importable.  The 1-D chain's SMC estimates
+cover the fast Gauss transform's direct sum (n1 = 300) and its translation,
+whose extended-precision tables are built at first use (n1 = 2000).
 """
 
 import json
@@ -21,6 +23,8 @@ from augmi import (
     SampleBudget,
     SmcMiBackend,
     generate_scenario,
+    mismc_estimate,
+    sample_particles,
     solve,
 )
 from augmi.bench import evaluate_method
@@ -34,20 +38,22 @@ _IMPORT_PROBE = (
     "if name == 'scipy' or name.startswith('scipy.'))))"
 )
 
-# Reads the pickled plan steps from stdin and prints every value as JSON.
+# Reads the pickled plan steps and chain from stdin and prints every value
+# as JSON.
 _BLOCKED_PROBE = """
 import json, pickle, sys
 sys.modules["scipy"] = None  # any later `import scipy...` raises ImportError
 sys.path.insert(0, sys.argv[1])
 from test_import_footprint import run_everything
-steps = pickle.load(sys.stdin.buffer)
-print(json.dumps(run_everything(steps)))
+steps, chain = pickle.load(sys.stdin.buffer)
+print(json.dumps(run_everything(steps, chain)))
 """
 
 
-def run_everything(steps) -> dict:
-    """Every estimator on a small scenario's actions, and a horizon-2 SMC
-    solve in both reward modes on ``steps``, as float hex."""
+def run_everything(steps, chain) -> dict:
+    """Every estimator on a small scenario's actions, a horizon-2 SMC solve
+    in both reward modes on ``steps``, and SMC estimates on the 1-D
+    ``chain`` (prior, action) at n1 = 300 and 2000, as float hex."""
     slam = generate_scenario(30, 3, seed=3)
     values = {
         f"{method} {action.id}": evaluate_method(slam, action.id, method, 40, 7).value.hex()
@@ -58,6 +64,11 @@ def run_everything(steps) -> dict:
     for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
         result = solve(slam.prior, steps, 2, mode, backend, obs_samples=2, rng=5)
         values[mode] = [result.value.hex(), *result.best_sequence]
+    prior, action = chain
+    for n1 in (300, 2000):
+        particles = sample_particles(prior, n1, 0)
+        estimate = mismc_estimate(particles, action, SampleBudget(n1=n1), 1)
+        values[f"chain {n1}"] = estimate.value.hex()
     return values
 
 
@@ -73,15 +84,16 @@ def test_import_loads_no_scipy():
 
 def test_every_method_and_planner_mode_runs_without_scipy():
     # conftest imports scipy references, so only this process may load it
-    from conftest import scenario_plan_steps
+    from conftest import make_chain_1d, scenario_plan_steps
 
     steps = scenario_plan_steps(generate_scenario(30, 3, seed=3), 2)
+    chain = make_chain_1d()
     proc = subprocess.run(
         [sys.executable, "-c", _BLOCKED_PROBE, str(SRC)],
-        input=pickle.dumps(steps),
+        input=pickle.dumps((steps, chain)),
         capture_output=True,
         cwd=Path(__file__).parent,
         check=False,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    assert json.loads(proc.stdout) == run_everything(steps)
+    assert json.loads(proc.stdout) == run_everything(steps, chain)

@@ -164,6 +164,20 @@ class TestSerialization:
         assert loaded.sensing_range == math.pi
         assert scenario_to_json(loaded) == text
 
+    @pytest.mark.parametrize("seed", ["abc", 3.7, True, None, [3]])
+    def test_non_integer_seed_is_malformed(self, seed):
+        # int() would read 3.7 as 3 and True as 1, and fail on "abc" outside the check
+        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        doc["seed"] = seed
+        message = f"malformed scenario document: seed must be an integer, got {seed!r}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(doc)
+
+    def test_missing_seed_reads_minus_one(self):
+        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        del doc["seed"]
+        assert scenario_from_dict(doc).seed == -1
+
     def test_malformed_document(self):
         with pytest.raises(ScenarioError, match="malformed"):
             scenario_from_dict({"blocks": [{"id": "a", "dim": 2}]})

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,17 +28,17 @@ from augmi import (
 )
 from augmi import state
 from augmi.state import (
-    _HERMITE_PAIRS,
-    _HERMITE_WINDOW,
+    _FGT_PAIRS,
+    _FGT_REACH,
     LOG_TWO_PI,
-    _hermite_kernel_sum,
+    _fast_gauss_transform,
     _log_kernel_sum,
-    _taylor_kernel_sum,
 )
 from conftest import (
     STD_NORMAL_LOGPDF_MODE,
     grid_log_density_ref,
     log_density_ref,
+    log_kernel_sum_1d_ref,
     make_chain_1d,
     observation_log_density_ref,
     random_spd,
@@ -690,6 +691,22 @@ def _dense_log_kernel_sum(queries, centers, weights, log_norm):
         return logsumexp(-0.5 * sq + np.log(weights), axis=1) - log_norm
 
 
+def _fast_gauss_transform_paths(queries, centers, weights):
+    """``_fast_gauss_transform``'s log sums and rejected rows, and the rows
+    its translation certified, or None when the translation did not run:
+    the translation's rows and then all rows pass through
+    ``state._certified``."""
+    certified, calls = state._certified, []
+
+    def spy(total, bound):
+        calls.append(certified(total, bound))
+        return calls[-1]
+
+    with mock.patch.object(state, "_certified", spy):
+        sums, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
+    return sums, rejected, calls[0] if len(calls) == 2 else None
+
+
 class TestLogKernelSum:
     """The one Gaussian kernel sum behind the KDE and the SMC normalizer,
     against a dense log-sum-exp over all pairs."""
@@ -778,14 +795,14 @@ class TestLogKernelSum:
         )
 
     def test_one_dimension_certifies_near_rows_and_falls_back_in_the_tail(self):
-        # centers span 40 boxes, more than one window reaches; the first query
+        # centers span 45 boxes, more than one window reaches; the first query
         # sits among them, the second 10 whitened units past the last one
         rng = np.random.default_rng(6)
         centers = np.sort(rng.uniform(-28.0, 28.0, 500))[:, None]
         weights = np.full(500, 1.0 / 500)
         queries = np.array([[0.3], [centers[-1, 0] + 10.0]])
-        _log_sums, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
-        assert exact.tolist() == [False, True]
+        _log_sums, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
+        assert rejected.tolist() == [False, True]
         np.testing.assert_allclose(
             _log_kernel_sum(queries, centers, weights, 0.9),
             _dense_log_kernel_sum(queries, centers, weights, 0.9),
@@ -793,47 +810,82 @@ class TestLogKernelSum:
         )
 
     def test_one_dimension_counts_the_boxes_past_the_cutoff(self):
-        # the query's own box holds weight 1e-12; the rest sits in a box just
-        # past the cutoff, 6.51 kernel lengths (sqrt(2) whitened units) away,
-        # and adds 4e-7 of the sum
-        queries = np.array([[0.01 * math.sqrt(2.0)]])
-        centers = np.array([[0.0], [-6.51 * math.sqrt(2.0)]])
-        weights = np.array([1e-12, 1.0])
-        _log_sums, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
-        assert exact.tolist() == [True]
+        # the query's own box (lattice point 0) holds weight 3e-16; the rest
+        # sits in box -9, one past the reach of 8 boxes, 10.05 whitened units
+        # (7.11 kernel lengths) away, and adds 3.9e-7 of the sum
+        queries = np.array([[-0.6]])
+        centers = np.array([[-0.6], [-10.65]])
+        weights = np.array([3e-16, 1.0])
+        _log_sums, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
+        assert rejected.tolist() == [True]
         np.testing.assert_allclose(
             _log_kernel_sum(queries, centers, weights, 0.9),
             _dense_log_kernel_sum(queries, centers, weights, 0.9),
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_one_dimension_certified_rows_match_extended_precision(self, n):
+        # Two far outliers stretch the lattice past the translation's density
+        # gate, so every row takes the direct sum, over boxes that hold
+        # thousands of centers each: moments that add a box's centers one
+        # after another put certified rows 5.5e-13 off at n = 10^5.
+        rng = np.random.default_rng(11)
+        centers = math.sqrt(2.0) * rng.standard_normal((n, 1))
+        centers[:2, 0] = [-1e5, 1e5]
+        weights = np.full(n, 1.0 / n)
+        queries = math.sqrt(3.0) * rng.standard_normal((12, 1))
+        reference = log_kernel_sum_1d_ref(queries[:, 0], centers[:, 0], weights)
+        got = _log_kernel_sum(queries, centers, weights, 0.0)
+        assert np.max(np.abs(got - reference)) <= 1e-13
+        _sums, rejected, translated = _fast_gauss_transform_paths(queries, centers, weights)
+        assert translated is None and not rejected.any()
+
+    def test_one_dimension_crowded_box_matches_extended_precision(self):
+        # Half the centers share the query's box and the rest are spread one
+        # to a box over +-1e6: moments summed in a fixed number of bins per
+        # box put certified rows 7.3e-13 off.
+        rng = np.random.default_rng(3)
+        centers = np.concatenate(
+            [0.2 * rng.standard_normal(100_000), rng.uniform(-1e6, 1e6, 100_000)]
+        )[:, None]
+        weights = np.full(200_000, 1.0 / 200_000)
+        queries = 0.5 * rng.standard_normal((12, 1))
+        reference = log_kernel_sum_1d_ref(queries[:, 0], centers[:, 0], weights)
+        sums, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
+        assert not rejected.any()
+        assert np.max(np.abs(sums - reference)) <= 1e-13
+
     def test_one_dimension_rows_are_batch_independent(self):
         rng = np.random.default_rng(7)
         centers = 4.0 * rng.standard_normal((3000, 1))
         weights = rng.uniform(0.1, 1.0, 3000)
-        weights /= weights.sum()
-        # more rows than one Hermite chunk holds; two rows just past the
-        # last center that the Taylor tier leaves to the Hermite tier, and
+        # more rows than one chunk of the direct sum holds; two rows just past
+        # the last center that the translation leaves to the direct sum, and
         # three tail rows that fall back to log-sum-exp
-        chunk = _HERMITE_PAIRS // _HERMITE_WINDOW
+        chunk = _FGT_PAIRS // (2 * _FGT_REACH + 1)
         queries = 3.0 * rng.standard_normal((chunk + 40, 1))
         queries[-5:] = [[15.0], [15.5], [40.0], [-45.0], [60.0]]
-        batch = _log_kernel_sum(queries, centers, weights, 0.9)
-        _log_sums, untaylored = _taylor_kernel_sum(queries[:, 0], centers[:, 0], weights)
-        assert np.flatnonzero(untaylored).tolist() == list(range(chunk + 35, chunk + 40))
-        _log_sums, exact = _hermite_kernel_sum(queries[-5:, 0], centers[:, 0], weights)
-        assert exact.tolist() == [False, False, True, True, True]
-        _log_sums, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
-        assert not exact[: chunk + 1].any()
-        # about one row in eight would differ if Hermite slots were summed in
-        # an order that depends on the chunk's row count
-        rows = [*range(0, chunk + 40, 5), chunk - 1, chunk, chunk + 1]
-        rows += range(chunk + 35, chunk + 40)
-        for row in rows:
-            alone = _log_kernel_sum(queries[row : row + 1], centers, weights, 0.9)
-            assert alone.tobytes() == batch[row : row + 1].tobytes()
-        straddle = _log_kernel_sum(queries[chunk - 5 : chunk + 5], centers, weights, 0.9)
-        assert straddle.tobytes() == batch[chunk - 5 : chunk + 5].tobytes()
+        tail = list(range(chunk + 35, chunk + 40))
+        # 3000 centers take the translation; 500 take the direct sum for
+        # every row, across its chunk boundary, and reach 10.1, so 15.5 too
+        # falls back
+        for n, direct in ((3000, 2), (500, 1)):
+            w = weights[:n] / weights[:n].sum()
+            _sums, rejected, translated = _fast_gauss_transform_paths(queries, centers[:n], w)
+            if n == 3000:
+                assert np.flatnonzero(~translated).tolist() == tail
+            else:
+                assert translated is None
+            assert np.flatnonzero(rejected).tolist() == tail[direct:]
+            batch = _log_kernel_sum(queries, centers[:n], w, 0.9)
+            # about one row in eight would differ if the direct sum's slots were
+            # summed in an order that depends on the chunk's row count
+            for row in [*range(0, chunk + 40, 5), chunk - 1, chunk, chunk + 1, *tail]:
+                alone = _log_kernel_sum(queries[row : row + 1], centers[:n], w, 0.9)
+                assert alone.tobytes() == batch[row : row + 1].tobytes()
+            straddle = _log_kernel_sum(queries[chunk - 5 : chunk + 5], centers[:n], w, 0.9)
+            assert straddle.tobytes() == batch[chunk - 5 : chunk + 5].tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -860,8 +912,8 @@ class TestLogKernelSum:
         weights = rng.uniform(0.1, 1.0, n_centers)
         weights /= weights.sum()
         reference = _dense_log_kernel_sum(queries, centers, weights, 0.0)
-        sums, rejected = _taylor_kernel_sum(queries[:, 0], centers[:, 0], weights)
-        assert np.count_nonzero(rejected) <= 10
+        sums, rejected, translated = _fast_gauss_transform_paths(queries, centers, weights)
+        assert np.count_nonzero(~translated) <= 10
         # every certified row is within 1e-13 of its sum
         assert np.all(np.abs(sums - reference)[~rejected] <= 1e-13)
         np.testing.assert_allclose(
@@ -875,10 +927,11 @@ class TestLogKernelSum:
         "case, hermite_share",
         [("sparse", 1.0), ("few", 1.0), ("dense", 0.01)],
     )
-    def test_one_dimension_tier_follows_the_centers(self, case, hermite_share, monkeypatch):
+    def test_one_dimension_tier_follows_the_centers(self, case, hermite_share):
         # the translation pays only for many centers packed on the lattice:
-        # 2000 centers over 3200 boxes, or 300 centers, take the Hermite tier
-        # for every row; 2000 chain-like centers certify nearly all rows
+        # 2000 centers over 3200 boxes, or 300 centers, take the direct
+        # Hermite sum for every row; 2000 chain-like centers are translated
+        # for nearly all rows
         rng = np.random.default_rng(9)
         n = 300 if case == "few" else 2000
         if case == "sparse":
@@ -888,20 +941,13 @@ class TestLogKernelSum:
             centers = math.sqrt(2.0) * rng.standard_normal((n, 1))
             queries = math.sqrt(3.0) * rng.standard_normal((n, 1))
         weights = np.full(n, 1.0 / n)
-        received = []
-
-        def spy(queries, centers, weights):
-            received.append(queries.size)
-            return _hermite_kernel_sum(queries, centers, weights)
-
-        monkeypatch.setattr(state, "_hermite_kernel_sum", spy)
-        got = _log_kernel_sum(queries, centers, weights, 0.9)
-        assert sum(received) <= hermite_share * n
+        sums, rejected, translated = _fast_gauss_transform_paths(queries, centers, weights)
         if hermite_share == 1.0:
-            assert received == [n]
-            assert _taylor_kernel_sum(queries[:, 0], centers[:, 0], weights)[1].all()
-            hermite, exact = _hermite_kernel_sum(queries[:, 0], centers[:, 0], weights)
-            assert got[~exact].tobytes() == (hermite - 0.9)[~exact].tobytes()
+            assert translated is None
+        else:
+            assert np.count_nonzero(~translated) <= hermite_share * n
+        got = _log_kernel_sum(queries, centers, weights, 0.9)
+        assert got[~rejected].tobytes() == (sums - 0.9)[~rejected].tobytes()
 
     def test_underflowing_row_leaves_the_factored_path(self):
         # Every exponent is within the factored path's bound, but the only
