@@ -54,7 +54,9 @@ def bandwidth_vector(particles: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if particles.shape[0] < 2:
         raise BandwidthError("Scott bandwidth needs at least 2 particles")
     mean = weights @ particles
-    var = weights @ (particles - mean) ** 2
+    deviation = particles - mean
+    deviation *= deviation
+    var = weights @ deviation
     if np.any(var <= 0.0):
         raise BandwidthError(
             "singular bandwidth matrix: a coordinate has zero weighted variance"
@@ -71,7 +73,10 @@ def _log_mixture(
 ) -> tuple[np.ndarray, int]:
     """Log KDE density at each query row; returns (values, clamp count)."""
     log_norm = 0.5 * particles.shape[1] * LOG_TWO_PI + float(np.sum(np.log(bandwidth)))
-    vals = _log_kernel_sum(queries / bandwidth, particles / bandwidth, weights, log_norm)
+    centers = particles / bandwidth
+    # a re-substitution's queries are its sample, divided once
+    scaled = centers if queries is particles else queries / bandwidth
+    vals = _log_kernel_sum(scaled, centers, weights, log_norm)
     low = vals < LOG_DENSITY_FLOOR
     return np.where(low, LOG_DENSITY_FLOOR, vals), int(np.count_nonzero(low))
 

@@ -24,9 +24,12 @@ accurate however far in the tail a sampled z lands; rows where eta is below
 Determinism contract: every outer particle draws its noise from a
 counter-based stream keyed by (run root, particle index), so an incremental
 run that consumes the particles in installments draws exactly the noise of a
-single batch run.  The accumulator keeps each particle's log eta in index
-order and every update sums them once over all particles consumed, so any
-installment schedule reproduces the batch estimate bit for bit.
+single batch run.  Each particle's log eta is computed by arithmetic that
+depends on its index alone: the update passes the index of its first
+particle to the normalizer's kernel sum, which aligns its row blocks to it.
+The accumulator keeps each particle's log eta in index order and every
+update sums them once over all particles consumed, so any installment
+schedule reproduces the batch estimate bit for bit.
 """
 
 from __future__ import annotations
@@ -186,14 +189,18 @@ def _uniform_stride(per_particle: int) -> int:
     return max(1, blocks) * _PHILOX_BLOCK
 
 
-def _box_muller(uniforms: np.ndarray) -> np.ndarray:
-    """Standard normals from uniform pairs (fixed consumption per normal)."""
-    u1 = np.maximum(uniforms[:, 0::2], 1e-300)
-    angle = (2.0 * np.pi) * uniforms[:, 1::2]
+def _box_muller(uniforms: np.ndarray, width: int) -> np.ndarray:
+    """``width`` standard normals per row from its leading uniform pairs
+    (fixed consumption per normal); at an odd width the last pair's sine,
+    which the row would drop, is not taken."""
+    pairs = uniforms[:, : 2 * ((width + 1) // 2)]
+    u1 = np.maximum(pairs[:, 0::2], 1e-300)
+    angle = (2.0 * np.pi) * pairs[:, 1::2]
     radius = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty_like(uniforms)
+    out = np.empty((uniforms.shape[0], width))
     out[:, 0::2] = radius * np.cos(angle)
-    out[:, 1::2] = radius * np.sin(angle)
+    half = width // 2
+    out[:, 1::2] = radius[:, :half] * np.sin(angle[:, :half])
     return out
 
 
@@ -213,7 +220,7 @@ def _particle_noise(
     bit_gen = np.random.Philox(key=np.array(root, dtype=np.uint64))
     bit_gen.advance(int(start) * (stride // _PHILOX_BLOCK))
     uniforms = np.random.Generator(bit_gen).random((count, stride))
-    return _box_muller(uniforms[:, : 2 * ((per_particle + 1) // 2)])[:, :per_particle]
+    return _box_muller(uniforms, per_particle)
 
 
 def mismc_context(
@@ -260,7 +267,7 @@ def mismc_update(
     states = trans.sample_with_noise(x, noise[:, : trans.new_dim])
     z = obs.sample_with_noise(states, noise[:, trans.new_dim :])
 
-    log_eta = context.normalizer.mixture_likelihood(z, context.normalizer_weights)
+    log_eta = context.normalizer.mixture_likelihood(z, context.normalizer_weights, lo)
     floors = int(np.count_nonzero(log_eta < _LOG_ETA_FLOOR))
 
     terms = np.concatenate([acc.terms, log_eta])

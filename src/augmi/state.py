@@ -24,10 +24,12 @@ from .linalg import cholesky_psd
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
-# Kernel-sum grids are reduced in blocks of this many cells; small enough
-# that a block stays cache-resident through its matmul, exponential, and
-# weight reduction (the grid pass is memory-bound otherwise).
-_CHUNK_CELLS = 250_000
+# Kernel-sum grids are reduced in blocks of about this many cells; small
+# enough that a block stays cache-resident through its matmul, exponential,
+# and weight reduction (the grid pass is memory-bound otherwise): at d = 150
+# a 300 x 300 grid took 15% less time in chunks of 2 x 64 rows than whole,
+# on a 2-core Xeon with one BLAS thread.
+_CHUNK_CELLS = 40_000
 
 # The 1-D kernel sum's fast Gauss transform: a lattice of boxes 1.25
 # whitened units wide, whose points j * 1.25 and their differences are exact
@@ -55,6 +57,21 @@ _EPS = float(np.finfo(float).eps)
 # chain-like ones at about 1000 centers.
 _TAYLOR_MIN_CENTERS = 1_000
 _TAYLOR_DENSITY = 8
+
+# The kernel sum at d >= 2 evaluates its Gram rows in blocks of this many
+# query rows, aligned to the rows' indices, each block one product of a
+# fixed shape: BLAS gives a row different bits at different shapes and
+# positions, and here a row's bits depend only on its index.
+_GRAM_ROWS = 64
+# A row with |q - mean|^2 / 2 above this leaves the Gram path: its cells
+# round at about eps times their largest term.
+_GRAM_GUARD = 600.0
+# The cells of a chunk of blocks that may reach below _GRAM_REACH are
+# clamped at _GRAM_CLAMP (exp is many times slower on inputs that
+# underflow); a row keeps its Gram sum when the clamped cells add less than
+# e^-40 of it.
+_GRAM_REACH = 690.0
+_GRAM_CLAMP = -700.0
 
 
 class UnknownBlockError(KeyError):
@@ -555,7 +572,9 @@ def sample_particles(
 
 def _draws(density: GaussianDensity, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` i.i.d. draws from ``density``, one per row."""
-    return density.mean + rng.standard_normal((n, density.dim)) @ density._chol.T
+    draws = rng.standard_normal((n, density.dim)) @ density._chol.T
+    draws += density.mean
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -669,11 +688,12 @@ class ObservationGridEvaluator:
         means = seq_obs._means(states, np.empty((self.count, self.obs_dim)))
         self._centers = seq_obs._whiten(means)
 
-    def mixture_likelihood(self, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def mixture_likelihood(self, z: np.ndarray, weights: np.ndarray, first: int = 0) -> np.ndarray:
         """Log marginal likelihood ``log sum_l w_l F_Z(z_m | batch_l)`` per
-        query row."""
+        query row; ``first`` is the index of the first row, on which a row's
+        bits may depend (see :func:`_log_kernel_sum`)."""
         z_w = self._seq_obs._whiten(z)
-        return _log_kernel_sum(z_w, self._centers, weights, self._seq_obs._log_norm)
+        return _log_kernel_sum(z_w, self._centers, weights, self._seq_obs._log_norm, first)
 
 
 def _squared_distances(
@@ -686,8 +706,11 @@ def _squared_distances(
     center when both are far from the origin)."""
     out = np.subtract.outer(queries[:, 0], centers[:, 0], out=out)
     out *= out
+    scratch = np.empty_like(out) if queries.shape[1] > 1 else None
     for k in range(1, queries.shape[1]):
-        out += np.subtract.outer(queries[:, k], centers[:, k]) ** 2
+        np.subtract.outer(queries[:, k], centers[:, k], out=scratch)
+        scratch *= scratch
+        out += scratch
     return out
 
 
@@ -696,11 +719,13 @@ def _log_kernel_sum(
     centers: np.ndarray,
     weights: np.ndarray,
     log_norm: float,
+    first: int = 0,
 ) -> np.ndarray:
     """``log sum_l w_l exp(-|q_m - c_l|^2 / 2) - log_norm`` per query row.
 
     Queries (m x d) and centers (n x d) are whitened; zero weights drop
-    their centers.
+    their centers.  ``first`` is the index of the first query row; a row
+    gives the same bits alone or in any batch that gives it the same index.
 
     At d = 1 the fast Gauss transform (:func:`_fast_gauss_transform`) bins
     the centers once on a lattice of boxes 1.25 whitened units wide and
@@ -711,72 +736,91 @@ def _log_kernel_sum(
     the at most 17 boxes in the row's reach.  A row whose certified error
     exceeds 1e-13 of its value takes the log-sum-exp below.  Which way a row
     takes depends on the centers and the row alone, and each row's
-    arithmetic is its own, so a row gives the same bits alone or in any
-    batch.
+    arithmetic is its own; ``first`` is not read.
 
     At d >= 2 both sides are centered on the centers' mean, which changes no
-    distance.  A query row whose terms ``|q|^2 / 2`` and
-    ``row = |q|^2 / 2 + log_norm``, with the centers' largest
-    ``col = |c|^2 / 2``, keep every exponent below 600 in magnitude takes
-    the factored linear path ``exp(-row_m) sum_l exp(q_m . c_l) w_l
-    exp(-col_l)``.  Other rows, and rows whose sum underflows 1e-300, take
-    a max-shifted log-sum-exp over direct differences
-    (:func:`_log_sum_exp_rows`), exact to rounding at any scale.  That costs
-    5x to 18x as much as the factored path on 300 x 300 grids at d = 2 to
-    150.
+    distance, and one product of ``[q | 1 | |q|^2 / 2]`` with ``[c | -|c|^2
+    / 2 | -1]`` gives every cell's exponent ``-|q - c|^2 / 2``, so no
+    exponential overflows; the weights are summed in one matrix-vector
+    product.  The rows are padded to whole blocks of 64, aligned so that
+    row ``i`` sits at ``(first + i) mod 64`` of its block, and every block
+    is one product of the same shape, so a row's bits depend on its index
+    and not on the batch.  Where a chunk of blocks may reach below -690 its
+    cells are clamped at -700, which changes no row whose own cells cannot.
+    A row with ``|q|^2 / 2 > 600``, whose cells round at about eps times
+    that, or whose sum is below ``e^-660`` times the weights' sum, so that
+    the clamped cells could show in it (or below 1e-300), takes a
+    max-shifted log-sum-exp over direct differences
+    (:func:`_log_sum_exp_rows`), exact to rounding at any scale.
     """
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    n_queries = queries.shape[0]
-    rows = min(max(1, _CHUNK_CELLS // centers.shape[0]), max(1, n_queries))
+    n_queries, n_centers = queries.shape[0], centers.shape[0]
     if centers.shape[1] == 1:
         out, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
         out -= log_norm
         todo = np.flatnonzero(rejected)
         if todo.size:
-            buffer = np.empty((min(rows, todo.size), centers.shape[0]))
-            out[todo] = _log_sum_exp_rows(queries[todo], centers, log_w, log_norm, buffer)
+            out[todo] = _log_sum_exp_rows(queries[todo], centers, weights, log_norm)
         return out
+    d = centers.shape[1]
     shift = centers.mean(axis=0)
-    centers = centers - shift
-    col = 0.5 * np.einsum("ij,ij->i", centers, centers)
-    max_col = float(col.max())
-    w_scaled = weights * np.exp(-col)
-    out = np.empty(n_queries)
-    buffer = np.empty((rows, centers.shape[0]))
-    for start in range(0, n_queries, rows):
-        block = queries[start : start + rows] - shift
-        vals = out[start : start + rows]
-        half_sq = 0.5 * np.einsum("ij,ij->i", block, block)
-        row = half_sq + log_norm
-        # |q . c| <= |q|^2 / 2 + |c|^2 / 2, so no exponential below overflows
-        fast = np.maximum(np.abs(row), half_sq) + max_col < 600.0
-        slow = ~fast
-        if fast.any():
-            grid = np.matmul(block[fast], centers.T, out=buffer[: np.count_nonzero(fast)])
-            np.exp(grid, out=grid)
-            total = grid @ w_scaled
-            linear = total * np.exp(-row[fast])
-            with np.errstate(divide="ignore"):
-                vals[fast] = np.log(linear)
-            slow[fast] = (total < 1e-300) | (linear < 1e-300)
-        if slow.any():
-            vals[slow] = _log_sum_exp_rows(block[slow], centers, log_w, log_norm, buffer)
+    # [q | 1 | |q|^2 / 2] against the columns [c; -|c|^2 / 2; -1]: one
+    # product gives -|q - c|^2 / 2 per cell
+    gram = np.empty((d + 2, n_centers))
+    np.subtract(centers.T, shift[:, None], out=gram[:d])
+    np.einsum("ij,ij->j", gram[:d], gram[:d], out=gram[d])
+    gram[d] *= -0.5
+    gram[d + 1] = -1.0
+    max_col = -float(gram[d].min())
+    lead = first % _GRAM_ROWS
+    n_blocks = -(-(lead + n_queries) // _GRAM_ROWS)
+    padded = np.zeros((n_blocks * _GRAM_ROWS, d + 2))
+    rows = padded[lead : lead + n_queries]
+    np.subtract(queries, shift, out=rows[:, :d])
+    rows[:, d] = 1.0
+    np.einsum("ij,ij->i", rows[:, :d], rows[:, :d], out=rows[:, d + 1])
+    rows[:, d + 1] *= 0.5
+    direct = rows[:, d + 1] > _GRAM_GUARD
+    if direct.any():
+        # a row left to the direct tier is a zero row here, which clamps nothing
+        rows[direct] = 0.0
+    blocks = padded.reshape(n_blocks, _GRAM_ROWS, d + 2)
+    per_chunk = max(1, _CHUNK_CELLS // (_GRAM_ROWS * n_centers))
+    buffer = np.empty((min(per_chunk, n_blocks), _GRAM_ROWS, n_centers))
+    total = np.empty((n_blocks, _GRAM_ROWS))
+    for start in range(0, n_blocks, per_chunk):
+        chunk = blocks[start : start + per_chunk]
+        grid = np.matmul(chunk, gram, out=buffer[: chunk.shape[0]])
+        # |q - c|^2 / 2 <= (|q| + |c|)^2 / 2 bounds how deep a row's cells reach
+        half = float(chunk[:, :, d + 1].max())
+        if half + max_col + 2.0 * math.sqrt(half * max_col) > _GRAM_REACH:
+            np.maximum(grid, _GRAM_CLAMP, out=grid)
+        np.exp(grid, out=grid)
+        np.matmul(grid, weights, out=total[start : start + per_chunk])
+    total = total.reshape(-1)[lead : lead + n_queries]
+    floor = max(1e-300, math.exp(_GRAM_CLAMP + 40.0) * float(weights.sum()))
+    with np.errstate(divide="ignore"):
+        out = np.log(total) - log_norm
+    todo = np.flatnonzero(direct | (total < floor))
+    if todo.size:
+        out[todo] = _log_sum_exp_rows(queries[todo], centers, weights, log_norm)
     return out
 
 
 def _log_sum_exp_rows(
     queries: np.ndarray,
     centers: np.ndarray,
-    log_w: np.ndarray,
+    weights: np.ndarray,
     log_norm: float,
-    buffer: np.ndarray,
 ) -> np.ndarray:
     """The kernel sum by max-shifted log-sum-exp over direct differences,
-    in blocks of ``buffer``'s rows."""
+    in blocks of about ``_CHUNK_CELLS`` cells."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)
     out = np.empty(queries.shape[0])
-    for start in range(0, queries.shape[0], buffer.shape[0]):
-        block = queries[start : start + buffer.shape[0]]
+    rows = min(max(1, _CHUNK_CELLS // centers.shape[0]), queries.shape[0])
+    buffer = np.empty((rows, centers.shape[0]))
+    for start in range(0, queries.shape[0], rows):
+        block = queries[start : start + rows]
         grid = _squared_distances(block, centers, out=buffer[: block.shape[0]])
         grid *= -0.5
         grid += log_w

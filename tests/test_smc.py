@@ -1,4 +1,5 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from augmi import (
     MismcContext,
     SampleBudget,
     WeightedParticleSet,
+    compose_actions,
     determine_involved,
+    generate_scenario,
     joint_state_observation,
     marginalize_gaussian,
     marginalize_particles,
@@ -36,6 +39,7 @@ from conftest import (
     log_density_ref,
     make_chain_1d,
     random_instance,
+    scenario_plan_steps,
 )
 
 
@@ -279,6 +283,23 @@ class TestMismcEstimate:
             assert a.sample_counts == b.sample_counts
 
 
+@cache
+def _installment_problems():
+    """(prior, action) by observation width: the 1-D chain; a replica action
+    on its involved marginal, which observes 2 coordinates; and a composed
+    3-step plan-h3 action on its involved marginal, which observes 6."""
+    slam = generate_scenario(150, 4, correlation_strength=0.3, seed=42)
+    steps = scenario_plan_steps(slam, 3)
+    problems = {"chain": make_chain_1d()}
+    for name, action in (
+        ("replica", slam.actions[0]),
+        ("plan", compose_actions([steps[0][0], steps[1][1], steps[2][2]])),
+    ):
+        blocks = determine_involved(slam.prior.layout, action).blocks
+        problems[name] = (marginalize_gaussian(slam.prior, blocks), action)
+    return problems
+
+
 class TestAnytime:
     def test_zero_update_is_identity(self, chain):
         prior, action = chain
@@ -306,15 +327,19 @@ class TestAnytime:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n1=st.integers(1, 40),
-        n4=st.integers(1, 60),
+        problem=st.sampled_from(["chain", "replica", "plan"]),
+        n1=st.integers(1, 200),
+        n4=st.integers(1, 200),
         cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n1=30, n4=17, cuts=[0.1, 0.5, 0.5, 0.9], seed=1)
-    def test_incremental_is_batch_bit_for_bit(self, n1, n4, cuts, seed):
+    @example(problem="chain", n1=30, n4=17, cuts=[0.1, 0.5, 0.5, 0.9], seed=1)
+    # installments that start inside a 64-row block and straddle its edge
+    @example(problem="replica", n1=200, n4=150, cuts=[0.15, 0.3, 0.7], seed=2)
+    @example(problem="plan", n1=200, n4=150, cuts=[0.15, 0.3, 0.7], seed=3)
+    def test_incremental_is_batch_bit_for_bit(self, problem, n1, n4, cuts, seed):
         # installments at arbitrary split points, empty ones included
-        prior, action = make_chain_1d()
+        prior, action = _installment_problems()[problem]
         rng = np.random.default_rng(seed)
         pset = WeightedParticleSet(
             layout=prior.layout,
@@ -414,7 +439,7 @@ class TestParticleNoise:
         bit_gen = np.random.Philox(key=np.array(root, dtype=np.uint64))
         bit_gen.advance(index * (stride // _PHILOX_BLOCK))
         uniforms = np.random.Generator(bit_gen).random((1, stride))
-        return _box_muller(uniforms)[0, :per_particle]
+        return _box_muller(uniforms, stride)[0, :per_particle]
 
     @pytest.mark.parametrize(
         "indices",

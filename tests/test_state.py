@@ -30,6 +30,7 @@ from augmi import state
 from augmi.state import (
     _FGT_PAIRS,
     _FGT_REACH,
+    _GRAM_ROWS,
     LOG_TWO_PI,
     _fast_gauss_transform,
     _log_kernel_sum,
@@ -594,7 +595,7 @@ class TestSequentialModels:
             np.testing.assert_allclose(grid[m], row, atol=1e-9)
 
     def test_mixture_likelihood_paths_agree(self):
-        # factored fast path vs plain exp of the log grid
+        # Gram path vs plain exp of the log grid
         layout, action = self._instance()
         trans = SequentialTransition(layout, action)
         obs = SequentialObservation(layout, action)
@@ -721,7 +722,7 @@ class TestLogKernelSum:
         zero_weights=st.integers(0, 11),
         seed=st.integers(0, 2**32 - 1),
     )
-    # pinned branches: the factored linear sum, and log-sum-exp
+    # pinned branches: the Gram sum, and log-sum-exp
     @example(
         dim=2, n_queries=5, n_centers=7, log_scale=0.0, log_norm=1.8, zero_weights=2, seed=1
     )
@@ -887,6 +888,34 @@ class TestLogKernelSum:
             straddle = _log_kernel_sum(queries[chunk - 5 : chunk + 5], centers[:n], w, 0.9)
             assert straddle.tobytes() == batch[chunk - 5 : chunk + 5].tobytes()
 
+    def test_two_dimension_rows_are_batch_independent(self):
+        # Weighted centers about (-15, 0) and zero-weight ones about (15, 0).
+        # Among the queries near them, row 10 reaches below -690, so its
+        # chunk clamps in the batch, while its neighbours alone do not;
+        # row 63 underflows and row 150 is past the precision guard, and
+        # both take log-sum-exp.
+        rng = np.random.default_rng(12)
+        centers = rng.standard_normal((300, 2))
+        centers[:150, 0] -= 15.0
+        centers[150:, 0] += 15.0
+        weights = np.concatenate([rng.uniform(0.1, 1.0, 150), np.zeros(150)])
+        weights /= weights.sum()
+        queries = rng.standard_normal((200, 2))
+        queries[:, 0] += np.where(rng.uniform(size=200) < 0.5, -15.0, 15.0)
+        queries[[10, 63, 150]] = [[0.0, 25.0], [30.0, 0.0], [0.0, 40.0]]
+        batch = _log_kernel_sum(queries, centers, weights, 0.9)
+        np.testing.assert_allclose(
+            batch, _dense_log_kernel_sum(queries, centers, weights, 0.9), rtol=1e-12
+        )
+        edge = _GRAM_ROWS
+        for row in [*range(0, 200, 7), 10, 63, edge - 1, edge, 150, 199]:
+            alone = _log_kernel_sum(queries[row : row + 1], centers, weights, 0.9, row)
+            assert alone.tobytes() == batch[row : row + 1].tobytes()
+        straddle = _log_kernel_sum(queries[edge - 5 : edge + 5], centers, weights, 0.9, edge - 5)
+        assert straddle.tobytes() == batch[edge - 5 : edge + 5].tobytes()
+        later = _log_kernel_sum(queries[37:], centers, weights, 0.9, 37)
+        assert later.tobytes() == batch[37:].tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(
         n_centers=st.integers(1000, 3000),
@@ -979,6 +1008,44 @@ class TestLogKernelSum:
         # a KDE's log_norm is negative for small bandwidths
         centers = np.array([[-center], [center]])
         queries = np.array([[query]])
+        weights = np.array(weights)
+        got = _log_kernel_sum(queries, centers, weights, log_norm)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(
+            got, _dense_log_kernel_sum(queries, centers, weights, log_norm), rtol=1e-12
+        )
+
+    def test_two_dimension_underflowing_row_leaves_the_gram_path(self):
+        # The only weighted center is 40 units from the first query:
+        # exp(-800) underflows to 0.0, and the row's cells are clamped at
+        # -700 besides.
+        centers = np.array([[-12.0, -16.0], [12.0, 16.0]])
+        queries = np.array([[-12.0, -16.0], [12.0, 16.0]])
+        weights = np.array([0.0, 1.0])
+        log_norm = LOG_TWO_PI
+        got = _log_kernel_sum(queries, centers, weights, log_norm)
+        np.testing.assert_allclose(got, [-800.0 - log_norm, -log_norm], rtol=1e-12)
+        np.testing.assert_allclose(
+            got, _dense_log_kernel_sum(queries, centers, weights, log_norm), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "center, query, weights, log_norm",
+        [
+            # |q . c| = 728: exp(q . c) would overflow, and the far center's
+            # cell, -1458, is clamped
+            (26.0, 28.0, [0.5, 0.5], -300.0),
+            # the same, with the near center's weight zero
+            (26.0, 28.0, [1.0, 0.0], -300.0),
+            # the sum exp(-931) underflows; exp(300) must not lift it
+            (23.15, 20.0, [1.0, 0.0], -500.0),
+        ],
+    )
+    def test_two_dimension_negative_log_norm_stays_exact(self, center, query, weights, log_norm):
+        # the 1-D cases along the direction (0.6, 0.8)
+        direction = np.array([0.6, 0.8])
+        centers = np.array([-center * direction, center * direction])
+        queries = np.array([query * direction])
         weights = np.array(weights)
         got = _log_kernel_sum(queries, centers, weights, log_norm)
         assert np.all(np.isfinite(got))
