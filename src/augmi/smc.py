@@ -25,8 +25,8 @@ Determinism contract: every outer particle draws its noise from a
 counter-based stream keyed by (run root, particle index), so an incremental
 run that consumes the particles in installments draws exactly the noise of a
 single batch run.  Each particle's log eta is computed by arithmetic that
-depends on its index alone: the update passes the index of its first
-particle to the normalizer's kernel sum, which aligns its row blocks to it.
+does not depend on the installment: the normalizer's kernel sum evaluates
+its rows in blocks of one fixed shape (see :func:`state._log_kernel_sum`).
 The accumulator keeps each particle's log eta in index order and every
 update sums them once over all particles consumed, so any installment
 schedule reproduces the batch estimate bit for bit.
@@ -267,7 +267,7 @@ def mismc_update(
     states = trans.sample_with_noise(x, noise[:, : trans.new_dim])
     z = obs.sample_with_noise(states, noise[:, trans.new_dim :])
 
-    log_eta = context.normalizer.mixture_likelihood(z, context.normalizer_weights, lo)
+    log_eta = context.normalizer.mixture_likelihood(z, context.normalizer_weights)
     floors = int(np.count_nonzero(log_eta < _LOG_ETA_FLOOR))
 
     terms = np.concatenate([acc.terms, log_eta])

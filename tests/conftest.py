@@ -116,15 +116,16 @@ def grid_log_density_ref(evaluator, z: np.ndarray) -> np.ndarray:
     return -0.5 * sq - observation._log_norm
 
 
-def log_kernel_sum_1d_ref(queries, centers, weights) -> np.ndarray:
-    """``log sum_l w_l exp(-(q_m - c_l)^2 / 2)`` per 1-D query, a max-shifted
-    log-sum-exp in extended precision (``np.longdouble``), whose rounding
-    stays far below the 1e-13 a certified kernel-sum row promises."""
+def log_kernel_sum_ref(queries, centers, weights) -> np.ndarray:
+    """``log sum_l w_l exp(-|q_m - c_l|^2 / 2)`` per query row (m x d against
+    n x d), a max-shifted log-sum-exp in extended precision
+    (``np.longdouble``), whose rounding stays far below the 1e-13 a certified
+    kernel-sum row promises."""
     centers = np.asarray(centers, dtype=np.longdouble)
     log_w = np.log(np.asarray(weights, dtype=np.longdouble))
     out = np.empty(len(queries), dtype=np.longdouble)
     for m, query in enumerate(np.asarray(queries, dtype=np.longdouble)):
-        terms = log_w - 0.5 * (query - centers) ** 2
+        terms = log_w - 0.5 * ((query - centers) ** 2).sum(axis=1)
         peak = terms.max()
         out[m] = peak + np.log(np.exp(terms - peak).sum())
     return out

@@ -334,7 +334,7 @@ class TestAnytime:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(problem="chain", n1=30, n4=17, cuts=[0.1, 0.5, 0.5, 0.9], seed=1)
-    # installments that start inside a 64-row block and straddle its edge
+    # installments that start inside a block of kernel-sum rows and straddle its edge
     @example(problem="replica", n1=200, n4=150, cuts=[0.15, 0.3, 0.7], seed=2)
     @example(problem="plan", n1=200, n4=150, cuts=[0.15, 0.3, 0.7], seed=3)
     def test_incremental_is_batch_bit_for_bit(self, problem, n1, n4, cuts, seed):

@@ -39,7 +39,7 @@ from conftest import (
     STD_NORMAL_LOGPDF_MODE,
     grid_log_density_ref,
     log_density_ref,
-    log_kernel_sum_1d_ref,
+    log_kernel_sum_ref,
     make_chain_1d,
     observation_log_density_ref,
     random_spd,
@@ -836,7 +836,7 @@ class TestLogKernelSum:
         centers[:2, 0] = [-1e5, 1e5]
         weights = np.full(n, 1.0 / n)
         queries = math.sqrt(3.0) * rng.standard_normal((12, 1))
-        reference = log_kernel_sum_1d_ref(queries[:, 0], centers[:, 0], weights)
+        reference = log_kernel_sum_ref(queries, centers, weights)
         got = _log_kernel_sum(queries, centers, weights, 0.0)
         assert np.max(np.abs(got - reference)) <= 1e-13
         _sums, rejected, translated = _fast_gauss_transform_paths(queries, centers, weights)
@@ -852,7 +852,7 @@ class TestLogKernelSum:
         )[:, None]
         weights = np.full(200_000, 1.0 / 200_000)
         queries = 0.5 * rng.standard_normal((12, 1))
-        reference = log_kernel_sum_1d_ref(queries[:, 0], centers[:, 0], weights)
+        reference = log_kernel_sum_ref(queries, centers, weights)
         sums, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
         assert not rejected.any()
         assert np.max(np.abs(sums - reference)) <= 1e-13
@@ -891,9 +891,10 @@ class TestLogKernelSum:
     def test_two_dimension_rows_are_batch_independent(self):
         # Weighted centers about (-15, 0) and zero-weight ones about (15, 0).
         # Among the queries near them, row 10 reaches below -690, so its
-        # chunk clamps in the batch, while its neighbours alone do not;
-        # row 63 underflows and row 150 is past the precision guard, and
-        # both take log-sum-exp.
+        # block clamps in the batch, while its neighbours alone do not;
+        # rows 10 and 63 underflow or fail the precision bound and row 150
+        # is past the precision guard, and all three take log-sum-exp.  A
+        # row sits at position 0 of a block alone and elsewhere in a batch.
         rng = np.random.default_rng(12)
         centers = rng.standard_normal((300, 2))
         centers[:150, 0] -= 15.0
@@ -909,11 +910,11 @@ class TestLogKernelSum:
         )
         edge = _GRAM_ROWS
         for row in [*range(0, 200, 7), 10, 63, edge - 1, edge, 150, 199]:
-            alone = _log_kernel_sum(queries[row : row + 1], centers, weights, 0.9, row)
+            alone = _log_kernel_sum(queries[row : row + 1], centers, weights, 0.9)
             assert alone.tobytes() == batch[row : row + 1].tobytes()
-        straddle = _log_kernel_sum(queries[edge - 5 : edge + 5], centers, weights, 0.9, edge - 5)
+        straddle = _log_kernel_sum(queries[edge - 5 : edge + 5], centers, weights, 0.9)
         assert straddle.tobytes() == batch[edge - 5 : edge + 5].tobytes()
-        later = _log_kernel_sum(queries[37:], centers, weights, 0.9, 37)
+        later = _log_kernel_sum(queries[37:], centers, weights, 0.9)
         assert later.tobytes() == batch[37:].tobytes()
 
     @settings(max_examples=25, deadline=None)
@@ -1014,6 +1015,26 @@ class TestLogKernelSum:
         np.testing.assert_allclose(
             got, _dense_log_kernel_sum(queries, centers, weights, log_norm), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_rows_between_far_modes_match_extended_precision(self, dim):
+        # Two modes 60 units either side of the centers' mean, and queries
+        # 24 to 34.5 units out towards each: every row's sum comes from
+        # centers about 60 units out, whose Gram cells sum terms near 2000
+        # however close the query is to the mean.  Bounding a row by its
+        # query alone put these rows 2.9 (d = 2) and 4.9 (d = 6) roundings
+        # of their value off.
+        rng = np.random.default_rng(8)
+        centers = rng.standard_normal((200, dim))
+        centers[:100, 0] -= 60.0
+        centers[100:, 0] += 60.0
+        weights = rng.uniform(0.5, 1.0, 200)
+        queries = 0.3 * rng.standard_normal((40, dim))
+        queries[:, 0] = np.concatenate([np.linspace(24.0, 34.5, 20), np.linspace(-34.5, -24.0, 20)])
+        reference = log_kernel_sum_ref(queries, centers, weights)
+        got = _log_kernel_sum(queries, centers, weights, 0.0)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - reference) <= 2.5 * eps * np.abs(reference))
 
     def test_two_dimension_underflowing_row_leaves_the_gram_path(self):
         # The only weighted center is 40 units from the first query:
