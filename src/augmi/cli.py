@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--zero-elapsed",
         action="store_true",
-        help="zero the elapsed_ns column for byte-reproducible output",
+        help="zero the elapsed_ns column for byte-reproducible output "
+        "at the same BLAS thread count",
     )
 
     bench = sub.add_parser("bench", help="run benchmark experiments")

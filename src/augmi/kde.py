@@ -33,8 +33,8 @@ from .state import (
     marginalize_gaussian,
 )
 
-# Log densities are clamped here to keep -inf out of the sums; clamp events
-# are counted and surfaced in the estimate's sample_counts.
+# Log densities below this count as clamp events in sample_counts, and are
+# kept as computed: with a positive weight the log-space sum is finite.
 LOG_DENSITY_FLOOR = -700.0
 
 
@@ -77,8 +77,7 @@ def _log_mixture(
     # a re-substitution's queries are its sample, divided once
     scaled = centers if queries is particles else queries / bandwidth
     vals = _log_kernel_sum(scaled, centers, weights, log_norm)
-    low = vals < LOG_DENSITY_FLOOR
-    return np.where(low, LOG_DENSITY_FLOOR, vals), int(np.count_nonzero(low))
+    return vals, int(np.count_nonzero(vals < LOG_DENSITY_FLOOR))
 
 
 def _resubstitution(particles: np.ndarray, weights: np.ndarray) -> tuple[float, int]:

@@ -25,8 +25,8 @@ Determinism contract: every outer particle draws its noise from a
 counter-based stream keyed by (run root, particle index), so an incremental
 run that consumes the particles in installments draws exactly the noise of a
 single batch run.  Each particle's log eta is computed by arithmetic that
-does not depend on the installment: the normalizer's kernel sum evaluates
-its rows in blocks of one fixed shape (see :func:`state._log_kernel_sum`).
+does not depend on the installment: the normalizer's kernel sum gives a row
+the same bits alone or in any batch (see :func:`state._log_kernel_sum`).
 The accumulator keeps each particle's log eta in index order and every
 update sums them once over all particles consumed, so any installment
 schedule reproduces the batch estimate bit for bit.

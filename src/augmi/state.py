@@ -678,9 +678,7 @@ class ObservationGridEvaluator:
     This is the hot loop of the marginal-likelihood estimate, so the batch
     side (every model's mean, whitened by its noise factor and laid side by
     side) is computed once; queries are whitened the same way and summed by
-    :func:`_log_kernel_sum`.  A 1-D observation takes the fast Gauss
-    transform, which costs a bounded amount per query however many particles
-    the batch has; wider observations sum the dense query-by-batch grid.
+    :func:`_log_kernel_sum`.
     """
 
     def __init__(self, seq_obs: SequentialObservation, states: np.ndarray):
@@ -724,20 +722,31 @@ def _log_kernel_sum(
     """``log sum_l w_l exp(-|q_m - c_l|^2 / 2) - log_norm`` per query row.
 
     Queries (m x d) and centers (n x d) are whitened; zero weights drop
-    their centers.  A row gives the same bits alone or in any batch.
+    their centers.  The tier, :func:`_fast_gauss_transform` at d = 1 and
+    :func:`_gram_sum` at d >= 2, returns its log sums and the rows it does
+    not certify; those rows, and only those, go once to
+    :func:`_log_sum_exp_rows`, and ``log_norm`` is subtracted from every row
+    after.  Nothing else alters a row, and each tier gives a row the same
+    bits alone or in any batch.
+    """
+    tier = _fast_gauss_transform if centers.shape[1] == 1 else _gram_sum
+    out, rejected = tier(queries, centers, weights)
+    todo = np.flatnonzero(rejected)
+    if todo.size:
+        out[todo] = _log_sum_exp_rows(queries[todo], centers, weights)
+    out -= log_norm
+    return out
 
-    At d = 1 the fast Gauss transform (:func:`_fast_gauss_transform`) bins
-    the centers once on a lattice of boxes 1.25 whitened units wide and
-    builds each box's moments once.  A row reads them in one of two ways:
-    the translation, one 32-term polynomial per lattice box, so a row costs
-    one Horner pass, which runs only for at least 1000 centers with at least
-    8 per target box, where its set-up pays; or the direct Hermite sum over
-    the at most 17 boxes in the row's reach.  A row whose certified error
-    exceeds 1e-13 of its value takes the log-sum-exp below.  Which way a row
-    takes depends on the centers and the row alone, and each row's
-    arithmetic is its own.
 
-    At d >= 2 both sides are centered on the centers' mean, which changes no
+def _gram_sum(
+    queries: np.ndarray,
+    centers: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``log sum_l w_l exp(-|q_m - c_l|^2 / 2)`` per query row at d >= 2,
+    and a mask of the rows it does not certify.
+
+    Both sides are centered on the centers' mean, which changes no
     distance, and one product of ``[q | 1 | |q|^2 / 2]`` with ``[c | -|c|^2
     / 2 | -1]`` gives every cell's exponent ``-|q - c|^2 / 2``, so no
     exponential overflows; the weights are summed in one matrix-vector
@@ -747,21 +756,12 @@ def _log_kernel_sum(
     clamped at -700, which changes no row whose own cells cannot.  A cell
     rounds at about eps times ``(|q| + |c|)^2 / 2``.  The centers that carry
     all but ``e^-40`` of a row's sum lie within ``sqrt(2 depth)`` of it,
-    where ``depth = 40 - log(sum / sum_l w_l)``, so a row keeps its Gram sum
-    when ``(2 |q| + sqrt(2 depth))^2 / 2 <= 3000`` (eps times 3000 is
-    6.7e-13).  Other rows, and rows whose sum is below
-    ``e^-660`` times the weights' sum, so that the clamped cells could show
-    in it (or below 1e-300), take a max-shifted log-sum-exp over direct
-    differences (:func:`_log_sum_exp_rows`), exact to rounding at any scale.
+    where ``depth = 40 - log(sum / sum_l w_l)``, so a row is certified when
+    ``(2 |q| + sqrt(2 depth))^2 / 2 <= 3000`` (eps times 3000 is 6.7e-13)
+    and its sum is at least ``e^-660`` times the weights' sum, so that the
+    clamped cells cannot show in it (and at least 1e-300).
     """
     n_queries, n_centers = queries.shape[0], centers.shape[0]
-    if centers.shape[1] == 1:
-        out, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
-        out -= log_norm
-        todo = np.flatnonzero(rejected)
-        if todo.size:
-            out[todo] = _log_sum_exp_rows(queries[todo], centers, weights, log_norm)
-        return out
     d = centers.shape[1]
     shift = centers.mean(axis=0)
     # [q | 1 | |q|^2 / 2] against the columns [c; -|c|^2 / 2; -1]: one
@@ -781,10 +781,10 @@ def _log_kernel_sum(
     half *= 0.5
     rows[:, d + 1] = half
     # the precision bound below is at least (2 |q|)^2 / 2
-    direct = 4.0 * half > _GRAM_GUARD
-    if direct.any():
-        # a row left to the direct tier is a zero row here, which clamps nothing
-        rows[direct] = 0.0
+    rejected = 4.0 * half > _GRAM_GUARD
+    if rejected.any():
+        # a row left to log-sum-exp is a zero row here, which clamps nothing
+        rows[rejected] = 0.0
     blocks = padded.reshape(n_blocks, _GRAM_ROWS, d + 2)
     per_chunk = max(1, _CHUNK_CELLS // (_GRAM_ROWS * n_centers))
     buffer = np.empty((min(per_chunk, n_blocks), _GRAM_ROWS, n_centers))
@@ -811,19 +811,14 @@ def _log_kernel_sum(
     bound += np.sqrt(depth)
     bound *= bound
     floor = max(1e-300, math.exp(_GRAM_CLAMP + 40.0) * weight)
-    direct |= ~(bound <= _GRAM_GUARD) | ~(total >= floor)
-    out -= log_norm
-    todo = np.flatnonzero(direct)
-    if todo.size:
-        out[todo] = _log_sum_exp_rows(queries[todo], centers, weights, log_norm)
-    return out
+    rejected |= ~(bound <= _GRAM_GUARD) | ~(total >= floor)
+    return out, rejected
 
 
 def _log_sum_exp_rows(
     queries: np.ndarray,
     centers: np.ndarray,
     weights: np.ndarray,
-    log_norm: float,
 ) -> np.ndarray:
     """The kernel sum by max-shifted log-sum-exp over direct differences,
     in blocks of about ``_CHUNK_CELLS`` cells."""
@@ -843,7 +838,7 @@ def _log_sum_exp_rows(
         # exp is several times slower on inputs that underflow
         np.maximum(grid, -700.0, out=grid)
         np.exp(grid, out=grid)
-        out[start : start + block.shape[0]] = np.log(grid.sum(axis=1)) + peak - log_norm
+        out[start : start + block.shape[0]] = np.log(grid.sum(axis=1)) + peak
     return out
 
 
@@ -907,9 +902,9 @@ def _fast_gauss_transform(
     centers: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``log sum_l w_l exp(-(q_m - c_l)^2 / 2)`` per 1-D query by the fast
-    Gauss transform (Greengard & Strain 1991), and a mask of the rows it
-    does not certify.
+    """``log sum_l w_l exp(-(q_m - c_l)^2 / 2)`` per query row at d = 1 by
+    the fast Gauss transform (Greengard & Strain 1991), and a mask of the
+    rows it does not certify.
 
     In units ``t = x / sqrt(2)`` the kernel is ``exp(-(t - s)^2)``.  The
     positive-weight centers are binned once on the lattice ``j * 1.25``
@@ -940,6 +935,7 @@ def _fast_gauss_transform(
     centers and the row alone, and each row's arithmetic is its own, so a
     row gives the same bits in any batch.
     """
+    queries, centers = queries[:, 0], centers[:, 0]
     n_queries = queries.shape[0]
     keep = weights > 0
     # the positive-weight centers in box order, and where each box starts

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from augmi import (
     Action,
     BandwidthError,
+    GaussianDensity,
     StateLayout,
     WeightedParticleSet,
+    generate_scenario,
     invmi_kde_augmented_mi,
     naive_kde_augmented_mi,
     resubstitution_entropy,
@@ -136,12 +139,16 @@ class TestResubstitutionEntropy:
         assert abs((h2 - h1) - GAUSS_ENTROPY_1D) < 0.15
 
     def test_clamp_events_are_counted(self):
-        # a query far from every kernel of a tiny bandwidth is clamped and counted
+        # a query far from every kernel of a tiny bandwidth is counted, and
+        # its log density, -5e5 and change, is kept as computed
         particles = np.array([[-1.0], [1.0]])
         queries = np.array([[0.0], [1.0]])
-        values, clamps = _log_mixture(queries, particles, np.full(2, 0.5), np.array([1e-3]))
+        bandwidth = 1e-3
+        values, clamps = _log_mixture(queries, particles, np.full(2, 0.5), np.array([bandwidth]))
         assert clamps == 1
-        assert values[0] == LOG_DENSITY_FLOOR and values[1] > LOG_DENSITY_FLOOR
+        exact = -0.5 / bandwidth**2 + STD_NORMAL_LOGPDF_MODE - math.log(bandwidth)
+        assert values[0] == pytest.approx(exact, rel=1e-12)
+        assert values[1] > LOG_DENSITY_FLOOR
         # the pipelines expose the counter
         prior, action = make_chain_1d()
         est = naive_kde_augmented_mi(prior, action, 16, rng=0)
@@ -158,6 +165,34 @@ class TestKdeMiPipelines:
         # one observation draw each, as the traced benchmark's cell count reads
         assert a.sample_counts["z_draws"] == b.sample_counts["z_draws"] == 1
         assert a.method == "naive_kde" and b.method == "invmi_kde"
+
+    def test_estimates_follow_a_scaled_scenario(self):
+        # The replica with its mean scaled by 100 and every covariance (prior,
+        # transition and observation noise) by 100^2: the same seed draws
+        # every sample 100 times farther out, and Scott's bandwidths follow.
+        # Each entropy moves by its dimension times ln 100, and the posterior
+        # holds a1's two new dimensions, so the estimate falls by 2 ln 100.
+        # Every naive log density is far below -700 here; they are counted,
+        # and kept.
+        scenario = generate_scenario(150, 4, correlation_strength=0.3, seed=42)
+        prior, action = scenario.prior, scenario.actions[0]
+        k = 100.0
+
+        def scaled(model):
+            return replace(model, noise_cov=k * k * model.noise_cov)
+
+        big_prior = GaussianDensity(prior.layout, k * prior.mean, k * k * prior.covariance)
+        big_action = replace(
+            action,
+            transitions=tuple(scaled(m) for m in action.transitions),
+            observations=tuple((step, scaled(m)) for step, m in action.observations),
+        )
+        assert action.new_dim_total == 2
+        for pipeline, clamps in ((naive_kde_augmented_mi, 600), (invmi_kde_augmented_mi, 0)):
+            base = pipeline(prior, action, 300, rng=1)
+            big = pipeline(big_prior, big_action, 300, rng=1)
+            assert big.value == pytest.approx(base.value - 2.0 * math.log(k), abs=1e-9)
+            assert big.sample_counts["clamp_events"] == clamps
 
     def test_uninformative_observation_limit(self):
         # z independent of the state: the estimate converges to -H[new | x]

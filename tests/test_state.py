@@ -704,7 +704,7 @@ def _fast_gauss_transform_paths(queries, centers, weights):
         return calls[-1]
 
     with mock.patch.object(state, "_certified", spy):
-        sums, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
+        sums, rejected = _fast_gauss_transform(queries, centers, weights)
     return sums, rejected, calls[0] if len(calls) == 2 else None
 
 
@@ -802,13 +802,46 @@ class TestLogKernelSum:
         centers = np.sort(rng.uniform(-28.0, 28.0, 500))[:, None]
         weights = np.full(500, 1.0 / 500)
         queries = np.array([[0.3], [centers[-1, 0] + 10.0]])
-        _log_sums, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
+        _log_sums, rejected = _fast_gauss_transform(queries, centers, weights)
         assert rejected.tolist() == [False, True]
         np.testing.assert_allclose(
             _log_kernel_sum(queries, centers, weights, 0.9),
             _dense_log_kernel_sum(queries, centers, weights, 0.9),
             rtol=1e-12,
         )
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rejected_rows_take_log_sum_exp_once(self, dim):
+        # Row 7 sits 10 whitened units past the last center (d = 1), or at
+        # (2 |q|)^2 / 2 = 3200, past the Gram guard (d = 2).  The rows the
+        # tier rejects, and only those, reach log-sum-exp, in one call, and
+        # log_norm is subtracted after it from every row alike.
+        rng = np.random.default_rng(13)
+        centers = rng.standard_normal((200, dim))
+        weights = rng.uniform(0.1, 1.0, 200)
+        weights /= weights.sum()
+        queries = rng.standard_normal((30, dim))
+        queries[7] = centers[:, 0].max() + 10.0 if dim == 1 else [40.0, 0.0]
+        tier = _fast_gauss_transform if dim == 1 else state._gram_sum
+        sums, rejected = tier(queries, centers, weights)
+        assert np.flatnonzero(rejected).tolist() == [7]
+        log_sum_exp, calls = state._log_sum_exp_rows, []
+
+        def spy(q, c, w):
+            calls.append(q.copy())
+            return log_sum_exp(q, c, w)
+
+        with mock.patch.object(state, "_log_sum_exp_rows", spy):
+            got = _log_kernel_sum(queries, centers, weights, 0.0)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == queries[rejected].tobytes()
+        assert got[~rejected].tobytes() == sums[~rejected].tobytes()
+        np.testing.assert_allclose(
+            got, _dense_log_kernel_sum(queries, centers, weights, 0.0), rtol=1e-12
+        )
+        for log_norm in (0.9, -300.0):
+            shifted = _log_kernel_sum(queries, centers, weights, log_norm)
+            assert shifted.tobytes() == (got - log_norm).tobytes()
 
     def test_one_dimension_counts_the_boxes_past_the_cutoff(self):
         # the query's own box (lattice point 0) holds weight 3e-16; the rest
@@ -817,7 +850,7 @@ class TestLogKernelSum:
         queries = np.array([[-0.6]])
         centers = np.array([[-0.6], [-10.65]])
         weights = np.array([3e-16, 1.0])
-        _log_sums, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
+        _log_sums, rejected = _fast_gauss_transform(queries, centers, weights)
         assert rejected.tolist() == [True]
         np.testing.assert_allclose(
             _log_kernel_sum(queries, centers, weights, 0.9),
@@ -853,7 +886,7 @@ class TestLogKernelSum:
         weights = np.full(200_000, 1.0 / 200_000)
         queries = 0.5 * rng.standard_normal((12, 1))
         reference = log_kernel_sum_ref(queries, centers, weights)
-        sums, rejected = _fast_gauss_transform(queries[:, 0], centers[:, 0], weights)
+        sums, rejected = _fast_gauss_transform(queries, centers, weights)
         assert not rejected.any()
         assert np.max(np.abs(sums - reference)) <= 1e-13
 
