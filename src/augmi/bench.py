@@ -33,6 +33,7 @@ from .mi import (
 )
 from .scenario import SlamScenario, generate_scenario
 from .smc import SampleBudget
+from .state import _check_count
 
 log = logging.getLogger(__name__)
 
@@ -103,6 +104,7 @@ def evaluate_method(
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {ALL_METHODS}")
+    _check_count("n_particles", n_particles)
     return _METHODS[method](scenario.prior, scenario.action(action_id), n_particles, seed)
 
 
@@ -147,6 +149,8 @@ def _run_scenario(
     dimension, if any.  An estimator failure is recorded in ``failures``, or
     logged when ``failures`` is None, and the run continues.
     """
+    _check_count("n_particles", n_particles)
+    _check_count("trials", trials)
     methods = set(methods)
     unknown = methods - set(ALL_METHODS)
     if unknown:
@@ -207,6 +211,8 @@ def run_dimension_sweep(
     dimension sweeps.
     """
     dims = list(dims)
+    for dim in dims:
+        _check_count("dim", dim, least=6)
     if dims != sorted(set(dims)):
         raise ValueError("dims must be strictly ascending")
     rows: list[ResultRow] = []

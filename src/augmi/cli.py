@@ -7,10 +7,12 @@ Subcommands::
     augmi scenario generate
     augmi mi eval          one estimator, one action, one seed -> CSV row
 
-An option that several subcommands share is declared once.  Counts must
-be at least 1, a state dimension at least 6, ``--seed`` non-negative, a
-correlation in [0, 1) and a sensing range a finite number > 0; each is
-checked before any scenario is built or file written.
+An option that several subcommands share is declared once.  Every option
+and ``--generate`` item is checked by the library's rule for its kind,
+under the option's name, before any scenario is built or file written: a
+count (at least 1; a state dimension, ``--dims`` included, at least 6;
+``--seed`` at least 0), a correlation in [0, 1) and a sensing range that is
+a finite number > 0.
 
 Exit codes: 0 success, 1 usage error, 2 estimator or scenario error.
 """
@@ -18,7 +20,6 @@ Exit codes: 0 success, 1 usage error, 2 estimator or scenario error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .bench import (
@@ -32,7 +33,9 @@ from .bench import (
     zero_elapsed,
 )
 from .mi import ALL_METHODS
+from .scenario import _check_correlation, _check_sensing_range
 from .scenario import generate_scenario, load_scenario, save_scenario
+from .state import _check_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,10 +98,10 @@ def _parse_generate_spec(text: str) -> dict:
     if "target_dim" not in spec:
         raise UsageError("--generate needs at least D=<dim>")
     spec.setdefault("n_actions", 4)
-    _check_least("--generate D", spec["target_dim"], 6)
-    _check_least("--generate actions", spec["n_actions"], 1)
-    _check_correlation("--generate correlation", spec.get("correlation_strength", 0.0))
-    _check_sensing_range("--generate range", spec.get("sensing_range", 25.0))
+    _check_count("--generate D", spec["target_dim"], UsageError, least=6)
+    _check_count("--generate actions", spec["n_actions"], UsageError)
+    _check_correlation("--generate correlation", spec.get("correlation_strength", 0.0), UsageError)
+    _check_sensing_range("--generate range", spec.get("sensing_range", 25.0), UsageError)
     return spec
 
 
@@ -159,28 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_ranges(args) -> None:
-    """Reject a count option below 1, a dimension below 6, a seed below 0,
-    a correlation outside [0, 1) and a sensing range that is not a finite
-    number > 0; a command checks only the options it has."""
+    """Check each option the command has by the library's rule for it."""
     for name, least in (("particles", 1), ("trials", 1), ("actions", 1), ("dim", 6), ("seed", 0)):
-        _check_least(f"--{name}", getattr(args, name, least), least)
-    _check_correlation("--correlation", getattr(args, "correlation", 0.0))
-    _check_sensing_range("--sensing-range", getattr(args, "sensing_range", 25.0))
-
-
-def _check_least(option: str, value: int, least: int) -> None:
-    if value < least:
-        raise UsageError(f"{option} must be at least {least}, got {value}")
-
-
-def _check_correlation(option: str, value: float) -> None:
-    if not 0.0 <= value < 1.0:
-        raise UsageError(f"{option} must lie in [0, 1), got {value}")
-
-
-def _check_sensing_range(option: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise UsageError(f"{option} must be a finite number > 0, got {value}")
+        _check_count(f"--{name}", getattr(args, name, least), UsageError, least)
+    _check_correlation("--correlation", getattr(args, "correlation", 0.0), UsageError)
+    _check_sensing_range("--sensing-range", getattr(args, "sensing_range", 25.0), UsageError)
 
 
 def _load_or_generate(args) -> "SlamScenario":
@@ -215,7 +201,7 @@ def _cmd_bench_dims(args) -> int:
         raise UsageError("--dims must name at least one dimension")
     if dims != sorted(set(dims)):
         raise UsageError(f"--dims must be strictly ascending, got {args.dims!r}")
-    _check_least("--dims items", dims[0], 6)
+    _check_count("--dims items", dims[0], UsageError, least=6)
     failures: list[str] = []
     rows = run_dimension_sweep(
         dims,

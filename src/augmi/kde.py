@@ -26,8 +26,8 @@ from .state import (
     Action,
     GaussianDensity,
     WeightedParticleSet,
+    _check_count,
     _draws,
-    _is_count,
     _log_kernel_sum,
     ensure_rng,
     marginalize_gaussian,
@@ -66,23 +66,18 @@ def bandwidth_vector(particles: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _log_mixture(
-    queries: np.ndarray,
-    particles: np.ndarray,
-    weights: np.ndarray,
-    bandwidth: np.ndarray,
+    particles: np.ndarray, weights: np.ndarray, bandwidth: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """Log KDE density at each query row; returns (values, clamp count)."""
+    """Log KDE density at each of its own sample rows; returns (values, clamp count)."""
     log_norm = 0.5 * particles.shape[1] * LOG_TWO_PI + float(np.sum(np.log(bandwidth)))
     centers = particles / bandwidth
-    # a re-substitution's queries are its sample, divided once
-    scaled = centers if queries is particles else queries / bandwidth
-    vals = _log_kernel_sum(scaled, centers, weights, log_norm)
+    vals = _log_kernel_sum(centers, centers, weights, log_norm)
     return vals, int(np.count_nonzero(vals < LOG_DENSITY_FLOOR))
 
 
 def _resubstitution(particles: np.ndarray, weights: np.ndarray) -> tuple[float, int]:
     bandwidth = bandwidth_vector(particles, weights)
-    log_vals, clamps = _log_mixture(particles, particles, weights, bandwidth)
+    log_vals, clamps = _log_mixture(particles, weights, bandwidth)
     return -float(weights @ log_vals), clamps
 
 
@@ -115,10 +110,7 @@ def _kde_augmented_mi(
     """
     if not isinstance(prior, GaussianDensity):
         raise TypeError("KDE pipelines need a GaussianDensity belief")
-    if not _is_count(n):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError("need n >= 2 samples for data-driven KDE entropy")
+    _check_count("n", n, least=2)
     if involved:
         prior = marginalize_gaussian(prior, determine_involved(prior.layout, action).blocks)
     rng = ensure_rng(rng)

@@ -106,8 +106,7 @@ class ObjectiveValue:
 def _steps_argument(
     actions: Sequence[Action] | Sequence[Sequence[Action]], horizon: int
 ) -> list[list[Action]]:
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_count("horizon", horizon)
     items = list(actions)
     if not items:
         raise ValueError("need a non-empty candidate action set")
@@ -302,8 +301,9 @@ def sequential_mi_direct(
     evaluation used as the brute-force oracle for the solver.
     """
     seq = list(action_sequence)
-    if horizon < 1 or horizon > len(seq):
-        raise ValueError(f"horizon {horizon} out of range 1..{len(seq)}")
+    _check_count("horizon", horizon)
+    if horizon > len(seq):
+        raise ValueError(f"horizon must be <= {len(seq)}, got {horizon}")
     seq = seq[:horizon]
     belief, reward = _root(
         prior, [[a] for a in seq], mi_backend, obs_samples, rng, REWARD_CONSECUTIVE_MI

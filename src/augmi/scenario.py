@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import augmented_mi_analytic
-from .state import Action, GaussianDensity, LinearGaussianModel, StateLayout, _is_count
+from .state import Action, GaussianDensity, LinearGaussianModel, StateLayout, _check_count
 
 MIN_MI_SEPARATION = 0.02
 
@@ -53,9 +53,16 @@ def _pose_landmark_counts(target_dim: int) -> tuple[int, int]:
     return n_poses, n_landmarks
 
 
-def _check_sensing_range(sensing_range: float) -> None:
-    if not (math.isfinite(sensing_range) and sensing_range > 0.0):
-        raise ScenarioError(f"sensing_range must be a finite number > 0, got {sensing_range}")
+def _check_correlation(name: str, value: float, error: type[Exception] = ScenarioError) -> None:
+    """Raise ``error`` unless ``value`` is a correlation strength in [0, 1)."""
+    if not 0.0 <= value < 1.0:
+        raise error(f"{name} must lie in [0, 1), got {value}")
+
+
+def _check_sensing_range(name: str, value: float, error: type[Exception] = ScenarioError) -> None:
+    """Raise ``error`` unless ``value`` is a finite sensing range > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise error(f"{name} must be a finite number > 0, got {value}")
 
 
 def generate_scenario(
@@ -74,13 +81,11 @@ def generate_scenario(
     within ``sensing_range``, with per-action noise scales chosen to spread
     the analytic MI values apart.
     """
-    if target_dim < 6:
-        raise ScenarioError(f"target_dim must be >= 6, got {target_dim}")
-    if n_actions < 1:
-        raise ScenarioError("n_actions must be >= 1")
-    if not 0.0 <= correlation_strength < 1.0:
-        raise ScenarioError("correlation_strength must lie in [0, 1)")
-    _check_sensing_range(sensing_range)
+    _check_count("target_dim", target_dim, ScenarioError, least=6)
+    _check_count("n_actions", n_actions, ScenarioError)
+    _check_count("seed", seed, ScenarioError, least=0)
+    _check_correlation("correlation_strength", correlation_strength)
+    _check_sensing_range("sensing_range", sensing_range)
 
     n_poses, n_landmarks = _pose_landmark_counts(target_dim)
     if n_landmarks < n_actions:
@@ -268,13 +273,12 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
             actions.append(action)
         sensing_range = float(doc["sensing_range"])
         seed = doc.get("seed", -1)
-        if not _is_count(seed):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+        _check_count("seed", seed, least=-1)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
-    _check_sensing_range(sensing_range)
+    _check_sensing_range("sensing_range", sensing_range)
     return SlamScenario(
         layout=layout,
         prior=prior,

@@ -50,7 +50,6 @@ from .state import (
     _bind_inputs,
     _check_count,
     _derived_rng,
-    _is_count,
     ensure_rng,
 )
 
@@ -243,10 +242,7 @@ def mismc_update(
     comes from its own (root, index) stream, its log eta is appended to
     ``terms``, and the sum is taken once over all of them in index order.
     """
-    if not _is_count(additional_n1):
-        raise BudgetError(f"additional_n1 must be an integer, got {additional_n1!r}")
-    if additional_n1 < 0:
-        raise ValueError("additional_n1 must be >= 0")
+    _check_count("additional_n1", additional_n1, BudgetError, least=0)
     if acc.rng_state != context.root:
         raise ContextMismatchError(
             "accumulator was started under a different context (RNG root differs)"

@@ -88,10 +88,12 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 def _check_rng(rng) -> None:
     """Raise ``TypeError`` unless ``rng`` is a numpy Generator or an integer
-    seed, and ``ValueError`` for a negative seed, as numpy does."""
-    if not isinstance(rng, (np.random.Generator, int, np.integer)):
+    seed (not a bool), and ``ValueError`` for a negative seed, as numpy does."""
+    if isinstance(rng, np.random.Generator):
+        return
+    if not _is_count(rng):
         raise TypeError(f"expected numpy Generator or int seed, got {type(rng).__name__}")
-    if not isinstance(rng, np.random.Generator) and rng < 0:
+    if rng < 0:
         raise ValueError(f"expected non-negative integer seed, got {rng}")
 
 
@@ -109,12 +111,12 @@ def _is_count(value) -> bool:
     )
 
 
-def _check_count(name: str, value, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless ``value`` is an integer count of at least 1."""
+def _check_count(name: str, value, error: type[Exception] = ValueError, least: int = 1) -> None:
+    """Raise ``error`` unless ``value`` is an integer count of at least ``least``."""
     if not _is_count(value):
         raise error(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise error(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
 
 
 def _derived_rng(root: Sequence[int], spawn_key: tuple[int, ...]) -> np.random.Generator:
@@ -138,10 +140,7 @@ class VariableBlock:
 
     def __post_init__(self):
         _check_count(f"block {self.id!r}: dim", self.dim)
-        if not _is_count(self.offset) or self.offset < 0:
-            raise ValueError(
-                f"block {self.id!r}: offset must be a non-negative integer, got {self.offset!r}"
-            )
+        _check_count(f"block {self.id!r}: offset", self.offset, least=0)
 
     @property
     def slice(self) -> slice:

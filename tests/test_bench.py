@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,36 @@ def small_scenario():
     return generate_scenario(20, 2, seed=31)
 
 
+class TestLoggedFailures:
+    """Without a ``failures`` list an estimator failure is logged as a
+    warning and the run goes on: n = 1 passes the count rule, and each KDE
+    trial then fails on its own need for n >= 2."""
+
+    def test_actions_experiment_logs_and_continues(self, small_scenario, caplog):
+        with caplog.at_level(logging.WARNING, logger="augmi.bench"):
+            rows = run_actions_experiment(
+                small_scenario, ["analytic", "naive_kde", "invmi_kde"], 1, trials=2, seed=1
+            )
+        assert [(r.method, r.action_id) for r in rows] == [("analytic", "a1"), ("analytic", "a2")]
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, f"estimator failure: {m}/{a}/trial {t}: n must be >= 2, got 1")
+            for m in ("naive_kde", "invmi_kde")
+            for a in ("a1", "a2")
+            for t in (0, 1)
+        ]
+
+    def test_dimension_sweep_logs_and_continues(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="augmi.bench"):
+            rows = run_dimension_sweep([10, 12], ["naive_kde", "analytic"], 1, trials=2, seed=1)
+        assert [(r.method, r.dim_full) for r in rows] == [("analytic", 10), ("analytic", 12)]
+        message = "estimator failure: dim {}/naive_kde/a1/trial {}: n must be >= 2, got 1"
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, message.format(d, t))
+            for d in (10, 12)
+            for t in (0, 1)
+        ]
+
+
 class TestEvaluateMethod:
     def test_analytic_deterministic(self, small_scenario):
         a = evaluate_method(small_scenario, "a1", "analytic", 50, seed=1)
@@ -52,7 +84,9 @@ class TestEvaluateMethod:
             evaluate_method(small_scenario, "a1", "magic", 50, seed=1)
 
     @pytest.mark.parametrize("method", ["analytic", "naive_kde", "invmi_kde", "mismc"])
-    @pytest.mark.parametrize("bad_rng", ["x", 1.5, None], ids=["str", "float", "none"])
+    @pytest.mark.parametrize(
+        "bad_rng", ["x", 1.5, None, True], ids=["str", "float", "none", "bool"]
+    )
     def test_every_method_rejects_a_non_rng_seed(self, method, bad_rng):
         # The analytic oracle draws nothing, yet must refuse what the
         # sampling methods refuse instead of returning a value.

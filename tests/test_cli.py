@@ -138,7 +138,7 @@ def test_negative_seed_is_a_usage_error(run_cli, tmp_path, args):
     out_args = () if args[0] == "mi" else ("--out", str(out))  # mi eval prints its row
     proc = run_cli(*args, "--seed", "-1", *out_args)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("usage error: --seed must be at least 0, got -1")
+    assert proc.stderr.startswith("usage error: --seed must be >= 0, got -1")
     assert proc.stdout == ""
     assert not out.exists()
 
@@ -147,18 +147,18 @@ def test_negative_seed_is_a_usage_error(run_cli, tmp_path, args):
     ("args", "message"),
     [
         (("scenario", "generate", "--dim", "20", "--actions", "0"),
-         "--actions must be at least 1, got 0"),
+         "--actions must be >= 1, got 0"),
         (("scenario", "generate", "--dim", "20", "--correlation", "1.0"),
          "--correlation must lie in [0, 1), got 1.0"),
         (("bench", "dims", "--dims", "10", "--methods", "analytic", "--correlation", "-0.1"),
          "--correlation must lie in [0, 1), got -0.1"),
         (("bench", "actions", "--generate", "D=20,actions=0", "--methods", "analytic"),
-         "--generate actions must be at least 1, got 0"),
+         "--generate actions must be >= 1, got 0"),
         (("bench", "actions", "--generate", "D=20,correlation=1.5", "--methods", "analytic"),
          "--generate correlation must lie in [0, 1), got 1.5"),
-        (("scenario", "generate", "--dim", "5"), "--dim must be at least 6, got 5"),
+        (("scenario", "generate", "--dim", "5"), "--dim must be >= 6, got 5"),
         (("bench", "dims", "--dims", "0,10", "--methods", "analytic"),
-         "--dims items must be at least 6, got 0"),
+         "--dims items must be >= 6, got 0"),
         (("scenario", "generate", "--dim", "20", "--sensing-range", "-1"),
          "--sensing-range must be a finite number > 0, got -1.0"),
         (("scenario", "generate", "--dim", "20", "--sensing-range", "nan"),
@@ -166,9 +166,9 @@ def test_negative_seed_is_a_usage_error(run_cli, tmp_path, args):
         (("scenario", "generate", "--dim", "20", "--sensing-range", "inf"),
          "--sensing-range must be a finite number > 0, got inf"),
         (("bench", "actions", "--generate", "D=5", "--methods", "analytic"),
-         "--generate D must be at least 6, got 5"),
+         "--generate D must be >= 6, got 5"),
         (("bench", "actions", "--generate", "dim=0,actions=1", "--methods", "analytic"),
-         "--generate D must be at least 6, got 0"),
+         "--generate D must be >= 6, got 0"),
         (("bench", "actions", "--generate", "D=20,range=0", "--methods", "analytic"),
          "--generate range must be a finite number > 0, got 0.0"),
         (("bench", "actions", "--generate", "D=20,range=nan", "--methods", "analytic"),

@@ -50,51 +50,53 @@ def gaussian_sample_set(rng, n, dim=1):
     return particle_set(rng.standard_normal((n, dim)))
 
 
-def kde_log_density(samples, query, bandwidth=None) -> float:
-    """Log of the weighted Gaussian-kernel mixture at one query point, as
-    the re-substitution entropy evaluates it; Scott's bandwidth unless one
-    is given."""
+def kde_log_densities(samples, bandwidth=None) -> np.ndarray:
+    """Log of the weighted Gaussian-kernel mixture at each of its own sample
+    points, as the re-substitution entropy evaluates it; Scott's bandwidth
+    unless one is given."""
     if bandwidth is None:
         bandwidth = bandwidth_vector(samples.particles, samples.weights)
-    query = np.atleast_2d(np.asarray(query, dtype=float))
-    bandwidth = np.asarray(bandwidth, dtype=float)
-    vals, _clamps = _log_mixture(query, samples.particles, samples.weights, bandwidth)
-    return float(vals[0])
+    vals, _clamps = _log_mixture(
+        samples.particles, samples.weights, np.asarray(bandwidth, dtype=float)
+    )
+    return vals
 
 
 def fixed_bandwidth_entropy(samples, bandwidth: float) -> float:
     """Re-substitution entropy of ``samples`` at one bandwidth for every
     coordinate."""
-    bandwidth = np.full(samples.particles.shape[1], bandwidth)
-    vals, _clamps = _log_mixture(samples.particles, samples.particles, samples.weights, bandwidth)
+    vals = kde_log_densities(samples, np.full(samples.particles.shape[1], bandwidth))
     return -float(samples.weights @ vals)
 
 
 class TestKdeLogDensity:
     def test_single_particle_at_origin(self):
         samples = particle_set([[0.0]])
-        assert kde_log_density(samples, [0.0], bandwidth=[1.0]) == pytest.approx(
+        assert kde_log_densities(samples, bandwidth=[1.0])[0] == pytest.approx(
             STD_NORMAL_LOGPDF_MODE, abs=1e-12
         )
 
     def test_one_bandwidth_away(self):
-        samples = particle_set([[0.0]])
-        at_mode = kde_log_density(samples, [0.0], bandwidth=[0.5])
-        assert kde_log_density(samples, [0.5], bandwidth=[0.5]) == pytest.approx(
-            at_mode - 0.5, abs=1e-12
+        # at each point, half a kernel at its mode and half a kernel one bandwidth away
+        samples = particle_set([[0.0], [0.5]])
+        at_mode = STD_NORMAL_LOGPDF_MODE - math.log(0.5)
+        expected = at_mode + math.log(0.5 + 0.5 * math.exp(-0.5))
+        np.testing.assert_allclose(
+            kde_log_densities(samples, bandwidth=[0.5]), expected, rtol=0.0, atol=1e-12
         )
 
     def test_large_sample_matches_true_density(self):
-        # analytic density oracle: log N(0; 0, 1) = -0.9189...
+        # analytic density oracle at the sample point nearest 0:
+        # log N(0; 0, 1) = -0.9189...
         rng = np.random.default_rng(123)
         samples = gaussian_sample_set(rng, 100_000)
-        value = kde_log_density(samples, np.zeros(1))
+        value = kde_log_densities(samples)[np.argmin(np.abs(samples.particles[:, 0]))]
         assert abs(value - STD_NORMAL_LOGPDF_MODE) < 0.05
 
     def test_identical_particles_singular_bandwidth(self):
         samples = particle_set([[1.0], [1.0], [1.0]])
         with pytest.raises(BandwidthError, match="singular"):
-            kde_log_density(samples, [1.0])
+            kde_log_densities(samples)
 
 
 class TestResubstitutionEntropy:
@@ -139,15 +141,12 @@ class TestResubstitutionEntropy:
         assert abs((h2 - h1) - GAUSS_ENTROPY_1D) < 0.15
 
     def test_clamp_events_are_counted(self):
-        # a query far from every kernel of a tiny bandwidth is counted, and
-        # its log density, -5e5 and change, is kept as computed
-        particles = np.array([[-1.0], [1.0]])
-        queries = np.array([[0.0], [1.0]])
-        bandwidth = 1e-3
-        values, clamps = _log_mixture(queries, particles, np.full(2, 0.5), np.array([bandwidth]))
+        # a point whose own kernel weighs 1e-305, far from the other kernel,
+        # is counted, and its log density, -703.2, is kept as computed
+        particles = np.array([[-50.0], [50.0]])
+        values, clamps = _log_mixture(particles, np.array([1e-305, 1.0]), np.array([1.0]))
         assert clamps == 1
-        exact = -0.5 / bandwidth**2 + STD_NORMAL_LOGPDF_MODE - math.log(bandwidth)
-        assert values[0] == pytest.approx(exact, rel=1e-12)
+        assert values[0] == pytest.approx(math.log(1e-305) + STD_NORMAL_LOGPDF_MODE, rel=1e-12)
         assert values[1] > LOG_DENSITY_FLOOR
         # the pipelines expose the counter
         prior, action = make_chain_1d()

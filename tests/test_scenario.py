@@ -80,9 +80,9 @@ class TestGeneration:
     @pytest.mark.parametrize(
         ("kwargs", "message"),
         [
-            ({"n_actions": 0}, "n_actions must be >= 1"),
-            ({"correlation_strength": 1.0}, "correlation_strength must lie in [0, 1)"),
-            ({"correlation_strength": -0.1}, "correlation_strength must lie in [0, 1)"),
+            ({"n_actions": 0}, "n_actions must be >= 1, got 0"),
+            ({"correlation_strength": 1.0}, "correlation_strength must lie in [0, 1), got 1.0"),
+            ({"correlation_strength": -0.1}, "correlation_strength must lie in [0, 1), got -0.1"),
             ({"sensing_range": 0.1}, "only 0 landmarks within sensing range 0.1, need 2"),
             ({"sensing_range": 0.0}, "sensing_range must be a finite number > 0, got 0.0"),
             ({"sensing_range": -1.0}, "sensing_range must be a finite number > 0, got -1.0"),
@@ -170,6 +170,13 @@ class TestSerialization:
         doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
         doc["seed"] = seed
         message = f"malformed scenario document: seed must be an integer, got {seed!r}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(doc)
+
+    def test_seed_below_the_missing_seed_sentinel_is_malformed(self):
+        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        doc["seed"] = -2
+        message = "malformed scenario document: seed must be >= -1, got -2"
         with pytest.raises(ScenarioError, match=re.escape(message)):
             scenario_from_dict(doc)
 

@@ -417,7 +417,7 @@ class TestAnytime:
         rng = np.random.default_rng(12)
         pset = sample_particles(prior, 20, rng)
         ctx = mismc_context(pset, action, SampleBudget(n1=20), rng)
-        with pytest.raises(ValueError, match="additional_n1 must be >= 0"):
+        with pytest.raises(ValueError, match="additional_n1 must be >= 0, got -1"):
             mismc_update(ctx.empty_accumulator(), -1, ctx)
 
     def test_context_mismatch_detected(self, chain):

@@ -75,7 +75,8 @@ class TestLayout:
         for dim in (1.5, 2.0, True):
             with pytest.raises(ValueError, match="integer"):
                 StateLayout.from_dims([("x", dim)])
-        with pytest.raises(ValueError, match="integer"):
+        message = "block 'x': offset must be an integer, got 0.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
             VariableBlock("x", 0.0, 1)
         assert StateLayout.from_dims([("x", np.int64(2))]).total_dim == 2
 
