@@ -54,7 +54,7 @@ class InvolvedSet:
         object.__setattr__(self, "blocks", frozenset(self.blocks))
         if not self.blocks:
             raise ValueError("involved set must be non-empty")
-        unknown = self.blocks - set(self.layout.ids)
+        unknown = self.blocks.difference(self.layout._index)
         if unknown:
             raise ValueError(f"involved set references unknown blocks {sorted(unknown)}")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,14 +54,23 @@ def _pose_landmark_counts(target_dim: int) -> tuple[int, int]:
     return n_poses, n_landmarks
 
 
+def _check_real(name: str, value, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``value`` is a real number: an ``int``, a
+    ``float`` or a numpy number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
 def _check_correlation(name: str, value: float, error: type[Exception] = ScenarioError) -> None:
     """Raise ``error`` unless ``value`` is a correlation strength in [0, 1)."""
+    _check_real(name, value, error)
     if not 0.0 <= value < 1.0:
         raise error(f"{name} must lie in [0, 1), got {value}")
 
 
 def _check_sensing_range(name: str, value: float, error: type[Exception] = ScenarioError) -> None:
     """Raise ``error`` unless ``value`` is a finite sensing range > 0."""
+    _check_real(name, value, error)
     if not (math.isfinite(value) and value > 0.0):
         raise error(f"{name} must be a finite number > 0, got {value}")
 
@@ -271,7 +281,7 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
             )
             action.validate_against(layout)
             actions.append(action)
-        sensing_range = float(doc["sensing_range"])
+        sensing_range = doc["sensing_range"]
         seed = doc.get("seed", -1)
         _check_count("seed", seed, least=-1)
     except (KeyError, TypeError, ValueError) as exc:
@@ -283,7 +293,7 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
         layout=layout,
         prior=prior,
         actions=tuple(actions),
-        sensing_range=sensing_range,
+        sensing_range=float(sensing_range),
         seed=int(seed),
     )
 

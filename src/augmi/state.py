@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -188,19 +189,28 @@ class StateLayout:
     def ids(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.blocks)
 
+    @cached_property
+    def _index(self) -> Mapping[str, VariableBlock]:
+        """Each block by its id, built at first use and read-only."""
+        return MappingProxyType({b.id: b for b in self.blocks})
+
+    def __getstate__(self):
+        # a mapping proxy does not pickle; the index is rebuilt at first use
+        return {name: value for name, value in vars(self).items() if name != "_index"}
+
     def __contains__(self, block_id: str) -> bool:
-        return any(b.id == block_id for b in self.blocks)
+        return block_id in self._index
 
     def block(self, block_id: str) -> VariableBlock:
-        for b in self.blocks:
-            if b.id == block_id:
-                return b
-        raise UnknownBlockError(f"unknown block id {block_id!r}")
+        block = self._index.get(block_id)
+        if block is None:
+            raise UnknownBlockError(f"unknown block id {block_id!r}")
+        return block
 
     def _known(self, keep: Iterable[str]) -> set[str]:
         """``keep`` as a set; an id the layout lacks raises ``UnknownBlockError``."""
         keep = set(keep)
-        unknown = keep - set(self.ids)
+        unknown = keep.difference(self._index)
         if unknown:
             raise UnknownBlockError(f"unknown block ids {sorted(unknown)}")
         return keep
@@ -248,7 +258,7 @@ class WeightedParticleSet:
             raise ValueError("particle set has non-finite particles")
         if not np.isfinite(weights).all():
             raise ValueError("particle set has non-finite weights")
-        if np.any(weights < 0.0):
+        if (weights < 0.0).any():
             raise ValueError("weights must be non-negative")
         total = weights.sum()
         if not total > 0.0:
@@ -364,6 +374,12 @@ class LinearGaussianModel:
         """The inverse of ``noise_chol``, which whitens this model's outputs."""
         return _frozen_array(np.linalg.inv(self.noise_chol))
 
+    @cached_property
+    def _transposes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``matrix``, ``noise_chol`` and ``_noise_inverse`` transposed: the
+        right-hand factors of the row-wise products, taken once per model."""
+        return self.matrix.T, self.noise_chol.T, self._noise_inverse.T
+
 
 @dataclass(frozen=True)
 class Action:
@@ -417,7 +433,7 @@ class Action:
     def obs_dim_total(self) -> int:
         return sum(m.output_dim for _s, m in self.observations)
 
-    @property
+    @cached_property
     def _noise_entropy(self) -> float:
         """Summed entropy of every model's additive noise, in nats.  The
         noise does not depend on the state, so this is H[new | prior] +
@@ -442,11 +458,11 @@ def _bind_inputs(layout: StateLayout, action: Action) -> _Bound:
     observation also reads its own step's.  Every transition is checked
     before any observation, and observations in step order.
     """
-    spans = {b.id: (b.offset, b.dim) for b in layout.blocks}
+    index = layout._index
     new_spans: dict[str, tuple[int, int, int]] = {}
     cursor = layout.total_dim
     for step, (new_id, model) in enumerate(zip(action.new_ids, action.transitions), 1):
-        if new_id in spans:
+        if new_id in index:
             raise ValueError(
                 f"action {action.id!r}: new block id {new_id!r} collides with the layout"
             )
@@ -454,24 +470,25 @@ def _bind_inputs(layout: StateLayout, action: Action) -> _Bound:
         cursor += model.output_dim
 
     def columns(where: str, model: LinearGaussianModel, steps_done: int) -> np.ndarray:
-        found = []
+        found: list[int] = []
         for block_id in model.inputs:
-            if block_id in spans:
-                found.append(spans[block_id])
+            block = index.get(block_id)
+            if block is not None:
+                start, dim = block.offset, block.dim
             elif block_id in new_spans and new_spans[block_id][0] <= steps_done:
-                found.append(new_spans[block_id][1:])
+                _step, start, dim = new_spans[block_id]
             else:
                 raise UnknownBlockError(
                     f"action {action.id!r} {where}: input block {block_id!r} does not "
                     "resolve to a prior block or an earlier new block"
                 )
-        total = sum(dim for _start, dim in found)
-        if total != model.input_dim:
+            found.extend(range(start, start + dim))
+        if len(found) != model.input_dim:
             raise ValueError(
                 f"action {action.id!r} {where}: matrix has {model.input_dim} columns "
-                f"but inputs {model.inputs} total dim {total}"
+                f"but inputs {model.inputs} total dim {len(found)}"
             )
-        return _span_indices(found)
+        return np.array(found, dtype=int)
 
     bound = [
         (model, columns(f"transition {step}", model, step - 1))
@@ -486,13 +503,12 @@ def _bind_inputs(layout: StateLayout, action: Action) -> _Bound:
 def _prior_footprint(layout: StateLayout, action: Action) -> frozenset[str]:
     """Prior blocks read by any transition or observation of the action."""
     action.validate_against(layout)
-    prior_ids = set(layout.ids)
     used: set[str] = set()
     for model in action.transitions:
         used.update(model.inputs)
     for _step, model in action.observations:
         used.update(model.inputs)
-    return frozenset(used & prior_ids)
+    return frozenset(used.intersection(layout._index))
 
 
 def compose_actions(actions: Sequence[Action]) -> Action:
@@ -573,7 +589,7 @@ def sample_particles(
 
 def _draws(density: GaussianDensity, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` i.i.d. draws from ``density``, one per row."""
-    draws = rng.standard_normal((n, density.dim)) @ density._chol.T
+    draws = np.dot(rng.standard_normal((n, density.dim)), density._chol.T)
     draws += density.mean
     return draws
 
@@ -590,31 +606,37 @@ class _SequentialModels:
     ``[belief state | stacked new blocks]``, which the transition builds
     once and the observation reads as given, and fills its own slice of an
     output array; the two subclasses differ only in where that output lives.
-    A caller that builds both passes them one ``bound``, the action's
-    :func:`_bind_inputs`.
+    Per model it holds the input columns, the output slice and the model's
+    :attr:`~LinearGaussianModel._transposes`, which each model derives once,
+    so a product reads its factor as it is.  A caller that builds both passes
+    them one ``bound``, the action's :func:`_bind_inputs`.
     """
 
     def __init__(self, layout: StateLayout, action: Action, bound: _Bound | None, own: slice):
         self.layout = layout
         bound = _bind_inputs(layout, action) if bound is None else bound
-        # (model, input columns, output slice, inverse noise factor) per model
-        self._models: list[tuple[LinearGaussianModel, np.ndarray, slice, np.ndarray]] = []
+        # (input columns, output slice, matrix.T, noise_chol.T, inverse.T) per model
+        self._models: list[tuple[np.ndarray, slice, np.ndarray, np.ndarray, np.ndarray]] = []
+        self._log_norm = 0.0
         cursor = 0
         for model, cols in bound[own]:
             part = slice(cursor, cursor + model.output_dim)
-            self._models.append((model, cols, part, model._noise_inverse))
+            self._models.append((cols, part, *model._transposes))
+            self._log_norm += model._log_norm
             cursor += model.output_dim
-        self._log_norm = sum(model._log_norm for model, *_rest in self._models)
 
     def _sample(self, states: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
         """Fill each model's slice of ``out`` from standard-normal innovations."""
-        for model, cols, part, _inverse in self._models:
-            out[:, part] = states[:, cols] @ model.matrix.T + noise[:, part] @ model.noise_chol.T
+        for cols, part, matrix_t, chol_t, _inverse_t in self._models:
+            out[:, part] = np.dot(states[:, cols], matrix_t) + np.dot(noise[:, part], chol_t)
 
-    def _means(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill each model's slice of ``out`` with its mean given ``states``."""
-        for model, cols, part, _inverse in self._models:
-            out[:, part] = states[:, cols] @ model.matrix.T
+    def _whitened_means(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill each model's slice of ``out`` with its mean given ``states``,
+        in units of its noise factor, in one pass."""
+        for cols, part, matrix_t, _chol_t, inverse_t in self._models:
+            out[:, part] = np.dot(np.dot(states[:, cols], matrix_t), inverse_t)
+        if not np.isfinite(out).all():
+            raise ValueError("cannot whiten non-finite values")
         return out
 
     def _whiten(self, y: np.ndarray) -> np.ndarray:
@@ -623,8 +645,8 @@ class _SequentialModels:
         if not np.isfinite(y).all():
             raise ValueError("cannot whiten non-finite values")
         out = np.empty_like(y)
-        for _model, _cols, part, inverse in self._models:
-            out[:, part] = y[:, part] @ inverse.T
+        for _cols, part, _matrix_t, _chol_t, inverse_t in self._models:
+            out[:, part] = np.dot(y[:, part], inverse_t)
         return out
 
 
@@ -675,17 +697,17 @@ class ObservationGridEvaluator:
     """Pairwise observation likelihoods against a fixed propagated batch.
 
     This is the hot loop of the marginal-likelihood estimate, so the batch
-    side (every model's mean, whitened by its noise factor and laid side by
-    side) is computed once; queries are whitened the same way and summed by
-    :func:`_log_kernel_sum`.
+    side is built once: ``_centers`` holds every model's mean, whitened by
+    its noise factor and laid side by side, from one pass over the models
+    that never stores the plain means.  Queries are whitened the same way
+    and summed by :func:`_log_kernel_sum`.
     """
 
     def __init__(self, seq_obs: SequentialObservation, states: np.ndarray):
         self.count = states.shape[0]
         self.obs_dim = seq_obs.obs_dim
         self._seq_obs = seq_obs
-        means = seq_obs._means(states, np.empty((self.count, self.obs_dim)))
-        self._centers = seq_obs._whiten(means)
+        self._centers = seq_obs._whitened_means(states, np.empty((self.count, self.obs_dim)))
 
     def mixture_likelihood(self, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Log marginal likelihood ``log sum_l w_l F_Z(z_m | batch_l)`` per
@@ -730,8 +752,8 @@ def _log_kernel_sum(
     """
     tier = _fast_gauss_transform if centers.shape[1] == 1 else _gram_sum
     out, rejected = tier(queries, centers, weights)
-    todo = np.flatnonzero(rejected)
-    if todo.size:
+    if rejected.any():
+        todo = rejected.nonzero()[0]
         out[todo] = _log_sum_exp_rows(queries[todo], centers, weights)
     out -= log_norm
     return out
@@ -762,7 +784,8 @@ def _gram_sum(
     """
     n_queries, n_centers = queries.shape[0], centers.shape[0]
     d = centers.shape[1]
-    shift = centers.mean(axis=0)
+    # the centers' mean, as ndarray.mean takes it, without its wrapper
+    shift = np.add.reduce(centers, axis=0) / n_centers
     # [q | 1 | |q|^2 / 2] against the columns [c; -|c|^2 / 2; -1]: one
     # product gives -|q - c|^2 / 2 per cell
     gram = np.empty((d + 2, n_centers))
@@ -799,18 +822,22 @@ def _gram_sum(
         np.matmul(grid, weights, out=total[start : start + per_chunk])
     total = total.reshape(-1)[:n_queries]
     weight = float(weights.sum())
-    with np.errstate(divide="ignore"):
-        out = np.log(total)
+    floor = max(1e-300, math.exp(_GRAM_CLAMP + 40.0) * weight)
+    # a row below the floor is rejected whatever its log, which the floor
+    # keeps finite
+    out = np.log(np.maximum(total, floor))
     # The cells that carry all but e^-40 of a row's sum lie within
     # sqrt(2 depth) of q, so their |c| is at most |q| + sqrt(2 depth) and
     # they round at about eps times (2 |q| + sqrt(2 depth))^2 / 2 (weights
     # that sum below 1e-300 send every row below the floor).
     depth = (40.0 + math.log(max(weight, 1e-300))) - out
-    bound = 2.0 * np.sqrt(half)
-    bound += np.sqrt(depth)
+    bound = np.sqrt(half, out=half)
+    bound *= 2.0
+    bound += np.sqrt(depth, out=depth)
     bound *= bound
-    floor = max(1e-300, math.exp(_GRAM_CLAMP + 40.0) * weight)
-    rejected |= ~(bound <= _GRAM_GUARD) | ~(total >= floor)
+    kept = bound <= _GRAM_GUARD
+    kept &= total >= floor
+    rejected |= ~kept
     return out, rejected
 
 

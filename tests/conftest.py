@@ -93,7 +93,10 @@ def models_log_density_ref(models, states: np.ndarray, out: np.ndarray) -> np.nd
     SequentialTransition's or SequentialObservation's models, given the
     augmented ``states`` rows: each model's residual whitened by its noise
     factor."""
-    white = models._whiten(out - models._means(states, np.empty_like(out)))
+    means = np.empty_like(out)
+    for cols, part, matrix_t, _chol_t, _inverse_t in models._models:
+        means[:, part] = states[:, cols] @ matrix_t
+    white = models._whiten(out - means)
     return -0.5 * np.einsum("ij,ij->i", white, white) - models._log_norm
 
 
@@ -129,6 +132,92 @@ def log_kernel_sum_ref(queries, centers, weights) -> np.ndarray:
         peak = terms.max()
         out[m] = peak + np.log(np.exp(terms - peak).sum())
     return out
+
+
+def _philox_window_normals(key, index: int, width: int) -> np.ndarray:
+    """Particle ``index``'s ``width`` standard normals: its own counter window
+    of the Philox stream ``key``, whole blocks of 4 words wide, taken to
+    uniforms and turned into normals in Box-Muller pairs."""
+    stride = 4 * max(1, -(-width // 4))
+    bit_gen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    bit_gen.advance(index * (stride // 4))
+    pairs = np.random.Generator(bit_gen).random(stride)[: 2 * ((width + 1) // 2)]
+    radius = np.sqrt(-2.0 * np.log(np.maximum(pairs[0::2], 1e-300)))
+    angle = (2.0 * np.pi) * pairs[1::2]
+    out = np.empty(width)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius[: width // 2] * np.sin(angle[: width // 2])
+    return out
+
+
+def smc_estimate_ref(prior: GaussianDensity, action: Action, n1: int, seed: int) -> float:
+    """One seeded ``SmcMiBackend(SampleBudget(n1))`` estimate from a Gaussian
+    prior, written out plainly: the prior draws, each particle's noise from
+    its own Philox window, each model propagated on its own, the
+    normalizer's means stored and then whitened model by model, and the
+    kernel sum by ``state._log_kernel_sum``."""
+    from augmi.state import _log_kernel_sum
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n1, prior.dim)) @ np.linalg.cholesky(prior.covariance).T
+    x += prior.mean
+    weights = np.full(n1, 1.0 / n1)
+    root = [int(v) for v in rng.integers(0, 2**63, size=4)]
+
+    layout = prior.layout.concat(zip(action.new_ids, action.new_dims))
+    models = list(action.transitions) + [model for _step, model in action.observations]
+    columns = [np.concatenate([layout.indices([b]) for b in m.inputs]) for m in models]
+    transitions = list(zip(action.transitions, columns))
+    observations = list(zip(models[len(transitions) :], columns[len(transitions) :]))
+    new_dim, obs_dim = action.new_dim_total, action.obs_dim_total
+
+    def propagate(noise):
+        states = np.empty((n1, prior.dim + new_dim))
+        states[:, : prior.dim] = x
+        cursor = 0
+        for model, cols in transitions:
+            part = slice(cursor, cursor + model.output_dim)
+            new = slice(prior.dim + part.start, prior.dim + part.stop)
+            states[:, new] = states[:, cols] @ model.matrix.T + noise[:, part] @ model.noise_chol.T
+            cursor = part.stop
+        return states
+
+    def per_observation(fill):
+        out, cursor = np.empty((n1, obs_dim)), 0
+        for model, cols in observations:
+            part = slice(cursor, cursor + model.output_dim)
+            out[:, part] = fill(model, cols, part)
+            cursor += model.output_dim
+        return out
+
+    def whiten(y):
+        return per_observation(lambda m, _cols, part: y[:, part] @ np.linalg.inv(m.noise_chol).T)
+
+    # the normalizer pass: the prior's own particles, with the stream root[2:]
+    noise = np.array([_philox_window_normals(root[2:], i, new_dim) for i in range(n1)])
+    states = propagate(noise)
+    centers = whiten(per_observation(lambda m, cols, _part: states[:, cols] @ m.matrix.T))
+
+    # the outer particles, with the stream root[:2]
+    noise = np.array([_philox_window_normals(root[:2], i, new_dim + obs_dim) for i in range(n1)])
+    states = propagate(noise[:, :new_dim])
+    obs_noise = noise[:, new_dim:]
+    z = per_observation(
+        lambda m, cols, part: states[:, cols] @ m.matrix.T + obs_noise[:, part] @ m.noise_chol.T
+    )
+    log_norm = sum(
+        0.5 * m.output_dim * math.log(2.0 * math.pi)
+        + float(np.sum(np.log(np.diag(m.noise_chol))))
+        for m, _cols in observations
+    )
+    log_eta = _log_kernel_sum(whiten(z), centers, weights, log_norm)
+    noise_entropy = sum(
+        0.5 * m.output_dim * math.log(2.0 * math.pi)
+        + float(np.sum(np.log(np.diag(m.noise_chol))))
+        + 0.5 * m.output_dim
+        for m in models
+    )
+    return -noise_entropy - float(weights @ log_eta)
 
 
 def make_chain_1d(q: float = 1.0, r: float = 1.0) -> tuple[GaussianDensity, Action]:

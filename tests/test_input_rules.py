@@ -21,6 +21,8 @@ from augmi import (
     run_actions_experiment,
     run_dimension_sweep,
     sample_particles,
+    scenario_from_dict,
+    scenario_to_dict,
     sequential_mi_direct,
     solve,
 )
@@ -94,3 +96,39 @@ def test_every_count_goes_through_one_rule(entry, kind):
     with pytest.raises(error) as info:
         call(value)
     assert str(info.value) == message
+
+
+def _scenario_document(sensing_range):
+    doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+    return scenario_from_dict({**doc, "sensing_range": sensing_range})
+
+
+# entry -> (name in the error, call with the value); a range is a real number,
+# so a bool and a numeric string raise before the range is read
+RANGES = {
+    "generate_scenario correlation_strength": (
+        "correlation_strength",
+        lambda v: generate_scenario(16, 1, seed=7, correlation_strength=v),
+    ),
+    "generate_scenario sensing_range": (
+        "sensing_range", lambda v: generate_scenario(16, 1, seed=7, sensing_range=v)
+    ),
+    "scenario_from_dict sensing_range": ("sensing_range", _scenario_document),
+}
+
+
+@pytest.mark.parametrize("value", [False, True, np.bool_(False), "25", "0.3"])
+@pytest.mark.parametrize("entry", list(RANGES))
+def test_every_range_is_a_real_number(entry, value):
+    name, call = RANGES[entry]
+    with pytest.raises(ScenarioError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("entry", list(RANGES))
+def test_ranges_take_ints_floats_and_numpy_numbers(entry):
+    _name, call = RANGES[entry]
+    typical = 25 if entry.endswith("sensing_range") else 0
+    for value in (typical, float(typical), np.float64(typical), np.int64(typical)):
+        call(value)

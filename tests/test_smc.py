@@ -12,6 +12,7 @@ from augmi import (
     LinearGaussianModel,
     MismcContext,
     SampleBudget,
+    SmcMiBackend,
     WeightedParticleSet,
     compose_actions,
     determine_involved,
@@ -40,6 +41,7 @@ from conftest import (
     make_chain_1d,
     random_instance,
     scenario_plan_steps,
+    smc_estimate_ref,
 )
 
 
@@ -461,3 +463,27 @@ class TestParticleNoise:
         for row, index in zip(got, range(7, 13)):
             assert np.array_equal(row, self.window(root, index, per_particle))
 
+
+class TestPlainReference:
+    """Every seeded SMC estimate equals, bit for bit, the estimator written
+    out plainly (``conftest.smc_estimate_ref``): trimming the estimator's
+    per-call set-up must not move a single bit."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_composed_plan_steps(self, depth):
+        replica = generate_scenario(150, 4, correlation_strength=0.3, seed=42)
+        steps = scenario_plan_steps(replica, 3)
+        for seed, path in enumerate([(0, 0, 0), (2, 3, 1), (3, 1, 2)]):
+            action = compose_actions([steps[t][path[t]] for t in range(depth)])
+            blocks = determine_involved(replica.prior.layout, action).blocks
+            prior = marginalize_gaussian(replica.prior, blocks)
+            for n1 in (16, 300):
+                got = SmcMiBackend(SampleBudget(n1=n1))(prior, action, seed).value
+                assert got == smc_estimate_ref(prior, action, n1, seed)
+
+    @pytest.mark.parametrize("n1", [16, 300, 2000])
+    def test_chain(self, n1):
+        prior, action = make_chain_1d()
+        for seed in range(3):
+            got = SmcMiBackend(SampleBudget(n1=n1))(prior, action, seed).value
+            assert got == smc_estimate_ref(prior, action, n1, seed)

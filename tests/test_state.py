@@ -676,7 +676,7 @@ class TestWhiten:
         assert inverse is model._noise_inverse and not inverse.flags.writeable
         assert np.array_equal(inverse, np.linalg.inv(model.noise_chol))
         obs = SequentialObservation(StateLayout.from_dims([("x", 1)]), action)
-        assert obs._models[0][3] is inverse
+        assert obs._models[0][4].base is inverse
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_values(self, bad):
