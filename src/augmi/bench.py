@@ -152,6 +152,8 @@ def _run_scenario(
     _check_count("n_particles", n_particles)
     _check_count("trials", trials)
     methods = set(methods)
+    if not methods:
+        raise ValueError("methods must name at least one method")
     unknown = methods - set(ALL_METHODS)
     if unknown:
         raise ValueError(f"unknown methods {sorted(unknown)}; choose from {ALL_METHODS}")
@@ -195,6 +197,19 @@ def run_actions_experiment(
     return _run_scenario(scenario, methods, n_particles, trials, seed, failures)
 
 
+def _check_dims(name: str, dims: Iterable[int], error: type[Exception]) -> list[int]:
+    """``dims`` as a list, or ``error`` unless it names at least one state
+    dimension, each a count of at least 6, in strictly ascending order."""
+    dims = list(dims)
+    if not dims:
+        raise error(f"{name} must name at least one dimension")
+    for dim in dims:
+        _check_count(f"{name} items", dim, error, least=6)
+    if dims != sorted(set(dims)):
+        raise error(f"{name} must be strictly ascending, got {dims}")
+    return dims
+
+
 def run_dimension_sweep(
     dims: Sequence[int],
     methods: Iterable[str],
@@ -210,11 +225,7 @@ def run_dimension_sweep(
     action, so the involved dimension stays constant while the full
     dimension sweeps.
     """
-    dims = list(dims)
-    for dim in dims:
-        _check_count("dim", dim, least=6)
-    if dims != sorted(set(dims)):
-        raise ValueError("dims must be strictly ascending")
+    dims = _check_dims("dims", dims, ValueError)
     rows: list[ResultRow] = []
     for dim in dims:
         scenario = generate_scenario(

@@ -11,8 +11,7 @@ An option that several subcommands share is declared once.  Every option
 and ``--generate`` item is checked by the library's rule for its kind,
 under the option's name, before any scenario is built or file written: a
 count (at least 1; a state dimension, ``--dims`` included, at least 6;
-``--seed`` at least 0), a correlation in [0, 1) and a sensing range that is
-a finite number > 0.
+``--seed`` at least 0) and a correlation in [0, 1).
 
 Exit codes: 0 success, 1 usage error, 2 estimator or scenario error.
 """
@@ -24,6 +23,7 @@ import sys
 
 from .bench import (
     CSV_HEADER,
+    _check_dims,
     emit_csv,
     evaluate_method,
     format_row,
@@ -33,8 +33,7 @@ from .bench import (
     zero_elapsed,
 )
 from .mi import ALL_METHODS
-from .scenario import _check_correlation, _check_sensing_range
-from .scenario import generate_scenario, load_scenario, save_scenario
+from .scenario import _check_correlation, generate_scenario, load_scenario, save_scenario
 from .state import _check_count
 
 EXIT_OK = 0
@@ -74,7 +73,7 @@ def _parse_methods(text: str) -> list[str]:
 # --generate key -> (generate_scenario argument, value type)
 _GENERATE_KEYS = {
     "d": ("target_dim", int), "dim": ("target_dim", int), "actions": ("n_actions", int),
-    "correlation": ("correlation_strength", float), "range": ("sensing_range", float),
+    "correlation": ("correlation_strength", float),
 }
 
 
@@ -101,7 +100,6 @@ def _parse_generate_spec(text: str) -> dict:
     _check_count("--generate D", spec["target_dim"], UsageError, least=6)
     _check_count("--generate actions", spec["n_actions"], UsageError)
     _check_correlation("--generate correlation", spec.get("correlation_strength", 0.0), UsageError)
-    _check_sensing_range("--generate range", spec.get("sensing_range", 25.0), UsageError)
     return spec
 
 
@@ -147,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
     gen.add_argument("--correlation", type=float, default=0.3)
-    gen.add_argument("--sensing-range", type=float, default=25.0)
     gen.set_defaults(handler=_cmd_scenario_generate)
 
     mi = sub.add_parser("mi", help="single MI evaluations")
@@ -166,7 +163,6 @@ def _check_ranges(args) -> None:
     for name, least in (("particles", 1), ("trials", 1), ("actions", 1), ("dim", 6), ("seed", 0)):
         _check_count(f"--{name}", getattr(args, name, least), UsageError, least)
     _check_correlation("--correlation", getattr(args, "correlation", 0.0), UsageError)
-    _check_sensing_range("--sensing-range", getattr(args, "sensing_range", 25.0), UsageError)
 
 
 def _load_or_generate(args) -> "SlamScenario":
@@ -197,11 +193,7 @@ def _cmd_bench_dims(args) -> int:
         dims = [int(v) for v in args.dims.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"--dims must be a comma list of integers, got {args.dims!r}") from None
-    if not dims:
-        raise UsageError("--dims must name at least one dimension")
-    if dims != sorted(set(dims)):
-        raise UsageError(f"--dims must be strictly ascending, got {args.dims!r}")
-    _check_count("--dims items", dims[0], UsageError, least=6)
+    _check_dims("--dims", dims, UsageError)
     failures: list[str] = []
     rows = run_dimension_sweep(
         dims,
@@ -228,11 +220,7 @@ def _finish_bench(args, rows, failures: list[str]) -> int:
 
 def _cmd_scenario_generate(args) -> int:
     scenario = generate_scenario(
-        args.dim,
-        args.actions,
-        correlation_strength=args.correlation,
-        seed=args.seed,
-        sensing_range=args.sensing_range,
+        args.dim, args.actions, correlation_strength=args.correlation, seed=args.seed
     )
     save_scenario(scenario, args.out)
     return EXIT_OK

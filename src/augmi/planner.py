@@ -126,6 +126,11 @@ def _steps_argument(
     for t, step in enumerate(steps):
         if not step:
             raise ValueError(f"empty candidate action set at step {t}")
+        # a node keys its children by action id
+        ids = [a.id for a in step]
+        for action_id in ids:
+            if ids.count(action_id) > 1:
+                raise ValueError(f"two candidate actions at step {t} have id {action_id!r}")
     return steps
 
 

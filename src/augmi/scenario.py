@@ -14,7 +14,6 @@ construction much more) so the ground-truth action ranking is unambiguous.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,13 +32,23 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class SlamScenario:
-    """A generated benchmark instance."""
+    """A generated benchmark instance: a prior and its candidate actions,
+    each with its own id."""
 
-    layout: StateLayout
     prior: GaussianDensity
     actions: tuple[Action, ...]
-    sensing_range: float
     seed: int
+
+    def __post_init__(self):
+        seen: set[str] = set()
+        for a in self.actions:
+            if a.id in seen:
+                raise ScenarioError(f"scenario has two actions with id {a.id!r}")
+            seen.add(a.id)
+
+    @property
+    def layout(self) -> StateLayout:
+        return self.prior.layout
 
     def action(self, action_id: str) -> Action:
         for a in self.actions:
@@ -54,25 +63,13 @@ def _pose_landmark_counts(target_dim: int) -> tuple[int, int]:
     return n_poses, n_landmarks
 
 
-def _check_real(name: str, value, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``value`` is a real number: an ``int``, a
-    ``float`` or a numpy number, not a bool or a string."""
+def _check_correlation(name: str, value: float, error: type[Exception] = ScenarioError) -> None:
+    """Raise ``error`` unless ``value`` is a real number (an ``int``, a
+    ``float`` or a numpy number, not a bool or a string) in [0, 1)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
-
-
-def _check_correlation(name: str, value: float, error: type[Exception] = ScenarioError) -> None:
-    """Raise ``error`` unless ``value`` is a correlation strength in [0, 1)."""
-    _check_real(name, value, error)
     if not 0.0 <= value < 1.0:
         raise error(f"{name} must lie in [0, 1), got {value}")
-
-
-def _check_sensing_range(name: str, value: float, error: type[Exception] = ScenarioError) -> None:
-    """Raise ``error`` unless ``value`` is a finite sensing range > 0."""
-    _check_real(name, value, error)
-    if not (math.isfinite(value) and value > 0.0):
-        raise error(f"{name} must be a finite number > 0, got {value}")
 
 
 def generate_scenario(
@@ -80,22 +77,20 @@ def generate_scenario(
     n_actions: int,
     correlation_strength: float = 0.3,
     seed: int = 0,
-    sensing_range: float = 25.0,
 ) -> SlamScenario:
     """Deterministic scenario with ``~target_dim`` state dimensions.
 
     ``correlation_strength`` in [0, 1) mixes a random low-rank correlation
     structure into the prior, so the uninvolved blocks are genuinely
     correlated with the involved ones; 0 gives a block-diagonal prior.
-    Actions target the ``n_actions`` landmarks nearest to the current pose
-    within ``sensing_range``, with per-action noise scales chosen to spread
-    the analytic MI values apart.
+    Actions target the ``n_actions`` landmarks nearest to the newest pose,
+    with per-action noise scales chosen to spread the analytic MI values
+    apart.
     """
     _check_count("target_dim", target_dim, ScenarioError, least=6)
     _check_count("n_actions", n_actions, ScenarioError)
     _check_count("seed", seed, ScenarioError, least=0)
     _check_correlation("correlation_strength", correlation_strength)
-    _check_sensing_range("sensing_range", sensing_range)
 
     n_poses, n_landmarks = _pose_landmark_counts(target_dim)
     if n_landmarks < n_actions:
@@ -144,19 +139,13 @@ def generate_scenario(
     covariance = corr * np.outer(std, std)
     prior = GaussianDensity(layout=layout, mean=mean, covariance=covariance)
 
-    # Candidate targets: nearest in-range landmarks from the newest pose.
+    # Candidate targets: the nearest landmarks to the newest pose.
     pose_xy = mean[layout.block(pose_ids[-1]).slice]
-    distances = [
+    nearest = sorted(
         (float(np.linalg.norm(mean[layout.block(lid).slice] - pose_xy)), lid)
         for lid in landmark_ids
-    ]
-    in_range = sorted(d for d in distances if d[0] <= sensing_range)
-    if len(in_range) < n_actions:
-        raise ScenarioError(
-            f"only {len(in_range)} landmarks within sensing range "
-            f"{sensing_range}, need {n_actions}"
-        )
-    targets = [lid for _d, lid in in_range[:n_actions]]
+    )
+    targets = [lid for _d, lid in nearest[:n_actions]]
 
     for attempt in range(50):
         actions = _build_actions(pose_ids[-1], targets, rng, attempt)
@@ -165,13 +154,7 @@ def generate_scenario(
         ]
         gaps = np.diff(np.sort(values))
         if len(actions) == 1 or np.all(gaps >= MIN_MI_SEPARATION):
-            return SlamScenario(
-                layout=layout,
-                prior=prior,
-                actions=tuple(actions),
-                sensing_range=float(sensing_range),
-                seed=int(seed),
-            )
+            return SlamScenario(prior=prior, actions=tuple(actions), seed=int(seed))
     raise ScenarioError(
         "could not separate the candidate actions' analytic MI values; "
         "try another seed"
@@ -251,12 +234,13 @@ def scenario_to_dict(scenario: SlamScenario) -> dict:
             }
             for a in scenario.actions
         ],
-        "sensing_range": float(scenario.sensing_range),
         "seed": int(scenario.seed),
     }
 
 
 def scenario_from_dict(doc: dict) -> SlamScenario:
+    """The scenario a document holds.  A ``sensing_range`` key, which
+    documents written by earlier versions carry, is ignored."""
     try:
         layout = StateLayout.from_dims((b["id"], b["dim"]) for b in doc["blocks"])
         dim = layout.total_dim
@@ -281,21 +265,13 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
             )
             action.validate_against(layout)
             actions.append(action)
-        sensing_range = doc["sensing_range"]
         seed = doc.get("seed", -1)
         _check_count("seed", seed, least=-1)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
-    _check_sensing_range("sensing_range", sensing_range)
-    return SlamScenario(
-        layout=layout,
-        prior=prior,
-        actions=tuple(actions),
-        sensing_range=float(sensing_range),
-        seed=int(seed),
-    )
+    return SlamScenario(prior=prior, actions=tuple(actions), seed=int(seed))
 
 
 def scenario_to_json(scenario: SlamScenario) -> str:

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -159,17 +158,18 @@ class StateLayout:
         if not self.blocks:
             raise ValueError("layout needs at least one block")
         expected = 0
-        seen: set[str] = set()
+        index: dict[str, VariableBlock] = {}  # each block by its id
         for block in self.blocks:
-            if block.id in seen:
+            if block.id in index:
                 raise ValueError(f"duplicate block id {block.id!r}")
-            seen.add(block.id)
+            index[block.id] = block
             if block.offset != expected:
                 raise ValueError(
                     f"block {block.id!r} at offset {block.offset}, expected {expected}: "
                     "blocks must be contiguous and non-overlapping"
                 )
             expected += block.dim
+        object.__setattr__(self, "_index", index)
 
     @staticmethod
     def from_dims(pairs: Iterable[tuple[str, int]]) -> "StateLayout":
@@ -188,15 +188,6 @@ class StateLayout:
     @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.blocks)
-
-    @cached_property
-    def _index(self) -> Mapping[str, VariableBlock]:
-        """Each block by its id, built at first use and read-only."""
-        return MappingProxyType({b.id: b for b in self.blocks})
-
-    def __getstate__(self):
-        # a mapping proxy does not pickle; the index is rebuilt at first use
-        return {name: value for name, value in vars(self).items() if name != "_index"}
 
     def __contains__(self, block_id: str) -> bool:
         return block_id in self._index

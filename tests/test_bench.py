@@ -151,9 +151,7 @@ class TestActionsExperiment:
                 ),
             ),
         )
-        scenario = SlamScenario(
-            layout=layout, prior=prior, actions=(action,), sensing_range=25.0, seed=0
-        )
+        scenario = SlamScenario(prior=prior, actions=(action,), seed=0)
         rows = run_actions_experiment(scenario, {"naive_kde", "invmi_kde"}, 50, trials=2, seed=1)
         assert [row.method for row in rows].count("naive_kde") == 2
         assert [row.method for row in rows].count("invmi_kde") == 2

@@ -159,28 +159,36 @@ def test_negative_seed_is_a_usage_error(run_cli, tmp_path, args):
         (("scenario", "generate", "--dim", "5"), "--dim must be >= 6, got 5"),
         (("bench", "dims", "--dims", "0,10", "--methods", "analytic"),
          "--dims items must be >= 6, got 0"),
-        (("scenario", "generate", "--dim", "20", "--sensing-range", "-1"),
-         "--sensing-range must be a finite number > 0, got -1.0"),
-        (("scenario", "generate", "--dim", "20", "--sensing-range", "nan"),
-         "--sensing-range must be a finite number > 0, got nan"),
-        (("scenario", "generate", "--dim", "20", "--sensing-range", "inf"),
-         "--sensing-range must be a finite number > 0, got inf"),
         (("bench", "actions", "--generate", "D=5", "--methods", "analytic"),
          "--generate D must be >= 6, got 5"),
         (("bench", "actions", "--generate", "dim=0,actions=1", "--methods", "analytic"),
          "--generate D must be >= 6, got 0"),
-        (("bench", "actions", "--generate", "D=20,range=0", "--methods", "analytic"),
-         "--generate range must be a finite number > 0, got 0.0"),
-        (("bench", "actions", "--generate", "D=20,range=nan", "--methods", "analytic"),
-         "--generate range must be a finite number > 0, got nan"),
     ],
     ids=[
         "actions", "correlation", "dims-correlation", "generate-actions", "generate-correlation",
-        "dim", "dims", "sensing-range-negative", "sensing-range-nan", "sensing-range-inf",
-        "generate-d", "generate-dim", "generate-range-zero", "generate-range-nan",
+        "dim", "dims", "generate-d", "generate-dim",
     ],
 )
 def test_out_of_range_scenario_option_is_a_usage_error(run_cli, tmp_path, args, message):
+    out = tmp_path / "out"
+    proc = run_cli(*args, "--seed", "1", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"usage error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (("scenario", "generate", "--dim", "20", "--sensing-range", "5"),
+         "unrecognized arguments: --sensing-range 5"),
+        (("bench", "actions", "--generate", "D=20,range=5", "--methods", "analytic"),
+         "unknown --generate key 'range'"),
+    ],
+    ids=["sensing-range", "generate-range"],
+)
+def test_the_removed_sensing_range_is_a_usage_error(run_cli, tmp_path, args, message):
+    # generation takes the nearest landmarks, so a range never changed a scenario
     out = tmp_path / "out"
     proc = run_cli(*args, "--seed", "1", "--out", str(out))
     assert proc.returncode == 1
@@ -304,8 +312,8 @@ class TestBench:
              "bad --generate item 'actions=two', expected int"),
             (("actions", "--generate", "D=20,correlation=high", "--methods", "analytic"),
              "bad --generate item 'correlation=high', expected float"),
-            (("actions", "--generate", "D=20,range=far", "--methods", "analytic"),
-             "bad --generate item 'range=far', expected float"),
+            (("actions", "--generate", "D=20,correlation=", "--methods", "analytic"),
+             "bad --generate item 'correlation=', expected float"),
             (("dims", "--dims", "10,abc", "--methods", "mismc"),
              "--dims must be a comma list of integers"),
             (("dims", "--dims", "50,10", "--methods", "mismc"),

@@ -21,11 +21,10 @@ from augmi import (
     run_actions_experiment,
     run_dimension_sweep,
     sample_particles,
-    scenario_from_dict,
-    scenario_to_dict,
     sequential_mi_direct,
     solve,
 )
+from augmi.cli import main
 from conftest import make_chain_1d
 
 PRIOR, ACTION = make_chain_1d()
@@ -79,7 +78,7 @@ ENTRIES = {
         lambda v: run_actions_experiment(_scenario(), ["analytic"], 10, v, 0),
     ),
     "run_dimension_sweep dims": (
-        "dim", 6, ValueError, 10.5, lambda v: run_dimension_sweep([v], ["analytic"], 10, 1, 0)
+        "dims items", 6, ValueError, 10.5, lambda v: run_dimension_sweep([v], ["analytic"], 10, 1, 0)
     ),
 }
 
@@ -98,11 +97,6 @@ def test_every_count_goes_through_one_rule(entry, kind):
     assert str(info.value) == message
 
 
-def _scenario_document(sensing_range):
-    doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
-    return scenario_from_dict({**doc, "sensing_range": sensing_range})
-
-
 # entry -> (name in the error, call with the value); a range is a real number,
 # so a bool and a numeric string raise before the range is read
 RANGES = {
@@ -110,10 +104,6 @@ RANGES = {
         "correlation_strength",
         lambda v: generate_scenario(16, 1, seed=7, correlation_strength=v),
     ),
-    "generate_scenario sensing_range": (
-        "sensing_range", lambda v: generate_scenario(16, 1, seed=7, sensing_range=v)
-    ),
-    "scenario_from_dict sensing_range": ("sensing_range", _scenario_document),
 }
 
 
@@ -129,6 +119,41 @@ def test_every_range_is_a_real_number(entry, value):
 @pytest.mark.parametrize("entry", list(RANGES))
 def test_ranges_take_ints_floats_and_numpy_numbers(entry):
     _name, call = RANGES[entry]
-    typical = 25 if entry.endswith("sensing_range") else 0
-    for value in (typical, float(typical), np.float64(typical), np.int64(typical)):
+    for value in (0, 0.0, np.float64(0), np.int64(0)):
         call(value)
+
+
+# entry -> (call, message); a list an experiment runs over names at least one
+# item, or the experiment would return no rows
+EMPTY = {
+    "run_actions_experiment methods": (
+        lambda: run_actions_experiment(_scenario(), [], 10, 1, 0),
+        "methods must name at least one method",
+    ),
+    "run_dimension_sweep methods": (
+        lambda: run_dimension_sweep([10], [], 10, 1, 0), "methods must name at least one method"
+    ),
+    "run_dimension_sweep dims": (
+        lambda: run_dimension_sweep([], ["analytic"], 10, 1, 0),
+        "dims must name at least one dimension",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", list(EMPTY))
+def test_an_empty_list_is_rejected(entry):
+    call, message = EMPTY[entry]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["", "5,10", "10,10", "50,10"])
+def test_the_cli_reads_dims_by_the_librarys_rule(text, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["bench", "dims", "--dims", text, "--methods", "analytic",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 1 and not out.exists()
+    with pytest.raises(ValueError) as info:
+        run_dimension_sweep([int(v) for v in text.split(",") if v], ["analytic"], 10, 1, 0)
+    assert capsys.readouterr().err == f"usage error: --{info.value}\n"

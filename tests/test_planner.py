@@ -1,6 +1,7 @@
 import collections
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -543,6 +544,22 @@ class TestValidation:
         prior, action = chain
         with pytest.raises(ValueError, match="empty candidate action set at step 1"):
             solve(prior, [[action], []], 2, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+
+    def test_candidate_ids_are_unique_per_step_in_both_modes(self):
+        # A node keys its children by id: a second 'a1' would replace the
+        # first's subtree while the value and plan still came from the first.
+        slam = generate_scenario(30, 3, seed=3)
+        a1, a2, _a3 = slam.actions
+        steps = scenario_plan_steps(slam, 2)
+        steps[1].append(replace(steps[1][1], id=steps[1][0].id))
+        cases = [
+            ([a1, replace(a2, id="a1")], 1, "two candidate actions at step 0 have id 'a1'"),
+            (steps, 2, f"two candidate actions at step 1 have id {steps[1][0].id!r}"),
+        ]
+        for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
+            for actions, horizon, message in cases:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    solve(slam.prior, actions, horizon, mode, BACKEND, rng=0)
 
     def test_candidates_must_agree_on_new_block_dims(self, chain):
         prior, action = chain

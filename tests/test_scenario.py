@@ -1,5 +1,3 @@
-import json
-import math
 import re
 from dataclasses import replace
 
@@ -83,16 +81,8 @@ class TestGeneration:
             ({"n_actions": 0}, "n_actions must be >= 1, got 0"),
             ({"correlation_strength": 1.0}, "correlation_strength must lie in [0, 1), got 1.0"),
             ({"correlation_strength": -0.1}, "correlation_strength must lie in [0, 1), got -0.1"),
-            ({"sensing_range": 0.1}, "only 0 landmarks within sensing range 0.1, need 2"),
-            ({"sensing_range": 0.0}, "sensing_range must be a finite number > 0, got 0.0"),
-            ({"sensing_range": -1.0}, "sensing_range must be a finite number > 0, got -1.0"),
-            ({"sensing_range": math.nan}, "sensing_range must be a finite number > 0, got nan"),
-            ({"sensing_range": math.inf}, "sensing_range must be a finite number > 0, got inf"),
         ],
-        ids=[
-            "no-actions", "correlation-one", "correlation-negative", "out-of-range",
-            "range-zero", "range-negative", "range-nan", "range-inf",
-        ],
+        ids=["no-actions", "correlation-one", "correlation-negative"],
     )
     def test_rejects_bad_parameters(self, kwargs, message):
         with pytest.raises(ScenarioError, match=re.escape(message)):
@@ -115,7 +105,6 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.prior.mean, scenario.prior.mean)
         np.testing.assert_array_equal(loaded.prior.covariance, scenario.prior.covariance)
         assert loaded.layout == scenario.layout
-        assert loaded.sensing_range == scenario.sensing_range
         assert loaded.seed == scenario.seed
         for original, restored in zip(scenario.actions, loaded.actions):
             assert restored.id == original.id
@@ -139,30 +128,15 @@ class TestSerialization:
         clone = scenario_from_dict(scenario_to_dict(scenario))
         np.testing.assert_array_equal(clone.prior.covariance, scenario.prior.covariance)
 
-    @pytest.mark.parametrize("value", [-5.0, 0.0, math.nan, math.inf])
-    def test_rejects_a_sensing_range_the_generator_rejects(self, value, tmp_path):
-        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
-        doc["sensing_range"] = value
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        message = f"sensing_range must be a finite number > 0, got {value}"
-        with pytest.raises(ScenarioError, match=re.escape(message)):
-            load_scenario(path)
-
-    def test_missing_sensing_range_is_malformed(self):
-        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
-        del doc["sensing_range"]
-        with pytest.raises(ScenarioError, match="malformed.*sensing_range"):
-            scenario_from_dict(doc)
-
-    def test_round_trip_keeps_the_sensing_range_bytes(self, tmp_path):
-        scenario = generate_scenario(16, 1, seed=7, sensing_range=math.pi)
-        path = tmp_path / "s.json"
-        save_scenario(scenario, path)
-        text = path.read_text(encoding="utf-8")
-        loaded = load_scenario(path)
-        assert loaded.sensing_range == math.pi
-        assert scenario_to_json(loaded) == text
+    def test_a_document_with_the_old_sensing_range_line_reserializes_without_it(self, tmp_path):
+        scenario = generate_scenario(16, 2, seed=7)
+        new_text = scenario_to_json(scenario)
+        # the earlier format: the same keys, with "sensing_range" before "seed"
+        old_text = new_text.replace('  "seed": 7\n', '  "sensing_range": 25.0,\n  "seed": 7\n')
+        assert old_text.count("\n") == new_text.count("\n") + 1
+        path = tmp_path / "old.json"
+        path.write_text(old_text, encoding="utf-8")
+        assert scenario_to_json(load_scenario(path)) == new_text
 
     @pytest.mark.parametrize("seed", ["abc", 3.7, True, None, [3]])
     def test_non_integer_seed_is_malformed(self, seed):
@@ -233,6 +207,31 @@ class TestSerialization:
         with pytest.raises(ScenarioError, match="no action"):
             scenario.action("zz")
 
+    def test_layout_is_the_priors(self):
+        scenario = generate_scenario(16, 1, seed=2)
+        assert scenario.layout is scenario.prior.layout
+        with pytest.raises(AttributeError):
+            scenario.layout = scenario.prior.layout
+
+
+class TestActionIds:
+    """``SlamScenario.action`` returns the first match, so a repeated id
+    would hide every later action with it."""
+
+    MESSAGE = "scenario has two actions with id 'a1'"
+
+    def test_a_loaded_document_with_a_repeated_id_is_rejected(self):
+        doc = scenario_to_dict(generate_scenario(16, 2, seed=7))
+        doc["actions"][1]["id"] = "a1"
+        with pytest.raises(ScenarioError, match=re.escape(self.MESSAGE)):
+            scenario_from_dict(doc)
+
+    def test_a_built_scenario_with_a_repeated_id_is_rejected(self):
+        scenario = generate_scenario(16, 2, seed=7)
+        a1, a2 = scenario.actions
+        with pytest.raises(ScenarioError, match=re.escape(self.MESSAGE)):
+            replace(scenario, actions=(a1, replace(a2, id="a1")))
+
 
 def _with_new_ids(action: Action, tag: str) -> Action:
     """``action`` with its new blocks renamed ``<tag>:x<k>``, and every
@@ -265,7 +264,7 @@ def _assert_round_trips_exactly(scenario, path):
     assert loaded.layout == scenario.layout
     assert exact(loaded.prior.mean) == exact(scenario.prior.mean)
     assert exact(loaded.prior.covariance) == exact(scenario.prior.covariance)
-    assert (loaded.sensing_range, loaded.seed) == (scenario.sensing_range, scenario.seed)
+    assert loaded.seed == scenario.seed
     assert len(loaded.actions) == len(scenario.actions)
     for original, restored in zip(scenario.actions, loaded.actions):
         assert (restored.id, restored.new_ids) == (original.id, original.new_ids)
