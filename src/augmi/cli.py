@@ -2,16 +2,16 @@
 
 Subcommands::
 
-    augmi bench actions    compare estimators across a scenario's actions
+    augmi bench actions    compare estimators across a scenario file's actions
     augmi bench dims       sweep the state dimension at a fixed action
     augmi scenario generate
     augmi mi eval          one estimator, one action, one seed -> CSV row
 
 An option that several subcommands share is declared once.  Every option
-and ``--generate`` item is checked by the library's rule for its kind,
-under the option's name, before any scenario is built or file written: a
-count (at least 1; a state dimension, ``--dims`` included, at least 6;
-``--seed`` at least 0) and a correlation in [0, 1).
+is checked by the library's rule for its kind, under the option's name,
+before any scenario is built or file written: a count (at least 1; a state
+dimension, ``--dims`` included, at least 6; ``--seed`` at least 0) and a
+correlation in [0, 1).
 
 Exit codes: 0 success, 1 usage error, 2 estimator or scenario error.
 """
@@ -70,39 +70,6 @@ def _parse_methods(text: str) -> list[str]:
     return methods
 
 
-# --generate key -> (generate_scenario argument, value type)
-_GENERATE_KEYS = {
-    "d": ("target_dim", int), "dim": ("target_dim", int), "actions": ("n_actions", int),
-    "correlation": ("correlation_strength", float),
-}
-
-
-def _parse_generate_spec(text: str) -> dict:
-    """Parse '--generate D=150,actions=4[,correlation=0.3]'."""
-    spec = {}
-    for item in text.split(","):
-        if not item.strip():
-            continue
-        if "=" not in item:
-            raise UsageError(f"bad --generate item {item!r}, expected key=value")
-        key, value = item.split("=", 1)
-        key = key.strip().lower()
-        if key not in _GENERATE_KEYS:
-            raise UsageError(f"unknown --generate key {key!r}")
-        name, kind = _GENERATE_KEYS[key]
-        try:
-            spec[name] = kind(value)
-        except ValueError:
-            raise UsageError(f"bad --generate item {item!r}, expected {kind.__name__}") from None
-    if "target_dim" not in spec:
-        raise UsageError("--generate needs at least D=<dim>")
-    spec.setdefault("n_actions", 4)
-    _check_count("--generate D", spec["target_dim"], UsageError, least=6)
-    _check_count("--generate actions", spec["n_actions"], UsageError)
-    _check_correlation("--generate correlation", spec.get("correlation_strength", 0.0), UsageError)
-    return spec
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="augmi", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -128,8 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     actions = bench_sub.add_parser(
         "actions", parents=[experiment], help="action-comparison experiment"
     )
-    actions.add_argument("--scenario", help="scenario JSON file")
-    actions.add_argument("--generate", help="inline scenario spec, e.g. D=150,actions=4")
+    actions.add_argument("--scenario", required=True, help="scenario JSON file")
     actions.set_defaults(handler=_cmd_bench_actions)
 
     dims = bench_sub.add_parser("dims", parents=[experiment], help="dimension-sweep experiment")
@@ -165,27 +131,8 @@ def _check_ranges(args) -> None:
     _check_correlation("--correlation", getattr(args, "correlation", 0.0), UsageError)
 
 
-def _load_or_generate(args) -> "SlamScenario":
-    if bool(args.scenario) == bool(args.generate):
-        raise UsageError("provide exactly one of --scenario or --generate")
-    if args.scenario:
-        return load_scenario(args.scenario)
-    spec = _parse_generate_spec(args.generate)
-    return generate_scenario(seed=args.seed, **spec)
-
-
 def _cmd_bench_actions(args) -> int:
-    scenario = _load_or_generate(args)
-    failures: list[str] = []
-    rows = run_actions_experiment(
-        scenario,
-        _parse_methods(args.methods),
-        n_particles=args.particles,
-        trials=args.trials,
-        seed=args.seed,
-        failures=failures,
-    )
-    return _finish_bench(args, rows, failures)
+    return _run_bench(args, run_actions_experiment, load_scenario(args.scenario))
 
 
 def _cmd_bench_dims(args) -> int:
@@ -194,22 +141,22 @@ def _cmd_bench_dims(args) -> int:
     except ValueError:
         raise UsageError(f"--dims must be a comma list of integers, got {args.dims!r}") from None
     _check_dims("--dims", dims, UsageError)
+    return _run_bench(args, run_dimension_sweep, dims, correlation_strength=args.correlation)
+
+
+def _run_bench(args, experiment, subject, **options) -> int:
+    """Run a bench experiment on ``subject`` (the scenario, or the dims),
+    write its CSV, report its estimator failures, and pick the exit code."""
     failures: list[str] = []
-    rows = run_dimension_sweep(
-        dims,
+    rows = experiment(
+        subject,
         _parse_methods(args.methods),
         n_particles=args.particles,
         trials=args.trials,
         seed=args.seed,
-        correlation_strength=args.correlation,
         failures=failures,
+        **options,
     )
-    return _finish_bench(args, rows, failures)
-
-
-def _finish_bench(args, rows, failures: list[str]) -> int:
-    """Write a bench run's CSV, report its estimator failures, and pick the
-    exit code."""
     if args.zero_elapsed:
         rows = zero_elapsed(rows)
     emit_csv(rows, args.out)

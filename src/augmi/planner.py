@@ -134,6 +134,16 @@ def _steps_argument(
     return steps
 
 
+def _child_key(key: tuple[int, ...], a_index: int) -> tuple[int, ...]:
+    """The stream key of a node's child by its ``a_index``-th action in id order."""
+    return key + (1, a_index, 3, 0)
+
+
+def _belief_step(belief: GaussianDensity, action: Action) -> GaussianDensity:
+    """``belief`` conditioned on ``action``'s observations at their predictive mean."""
+    return _condition_on_draw(joint_state_observation(belief, action), action, None)[0]
+
+
 def _plan_involved_union(
     layout: StateLayout, steps: list[list[Action]]
 ) -> frozenset[str]:
@@ -257,8 +267,7 @@ def solve(
 
         best_value, best_sequence = -np.inf, ()
         for a_index, action in enumerate(sorted(steps[depth], key=lambda a: a.id)):
-            # The child's stream key; estimate b draws from child_key + (0, b).
-            child_key = key + (1, a_index, 3, 0)
+            child_key = _child_key(key, a_index)
             child_belief = child_prefix = None
             if involved_ig:
                 # the composed prefix's gain, from the root belief
@@ -268,9 +277,7 @@ def solve(
                 # the parent's gain plus one step from the parent's belief
                 acc_child = acc_reward + reward(belief, action, child_key, path)
                 if depth + 1 < horizon:
-                    child_belief, _z = _condition_on_draw(
-                        joint_state_observation(belief, action), action, None
-                    )
+                    child_belief = _belief_step(belief, action)
             value, tail, child = expand(
                 child_belief, child_prefix, acc_child, path + (action.id,), child_key
             )
@@ -315,9 +322,9 @@ def sequential_mi_direct(
     )
     increments, key = [], ()
     for depth, action in enumerate(seq):
-        key += (1, 0, 3, 0)  # solve's child key for a step's only candidate
+        key = _child_key(key, 0)  # a step's only candidate
         increments.append(reward(belief, action, key, tuple(a.id for a in seq[:depth])))
         if depth + 1 < horizon:
-            belief, _z = _condition_on_draw(joint_state_observation(belief, action), action, None)
+            belief = _belief_step(belief, action)
     # Summed from the last step back; seeded values depend on this order.
     return sum(reversed(increments))

@@ -200,7 +200,15 @@ def _model_to_dict(model: LinearGaussianModel) -> dict:
     }
 
 
-def _model_from_dict(doc: dict, where: str) -> LinearGaussianModel:
+def _check_keys(doc: dict, where: str, *known: str) -> None:
+    """Raise ``ScenarioError`` naming the first key of ``doc`` not in ``known``."""
+    for key in doc:
+        if key not in known:
+            raise ScenarioError(f"{where}: unknown key {key!r}")
+
+
+def _model_from_dict(doc: dict, where: str, *extra_keys: str) -> LinearGaussianModel:
+    _check_keys(doc, where, "inputs", "matrix", "noise_cov", *extra_keys)
     noise = np.asarray(doc["noise_cov"], dtype=float)
     out_dim = int(round(np.sqrt(noise.size)))
     if out_dim * out_dim != noise.size:
@@ -239,18 +247,23 @@ def scenario_to_dict(scenario: SlamScenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> SlamScenario:
-    """The scenario a document holds.  A ``sensing_range`` key, which
-    documents written by earlier versions carry, is ignored."""
+    """The scenario a document holds.  An unknown key raises ``ScenarioError``,
+    but ``sensing_range``, which earlier versions wrote, is ignored."""
     try:
+        _check_keys(doc, "document", "blocks", "prior", "actions", "seed", "sensing_range")
+        for i, b in enumerate(doc["blocks"]):
+            _check_keys(b, f"blocks[{i}]", "id", "dim")
         layout = StateLayout.from_dims((b["id"], b["dim"]) for b in doc["blocks"])
         dim = layout.total_dim
+        _check_keys(doc["prior"], "prior", "mean", "covariance")
         prior = GaussianDensity(
             layout=layout,
             mean=np.asarray(doc["prior"]["mean"], dtype=float),
             covariance=np.asarray(doc["prior"]["covariance"], dtype=float).reshape(dim, dim),
         )
         actions = []
-        for a_doc in doc["actions"]:
+        for i, a_doc in enumerate(doc["actions"]):
+            _check_keys(a_doc, f"actions[{i}]", "id", "new_ids", "transitions", "observations")
             action = Action(
                 id=a_doc["id"],
                 transitions=tuple(
@@ -258,8 +271,8 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
                     for m in a_doc["transitions"]
                 ),
                 observations=tuple(
-                    (m["step"], _model_from_dict(m, f"action {a_doc['id']} observation"))
-                    for m in a_doc.get("observations", [])
+                    (m["step"], _model_from_dict(m, f"action {a_doc['id']} observation", "step"))
+                    for m in a_doc["observations"]
                 ),
                 new_ids=tuple(a_doc["new_ids"]) if "new_ids" in a_doc else None,
             )

@@ -513,20 +513,16 @@ def compose_actions(actions: Sequence[Action]) -> Action:
     if not actions:
         raise ValueError("need at least one action to compose")
     transitions: list[LinearGaussianModel] = []
-    new_ids: list[str] = []
     observations: list[tuple[int, LinearGaussianModel]] = []
     for action in actions:
         base = len(transitions)
         transitions.extend(action.transitions)
-        new_ids.extend(action.new_ids)
         observations.extend((base + step, model) for step, model in action.observations)
-    if len(set(new_ids)) != len(new_ids):
-        raise ValueError("composed actions must create distinct new block ids")
     return Action(
         id="+".join(a.id for a in actions),
         transitions=tuple(transitions),
         observations=tuple(observations),
-        new_ids=tuple(new_ids),
+        new_ids=tuple(new_id for a in actions for new_id in a.new_ids),
     )
 
 

@@ -351,11 +351,18 @@ def test_criterion_9_normalizer_scaling():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    subprocess.run(
+        [sys.executable, "-m", "augmi", "scenario", "generate", "--dim", "40",
+         "--actions", "2", "--seed", "2718", "--out", str(scenario)],
+        check=True,
+    )
+
     def bench(out):
         return subprocess.run(
             [
                 sys.executable, "-m", "augmi", "bench", "actions",
-                "--generate", "D=40,actions=2",
+                "--scenario", str(scenario),
                 "--methods", "analytic,naive-kde,invmi-kde,mismc",
                 "--particles", "80", "--trials", "3", "--seed", "2718",
                 "--out", str(out), "--zero-elapsed",

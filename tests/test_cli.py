@@ -6,7 +6,16 @@ from typing import NamedTuple
 
 import pytest
 
-from augmi import generate_scenario, load_scenario, read_csv, scenario_to_dict
+from augmi import (
+    emit_csv,
+    generate_scenario,
+    load_scenario,
+    read_csv,
+    run_actions_experiment,
+    save_scenario,
+    scenario_to_dict,
+)
+from augmi.bench import zero_elapsed
 from augmi.cli import main
 
 
@@ -29,6 +38,22 @@ def run_cli(capsys):
     return run
 
 
+def _scenario_file(tmp_path, dim, n_actions, seed):
+    """The file ``augmi scenario generate --dim dim --actions n_actions
+    --seed seed`` writes, as a path."""
+    path = tmp_path / f"scenario-{dim}-{n_actions}-{seed}.json"
+    save_scenario(generate_scenario(dim, n_actions, seed=seed), path)
+    return str(path)
+
+
+@pytest.fixture
+def scenario_json(tmp_path, monkeypatch):
+    """Work in ``tmp_path``, which holds ``scenario.json`` as ``augmi scenario
+    generate --dim 20 --actions 1 --seed 1`` writes it."""
+    monkeypatch.chdir(tmp_path)
+    save_scenario(generate_scenario(20, 1, seed=1), "scenario.json")
+
+
 class TestEntryPoint:
     def test_python_m_augmi_exits_with_main_code(self, tmp_path):
         proc = subprocess.run(
@@ -37,8 +62,10 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 1  # neither --scenario nor --generate
-        assert proc.stderr.startswith("usage error: provide exactly one of")
+        assert proc.returncode == 1  # no --scenario
+        assert proc.stderr.startswith(
+            "usage error: the following arguments are required: --scenario"
+        )
 
 
 class TestScenarioGenerate:
@@ -126,7 +153,7 @@ class TestMiEval:
 @pytest.mark.parametrize(
     "args",
     [
-        ("bench", "actions", "--generate", "D=20,actions=1", "--methods", "analytic"),
+        ("bench", "actions", "--scenario", "s.json", "--methods", "analytic"),
         ("bench", "dims", "--dims", "10", "--methods", "analytic"),
         ("scenario", "generate", "--dim", "20"),
         ("mi", "eval", "--scenario", "s.json", "--action", "a1", "--method", "analytic"),
@@ -152,22 +179,11 @@ def test_negative_seed_is_a_usage_error(run_cli, tmp_path, args):
          "--correlation must lie in [0, 1), got 1.0"),
         (("bench", "dims", "--dims", "10", "--methods", "analytic", "--correlation", "-0.1"),
          "--correlation must lie in [0, 1), got -0.1"),
-        (("bench", "actions", "--generate", "D=20,actions=0", "--methods", "analytic"),
-         "--generate actions must be >= 1, got 0"),
-        (("bench", "actions", "--generate", "D=20,correlation=1.5", "--methods", "analytic"),
-         "--generate correlation must lie in [0, 1), got 1.5"),
         (("scenario", "generate", "--dim", "5"), "--dim must be >= 6, got 5"),
         (("bench", "dims", "--dims", "0,10", "--methods", "analytic"),
          "--dims items must be >= 6, got 0"),
-        (("bench", "actions", "--generate", "D=5", "--methods", "analytic"),
-         "--generate D must be >= 6, got 5"),
-        (("bench", "actions", "--generate", "dim=0,actions=1", "--methods", "analytic"),
-         "--generate D must be >= 6, got 0"),
     ],
-    ids=[
-        "actions", "correlation", "dims-correlation", "generate-actions", "generate-correlation",
-        "dim", "dims", "generate-d", "generate-dim",
-    ],
+    ids=["actions", "correlation", "dims-correlation", "dim", "dims"],
 )
 def test_out_of_range_scenario_option_is_a_usage_error(run_cli, tmp_path, args, message):
     out = tmp_path / "out"
@@ -182,10 +198,8 @@ def test_out_of_range_scenario_option_is_a_usage_error(run_cli, tmp_path, args, 
     [
         (("scenario", "generate", "--dim", "20", "--sensing-range", "5"),
          "unrecognized arguments: --sensing-range 5"),
-        (("bench", "actions", "--generate", "D=20,range=5", "--methods", "analytic"),
-         "unknown --generate key 'range'"),
     ],
-    ids=["sensing-range", "generate-range"],
+    ids=["sensing-range"],
 )
 def test_the_removed_sensing_range_is_a_usage_error(run_cli, tmp_path, args, message):
     # generation takes the nearest landmarks, so a range never changed a scenario
@@ -196,11 +210,34 @@ def test_the_removed_sensing_range_is_a_usage_error(run_cli, tmp_path, args, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        ((), "the following arguments are required: --scenario"),
+        (("--scenario", "scenario.json"), "unrecognized arguments: --generate D=20"),
+    ],
+    ids=["alone", "with-scenario"],
+)
+@pytest.mark.usefixtures("scenario_json")
+def test_the_removed_generate_option_is_a_usage_error(run_cli, tmp_path, args, message):
+    # a scenario reaches bench actions only as a file that scenario generate writes
+    out = tmp_path / "out.csv"
+    proc = run_cli("bench", "actions", *args, "--generate", "D=20", "--methods", "analytic",
+                   "--seed", "1", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"usage error: {message}")
+    assert not out.exists()
+
+
 class TestBench:
     def test_actions_with_generated_scenario(self, run_cli, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        proc = run_cli("scenario", "generate", "--dim", "24", "--actions", "2",
+                       "--seed", "13", "--out", str(scenario))
+        assert proc.returncode == 0, proc.stderr
         out = tmp_path / "rows.csv"
         proc = run_cli(
-            "bench", "actions", "--generate", "D=24,actions=2",
+            "bench", "actions", "--scenario", str(scenario),
             "--methods", "analytic,invmi-kde,mismc", "--particles", "50",
             "--trials", "2", "--seed", "13", "--out", str(out),
         )
@@ -247,14 +284,34 @@ class TestBench:
         rows = read_csv(out)
         assert sorted({r.dim_full for r in rows}) == [10, 16]
 
+    def test_csv_is_the_librarys_for_the_file_scenario(self, run_cli, tmp_path):
+        methods = ["analytic", "naive_kde", "invmi_kde", "mismc"]
+        scenario = tmp_path / "scenario.json"
+        proc = run_cli("scenario", "generate", "--dim", "20", "--actions", "2",
+                       "--seed", "9", "--out", str(scenario))
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "cli.csv"
+        proc = run_cli(
+            "bench", "actions", "--scenario", str(scenario), "--methods", ",".join(methods),
+            "--particles", "40", "--trials", "2", "--seed", "5", "--out", str(out),
+            "--zero-elapsed",
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = run_actions_experiment(
+            generate_scenario(20, 2, seed=9), methods, n_particles=40, trials=2, seed=5
+        )
+        expected = tmp_path / "library.csv"
+        emit_csv(zero_elapsed(rows), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_usage_error_exit_code(self, run_cli, tmp_path):
         proc = run_cli(
             "bench", "actions", "--methods", "analytic",
             "--seed", "1", "--out", str(tmp_path / "x.csv"),
         )
-        assert proc.returncode == 1  # neither --scenario nor --generate
+        assert proc.returncode == 1  # no --scenario
         proc = run_cli(
-            "bench", "actions", "--generate", "D=20,actions=1",
+            "bench", "actions", "--scenario", _scenario_file(tmp_path, 20, 1, 1),
             "--methods", "teleportation", "--seed", "1",
             "--out", str(tmp_path / "x.csv"),
         )
@@ -262,10 +319,11 @@ class TestBench:
         assert "unknown method" in proc.stderr
 
     def test_zero_elapsed_byte_identical(self, run_cli, tmp_path):
+        scenario = _scenario_file(tmp_path, 20, 2, 21)
         outs = [tmp_path / "r1.csv", tmp_path / "r2.csv"]
         for out in outs:
             proc = run_cli(
-                "bench", "actions", "--generate", "D=20,actions=2",
+                "bench", "actions", "--scenario", scenario,
                 "--methods", "invmi-kde,mismc", "--particles", "40",
                 "--trials", "2", "--seed", "21", "--out", str(out),
                 "--zero-elapsed",
@@ -275,7 +333,7 @@ class TestBench:
 
     def test_each_estimator_failure_reported_once(self, run_cli, tmp_path):
         proc = run_cli(
-            "bench", "actions", "--generate", "D=20,actions=2",
+            "bench", "actions", "--scenario", _scenario_file(tmp_path, 20, 2, 1),
             "--methods", "naive-kde", "--particles", "1", "--trials", "1",
             "--seed", "1", "--out", str(tmp_path / "x.csv"),
         )
@@ -287,16 +345,17 @@ class TestBench:
     @pytest.mark.parametrize(
         "args",
         [
-            ("actions", "--generate", "D=20,actions=1", "--methods", "analytic,mismc",
+            ("actions", "--scenario", "scenario.json", "--methods", "analytic,mismc",
              "--trials", "0"),
-            ("actions", "--generate", "D=20,actions=1", "--methods", "mismc",
+            ("actions", "--scenario", "scenario.json", "--methods", "mismc",
              "--trials", "-3", "--particles", "-4"),
-            ("actions", "--generate", "D=20,actions=1", "--methods", "mismc",
+            ("actions", "--scenario", "scenario.json", "--methods", "mismc",
              "--particles", "0"),
             ("dims", "--dims", "", "--methods", "mismc"),
             ("dims", "--dims", "10", "--methods", "mismc", "--trials", "0"),
         ],
     )
+    @pytest.mark.usefixtures("scenario_json")
     def test_degenerate_counts_are_usage_errors(self, tmp_path, capsys, args):
         out = tmp_path / "x.csv"
         assert main(["bench", *args, "--seed", "1", "--out", str(out)]) == 1
@@ -306,32 +365,20 @@ class TestBench:
     @pytest.mark.parametrize(
         ("args", "message"),
         [
-            (("actions", "--generate", "D=abc", "--methods", "analytic"),
-             "bad --generate item 'D=abc', expected int"),
-            (("actions", "--generate", "D=20,actions=two", "--methods", "analytic"),
-             "bad --generate item 'actions=two', expected int"),
-            (("actions", "--generate", "D=20,correlation=high", "--methods", "analytic"),
-             "bad --generate item 'correlation=high', expected float"),
-            (("actions", "--generate", "D=20,correlation=", "--methods", "analytic"),
-             "bad --generate item 'correlation=', expected float"),
             (("dims", "--dims", "10,abc", "--methods", "mismc"),
              "--dims must be a comma list of integers"),
             (("dims", "--dims", "50,10", "--methods", "mismc"),
              "--dims must be strictly ascending"),
             (("dims", "--dims", "10,10", "--methods", "mismc"),
              "--dims must be strictly ascending"),
-            (("actions", "--generate", "D", "--methods", "analytic"),
-             "bad --generate item 'D', expected key=value"),
-            (("actions", "--generate", "D=20,speed=3", "--methods", "analytic"),
-             "unknown --generate key 'speed'"),
-            (("actions", "--generate", "actions=2", "--methods", "analytic"),
-             "--generate needs at least D=<dim>"),
-            (("actions", "--generate", "D=20", "--methods", ","),
+            (("actions", "--scenario", "scenario.json", "--methods", ","),
              "--methods must name at least one method"),
-            (("actions", "--generate", "D=20", "--methods", "analytic", "--particles", "x"),
+            (("actions", "--scenario", "scenario.json", "--methods", "analytic",
+              "--particles", "x"),
              "argument --particles: invalid int value: 'x'"),
         ],
     )
+    @pytest.mark.usefixtures("scenario_json")
     def test_malformed_values_are_usage_errors(self, tmp_path, run_cli, args, message):
         out = tmp_path / "x.csv"
         proc = run_cli("bench", *args, "--seed", "1", "--out", str(out))

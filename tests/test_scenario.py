@@ -159,6 +159,41 @@ class TestSerialization:
         del doc["seed"]
         assert scenario_from_dict(doc).seed == -1
 
+    @pytest.mark.parametrize(
+        ("part", "old", "new", "message"),
+        [
+            ((), "seed", "sed", "document: unknown key 'sed'"),
+            (("blocks", 0), None, "offset", "blocks[0]: unknown key 'offset'"),
+            (("prior",), None, "extra", "prior: unknown key 'extra'"),
+            (("actions", 0), "observations", "observation",
+             "actions[0]: unknown key 'observation'"),
+            (("actions", 0, "transitions", 0), "noise_cov", "noise",
+             "action a1 transition: unknown key 'noise'"),
+            (("actions", 0, "observations", 0), None, "weight",
+             "action a1 observation: unknown key 'weight'"),
+            (("actions", 0, "transitions", 0), None, "step",
+             "action a1 transition: unknown key 'step'"),
+        ],
+        ids=["seed", "block", "prior", "observations", "transition", "observation",
+             "transition-step"],
+    )
+    def test_an_unknown_key_is_named_where_it_sits(self, part, old, new, message):
+        # read as a default, a misspelt "observations" loaded a blind action
+        # and a misspelt "seed" loaded -1
+        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        target = doc
+        for step in part:
+            target = target[step]
+        target[new] = target.pop(old) if old else 0
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(doc)
+
+    def test_an_action_without_observations_is_malformed(self):
+        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        del doc["actions"][0]["observations"]
+        with pytest.raises(ScenarioError, match="malformed scenario document: 'observations'"):
+            scenario_from_dict(doc)
+
     def test_malformed_document(self):
         with pytest.raises(ScenarioError, match="malformed"):
             scenario_from_dict({"blocks": [{"id": "a", "dim": 2}]})

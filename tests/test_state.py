@@ -477,8 +477,10 @@ class TestAction:
         composed.validate_against(StateLayout.from_dims([("x", 1)]))
 
     def test_compose_rejects_colliding_new_ids(self):
+        # the composed action's own check, which names the composed id
         _prior, a1 = make_chain_1d()
-        with pytest.raises(ValueError, match="distinct"):
+        message = "action 'a+a': new block ids must be unique"
+        with pytest.raises(ValueError, match=re.escape(message)):
             compose_actions([a1, a1])
 
     def test_compose_rejects_an_empty_sequence(self):
