@@ -60,9 +60,6 @@ from .scenario import (
     generate_scenario,
     load_scenario,
     save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    scenario_to_json,
 )
 from .smc import (
     BudgetError,

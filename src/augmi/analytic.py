@@ -42,8 +42,6 @@ def entropy_from_cov(cov: np.ndarray) -> float:
     """Differential entropy 0.5 * log((2 pi e)^d det Sigma) in nats."""
     cov = np.asarray(cov, dtype=float)
     d = cov.shape[0]
-    if d == 0:
-        return 0.0
     log_det = 2.0 * float(np.sum(np.log(np.diag(cholesky_psd(cov)))))
     return 0.5 * (d * LOG_TWO_PI_E + log_det)
 
@@ -154,8 +152,11 @@ def augmented_mi_analytic(
     (``None`` means the full state), or FootprintError is raised.  With that
     hypothesis satisfied the value is independent of the subset choice.  The
     elapsed time starts after the restriction; ``sample_counts["dim"]`` is
-    the dimension of the prior the joint is built on.
+    the dimension of the prior the joint is built on.  An action with no
+    observations raises ``ValueError``, as every estimator does.
     """
+    if not action.observations:
+        raise ValueError(f"action {action.id!r} has no observations")
     subset = None if subset is None else set(subset)
     # the whole prior needs no footprint check; the joint validates the action
     if subset is not None and subset != set(prior.layout.ids):

@@ -216,7 +216,6 @@ def run_dimension_sweep(
     n_particles: int,
     trials: int,
     seed: int,
-    correlation_strength: float = 0.3,
     failures: list[str] | None = None,
 ) -> list[ResultRow]:
     """The same single-landmark action evaluated at growing state dimension.
@@ -228,12 +227,7 @@ def run_dimension_sweep(
     dims = _check_dims("dims", dims, ValueError)
     rows: list[ResultRow] = []
     for dim in dims:
-        scenario = generate_scenario(
-            dim,
-            n_actions=1,
-            correlation_strength=correlation_strength,
-            seed=_trial_seed(seed, (dim,)) % (2**31),
-        )
+        scenario = generate_scenario(dim, n_actions=1, seed=_trial_seed(seed, (dim,)) % (2**31))
         rows += _run_scenario(scenario, methods, n_particles, trials, seed, failures, (dim,))
     return rows
 

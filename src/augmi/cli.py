@@ -10,8 +10,7 @@ Subcommands::
 An option that several subcommands share is declared once.  Every option
 is checked by the library's rule for its kind, under the option's name,
 before any scenario is built or file written: a count (at least 1; a state
-dimension, ``--dims`` included, at least 6; ``--seed`` at least 0) and a
-correlation in [0, 1).
+dimension, ``--dims`` included, at least 6; ``--seed`` at least 0).
 
 Exit codes: 0 success, 1 usage error, 2 estimator or scenario error.
 """
@@ -33,7 +32,7 @@ from .bench import (
     zero_elapsed,
 )
 from .mi import ALL_METHODS
-from .scenario import _check_correlation, generate_scenario, load_scenario, save_scenario
+from .scenario import generate_scenario, load_scenario, save_scenario
 from .state import _check_count
 
 EXIT_OK = 0
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     dims = bench_sub.add_parser("dims", parents=[experiment], help="dimension-sweep experiment")
     dims.add_argument("--dims", required=True, help="comma list, ascending, e.g. 10,50,100,150")
-    dims.add_argument("--correlation", type=float, default=0.3)
     dims.set_defaults(handler=_cmd_bench_dims)
 
     scenario = sub.add_parser("scenario", help="scenario tooling")
@@ -110,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--actions", type=int, default=4)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--correlation", type=float, default=0.3)
     gen.set_defaults(handler=_cmd_scenario_generate)
 
     mi = sub.add_parser("mi", help="single MI evaluations")
@@ -128,7 +125,6 @@ def _check_ranges(args) -> None:
     """Check each option the command has by the library's rule for it."""
     for name, least in (("particles", 1), ("trials", 1), ("actions", 1), ("dim", 6), ("seed", 0)):
         _check_count(f"--{name}", getattr(args, name, least), UsageError, least)
-    _check_correlation("--correlation", getattr(args, "correlation", 0.0), UsageError)
 
 
 def _cmd_bench_actions(args) -> int:
@@ -141,10 +137,10 @@ def _cmd_bench_dims(args) -> int:
     except ValueError:
         raise UsageError(f"--dims must be a comma list of integers, got {args.dims!r}") from None
     _check_dims("--dims", dims, UsageError)
-    return _run_bench(args, run_dimension_sweep, dims, correlation_strength=args.correlation)
+    return _run_bench(args, run_dimension_sweep, dims)
 
 
-def _run_bench(args, experiment, subject, **options) -> int:
+def _run_bench(args, experiment, subject) -> int:
     """Run a bench experiment on ``subject`` (the scenario, or the dims),
     write its CSV, report its estimator failures, and pick the exit code."""
     failures: list[str] = []
@@ -155,7 +151,6 @@ def _run_bench(args, experiment, subject, **options) -> int:
         trials=args.trials,
         seed=args.seed,
         failures=failures,
-        **options,
     )
     if args.zero_elapsed:
         rows = zero_elapsed(rows)
@@ -166,9 +161,7 @@ def _run_bench(args, experiment, subject, **options) -> int:
 
 
 def _cmd_scenario_generate(args) -> int:
-    scenario = generate_scenario(
-        args.dim, args.actions, correlation_strength=args.correlation, seed=args.seed
-    )
+    scenario = generate_scenario(args.dim, args.actions, seed=args.seed)
     save_scenario(scenario, args.out)
     return EXIT_OK
 

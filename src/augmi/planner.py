@@ -103,26 +103,13 @@ class ObjectiveValue:
     root: BeliefNode | None = field(default=None, repr=False, compare=False)
 
 
-def _steps_argument(
-    actions: Sequence[Action] | Sequence[Sequence[Action]], horizon: int
-) -> list[list[Action]]:
+def _steps_argument(actions: Sequence[Sequence[Action]], horizon: int) -> list[list[Action]]:
     _check_count("horizon", horizon)
-    items = list(actions)
-    if not items:
+    steps = [list(s) for s in actions]
+    if not steps:
         raise ValueError("need a non-empty candidate action set")
-    if isinstance(items[0], Action):
-        # Every action creates a new block, so the same candidates at a
-        # second depth would re-create the first depth's ids.
-        if horizon > 1:
-            raise ValueError(
-                f"a flat candidate list only plans horizon 1, got horizon {horizon}: "
-                "pass one candidate list per step"
-            )
-        steps = [items]
-    else:
-        steps = [list(s) for s in items]
-        if len(steps) != horizon:
-            raise ValueError(f"got {len(steps)} per-step action sets, horizon is {horizon}")
+    if len(steps) != horizon:
+        raise ValueError(f"got {len(steps)} per-step action sets, horizon is {horizon}")
     for t, step in enumerate(steps):
         if not step:
             raise ValueError(f"empty candidate action set at step {t}")
@@ -230,7 +217,7 @@ def _root(
 
 def solve(
     prior: Belief,
-    actions: Sequence[Action] | Sequence[Sequence[Action]],
+    actions: Sequence[Sequence[Action]],
     horizon: int,
     reward_mode: str,
     mi_backend: MiCalculator,
@@ -239,12 +226,12 @@ def solve(
 ) -> ObjectiveValue:
     """Maximize the expected information objective over action sequences.
 
-    ``actions`` is one candidate list per step, or a flat candidate list
-    when ``horizon`` is 1.  ``mi_backend(belief, action, rng)`` returns an
-    ``MiEstimate`` whose ``value`` is the reward.  ``obs_samples`` is the
-    number of seeded estimates averaged per child reward, in both modes; an
-    exact backend uses 1.  The result's ``root`` is the searched tree, one
-    child per action; in both modes a node's ``accumulated_reward`` is the
+    ``actions`` is one candidate list per step, ``horizon`` lists in all.
+    ``mi_backend(belief, action, rng)`` returns an ``MiEstimate`` whose
+    ``value`` is the reward.  ``obs_samples`` is the number of seeded
+    estimates averaged per child reward, in both modes; an exact backend
+    uses 1.  The result's ``root`` is the searched tree, one child per
+    action; in both modes a node's ``accumulated_reward`` is the
     information gained from the root to it, and a child at the horizon is a
     leaf holding no belief, built without a joint or a conditioning.  Ties
     between equal-valued actions break toward the lowest action id.  A

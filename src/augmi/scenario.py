@@ -63,13 +63,13 @@ def _pose_landmark_counts(target_dim: int) -> tuple[int, int]:
     return n_poses, n_landmarks
 
 
-def _check_correlation(name: str, value: float, error: type[Exception] = ScenarioError) -> None:
-    """Raise ``error`` unless ``value`` is a real number (an ``int``, a
-    ``float`` or a numpy number, not a bool or a string) in [0, 1)."""
+def _check_correlation(value: float) -> None:
+    """Raise ``ScenarioError`` unless ``value`` is a real number (an ``int``,
+    a ``float`` or a numpy number, not a bool or a string) in [0, 1)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise ScenarioError(f"correlation_strength must be a real number, got {value!r}")
     if not 0.0 <= value < 1.0:
-        raise error(f"{name} must lie in [0, 1), got {value}")
+        raise ScenarioError(f"correlation_strength must lie in [0, 1), got {value}")
 
 
 def generate_scenario(
@@ -90,7 +90,7 @@ def generate_scenario(
     _check_count("target_dim", target_dim, ScenarioError, least=6)
     _check_count("n_actions", n_actions, ScenarioError)
     _check_count("seed", seed, ScenarioError, least=0)
-    _check_correlation("correlation_strength", correlation_strength)
+    _check_correlation(correlation_strength)
 
     n_poses, n_landmarks = _pose_landmark_counts(target_dim)
     if n_landmarks < n_actions:
@@ -224,8 +224,10 @@ def _model_from_dict(doc: dict, where: str, *extra_keys: str) -> LinearGaussianM
     )
 
 
-def scenario_to_dict(scenario: SlamScenario) -> dict:
-    return {
+def save_scenario(scenario: SlamScenario, path: str | Path) -> None:
+    """Write ``scenario`` as canonical JSON: identical scenarios write
+    byte-identical files, and all finite doubles round-trip exactly."""
+    doc = {
         "blocks": [{"id": b.id, "dim": b.dim} for b in scenario.layout.blocks],
         "prior": {
             "mean": [float(v) for v in scenario.prior.mean],
@@ -244,11 +246,18 @@ def scenario_to_dict(scenario: SlamScenario) -> dict:
         ],
         "seed": int(scenario.seed),
     }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def scenario_from_dict(doc: dict) -> SlamScenario:
-    """The scenario a document holds.  An unknown key raises ``ScenarioError``,
-    but ``sensing_range``, which earlier versions wrote, is ignored."""
+def load_scenario(path: str | Path) -> SlamScenario:
+    """The scenario a file holds.  An unknown key raises ``ScenarioError``,
+    but ``sensing_range``, which earlier versions wrote, is ignored; a
+    missing seed reads -1."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ScenarioError(f"cannot load scenario from {path}: {exc}") from exc
     try:
         _check_keys(doc, "document", "blocks", "prior", "actions", "seed", "sensing_range")
         for i, b in enumerate(doc["blocks"]):
@@ -285,22 +294,3 @@ def scenario_from_dict(doc: dict) -> SlamScenario:
             raise
         raise ScenarioError(f"malformed scenario document: {exc}") from exc
     return SlamScenario(prior=prior, actions=tuple(actions), seed=int(seed))
-
-
-def scenario_to_json(scenario: SlamScenario) -> str:
-    """Canonical JSON text; identical scenarios serialize byte-identically,
-    and all finite doubles round-trip exactly."""
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
-
-
-def save_scenario(scenario: SlamScenario, path: str | Path) -> None:
-    Path(path).write_text(scenario_to_json(scenario), encoding="utf-8")
-
-
-def load_scenario(path: str | Path) -> SlamScenario:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot load scenario from {path}: {exc}") from exc
-    return scenario_from_dict(doc)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
+from pathlib import Path
 from typing import Iterable
 
 # One BLAS thread, as CI and the benchmark run: the timed acceptance criteria
@@ -23,6 +25,7 @@ from augmi import (
     StateLayout,
     joint_state_observation,
     observation_block_ids,
+    save_scenario,
 )
 from augmi.analytic import entropy_from_cov
 from augmi.state import _squared_distances
@@ -431,3 +434,10 @@ def scenario_plan_steps(slam, horizon: int):
             )
         steps.append(candidates)
     return steps
+
+
+def scenario_document(scenario, path: Path) -> dict:
+    """Save ``scenario`` to ``path`` and return the JSON document written
+    there, for a test to edit and write back."""
+    save_scenario(scenario, path)
+    return json.loads(path.read_text(encoding="utf-8"))

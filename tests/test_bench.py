@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,16 @@ class TestEvaluateMethod:
             evaluate_method(small_scenario, "a1", method, 50, -2)
         error = info.value if isinstance(info.value, ValueError) else info.value.__cause__
         assert str(error) == "expected non-negative integer seed, got -2"
+
+    @pytest.mark.parametrize("method", ["analytic", "naive_kde", "invmi_kde", "mismc"])
+    def test_every_method_rejects_an_action_without_observations(self, small_scenario, method):
+        # The oracle once scored one: the negative entropy of the move's noise.
+        a1, a2 = small_scenario.actions
+        scenario = replace(small_scenario, actions=(replace(a1, observations=()), a2))
+        with pytest.raises((ValueError, CalculatorError)) as info:
+            evaluate_method(scenario, "a1", method, 50, 1)
+        error = info.value if info.value.__cause__ is None else info.value.__cause__
+        assert str(error).startswith("action 'a1' has no observations")
 
     def test_matches_direct_pipelines(self, small_scenario):
         """The method table adds nothing: each method's value is bit for bit

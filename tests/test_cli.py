@@ -13,10 +13,10 @@ from augmi import (
     read_csv,
     run_actions_experiment,
     save_scenario,
-    scenario_to_dict,
 )
 from augmi.bench import zero_elapsed
 from augmi.cli import main
+from conftest import scenario_document
 
 
 class Run(NamedTuple):
@@ -175,15 +175,11 @@ def test_negative_seed_is_a_usage_error(run_cli, tmp_path, args):
     [
         (("scenario", "generate", "--dim", "20", "--actions", "0"),
          "--actions must be >= 1, got 0"),
-        (("scenario", "generate", "--dim", "20", "--correlation", "1.0"),
-         "--correlation must lie in [0, 1), got 1.0"),
-        (("bench", "dims", "--dims", "10", "--methods", "analytic", "--correlation", "-0.1"),
-         "--correlation must lie in [0, 1), got -0.1"),
         (("scenario", "generate", "--dim", "5"), "--dim must be >= 6, got 5"),
         (("bench", "dims", "--dims", "0,10", "--methods", "analytic"),
          "--dims items must be >= 6, got 0"),
     ],
-    ids=["actions", "correlation", "dims-correlation", "dim", "dims"],
+    ids=["actions", "dim", "dims"],
 )
 def test_out_of_range_scenario_option_is_a_usage_error(run_cli, tmp_path, args, message):
     out = tmp_path / "out"
@@ -207,6 +203,23 @@ def test_the_removed_sensing_range_is_a_usage_error(run_cli, tmp_path, args, mes
     proc = run_cli(*args, "--seed", "1", "--out", str(out))
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"usage error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("scenario", "generate", "--dim", "20"),
+        ("bench", "dims", "--dims", "10", "--methods", "analytic"),
+    ],
+    ids=["scenario-generate", "bench-dims"],
+)
+def test_the_removed_correlation_option_is_a_usage_error(run_cli, tmp_path, args):
+    # both build their scenarios at correlation strength 0.3, the only value in use
+    out = tmp_path / "out"
+    proc = run_cli(*args, "--correlation", "0.3", "--seed", "1", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage error: unrecognized arguments: --correlation 0.3")
     assert not out.exists()
 
 
@@ -249,7 +262,7 @@ class TestBench:
     def test_actions_with_a_scenario_file_and_an_id_that_needs_quoting(self, run_cli, tmp_path):
         # An id holding a comma is quoted; unquoted, its rows would carry one
         # field too many.
-        doc = scenario_to_dict(generate_scenario(20, 1, seed=4))
+        doc = scenario_document(generate_scenario(20, 1, seed=4), tmp_path / "generated.json")
         (action,) = doc["actions"]
         action.update(id="a,1", new_ids=["p"])
         action["observations"][0]["inputs"][0] = "p"

@@ -50,7 +50,7 @@ ENTRIES = {
     "mismc_update additional_n1": ("additional_n1", 0, BudgetError, 2.5, _mismc_update),
     "solve horizon": (
         "horizon", 1, ValueError, 2.5,
-        lambda v: solve(PRIOR, [ACTION], v, REWARD_CONSECUTIVE_MI, AnalyticMiBackend()),
+        lambda v: solve(PRIOR, [[ACTION]], v, REWARD_CONSECUTIVE_MI, AnalyticMiBackend()),
     ),
     "sequential_mi_direct horizon": (
         "horizon", 1, ValueError, 2.5,

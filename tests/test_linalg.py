@@ -23,7 +23,6 @@ from augmi import (
     invmi,
     load_scenario,
     sample_particles,
-    scenario_to_dict,
     solve,
 )
 from augmi.analytic import entropy_from_cov
@@ -32,7 +31,7 @@ from augmi.involved import CalculatorError
 from augmi.linalg import NotPositiveDefiniteError, cholesky_psd, conditional_parts
 from augmi.mi import MiEstimate
 from augmi.planner import PlannerError
-from conftest import gaussian_entropy_ref
+from conftest import gaussian_entropy_ref, scenario_document
 
 
 class TestJitterPolicy:
@@ -228,7 +227,7 @@ class TestSingularInputs:
     def test_planner_raises_with_cause(self, eps, reward_mode, backend):
         prior, action = near_singular_instance(eps)
         with pytest.raises(PlannerError) as info:
-            solve(prior, [action], 1, reward_mode, backend)
+            solve(prior, [[action]], 1, reward_mode, backend)
         assert isinstance(info.value.__cause__, NotPositiveDefiniteError)
 
     @pytest.mark.parametrize("eps", [3e-16, 5e-16, 1e-15, 1e-14, 1e-12])
@@ -247,9 +246,9 @@ class TestSingularInputs:
 
     @pytest.fixture
     def singular_noise_scenario(self, tmp_path):
-        doc = scenario_to_dict(generate_scenario(12, 1, seed=3))
-        doc["actions"][0]["observations"][0]["noise_cov"] = [1.0, 0.0, 0.0, 0.0]
         path = tmp_path / "scenario.json"
+        doc = scenario_document(generate_scenario(12, 1, seed=3), path)
+        doc["actions"][0]["observations"][0]["noise_cov"] = [1.0, 0.0, 0.0, 0.0]
         path.write_text(json.dumps(doc), encoding="utf-8")
         return path
 

@@ -38,7 +38,7 @@ BACKEND = AnalyticMiBackend()
 class TestSolveSingleStep:
     def test_single_action_value_is_its_mi(self, chain):
         prior, action = chain
-        result = solve(prior, [action], 1, REWARD_INVOLVED_IG, BACKEND, rng=0)
+        result = solve(prior, [[action]], 1, REWARD_INVOLVED_IG, BACKEND, rng=0)
         assert result.value == pytest.approx(CHAIN_MI, abs=1e-12)
         assert result.best_sequence == ("a",)
 
@@ -50,7 +50,7 @@ class TestSolveSingleStep:
         }
         best = max(analytic, key=analytic.get)
         for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
-            result = solve(scenario.prior, list(scenario.actions), 1, mode, BACKEND, rng=0)
+            result = solve(scenario.prior, [list(scenario.actions)], 1, mode, BACKEND, rng=0)
             assert result.best_sequence == (best,)
             assert result.value == pytest.approx(analytic[best], abs=1e-9)
 
@@ -65,7 +65,7 @@ class TestSolveSingleStep:
             )
             for twin_id in ("b", "a")
         )
-        result = solve(prior, [twin_b, twin_a], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+        result = solve(prior, [[twin_b, twin_a]], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
         assert result.best_sequence == ("a",)
 
 
@@ -295,7 +295,7 @@ class TestSampledObservationBranching:
                 raise RuntimeError("backend exploded")
 
         with pytest.raises(PlannerError, match="depth 0"):
-            solve(prior, [action], 1, REWARD_CONSECUTIVE_MI, Broken(), rng=0)
+            solve(prior, [[action]], 1, REWARD_CONSECUTIVE_MI, Broken(), rng=0)
 
     def test_backend_failure_is_planner_error_everywhere(self):
         prior, steps = random_plan_instance(np.random.default_rng(3), horizon=2)
@@ -510,25 +510,19 @@ class TestValidation:
     def test_horizon_positive(self, chain):
         prior, action = chain
         with pytest.raises(ValueError, match="horizon"):
-            solve(prior, [action], 0, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+            solve(prior, [[action]], 0, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
 
     def test_unknown_mode(self, chain):
         prior, action = chain
         with pytest.raises(ValueError, match="reward mode"):
-            solve(prior, [action], 1, "whatever", BACKEND, rng=0)
+            solve(prior, [[action]], 1, "whatever", BACKEND, rng=0)
 
     def test_action_without_observations_rejected_in_both_modes(self, chain):
         prior, action = chain
         blind = Action(id="t", transitions=action.transitions)
         for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
             with pytest.raises(ValueError, match="no observations"):
-                solve(prior, [action, blind], 1, mode, BACKEND, rng=0)
-
-    def test_flat_candidate_list_needs_horizon_one(self, chain):
-        prior, action = chain
-        for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
-            with pytest.raises(ValueError, match="pass one candidate list per step"):
-                solve(prior, [action], 2, mode, BACKEND, rng=0)
+                solve(prior, [[action, blind]], 1, mode, BACKEND, rng=0)
 
     def test_step_count_must_match_horizon(self, chain):
         prior, action = chain
@@ -553,7 +547,7 @@ class TestValidation:
         steps = scenario_plan_steps(slam, 2)
         steps[1].append(replace(steps[1][1], id=steps[1][0].id))
         cases = [
-            ([a1, replace(a2, id="a1")], 1, "two candidate actions at step 0 have id 'a1'"),
+            ([[a1, replace(a2, id="a1")]], 1, "two candidate actions at step 0 have id 'a1'"),
             (steps, 2, f"two candidate actions at step 1 have id {steps[1][0].id!r}"),
         ]
         for mode in (REWARD_INVOLVED_IG, REWARD_CONSECUTIVE_MI):
@@ -581,7 +575,7 @@ class TestValidation:
             new_ids=("a:x1",),
         )
         with pytest.raises(ValueError, match="disagree on dim of new block 'a:x1'"):
-            solve(prior, [action, wide], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+            solve(prior, [[action, wide]], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
 
     def test_candidates_must_touch_the_prior(self, chain):
         prior, _action = chain
@@ -595,7 +589,7 @@ class TestValidation:
         )
         free = Action(id="f", transitions=(source,), observations=((1, sensor),))
         with pytest.raises(ValueError, match="involved set must be non-empty"):
-            solve(prior, [free], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
+            solve(prior, [[free]], 1, REWARD_CONSECUTIVE_MI, BACKEND, rng=0)
 
     @pytest.mark.parametrize(
         ("horizon", "message"),
@@ -613,7 +607,7 @@ class TestValidation:
         for backend in (BACKEND, SmcMiBackend(SampleBudget(n1=50))):
             with pytest.raises(ValueError, match="obs_samples"):
                 solve(
-                    prior, [action], 1, REWARD_CONSECUTIVE_MI, backend,
+                    prior, [[action]], 1, REWARD_CONSECUTIVE_MI, backend,
                     obs_samples=obs_samples, rng=0,
                 )
             with pytest.raises(ValueError, match="obs_samples"):
@@ -627,7 +621,7 @@ class TestValidation:
         for backend in (BACKEND, SmcMiBackend(SampleBudget(n1=50))):
             with pytest.raises(ValueError, match="obs_samples must be an integer"):
                 solve(
-                    prior, [action], 1, REWARD_INVOLVED_IG, backend,
+                    prior, [[action]], 1, REWARD_INVOLVED_IG, backend,
                     obs_samples=obs_samples, rng=0,
                 )
             with pytest.raises(ValueError, match="obs_samples must be an integer"):
@@ -640,7 +634,7 @@ class TestValidation:
         pset = sample_particles(prior, 100, 1)
         backend = SmcMiBackend(SampleBudget(n1=100))
         with pytest.raises(TypeError, match="posterior update"):
-            solve(pset, [action], 1, REWARD_CONSECUTIVE_MI, backend, rng=0)
+            solve(pset, [[action]], 1, REWARD_CONSECUTIVE_MI, backend, rng=0)
         with pytest.raises(TypeError, match="posterior update"):
             sequential_mi_direct(pset, [action], 1, backend, rng=0)
 
@@ -652,9 +646,9 @@ class TestValidation:
         )
         pset = sample_particles(wide, 100, 2)
         backend = SmcMiBackend(SampleBudget(n1=100))
-        result = solve(pset, [action], 1, REWARD_INVOLVED_IG, backend, obs_samples=2, rng=3)
+        result = solve(pset, [[action]], 1, REWARD_INVOLVED_IG, backend, obs_samples=2, rng=3)
         reduced = solve(
-            marginalize_particles(pset, {"x"}), [action], 1, REWARD_INVOLVED_IG, backend,
+            marginalize_particles(pset, {"x"}), [[action]], 1, REWARD_INVOLVED_IG, backend,
             obs_samples=2, rng=3,
         )
         assert result.value == reduced.value
@@ -663,8 +657,8 @@ class TestValidation:
     def test_numpy_integer_obs_samples_accepted(self, chain):
         prior, action = chain
         backend = SmcMiBackend(SampleBudget(n1=50))
-        plain = solve(prior, [action], 1, REWARD_INVOLVED_IG, backend, obs_samples=2, rng=0)
+        plain = solve(prior, [[action]], 1, REWARD_INVOLVED_IG, backend, obs_samples=2, rng=0)
         numpy = solve(
-            prior, [action], 1, REWARD_INVOLVED_IG, backend, obs_samples=np.int64(2), rng=0
+            prior, [[action]], 1, REWARD_INVOLVED_IG, backend, obs_samples=np.int64(2), rng=0
         )
         assert numpy.value == plain.value

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -14,11 +15,22 @@ from augmi import (
     generate_scenario,
     load_scenario,
     save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    scenario_to_json,
 )
+from augmi.cli import main
 from augmi.scenario import MIN_MI_SEPARATION, ScenarioError
+from conftest import scenario_document
+
+
+def _saved_text(scenario, path) -> str:
+    """The text ``save_scenario`` writes for ``scenario``."""
+    save_scenario(scenario, path)
+    return path.read_text(encoding="utf-8")
+
+
+def _load_document(doc: dict, path):
+    """Write ``doc`` to ``path`` as JSON and load it."""
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_scenario(path)
 
 
 class TestGeneration:
@@ -88,12 +100,12 @@ class TestGeneration:
         with pytest.raises(ScenarioError, match=re.escape(message)):
             generate_scenario(**{"target_dim": 20, "n_actions": 2, "seed": 0, **kwargs})
 
-    def test_determinism(self):
-        a = generate_scenario(80, 3, seed=123)
-        b = generate_scenario(80, 3, seed=123)
-        assert scenario_to_json(a) == scenario_to_json(b)
-        c = generate_scenario(80, 3, seed=124)
-        assert scenario_to_json(a) != scenario_to_json(c)
+    def test_determinism(self, tmp_path):
+        a = _saved_text(generate_scenario(80, 3, seed=123), tmp_path / "a.json")
+        b = _saved_text(generate_scenario(80, 3, seed=123), tmp_path / "b.json")
+        assert a == b
+        c = _saved_text(generate_scenario(80, 3, seed=124), tmp_path / "c.json")
+        assert a != c
 
 
 class TestSerialization:
@@ -121,43 +133,37 @@ class TestSerialization:
         path = tmp_path / "s.json"
         save_scenario(scenario, path)
         reloaded = load_scenario(path)
-        assert scenario_to_json(reloaded) == path.read_text(encoding="utf-8")
-
-    def test_dict_round_trip(self):
-        scenario = generate_scenario(16, 1, seed=7)
-        clone = scenario_from_dict(scenario_to_dict(scenario))
-        np.testing.assert_array_equal(clone.prior.covariance, scenario.prior.covariance)
+        assert _saved_text(reloaded, tmp_path / "again.json") == path.read_text(encoding="utf-8")
 
     def test_a_document_with_the_old_sensing_range_line_reserializes_without_it(self, tmp_path):
-        scenario = generate_scenario(16, 2, seed=7)
-        new_text = scenario_to_json(scenario)
+        new_text = _saved_text(generate_scenario(16, 2, seed=7), tmp_path / "new.json")
         # the earlier format: the same keys, with "sensing_range" before "seed"
         old_text = new_text.replace('  "seed": 7\n', '  "sensing_range": 25.0,\n  "seed": 7\n')
         assert old_text.count("\n") == new_text.count("\n") + 1
         path = tmp_path / "old.json"
         path.write_text(old_text, encoding="utf-8")
-        assert scenario_to_json(load_scenario(path)) == new_text
+        assert _saved_text(load_scenario(path), tmp_path / "again.json") == new_text
 
     @pytest.mark.parametrize("seed", ["abc", 3.7, True, None, [3]])
-    def test_non_integer_seed_is_malformed(self, seed):
+    def test_non_integer_seed_is_malformed(self, tmp_path, seed):
         # int() would read 3.7 as 3 and True as 1, and fail on "abc" outside the check
-        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        doc = scenario_document(generate_scenario(16, 1, seed=7), tmp_path / "s.json")
         doc["seed"] = seed
         message = f"malformed scenario document: seed must be an integer, got {seed!r}"
         with pytest.raises(ScenarioError, match=re.escape(message)):
-            scenario_from_dict(doc)
+            _load_document(doc, tmp_path / "doc.json")
 
-    def test_seed_below_the_missing_seed_sentinel_is_malformed(self):
-        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+    def test_seed_below_the_missing_seed_sentinel_is_malformed(self, tmp_path):
+        doc = scenario_document(generate_scenario(16, 1, seed=7), tmp_path / "s.json")
         doc["seed"] = -2
         message = "malformed scenario document: seed must be >= -1, got -2"
         with pytest.raises(ScenarioError, match=re.escape(message)):
-            scenario_from_dict(doc)
+            _load_document(doc, tmp_path / "doc.json")
 
-    def test_missing_seed_reads_minus_one(self):
-        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+    def test_missing_seed_reads_minus_one(self, tmp_path):
+        doc = scenario_document(generate_scenario(16, 1, seed=7), tmp_path / "s.json")
         del doc["seed"]
-        assert scenario_from_dict(doc).seed == -1
+        assert _load_document(doc, tmp_path / "doc.json").seed == -1
 
     @pytest.mark.parametrize(
         ("part", "old", "new", "message"),
@@ -177,37 +183,66 @@ class TestSerialization:
         ids=["seed", "block", "prior", "observations", "transition", "observation",
              "transition-step"],
     )
-    def test_an_unknown_key_is_named_where_it_sits(self, part, old, new, message):
+    def test_an_unknown_key_is_named_where_it_sits(self, tmp_path, part, old, new, message):
         # read as a default, a misspelt "observations" loaded a blind action
         # and a misspelt "seed" loaded -1
-        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+        doc = scenario_document(generate_scenario(16, 1, seed=7), tmp_path / "s.json")
         target = doc
         for step in part:
             target = target[step]
         target[new] = target.pop(old) if old else 0
         with pytest.raises(ScenarioError, match=re.escape(message)):
-            scenario_from_dict(doc)
+            _load_document(doc, tmp_path / "doc.json")
 
-    def test_an_action_without_observations_is_malformed(self):
-        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+    def test_an_action_without_observations_is_malformed(self, tmp_path):
+        doc = scenario_document(generate_scenario(16, 1, seed=7), tmp_path / "s.json")
         del doc["actions"][0]["observations"]
         with pytest.raises(ScenarioError, match="malformed scenario document: 'observations'"):
-            scenario_from_dict(doc)
+            _load_document(doc, tmp_path / "doc.json")
 
-    def test_malformed_document(self):
+    @pytest.mark.parametrize(
+        ("observations", "errors"),
+        [
+            (None, ["error: malformed scenario document: 'observations'"]),
+            ([], [f"estimator failure: {method}/a1/trial 0: .*action 'a1' has no observations"
+                  for method in ("analytic", "naive_kde", "invmi_kde", "mismc")]),
+        ],
+        ids=["missing", "empty"],
+    )
+    def test_bench_actions_exits_2_on_an_action_without_observations(
+        self, tmp_path, capsys, observations, errors
+    ):
+        # An empty list loads, but no estimator scores it: the oracle's value
+        # would be the negative entropy of the move's noise alone.
+        doc = scenario_document(generate_scenario(16, 2, seed=7), tmp_path / "s.json")
+        if observations is None:
+            del doc["actions"][0]["observations"]
+        else:
+            doc["actions"][0]["observations"] = observations
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["bench", "actions", "--scenario", str(path),
+                     "--methods", "analytic,naive-kde,invmi-kde,mismc", "--particles", "40",
+                     "--trials", "1", "--seed", "1", "--out", str(tmp_path / "rows.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        for pattern in errors:
+            assert re.search(f"^{pattern}", err, re.M), pattern
+
+    def test_malformed_document(self, tmp_path):
         with pytest.raises(ScenarioError, match="malformed"):
-            scenario_from_dict({"blocks": [{"id": "a", "dim": 2}]})
+            _load_document({"blocks": [{"id": "a", "dim": 2}]}, tmp_path / "doc.json")
 
-    def test_non_integer_dim_or_step_is_malformed(self):
+    def test_non_integer_dim_or_step_is_malformed(self, tmp_path):
         # Truncated, 2.9 would read as dim 2 and 1.5 as step 1, and load.
         scenario = generate_scenario(16, 1, seed=7)
-        bad_dim = scenario_to_dict(scenario)
+        bad_dim = scenario_document(scenario, tmp_path / "s.json")
         bad_dim["blocks"][0]["dim"] += 0.9
-        bad_step = scenario_to_dict(scenario)
+        bad_step = scenario_document(scenario, tmp_path / "s.json")
         bad_step["actions"][0]["observations"][0]["step"] += 0.5
         for doc in (bad_dim, bad_step):
             with pytest.raises(ScenarioError, match="malformed.*integer"):
-                scenario_from_dict(doc)
+                _load_document(doc, tmp_path / "doc.json")
 
     @pytest.mark.parametrize(
         ("field", "values", "message"),
@@ -218,11 +253,11 @@ class TestSerialization:
         ],
         ids=["noise-not-square", "matrix-length", "no-noise"],
     )
-    def test_rejects_model_arrays_that_do_not_fit(self, field, values, message):
-        doc = scenario_to_dict(generate_scenario(16, 1, seed=7))
+    def test_rejects_model_arrays_that_do_not_fit(self, tmp_path, field, values, message):
+        doc = scenario_document(generate_scenario(16, 1, seed=7), tmp_path / "s.json")
         doc["actions"][0]["transitions"][0][field] = values
         with pytest.raises(ScenarioError, match=f"action a1 transition: {message}"):
-            scenario_from_dict(doc)
+            _load_document(doc, tmp_path / "doc.json")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="cannot load"):
@@ -255,11 +290,11 @@ class TestActionIds:
 
     MESSAGE = "scenario has two actions with id 'a1'"
 
-    def test_a_loaded_document_with_a_repeated_id_is_rejected(self):
-        doc = scenario_to_dict(generate_scenario(16, 2, seed=7))
+    def test_a_loaded_document_with_a_repeated_id_is_rejected(self, tmp_path):
+        doc = scenario_document(generate_scenario(16, 2, seed=7), tmp_path / "s.json")
         doc["actions"][1]["id"] = "a1"
         with pytest.raises(ScenarioError, match=re.escape(self.MESSAGE)):
-            scenario_from_dict(doc)
+            _load_document(doc, tmp_path / "doc.json")
 
     def test_a_built_scenario_with_a_repeated_id_is_rejected(self):
         scenario = generate_scenario(16, 2, seed=7)
@@ -308,7 +343,7 @@ def _assert_round_trips_exactly(scenario, path):
             assert (s1, m1.inputs, m1.output_dim) == (s0, m0.inputs, m0.output_dim)
             assert exact(m1.matrix) == exact(m0.matrix)
             assert exact(m1.noise_cov) == exact(m0.noise_cov)
-    assert scenario_to_json(loaded) == path.read_text(encoding="utf-8")
+    assert _saved_text(loaded, path.with_name("again.json")) == path.read_text(encoding="utf-8")
 
 
 class TestRoundTripProperty:
