@@ -125,7 +125,7 @@ def _condition_on_draw(
     """
     obs_ids = observation_block_ids(action)
     if not obs_ids:
-        raise ValueError(f"action {action.id!r} has no observations to condition on")
+        raise ValueError(f"action {action.id!r} has no observations")
     obs_idx = joint.layout.indices(obs_ids)
     z_mean = joint.mean[obs_idx]
     if rng is None:

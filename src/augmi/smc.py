@@ -21,15 +21,19 @@ estimator does not take.  log eta is computed in log space, so it stays
 accurate however far in the tail a sampled z lands; rows where eta is below
 1e-300 are counted as ``eta_floor_events``.
 
-Determinism contract: every outer particle draws its noise from a
-counter-based stream keyed by (run root, particle index), so an incremental
-run that consumes the particles in installments draws exactly the noise of a
-single batch run.  Each particle's log eta is computed by arithmetic that
-does not depend on the installment: the normalizer's kernel sum gives a row
-the same bits alone or in any batch (see :func:`state._log_kernel_sum`).
-The accumulator keeps each particle's log eta in index order and every
-update sums them once over all particles consumed, so any installment
-schedule reproduces the batch estimate bit for bit.
+Determinism contract: each of a run's two keyed Philox streams, one for the
+outer particles and one for the normalizer pass, is read in order, one row
+of standard normals per particle, so particle ``i``'s noise is row ``i`` of
+its stream.  The accumulator carries the outer stream's position, and each
+installment continues the stream where the last one stopped: any
+installment schedule draws exactly the noise of a single batch run, and no
+installment draws a consumed particle's noise again.  Each particle's log
+eta is computed by arithmetic that does not depend on the installment: the
+normalizer's kernel sum gives a row the same bits alone or in any batch
+(see :func:`state._log_kernel_sum`).  The accumulator keeps each particle's
+log eta in index order and every update sums them once over all particles
+consumed, so any installment schedule reproduces the batch estimate bit for
+bit.
 
 Cost: the noise draws and the propagation through every model scale with
 n1 + n4, and the normalizer's kernel sum with n1 x n4 cells at d >= 2 (with
@@ -38,9 +42,10 @@ rest is paid once per call, whatever n1 and n4 are: binding each model's
 input columns, keying two Philox streams, and a few dozen small array
 operations per model and per kernel sum.  Each model's transposed factors
 and each action's noise entropy are derived once, not per call.  On the
-planner workload's steps (2-core Xeon, one BLAS thread) a call costs about
-190 us at depth 1 and 240 us at depth 3 with n1 = n4 = 16, against 480 and
-710 us with n1 = n4 = 300.
+planner workload's steps (2-core Xeon, one BLAS thread) one
+``SmcMiBackend`` call on a Gaussian involved marginal, its prior draws
+included, costs about 185 us at depth 1 and 215 us at depth 3 with
+n1 = n4 = 16, against 400 and 605 us with n1 = n4 = 300.
 """
 
 from __future__ import annotations
@@ -70,9 +75,6 @@ from .state import (
 _LOG_ETA_FLOOR = math.log(1e-300)
 
 _NORMALIZER_KEY = 0
-
-# The counter-based generator emits 4 uint64 words per counter step.
-_PHILOX_BLOCK = 4
 
 
 class BudgetError(ValueError):
@@ -110,6 +112,9 @@ class MismcAccumulator:
     ``estimate`` is the action's noise entropy, negated, minus the prior
     weights' dot product with ``terms``, at every checkpoint; feeding more
     particles through :func:`mismc_update` refines it without restarting.
+    ``rng_state`` is the run root the accumulator was started under and
+    ``position`` the outer noise stream's Philox state (``bit_generator.state``)
+    after the last consumed particle's row, ``None`` before the first.
     """
 
     estimate: float = 0.0
@@ -118,6 +123,7 @@ class MismcAccumulator:
     eta_floor_events: int = 0
     elapsed_ns: int = 0
     terms: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
+    position: dict | None = field(default=None, compare=False)
 
 
 class MismcContext:
@@ -132,8 +138,7 @@ class MismcContext:
     weights.  When ``n4`` equals the prior size the set is the prior itself
     with its weights; otherwise ``n4`` particles are drawn
     weight-proportionally and averaged uniformly.  Set member ``i`` is
-    propagated once, with the noise of counter window ``i`` of the
-    normalizer stream.
+    propagated once, with row ``i`` of the normalizer stream's noise.
     """
 
     def __init__(
@@ -144,6 +149,8 @@ class MismcContext:
         rng: np.random.Generator | int,
     ):
         start_ns = time.perf_counter_ns()
+        if not action.observations:
+            raise ValueError(f"action {action.id!r} has no observations")
         rng = ensure_rng(rng)
         if budget.n1 != prior.n:
             raise BudgetError(
@@ -156,10 +163,12 @@ class MismcContext:
         bound = _bind_inputs(prior.layout, action)
         self.transition = SequentialTransition(prior.layout, action, bound)
         self.observation = SequentialObservation(prior.layout, action, bound)
-        if not action.observations:
-            raise ValueError(f"action {action.id!r} has no observations")
         # Two independent stream keys: outer-particle noise and normalizer.
-        self.root = tuple(rng.integers(0, 2**63, size=4).tolist())
+        # Four raw words shifted right one bit are the words
+        # rng.integers(0, 2**63, size=4) gives from any 64-bit bit generator
+        # (all of numpy's but MT19937), since at a power-of-two range
+        # Lemire's method is a shift, without its per-call overhead.
+        self.root = tuple((rng.bit_generator.random_raw(4) >> 1).tolist())
         norm_root = self.root[2:]
         n4 = budget.n4
         if n4 == prior.n:
@@ -168,7 +177,7 @@ class MismcContext:
             sel_rng = _derived_rng(norm_root, (_NORMALIZER_KEY,))
             sel = sel_rng.choice(prior.n, size=n4, p=prior.weights)
             x, w = prior.particles[sel], np.full(n4, 1.0 / n4)
-        noise = _particle_noise(norm_root, 0, n4, self.transition.new_dim)
+        noise = _noise_stream(norm_root).standard_normal((n4, self.transition.new_dim))
         states = self.transition.sample_with_noise(x, noise)
         self.normalizer = self.observation.grid_evaluator(states)
         self.normalizer_weights = w
@@ -206,43 +215,13 @@ class _StreamKey(np.random.bit_generator.ISeedSequence):
         return np.array(self.words, dtype=dtype)
 
 
-def _uniform_stride(per_particle: int) -> int:
-    """Uniform draws reserved per particle, padded to whole counter blocks."""
-    blocks = (per_particle + _PHILOX_BLOCK - 1) // _PHILOX_BLOCK
-    return max(1, blocks) * _PHILOX_BLOCK
-
-
-def _box_muller(uniforms: np.ndarray, width: int) -> np.ndarray:
-    """``width`` standard normals per row from its leading uniform pairs
-    (fixed consumption per normal); at an odd width the last pair's sine,
-    which the row would drop, is not taken."""
-    pairs = uniforms[:, : 2 * ((width + 1) // 2)]
-    u1 = np.maximum(pairs[:, 0::2], 1e-300)
-    angle = (2.0 * np.pi) * pairs[:, 1::2]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty((uniforms.shape[0], width))
-    out[:, 0::2] = radius * np.cos(angle)
-    half = width // 2
-    out[:, 1::2] = radius[:, :half] * np.sin(angle[:, :half])
-    return out
-
-
-def _particle_noise(
-    root: tuple[int, ...], start: int, count: int, per_particle: int
-) -> np.ndarray:
-    """Standard-normal innovations for particle indices ``start`` to
-    ``start + count - 1``, one row each.
-
-    Each index owns a fixed counter window of the keyed Philox stream, so a
-    row's draws depend only on (root, index) and batch splits cannot change
-    them.  Normals come from uniform pairs via Box-Muller because uniform
-    generation consumes a fixed word count, which keeps the per-index
-    windows aligned; only the pairs a row uses are transformed.
-    """
-    stride = _uniform_stride(per_particle)
-    bit_gen = np.random.Philox(_StreamKey(root), counter=int(start) * (stride // _PHILOX_BLOCK))
-    uniforms = np.random.Generator(bit_gen).random((count, stride))
-    return _box_muller(uniforms, per_particle)
+def _noise_stream(key: tuple[int, ...], position: dict | None = None) -> np.random.Generator:
+    """The Philox stream keyed by ``key``, at its start or resumed at
+    ``position``, a state its ``bit_generator.state`` gave."""
+    bit_gen = np.random.Philox(_StreamKey(key))
+    if position is not None:
+        bit_gen.state = position
+    return np.random.Generator(bit_gen)
 
 
 def mismc_context(
@@ -261,9 +240,10 @@ def mismc_update(
     """Consume the next ``additional_n1`` prior particles.
 
     The returned accumulator's ``estimate`` is bit for bit what a batch run
-    over all particles consumed so far would produce: each particle's noise
-    comes from its own (root, index) stream, its log eta is appended to
-    ``terms``, and the sum is taken once over all of them in index order.
+    over all particles consumed so far would produce: the particles' noise
+    rows continue the outer stream from the accumulator's ``position``,
+    their log eta are appended to ``terms``, and the sum is taken once over
+    all of them in index order.
     """
     _check_count("additional_n1", additional_n1, BudgetError, least=0)
     if acc.rng_state != context.root:
@@ -282,7 +262,8 @@ def mismc_update(
     lo, hi = acc.consumed, acc.consumed + additional_n1
 
     x = context.prior.particles[lo:hi]
-    noise = _particle_noise(context.root[:2], lo, additional_n1, trans.new_dim + obs.obs_dim)
+    stream = _noise_stream(context.root[:2], acc.position)
+    noise = stream.standard_normal((additional_n1, trans.new_dim + obs.obs_dim))
     states = trans.sample_with_noise(x, noise[:, : trans.new_dim])
     z = obs.sample_with_noise(states, noise[:, trans.new_dim :])
 
@@ -297,6 +278,7 @@ def mismc_update(
         eta_floor_events=acc.eta_floor_events + floors,
         elapsed_ns=acc.elapsed_ns + (time.perf_counter_ns() - start_ns),
         terms=terms,
+        position=stream.bit_generator.state,
     )
 
 

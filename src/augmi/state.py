@@ -567,11 +567,18 @@ def sample_particles(
     """Draw ``n`` i.i.d. samples with uniform weights ``1/n``."""
     _check_count("n", n)
     rng = ensure_rng(rng)
-    return WeightedParticleSet(
-        layout=density.layout,
-        particles=_draws(density, n, rng),
-        weights=np.full(n, 1.0 / n),
-    )
+    particles = _draws(density, n, rng)
+    if not np.isfinite(particles).all():
+        raise ValueError("particle set has non-finite particles")
+    # Both arrays are made here and held nowhere else, so they are frozen in
+    # place rather than copied and checked again as a caller's would be;
+    # n copies of 1/n sum to 1 far inside the set's renormalizing tolerance.
+    pset = object.__new__(WeightedParticleSet)
+    object.__setattr__(pset, "layout", density.layout)
+    for name, value in (("particles", particles), ("weights", np.full(n, 1.0 / n))):
+        value.setflags(write=False)
+        object.__setattr__(pset, name, value)
+    return pset
 
 
 def _draws(density: GaussianDensity, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -137,27 +137,19 @@ def log_kernel_sum_ref(queries, centers, weights) -> np.ndarray:
     return out
 
 
-def _philox_window_normals(key, index: int, width: int) -> np.ndarray:
-    """Particle ``index``'s ``width`` standard normals: its own counter window
-    of the Philox stream ``key``, whole blocks of 4 words wide, taken to
-    uniforms and turned into normals in Box-Muller pairs."""
-    stride = 4 * max(1, -(-width // 4))
-    bit_gen = np.random.Philox(key=np.array(key, dtype=np.uint64))
-    bit_gen.advance(index * (stride // 4))
-    pairs = np.random.Generator(bit_gen).random(stride)[: 2 * ((width + 1) // 2)]
-    radius = np.sqrt(-2.0 * np.log(np.maximum(pairs[0::2], 1e-300)))
-    angle = (2.0 * np.pi) * pairs[1::2]
-    out = np.empty(width)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius[: width // 2] * np.sin(angle[: width // 2])
-    return out
+def _philox_stream_normals(key, rows: int, width: int) -> np.ndarray:
+    """``rows`` rows of ``width`` standard normals read in order from the
+    Philox stream keyed by ``key``, one row at a time: row ``i`` is particle
+    ``i``'s noise."""
+    stream = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    return np.array([stream.standard_normal(width) for _ in range(rows)])
 
 
 def smc_estimate_ref(prior: GaussianDensity, action: Action, n1: int, seed: int) -> float:
     """One seeded ``SmcMiBackend(SampleBudget(n1))`` estimate from a Gaussian
-    prior, written out plainly: the prior draws, each particle's noise from
-    its own Philox window, each model propagated on its own, the
-    normalizer's means stored and then whitened model by model, and the
+    prior, written out plainly: the prior draws, each particle's noise the
+    next row of its pass's Philox stream, each model propagated on its own,
+    the normalizer's means stored and then whitened model by model, and the
     kernel sum by ``state._log_kernel_sum``."""
     from augmi.state import _log_kernel_sum
 
@@ -197,12 +189,12 @@ def smc_estimate_ref(prior: GaussianDensity, action: Action, n1: int, seed: int)
         return per_observation(lambda m, _cols, part: y[:, part] @ np.linalg.inv(m.noise_chol).T)
 
     # the normalizer pass: the prior's own particles, with the stream root[2:]
-    noise = np.array([_philox_window_normals(root[2:], i, new_dim) for i in range(n1)])
+    noise = _philox_stream_normals(root[2:], n1, new_dim)
     states = propagate(noise)
     centers = whiten(per_observation(lambda m, cols, _part: states[:, cols] @ m.matrix.T))
 
     # the outer particles, with the stream root[:2]
-    noise = np.array([_philox_window_normals(root[:2], i, new_dim + obs_dim) for i in range(n1)])
+    noise = _philox_stream_normals(root[:2], n1, new_dim + obs_dim)
     states = propagate(noise[:, :new_dim])
     obs_noise = noise[:, new_dim:]
     z = per_observation(

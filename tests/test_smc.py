@@ -1,3 +1,4 @@
+import json
 import math
 from functools import cache
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
+from scipy.stats import kstest
 
 from augmi import (
     Action,
@@ -25,14 +27,8 @@ from augmi import (
     mismc_update,
     sample_particles,
 )
-from augmi.smc import (
-    _PHILOX_BLOCK,
-    BudgetError,
-    ContextMismatchError,
-    _box_muller,
-    _particle_noise,
-    _uniform_stride,
-)
+from augmi.smc import BudgetError, ContextMismatchError
+from augmi.state import SequentialObservation, SequentialTransition
 from conftest import (
     CHAIN_MI,
     gaussian_entropy_ref,
@@ -433,35 +429,97 @@ class TestAnytime:
             mismc_update(acc, 30, ctx_b)
 
 
+def _philox_rows(key, rows: int, width: int) -> np.ndarray:
+    """One batch draw of ``rows`` rows from the Philox stream keyed by ``key``."""
+    stream = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    return stream.standard_normal((rows, width))
+
+
+def _state_words(state: dict) -> str:
+    """A bit generator's state, arrays as lists, for comparison with ``==``."""
+    return json.dumps(state, default=np.ndarray.tolist, sort_keys=True)
+
+
 class TestParticleNoise:
+    """Particle ``i``'s noise is row ``i`` of its pass's keyed Philox stream:
+    ``root[:2]`` for the outer particles, ``root[2:]`` for the normalizer."""
+
     @staticmethod
-    def window(root, index, per_particle):
-        """One index's innovations from its own generator."""
-        stride = _uniform_stride(per_particle)
-        bit_gen = np.random.Philox(key=np.array(root, dtype=np.uint64))
-        bit_gen.advance(index * (stride // _PHILOX_BLOCK))
-        uniforms = np.random.Generator(bit_gen).random((1, stride))
-        return _box_muller(uniforms, stride)[0, :per_particle]
+    def recorded_noise(monkeypatch) -> list[np.ndarray]:
+        """The innovations every transition and observation sample receives
+        from here on, in call order; a list the caller reads afterwards."""
+        drawn = []
+        for cls in (SequentialTransition, SequentialObservation):
+            def record(self, rows, noise, _sample=cls.sample_with_noise):
+                drawn.append(noise.copy())
+                return _sample(self, rows, noise)
 
+            monkeypatch.setattr(cls, "sample_with_noise", record)
+        return drawn
+
+    @pytest.mark.parametrize("problem", ["chain", "replica", "plan"])
+    @pytest.mark.parametrize("n4", [24, 17, 40])
     @pytest.mark.parametrize(
-        "indices",
-        [range(0, 5), range(7, 13), range(0, 1), range(7, 8), range(0, 0), range(7, 7)],
+        "schedule", [(24,), (0, 24), (5, 0, 19), (1,) * 24, (23, 1, 0), (0, 0, 12, 12)]
     )
-    def test_rows_equal_per_index_windows(self, indices):
-        root, per_particle = (123, 456), 6
-        got = _particle_noise(root, indices.start, len(indices), per_particle)
-        assert got.shape == (len(indices), per_particle)
-        for row, index in zip(got, indices):
-            assert np.array_equal(row, self.window(root, index, per_particle))
+    def test_installment_rows_equal_one_batch_draw(self, monkeypatch, problem, n4, schedule):
+        prior, action = _installment_problems()[problem]
+        drawn = self.recorded_noise(monkeypatch)
+        pset = sample_particles(prior, 24, 0)
+        ctx = mismc_context(pset, action, SampleBudget(n1=24, n4=n4), 1)
+        acc = ctx.empty_accumulator()
+        for count in schedule:
+            acc = mismc_update(acc, count, ctx)
+        normalizer, *installments = drawn
+        new_dim = ctx.transition.new_dim
+        assert (normalizer == _philox_rows(ctx.root[2:], n4, new_dim)).all()
+        outer = np.hstack(
+            [np.concatenate(installments[0::2]), np.concatenate(installments[1::2])]
+        )
+        assert outer.shape == (24, new_dim + ctx.observation.obs_dim)
+        assert (outer == _philox_rows(ctx.root[:2], *outer.shape)).all()
 
-    @pytest.mark.parametrize("per_particle", [1, 2, 3, 5])
-    def test_rows_of_every_width_equal_per_index_windows(self, per_particle):
-        # a window transforms its whole stride, a row only the pairs it uses
-        root = (123, 456)
-        got = _particle_noise(root, 7, 6, per_particle)
-        assert got.shape == (6, per_particle)
-        for row, index in zip(got, range(7, 13)):
-            assert np.array_equal(row, self.window(root, index, per_particle))
+    @pytest.mark.parametrize("schedule", [(1,), (0, 7), (3, 4), (10, 0, 14)])
+    def test_position_is_a_fresh_stream_after_the_consumed_rows(self, chain, schedule):
+        # the chain's rows are 2 wide: one transition, one observation
+        prior, action = chain
+        pset = sample_particles(prior, 24, 0)
+        ctx = mismc_context(pset, action, SampleBudget(n1=24), 1)
+        acc = ctx.empty_accumulator()
+        for count in schedule:
+            acc = mismc_update(acc, count, ctx)
+        fresh = np.random.Philox(key=np.array(ctx.root[:2], dtype=np.uint64))
+        np.random.Generator(fresh).standard_normal((acc.consumed, 2))
+        assert _state_words(acc.position) == _state_words(fresh.state)
+
+    def test_rows_are_standard_normal(self, monkeypatch):
+        # every column of both streams, 4000 rows each, against N(0, 1)
+        prior, action = _installment_problems()["replica"]
+        drawn = self.recorded_noise(monkeypatch)
+        pset = sample_particles(prior, 4000, 5)
+        ctx = mismc_context(pset, action, SampleBudget(n1=4000), 6)
+        mismc_update(ctx.empty_accumulator(), 4000, ctx)
+        columns = np.hstack(drawn).T
+        assert columns.shape == (6, 4000)
+        for column in columns:
+            assert abs(column.mean()) < 4.0 / math.sqrt(4000)
+            assert abs(column.var() - 1.0) < 4.0 * math.sqrt(2.0 / 4000)
+            assert kstest(column, "norm").pvalue > 1e-3
+
+    def test_run_root_is_four_integers_below_two_to_the_63(self, chain):
+        # read as raw words shifted right one bit, which is what Lemire's
+        # method makes of integers(0, 2**63) for any 64-bit bit generator
+        prior, action = chain
+        pset = sample_particles(prior, 4, 0)
+        budget = SampleBudget(n1=4)
+        for bit_generator in (np.random.PCG64, np.random.Philox, np.random.SFC64):
+            for seed in range(100):
+                expected = np.random.Generator(bit_generator(seed)).integers(0, 2**63, size=4)
+                rng = np.random.Generator(bit_generator(seed))
+                assert mismc_context(pset, action, budget, rng).root == tuple(expected.tolist())
+        for seed in range(2000):
+            expected = np.random.default_rng(seed).integers(0, 2**63, size=4)
+            assert mismc_context(pset, action, budget, seed).root == tuple(expected.tolist())
 
 
 class TestPlainReference:
