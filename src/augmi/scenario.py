@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytic import augmented_mi_analytic
+from .involved import determine_involved
 from .state import Action, GaussianDensity, LinearGaussianModel, StateLayout, _check_count
 
 MIN_MI_SEPARATION = 0.02
@@ -149,11 +150,14 @@ def generate_scenario(
 
     for attempt in range(50):
         actions = _build_actions(pose_ids[-1], targets, rng, attempt)
+        # Each value is taken over the action's involved blocks, where it
+        # equals the full-state value at a cost that does not grow with the
+        # map; one action has nothing to be separated from and needs none.
         values = [
-            augmented_mi_analytic(prior, action).value for action in actions
-        ]
-        gaps = np.diff(np.sort(values))
-        if len(actions) == 1 or np.all(gaps >= MIN_MI_SEPARATION):
+            augmented_mi_analytic(prior, a, determine_involved(layout, a).blocks).value
+            for a in actions
+        ] if len(actions) > 1 else []
+        if np.all(np.diff(np.sort(values)) >= MIN_MI_SEPARATION):
             return SlamScenario(prior=prior, actions=tuple(actions), seed=int(seed))
     raise ScenarioError(
         "could not separate the candidate actions' analytic MI values; "
@@ -251,8 +255,8 @@ def save_scenario(scenario: SlamScenario, path: str | Path) -> None:
 
 def load_scenario(path: str | Path) -> SlamScenario:
     """The scenario a file holds.  An unknown key raises ``ScenarioError``,
-    but ``sensing_range``, which earlier versions wrote, is ignored; a
-    missing seed reads -1."""
+    as does an action whose ``observations`` list is empty; ``sensing_range``,
+    which earlier versions wrote, is ignored, and a missing seed reads -1."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -273,6 +277,9 @@ def load_scenario(path: str | Path) -> SlamScenario:
         actions = []
         for i, a_doc in enumerate(doc["actions"]):
             _check_keys(a_doc, f"actions[{i}]", "id", "new_ids", "transitions", "observations")
+            if not a_doc["observations"]:
+                # no estimator can score it; fail here, before any trial runs
+                raise ScenarioError(f"actions[{i}]: action {a_doc['id']!r} has no observations")
             action = Action(
                 id=a_doc["id"],
                 transitions=tuple(

@@ -10,16 +10,19 @@ depend on the state, so the first two terms are the summed entropies of the
 action's noise, known in closed form whatever the belief.  Only H[obs] is
 estimated: prior particles are propagated through the transition and
 observation models, and each sampled observation z contributes log eta(z),
-its marginal likelihood under the prior, estimated from a second particle
-pass that :class:`MismcContext` draws once per run.  The estimate is
+its marginal likelihood under the prior.  eta is one object: the weighted
+Gaussian mixture over a second particle pass that :class:`MismcContext`
+draws and propagates once per run, holding that pass's weights beside its
+centers (:class:`state.ObservationGridEvaluator`).  The estimate is
 
     -(noise entropy) - weights x log eta
 
 This holds only for that noise model: a noise covariance that depends on the
 state makes the first two terms expectations over the belief, which this
 estimator does not take.  log eta is computed in log space, so it stays
-accurate however far in the tail a sampled z lands; rows where eta is below
-1e-300 are counted as ``eta_floor_events``.
+accurate however far in the tail a sampled z lands; the entries of the
+accumulator's log-eta row below log(1e-300) are counted as
+``eta_floor_events``, a count read from that row and stored nowhere else.
 
 Determinism contract: each of a run's two keyed Philox streams, one for the
 outer particles and one for the normalizer pass, is read in order, one row
@@ -114,16 +117,25 @@ class MismcAccumulator:
     particles through :func:`mismc_update` refines it without restarting.
     ``rng_state`` is the run root the accumulator was started under and
     ``position`` the outer noise stream's Philox state (``bit_generator.state``)
-    after the last consumed particle's row, ``None`` before the first.
+    after the last consumed particle's row, ``None`` before the first.  The
+    counts are read from ``terms``, which holds them: ``consumed`` is its
+    length and ``eta_floor_events`` the number of its entries below
+    ``log(1e-300)``.
     """
 
     estimate: float = 0.0
-    consumed: int = 0
     rng_state: tuple[int, ...] = ()
-    eta_floor_events: int = 0
     elapsed_ns: int = 0
     terms: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
     position: dict | None = field(default=None, compare=False)
+
+    @property
+    def consumed(self) -> int:
+        return len(self.terms)
+
+    @property
+    def eta_floor_events(self) -> int:
+        return int(np.count_nonzero(self.terms < _LOG_ETA_FLOOR))
 
 
 class MismcContext:
@@ -134,11 +146,12 @@ class MismcContext:
     The normalizer pass is the second particle set that log eta(z) is
     averaged over, drawn once per run and reused for every sampled
     observation, as a particle filter would reuse its weighted set:
-    ``normalizer`` holds its propagated batch and ``normalizer_weights`` its
-    weights.  When ``n4`` equals the prior size the set is the prior itself
-    with its weights; otherwise ``n4`` particles are drawn
-    weight-proportionally and averaged uniformly.  Set member ``i`` is
-    propagated once, with row ``i`` of the normalizer stream's noise.
+    ``normalizer`` is eta itself, the weighted mixture over the set's
+    propagated batch, which holds the set's weights beside its centers.
+    When ``n4`` equals the prior size the set is the prior itself with its
+    weights; otherwise ``n4`` particles are drawn weight-proportionally and
+    averaged uniformly.  Set member ``i`` is propagated once, with row ``i``
+    of the normalizer stream's noise.
     """
 
     def __init__(
@@ -179,8 +192,7 @@ class MismcContext:
             x, w = prior.particles[sel], np.full(n4, 1.0 / n4)
         noise = _noise_stream(norm_root).standard_normal((n4, self.transition.new_dim))
         states = self.transition.sample_with_noise(x, noise)
-        self.normalizer = self.observation.grid_evaluator(states)
-        self.normalizer_weights = w
+        self.normalizer = self.observation.grid_evaluator(states, w)
         self.elapsed_ns = time.perf_counter_ns() - start_ns
 
     def empty_accumulator(self) -> MismcAccumulator:
@@ -267,15 +279,11 @@ def mismc_update(
     states = trans.sample_with_noise(x, noise[:, : trans.new_dim])
     z = obs.sample_with_noise(states, noise[:, trans.new_dim :])
 
-    log_eta = context.normalizer.mixture_likelihood(z, context.normalizer_weights)
-    floors = int(np.count_nonzero(log_eta < _LOG_ETA_FLOOR))
-
+    log_eta = context.normalizer.mixture_likelihood(z)
     terms = np.concatenate((acc.terms, log_eta)) if lo else log_eta
     return MismcAccumulator(
         estimate=-context.action._noise_entropy - float(context.prior.weights[:hi] @ terms),
-        consumed=hi,
         rng_state=acc.rng_state,
-        eta_floor_events=acc.eta_floor_events + floors,
         elapsed_ns=acc.elapsed_ns + (time.perf_counter_ns() - start_ns),
         terms=terms,
         position=stream.bit_generator.state,

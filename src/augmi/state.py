@@ -681,33 +681,38 @@ class SequentialObservation(_SequentialModels):
         self._sample(states, noise, z)
         return z
 
-    def grid_evaluator(self, states: np.ndarray) -> "ObservationGridEvaluator":
-        """Precompute whitened model means for repeated pairwise evaluation
-        against the fixed batch of augmented states."""
-        return ObservationGridEvaluator(self, states)
+    def grid_evaluator(self, states: np.ndarray, weights: np.ndarray) -> ObservationGridEvaluator:
+        """The weighted mixture over a fixed batch of augmented states, one
+        weight per row, precomputed for repeated evaluation."""
+        return ObservationGridEvaluator(self, states, weights)
 
 
 class ObservationGridEvaluator:
-    """Pairwise observation likelihoods against a fixed propagated batch.
+    """The weighted Gaussian mixture ``eta(z) = sum_l w_l F_Z(z | batch_l)``
+    over one propagated batch, scored against batches of queries.
 
     This is the hot loop of the marginal-likelihood estimate, so the batch
     side is built once: ``_centers`` holds every model's mean, whitened by
     its noise factor and laid side by side, from one pass over the models
-    that never stores the plain means.  Queries are whitened the same way
-    and summed by :func:`_log_kernel_sum`.
+    that never stores the plain means, and ``_weights`` the batch's weights
+    beside them.  Queries are whitened the same way and summed by
+    :func:`_log_kernel_sum`.
     """
 
-    def __init__(self, seq_obs: SequentialObservation, states: np.ndarray):
-        self.count = states.shape[0]
-        self.obs_dim = seq_obs.obs_dim
+    def __init__(self, seq_obs: SequentialObservation, states: np.ndarray, weights: np.ndarray):
         self._seq_obs = seq_obs
-        self._centers = seq_obs._whitened_means(states, np.empty((self.count, self.obs_dim)))
+        self._centers = seq_obs._whitened_means(states, np.empty((len(states), seq_obs.obs_dim)))
+        self._weights = weights
 
-    def mixture_likelihood(self, z: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Log marginal likelihood ``log sum_l w_l F_Z(z_m | batch_l)`` per
-        query row."""
+    @property
+    def count(self) -> int:
+        """The number of mixture components, one per batch row."""
+        return self._centers.shape[0]
+
+    def mixture_likelihood(self, z: np.ndarray) -> np.ndarray:
+        """Log marginal likelihood ``log eta(z_m)`` per query row."""
         z_w = self._seq_obs._whiten(z)
-        return _log_kernel_sum(z_w, self._centers, weights, self._seq_obs._log_norm)
+        return _log_kernel_sum(z_w, self._centers, self._weights, self._seq_obs._log_norm)
 
 
 def _squared_distances(

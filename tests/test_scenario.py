@@ -16,6 +16,7 @@ from augmi import (
     load_scenario,
     save_scenario,
 )
+from augmi import scenario as scenario_module
 from augmi.cli import main
 from augmi.scenario import MIN_MI_SEPARATION, ScenarioError
 from conftest import scenario_document
@@ -78,6 +79,37 @@ class TestGeneration:
         )
         gaps = np.diff(values)
         assert np.all(gaps >= MIN_MI_SEPARATION)
+
+    def test_oracle_reads_the_involved_blocks_only(self, monkeypatch):
+        # each separating value is taken over the action's involved blocks
+        calls = []
+
+        def oracle(prior, action, subset=None):
+            calls.append((action.id, subset))
+            return augmented_mi_analytic(prior, action, subset)
+
+        monkeypatch.setattr(scenario_module, "augmented_mi_analytic", oracle)
+        scenario = generate_scenario(100, 4, seed=9)
+        # the last four calls separated the actions the scenario holds
+        assert calls[-4:] == [
+            (a.id, determine_involved(scenario.layout, a).blocks) for a in scenario.actions
+        ]
+
+    def test_one_action_calls_no_oracle(self, monkeypatch):
+        def oracle(prior, action, subset=None):
+            raise AssertionError("one action has nothing to be separated from")
+
+        monkeypatch.setattr(scenario_module, "augmented_mi_analytic", oracle)
+        assert [a.id for a in generate_scenario(30, 1, seed=3).actions] == ["a1"]
+
+    def test_inseparable_values_raise(self, monkeypatch):
+        # every attempt's values tie, so no noise-scale jiggle separates them
+        def oracle(prior, action, subset=None):
+            return replace(augmented_mi_analytic(prior, action, subset), value=1.0)
+
+        monkeypatch.setattr(scenario_module, "augmented_mi_analytic", oracle)
+        with pytest.raises(ScenarioError, match="could not separate"):
+            generate_scenario(30, 2, seed=3)
 
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ScenarioError, match="target_dim"):
@@ -200,20 +232,27 @@ class TestSerialization:
         with pytest.raises(ScenarioError, match="malformed scenario document: 'observations'"):
             _load_document(doc, tmp_path / "doc.json")
 
+    def test_an_action_with_an_empty_observation_list_is_rejected(self, tmp_path):
+        # no estimator can score it: the oracle's value would be the negative
+        # entropy of the move's noise alone
+        doc = scenario_document(generate_scenario(16, 2, seed=7), tmp_path / "s.json")
+        doc["actions"][1]["observations"] = []
+        message = "actions[1]: action 'a2' has no observations"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            _load_document(doc, tmp_path / "doc.json")
+
     @pytest.mark.parametrize(
-        ("observations", "errors"),
+        ("observations", "error"),
         [
-            (None, ["error: malformed scenario document: 'observations'"]),
-            ([], [f"estimator failure: {method}/a1/trial 0: .*action 'a1' has no observations"
-                  for method in ("analytic", "naive_kde", "invmi_kde", "mismc")]),
+            (None, "error: malformed scenario document: 'observations'"),
+            ([], re.escape("error: actions[0]: action 'a1' has no observations")),
         ],
         ids=["missing", "empty"],
     )
     def test_bench_actions_exits_2_on_an_action_without_observations(
-        self, tmp_path, capsys, observations, errors
+        self, tmp_path, capsys, observations, error
     ):
-        # An empty list loads, but no estimator scores it: the oracle's value
-        # would be the negative entropy of the move's noise alone.
+        # both are rejected as the file loads, before any trial runs
         doc = scenario_document(generate_scenario(16, 2, seed=7), tmp_path / "s.json")
         if observations is None:
             del doc["actions"][0]["observations"]
@@ -221,13 +260,15 @@ class TestSerialization:
             doc["actions"][0]["observations"] = observations
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        rows = tmp_path / "rows.csv"
         code = main(["bench", "actions", "--scenario", str(path),
                      "--methods", "analytic,naive-kde,invmi-kde,mismc", "--particles", "40",
-                     "--trials", "1", "--seed", "1", "--out", str(tmp_path / "rows.csv")])
+                     "--trials", "1", "--seed", "1", "--out", str(rows)])
         assert code == 2
         err = capsys.readouterr().err
-        for pattern in errors:
-            assert re.search(f"^{pattern}", err, re.M), pattern
+        assert re.search(f"^{error}$", err, re.M), err
+        assert "estimator failure" not in err
+        assert not rows.exists()
 
     def test_malformed_document(self, tmp_path):
         with pytest.raises(ScenarioError, match="malformed"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from functools import cache
@@ -44,7 +45,7 @@ from conftest import (
 def normalizer_eta(pset, action, z, rng):
     """eta(z) from the normalizer pass an estimator context builds."""
     ctx = mismc_context(pset, action, SampleBudget(n1=pset.n), rng)
-    return math.exp(ctx.normalizer.mixture_likelihood(z[None, :], ctx.normalizer_weights)[0])
+    return math.exp(ctx.normalizer.mixture_likelihood(z[None, :])[0])
 
 
 class TestSampleBudget:
@@ -121,6 +122,35 @@ class TestEstimateNormalizer:
         )
         assert eta == pytest.approx(expected, rel=1e-8)
 
+    def test_mixture_holds_the_set_weights(self, chain):
+        # eta is the weighted mixture over the normalizer set: the prior's
+        # own weights when n4 = n1, uniform weights over a resampled set
+        prior, action = chain
+        tight = Action(
+            id="a",
+            transitions=(
+                LinearGaussianModel(
+                    inputs=("x",), output_dim=1, matrix=[[1.0]], noise_cov=[[1e-20]]
+                ),
+            ),
+            observations=action.observations,
+        )
+        particles = np.array([[-1.0], [2.0]])
+        weights = np.array([0.9, 0.1])
+        pset = WeightedParticleSet(layout=prior.layout, particles=particles, weights=weights)
+        z = np.array([0.3])
+        obs_model = tight.observations[0][1]
+        expected = sum(
+            w * math.exp(log_density_ref(obs_model, p, z)) for w, p in zip(weights, particles)
+        )
+        assert normalizer_eta(pset, tight, z, 2) == pytest.approx(expected, rel=1e-8)
+        ctx = mismc_context(pset, tight, SampleBudget(n1=2), 2)
+        assert not hasattr(ctx, "normalizer_weights")
+        assert np.array_equal(ctx.normalizer._weights, weights)
+        resampled = mismc_context(pset, tight, SampleBudget(n1=2, n4=5), 2)
+        assert resampled.normalizer.count == 5
+        assert np.array_equal(resampled.normalizer._weights, np.full(5, 0.2))
+
     def test_chain_matches_marginal_likelihood(self, chain):
         # Gaussian marginal-likelihood oracle: z ~ N(0, 3) under the chain
         prior, action = chain
@@ -142,9 +172,9 @@ class TestEstimateNormalizer:
         pset = sample_particles(prior, 50, rng)
         ctx = mismc_context(pset, action, SampleBudget(n1=50), rng)
         z = np.array([[1e6]])
-        log_eta = ctx.normalizer.mixture_likelihood(z, ctx.normalizer_weights)
+        log_eta = ctx.normalizer.mixture_likelihood(z)
         dense = logsumexp(
-            grid_log_density_ref(ctx.normalizer, z) + np.log(ctx.normalizer_weights), axis=1
+            grid_log_density_ref(ctx.normalizer, z) + np.log(ctx.normalizer._weights), axis=1
         )
         assert log_eta[0] < -4e11
         np.testing.assert_allclose(log_eta, dense, rtol=1e-12)
@@ -391,6 +421,22 @@ class TestAnytime:
             weights = pset.weights[: acc.consumed]
             assert acc.estimate == -action._noise_entropy - float(weights @ acc.terms)
         assert acc.consumed == 200
+
+    def test_counts_are_read_from_the_log_eta_row(self):
+        # a narrow observation kernel sends the sampled z far below 1e-300
+        prior, action = make_chain_1d(r=1e-8)
+        pset = sample_particles(prior, 40, 5)
+        budget = SampleBudget(n1=40)
+        ctx = mismc_context(pset, action, budget, 6)
+        acc = ctx.empty_accumulator()
+        for step in (15, 0, 25):
+            acc = mismc_update(acc, step, ctx)
+            assert acc.consumed == acc.terms.size
+            assert acc.eta_floor_events == np.count_nonzero(acc.terms < math.log(1e-300))
+        assert acc.eta_floor_events > 0
+        assert ctx.result(acc).sample_counts == mismc_estimate(pset, action, budget, 6).sample_counts
+        stored = {f.name for f in dataclasses.fields(acc)}
+        assert stored == {"estimate", "rng_state", "elapsed_ns", "terms", "position"}
 
     def test_cannot_overrun_particles(self, chain):
         prior, action = chain

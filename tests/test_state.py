@@ -591,7 +591,7 @@ class TestSequentialModels:
         x = rng.standard_normal((30, 4))
         states = trans.sample_with_noise(x, rng.standard_normal((30, 2)))
         z = rng.standard_normal((11, 2))
-        grid = grid_log_density_ref(obs.grid_evaluator(states), z)
+        grid = grid_log_density_ref(obs.grid_evaluator(states, np.ones(30)), z)
         assert grid.shape == (11, 30)
         for m in (0, 5, 10):
             row = observation_log_density_ref(obs, states, np.repeat(z[m : m + 1], 30, axis=0))
@@ -607,8 +607,8 @@ class TestSequentialModels:
         states = trans.sample_with_noise(x, rng.standard_normal((64, 2)))
         z = rng.standard_normal((17, 2)) * 2.0
         weights = rng.uniform(0.1, 1.0, 64)
-        evaluator = obs.grid_evaluator(states)
-        fast = np.exp(evaluator.mixture_likelihood(z, weights))
+        evaluator = obs.grid_evaluator(states, weights)
+        fast = np.exp(evaluator.mixture_likelihood(z))
         plain = np.exp(grid_log_density_ref(evaluator, z)) @ weights
         np.testing.assert_allclose(fast, plain, rtol=1e-12)
 
@@ -687,6 +687,20 @@ class TestWhiten:
         obs = SequentialObservation(layout, action)
         with pytest.raises(ValueError, match="non-finite"):
             obs._whiten([[0.0], [bad]])
+
+    def test_grid_rejects_means_that_overflow(self):
+        # a finite model on finite states whose whitened means overflow
+        layout = StateLayout.from_dims([("x", 1)])
+        _prior, chain = make_chain_1d()
+        big = LinearGaussianModel(
+            inputs=("a:x1",), output_dim=1, matrix=[[1e200]], noise_cov=[[1.0]]
+        )
+        action = Action(id="a", transitions=chain.transitions, observations=((1, big),))
+        obs = SequentialObservation(layout, action)
+        states = np.full((3, 2), 1e200)
+        # the product's overflow warning is not what is checked here
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            obs.grid_evaluator(states, np.full(3, 1.0 / 3))
 
 
 def _dense_log_kernel_sum(queries, centers, weights, log_norm):
@@ -877,6 +891,27 @@ class TestLogKernelSum:
         assert np.max(np.abs(got - reference)) <= 1e-13
         _sums, rejected, translated = _fast_gauss_transform_paths(queries, centers, weights)
         assert translated is None and not rejected.any()
+
+    def test_one_dimension_lattice_past_two_to_the_fifty(self):
+        # Centers near 2e15 sit in lattice boxes past 2^50, whose points and
+        # differences are no longer exact: the transform certifies no row,
+        # and every row takes log-sum-exp.
+        rng = np.random.default_rng(14)
+        centers = 2e15 + 4.0 * rng.standard_normal((300, 1))
+        weights = rng.uniform(0.1, 1.0, 300)
+        queries = 2e15 + 5.0 * rng.standard_normal((20, 1))
+        _sums, rejected = _fast_gauss_transform(queries, centers, weights)
+        assert rejected.all()
+        reference = log_kernel_sum_ref(queries, centers, weights)
+        got = _log_kernel_sum(queries, centers, weights, 0.0)
+        assert np.all(np.abs(got - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
+
+    def test_series_tail_bounds_the_series_and_is_inf_from_one(self):
+        for rho, order in ((0.3, 5), (0.9, 24), (0.99, 32)):
+            series = sum(rho**n / math.sqrt(math.factorial(n)) for n in range(order, 150))
+            assert series <= state._series_tail(rho, order)
+        for rho in (1.0, 2.5, math.inf):
+            assert state._series_tail(rho, 24) == math.inf
 
     def test_one_dimension_crowded_box_matches_extended_precision(self):
         # Half the centers share the query's box and the rest are spread one
