@@ -27,10 +27,10 @@ accumulator's log-eta row below log(1e-300) are counted as
 Determinism contract: each of a run's two keyed Philox streams, one for the
 outer particles and one for the normalizer pass, is read in order, one row
 of standard normals per particle, so particle ``i``'s noise is row ``i`` of
-its stream.  The accumulator carries the outer stream's position, and each
-installment continues the stream where the last one stopped: any
-installment schedule draws exactly the noise of a single batch run, and no
-installment draws a consumed particle's noise again.  Each particle's log
+its stream.  :class:`MismcContext` draws both passes' rows once, when it is
+built, and each installment reads the outer rows of the particles it
+consumes: any installment schedule uses exactly the noise of a single batch
+run, and no installment draws noise of its own.  Each particle's log
 eta is computed by arithmetic that does not depend on the installment: the
 normalizer's kernel sum gives a row the same bits alone or in any batch
 (see :func:`state._log_kernel_sum`).  The accumulator keeps each particle's
@@ -115,9 +115,8 @@ class MismcAccumulator:
     ``estimate`` is the action's noise entropy, negated, minus the prior
     weights' dot product with ``terms``, at every checkpoint; feeding more
     particles through :func:`mismc_update` refines it without restarting.
-    ``rng_state`` is the run root the accumulator was started under and
-    ``position`` the outer noise stream's Philox state (``bit_generator.state``)
-    after the last consumed particle's row, ``None`` before the first.  The
+    ``rng_state`` is the run root the accumulator was started under, which
+    ties it to its context, the holder of every noise row.  The
     counts are read from ``terms``, which holds them: ``consumed`` is its
     length and ``eta_floor_events`` the number of its entries below
     ``log(1e-300)``.
@@ -127,7 +126,6 @@ class MismcAccumulator:
     rng_state: tuple[int, ...] = ()
     elapsed_ns: int = 0
     terms: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
-    position: dict | None = field(default=None, compare=False)
 
     @property
     def consumed(self) -> int:
@@ -140,8 +138,13 @@ class MismcAccumulator:
 
 class MismcContext:
     """Everything an estimator run needs: prior, compiled models, budget,
-    the run's RNG root, the normalizer pass, and ``elapsed_ns``, the time
-    the build took.
+    the run's RNG root, the outer particles' noise, the normalizer pass, and
+    ``elapsed_ns``, the time the build took.
+
+    ``noise`` holds one row of standard normals per prior particle, the
+    transition's innovations then the observation's, drawn once from the
+    outer stream: row ``i`` is particle ``i``'s noise, whichever
+    installment consumes it.
 
     The normalizer pass is the second particle set that log eta(z) is
     averaged over, drawn once per run and reused for every sampled
@@ -190,6 +193,8 @@ class MismcContext:
             sel_rng = _derived_rng(norm_root, (_NORMALIZER_KEY,))
             sel = sel_rng.choice(prior.n, size=n4, p=prior.weights)
             x, w = prior.particles[sel], np.full(n4, 1.0 / n4)
+        width = self.transition.new_dim + self.observation.obs_dim
+        self.noise = _noise_stream(self.root[:2]).standard_normal((prior.n, width))
         noise = _noise_stream(norm_root).standard_normal((n4, self.transition.new_dim))
         states = self.transition.sample_with_noise(x, noise)
         self.normalizer = self.observation.grid_evaluator(states, w)
@@ -227,13 +232,9 @@ class _StreamKey(np.random.bit_generator.ISeedSequence):
         return np.array(self.words, dtype=dtype)
 
 
-def _noise_stream(key: tuple[int, ...], position: dict | None = None) -> np.random.Generator:
-    """The Philox stream keyed by ``key``, at its start or resumed at
-    ``position``, a state its ``bit_generator.state`` gave."""
-    bit_gen = np.random.Philox(_StreamKey(key))
-    if position is not None:
-        bit_gen.state = position
-    return np.random.Generator(bit_gen)
+def _noise_stream(key: tuple[int, ...]) -> np.random.Generator:
+    """The Philox stream keyed by ``key``, at its start."""
+    return np.random.Generator(np.random.Philox(_StreamKey(key)))
 
 
 def mismc_context(
@@ -253,9 +254,8 @@ def mismc_update(
 
     The returned accumulator's ``estimate`` is bit for bit what a batch run
     over all particles consumed so far would produce: the particles' noise
-    rows continue the outer stream from the accumulator's ``position``,
-    their log eta are appended to ``terms``, and the sum is taken once over
-    all of them in index order.
+    is their rows of the context's ``noise``, their log eta are appended to
+    ``terms``, and the sum is taken once over all of them in index order.
     """
     _check_count("additional_n1", additional_n1, BudgetError, least=0)
     if acc.rng_state != context.root:
@@ -274,8 +274,7 @@ def mismc_update(
     lo, hi = acc.consumed, acc.consumed + additional_n1
 
     x = context.prior.particles[lo:hi]
-    stream = _noise_stream(context.root[:2], acc.position)
-    noise = stream.standard_normal((additional_n1, trans.new_dim + obs.obs_dim))
+    noise = context.noise[lo:hi]
     states = trans.sample_with_noise(x, noise[:, : trans.new_dim])
     z = obs.sample_with_noise(states, noise[:, trans.new_dim :])
 
@@ -286,7 +285,6 @@ def mismc_update(
         rng_state=acc.rng_state,
         elapsed_ns=acc.elapsed_ns + (time.perf_counter_ns() - start_ns),
         terms=terms,
-        position=stream.bit_generator.state,
     )
 
 

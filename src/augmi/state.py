@@ -568,11 +568,10 @@ def sample_particles(
     _check_count("n", n)
     rng = ensure_rng(rng)
     particles = _draws(density, n, rng)
-    if not np.isfinite(particles).all():
-        raise ValueError("particle set has non-finite particles")
-    # Both arrays are made here and held nowhere else, so they are frozen in
-    # place rather than copied and checked again as a caller's would be;
-    # n copies of 1/n sum to 1 far inside the set's renormalizing tolerance.
+    # Both arrays are made here and held nowhere else, and a finite density's
+    # draws are finite, so they are frozen in place rather than copied and
+    # checked again as a caller's would be; n copies of 1/n sum to 1 far
+    # inside the set's renormalizing tolerance.
     pset = object.__new__(WeightedParticleSet)
     object.__setattr__(pset, "layout", density.layout)
     for name, value in (("particles", particles), ("weights", np.full(n, 1.0 / n))):
@@ -626,9 +625,11 @@ class _SequentialModels:
 
     def _whitened_means(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill each model's slice of ``out`` with its mean given ``states``,
-        in units of its noise factor, in one pass."""
-        for cols, part, matrix_t, _chol_t, inverse_t in self._models:
-            out[:, part] = np.dot(np.dot(states[:, cols], matrix_t), inverse_t)
+        in units of its noise factor, in one pass.  Means that overflow
+        raise the ``ValueError`` below, not numpy's warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cols, part, matrix_t, _chol_t, inverse_t in self._models:
+                out[:, part] = np.dot(np.dot(states[:, cols], matrix_t), inverse_t)
         if not np.isfinite(out).all():
             raise ValueError("cannot whiten non-finite values")
         return out
