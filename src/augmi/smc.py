@@ -28,19 +28,21 @@ Determinism contract: each of a run's two keyed Philox streams, one for the
 outer particles and one for the normalizer pass, is read in order, one row
 of standard normals per particle, so particle ``i``'s noise is row ``i`` of
 its stream.  :class:`MismcContext` draws both passes' rows once, when it is
-built, and each installment reads the outer rows of the particles it
-consumes: any installment schedule uses exactly the noise of a single batch
-run, and no installment draws noise of its own.  Each particle's log
-eta is computed by arithmetic that does not depend on the installment: the
-normalizer's kernel sum gives a row the same bits alone or in any batch
-(see :func:`state._log_kernel_sum`).  The accumulator keeps each particle's
-log eta in index order and every update sums them once over all particles
+built, and propagates and observes every particle of both passes there,
+once: an installment reads the sampled observations of the particles it
+consumes and runs no model, so any installment schedule uses exactly the
+observations of a single batch run.  Each particle's log eta is computed by
+arithmetic that does not depend on the installment: the normalizer's
+kernel sum gives a row the same bits alone or in any batch (see
+:func:`state._log_kernel_sum`).  The accumulator keeps each particle's log
+eta in index order and every update sums them once over all particles
 consumed, so any installment schedule reproduces the batch estimate bit for
 bit.
 
 Cost: the noise draws and the propagation through every model scale with
-n1 + n4, and the normalizer's kernel sum with n1 x n4 cells at d >= 2 (with
-about n1 + n4 at d = 1, where the fast Gauss transform sums boxes).  The
+n1 + n4 and are paid once per run, in the context; the normalizer's kernel
+sum scales with n1 x n4 cells at d >= 2 (with about n1 + n4 at d = 1, where
+the fast Gauss transform sums boxes) and is all an installment pays.  The
 rest is paid once per call, whatever n1 and n4 are: binding each model's
 input columns, keying two Philox streams, and a few dozen small array
 operations per model and per kernel sum.  Each model's transposed factors
@@ -137,13 +139,13 @@ class MismcAccumulator:
 
 
 class MismcContext:
-    """Everything an estimator run needs: prior, compiled models, budget,
-    the run's RNG root, the outer particles' noise, the normalizer pass, and
+    """Everything an estimator run needs: prior, action, budget, the run's
+    RNG root, the outer particles' observations, the normalizer pass, and
     ``elapsed_ns``, the time the build took.
 
-    ``noise`` holds one row of standard normals per prior particle, the
-    transition's innovations then the observation's, drawn once from the
-    outer stream: row ``i`` is particle ``i``'s noise, whichever
+    ``z`` holds one observation per prior particle, sampled here, the only
+    place the action's models run: particle ``i`` is propagated and observed
+    once, with row ``i`` of the outer stream's standard normals, whichever
     installment consumes it.
 
     The normalizer pass is the second particle set that log eta(z) is
@@ -177,8 +179,8 @@ class MismcContext:
         self.action = action
         self.budget = budget
         bound = _bind_inputs(prior.layout, action)
-        self.transition = SequentialTransition(prior.layout, action, bound)
-        self.observation = SequentialObservation(prior.layout, action, bound)
+        transition = SequentialTransition(prior.layout, action, bound)
+        observation = SequentialObservation(prior.layout, action, bound)
         # Two independent stream keys: outer-particle noise and normalizer.
         # Four raw words shifted right one bit are the words
         # rng.integers(0, 2**63, size=4) gives from any 64-bit bit generator
@@ -193,11 +195,16 @@ class MismcContext:
             sel_rng = _derived_rng(norm_root, (_NORMALIZER_KEY,))
             sel = sel_rng.choice(prior.n, size=n4, p=prior.weights)
             x, w = prior.particles[sel], np.full(n4, 1.0 / n4)
-        width = self.transition.new_dim + self.observation.obs_dim
-        self.noise = _noise_stream(self.root[:2]).standard_normal((prior.n, width))
-        noise = _noise_stream(norm_root).standard_normal((n4, self.transition.new_dim))
-        states = self.transition.sample_with_noise(x, noise)
-        self.normalizer = self.observation.grid_evaluator(states, w)
+        new_dim = transition.new_dim
+        width = new_dim + observation.obs_dim
+        noise = _noise_stream(self.root[:2]).standard_normal((prior.n, width))
+        norm_noise = _noise_stream(norm_root).standard_normal((n4, new_dim))
+        # an output that overflows raises "cannot whiten non-finite values", not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = transition.sample_with_noise(prior.particles, noise[:, :new_dim])
+            self.z = observation.sample_with_noise(states, noise[:, new_dim:])
+            states = transition.sample_with_noise(x, norm_noise)
+        self.normalizer = observation.grid_evaluator(states, w)
         self.elapsed_ns = time.perf_counter_ns() - start_ns
 
     def empty_accumulator(self) -> MismcAccumulator:
@@ -252,10 +259,10 @@ def mismc_update(
 ) -> MismcAccumulator:
     """Consume the next ``additional_n1`` prior particles.
 
-    The returned accumulator's ``estimate`` is bit for bit what a batch run
-    over all particles consumed so far would produce: the particles' noise
-    is their rows of the context's ``noise``, their log eta are appended to
-    ``terms``, and the sum is taken once over all of them in index order.
+    An installment is one kernel sum, over the particles' rows of the
+    context's ``z``.  The returned accumulator's ``estimate`` is bit for bit
+    what a batch run over all particles consumed so far would produce: their
+    log eta are appended to ``terms`` and summed once in index order.
     """
     _check_count("additional_n1", additional_n1, BudgetError, least=0)
     if acc.rng_state != context.root:
@@ -270,15 +277,8 @@ def mismc_update(
             f"{acc.consumed} of {context.prior.n} already used"
         )
     start_ns = time.perf_counter_ns()
-    trans, obs = context.transition, context.observation
     lo, hi = acc.consumed, acc.consumed + additional_n1
-
-    x = context.prior.particles[lo:hi]
-    noise = context.noise[lo:hi]
-    states = trans.sample_with_noise(x, noise[:, : trans.new_dim])
-    z = obs.sample_with_noise(states, noise[:, trans.new_dim :])
-
-    log_eta = context.normalizer.mixture_likelihood(z)
+    log_eta = context.normalizer.mixture_likelihood(context.z[lo:hi])
     terms = np.concatenate((acc.terms, log_eta)) if lo else log_eta
     return MismcAccumulator(
         estimate=-context.action._noise_entropy - float(context.prior.weights[:hi] @ terms),

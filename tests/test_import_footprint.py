@@ -22,8 +22,12 @@ from augmi import (
     REWARD_INVOLVED_IG,
     SampleBudget,
     SmcMiBackend,
+    determine_involved,
     generate_scenario,
+    marginalize_gaussian,
+    mismc_context,
     mismc_estimate,
+    mismc_update,
     sample_particles,
     solve,
 )
@@ -52,8 +56,10 @@ print(json.dumps(run_everything(steps, chain)))
 
 def run_everything(steps, chain) -> dict:
     """Every estimator on a small scenario's actions, a horizon-2 SMC solve
-    in both reward modes on ``steps``, and SMC estimates on the 1-D
-    ``chain`` (prior, action) at n1 = 300 and 2000, as float hex."""
+    in both reward modes on ``steps``, SMC estimates on the 1-D ``chain``
+    (prior, action) at n1 = 300 and 2000, and two SMC runs consumed in
+    installments, on the chain and on the scenario's first action, as float
+    hex."""
     slam = generate_scenario(30, 3, seed=3)
     values = {
         f"{method} {action.id}": evaluate_method(slam, action.id, method, 40, 7).value.hex()
@@ -69,6 +75,18 @@ def run_everything(steps, chain) -> dict:
         particles = sample_particles(prior, n1, 0)
         estimate = mismc_estimate(particles, action, SampleBudget(n1=n1), 1)
         values[f"chain {n1}"] = estimate.value.hex()
+    first = slam.actions[0]
+    involved = marginalize_gaussian(slam.prior, determine_involved(slam.prior.layout, first).blocks)
+    for key, (prior, action, n1, n4) in {
+        "installments chain 300": (*chain, 300, 170),
+        f"installments {first.id}": (involved, first, 40, 40),
+    }.items():
+        particles = sample_particles(prior, n1, 0)
+        context = mismc_context(particles, action, SampleBudget(n1=n1, n4=n4), 1)
+        acc = context.empty_accumulator()
+        for count in (0, 1, 1, 0, 5, 1, n1 - 8):
+            acc = mismc_update(acc, count, context)
+        values[key] = context.result(acc).value.hex()
     return values
 
 

@@ -272,6 +272,20 @@ class TestMismcEstimate:
         with pytest.raises(ValueError, match="cannot whiten non-finite values"):
             SmcMiBackend(SampleBudget(n1=50))(far, action, 0)
 
+    def test_transitions_that_overflow_raise_not_warn(self, chain):
+        # the overflow happens in the propagation, before any mean is whitened
+        prior, _ = chain
+        far = GaussianDensity(layout=prior.layout, mean=[1e200], covariance=[[1.0]])
+        big = LinearGaussianModel(
+            inputs=("x",), output_dim=1, matrix=[[1e200]], noise_cov=[[1.0]]
+        )
+        seen = LinearGaussianModel(
+            inputs=("a:x1",), output_dim=1, matrix=[[1.0]], noise_cov=[[1.0]]
+        )
+        action = Action(id="a", transitions=(big,), observations=((1, seen),))
+        with pytest.raises(ValueError, match="cannot whiten non-finite values"):
+            SmcMiBackend(SampleBudget(n1=50))(far, action, 0)
+
     def test_budget_must_match_particle_count(self, chain):
         prior, action = chain
         pset = sample_particles(prior, 100, np.random.default_rng(0))
@@ -516,6 +530,8 @@ class TestParticleNoise:
         "schedule", [(24,), (0, 24), (5, 0, 19), (1,) * 24, (23, 1, 0), (0, 0, 12, 12)]
     )
     def test_installment_rows_equal_one_batch_draw(self, monkeypatch, problem, n4, schedule):
+        # the context's three model calls (outer transition, outer observation,
+        # normalizer transition) take every row, and no installment adds a call
         prior, action = _installment_problems()[problem]
         drawn = self.recorded_noise(monkeypatch)
         pset = sample_particles(prior, 24, 0)
@@ -523,14 +539,32 @@ class TestParticleNoise:
         acc = ctx.empty_accumulator()
         for count in schedule:
             acc = mismc_update(acc, count, ctx)
-        normalizer, *installments = drawn
-        new_dim = ctx.transition.new_dim
-        assert (normalizer == _philox_rows(ctx.root[2:], n4, new_dim)).all()
-        outer = np.hstack(
-            [np.concatenate(installments[0::2]), np.concatenate(installments[1::2])]
-        )
-        assert outer.shape == (24, new_dim + ctx.observation.obs_dim)
-        assert (outer == _philox_rows(ctx.root[:2], *outer.shape)).all()
+        transition, observation, normalizer = drawn
+        new_dim = action.new_dim_total
+        outer = _philox_rows(ctx.root[:2], 24, new_dim + action.obs_dim_total)
+        assert np.array_equal(transition, outer[:, :new_dim])
+        assert np.array_equal(observation, outer[:, new_dim:])
+        assert np.array_equal(normalizer, _philox_rows(ctx.root[2:], n4, new_dim))
+
+    @pytest.mark.parametrize("problem", ["chain", "replica", "plan"])
+    def test_installments_run_no_model(self, monkeypatch, problem):
+        # the context holds every particle's z, so an update is one kernel sum
+        prior, action = _installment_problems()[problem]
+        pset = sample_particles(prior, 24, 0)
+        budget = SampleBudget(n1=24, n4=17)
+        batch = mismc_estimate(pset, action, budget, 1)
+        ctx = mismc_context(pset, action, budget, 1)
+
+        def no_model(*args):
+            raise AssertionError("an installment ran a model")
+
+        for cls in (SequentialTransition, SequentialObservation):
+            monkeypatch.setattr(cls, "sample_with_noise", no_model)
+        for schedule in ((0, 1, 1, 0, 5, 1, 16), (1,) * 24, (0, 24, 0)):
+            acc = ctx.empty_accumulator()
+            for count in schedule:
+                acc = mismc_update(acc, count, ctx)
+            assert ctx.result(acc).value == batch.value
 
     @pytest.mark.parametrize("problem", ["chain", "replica", "plan"])
     def test_installments_build_no_stream(self, monkeypatch, problem):
